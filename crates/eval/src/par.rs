@@ -11,6 +11,13 @@
 //! The pool size defaults to the machine's available parallelism and can be
 //! pinned with the `CPM_THREADS` environment variable (`CPM_THREADS=1` recovers
 //! fully serial execution, e.g. for clean per-task timing).
+//!
+//! Zero- and one-item inputs short-circuit before any of that: they run on the
+//! caller's thread without reading `CPM_THREADS` or probing the machine, so a
+//! caller that usually hands over a single task (the serving engine's warm
+//! batch is one sampling chunk) pays only for the task itself.  The variable is
+//! deliberately not cached: it is re-read on every call with two or more items,
+//! so a process may re-pin the pool between sweeps.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -41,8 +48,9 @@ where
     F: Fn(T) -> R + Sync,
 {
     let tasks = items.len();
-    let workers = worker_count(tasks);
-    if workers <= 1 || tasks <= 1 {
+    // A single task never needs a pool, so it skips the worker-count probe.
+    let workers = if tasks <= 1 { 1 } else { worker_count(tasks) };
+    if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
 

@@ -43,7 +43,6 @@
 //! | `cpm_engine_draws_total` | counter | — | Noise draws produced. |
 //! | `cpm_engine_batch_nanos` | histogram | — | End-to-end latency per privatize batch. |
 //! | `cpm_engine_chunk_nanos` | histogram | — | Latency per per-thread sampling chunk (the thread-scaling probe reads this). |
-//! | `cpm_engine_draws_per_sec` | histogram | — | Per-batch sampling throughput (draws/second, not nanos). |
 //! | `cpm_net_connections_total` | counter | — | Connections accepted. |
 //! | `cpm_net_rejections_total` | counter | — | Connections rejected at the configured connection ceiling. |
 //! | `cpm_net_active_connections` | gauge | — | Currently open connections. |

@@ -256,10 +256,9 @@ pub struct DesignCache {
     family_seeding: AtomicBool,
     tick: AtomicU64,
     /// Ready entries currently resident, maintained at every residency change
-    /// so [`DesignCache::stats`] (and metrics scrapes through it) never has to
-    /// walk the stripes taking every shard lock — the design hot path and the
-    /// monitoring path share no locks at all.  [`DesignCache::len`] stays the
-    /// exact, fully-locked count for callers that need a linearisable answer.
+    /// so [`DesignCache::len`] and [`DesignCache::stats`] (and metrics scrapes
+    /// through it) never walk the stripes taking every shard lock — the design
+    /// hot path and the monitoring path share no locks at all.
     resident: AtomicU64,
     hits: AtomicU64,
     coalesced: AtomicU64,
@@ -462,13 +461,16 @@ impl DesignCache {
     /// ([`DesignCache::family_seed`] releases it before touching a shard).
     fn publish(&self, shard_index: usize, key: &SpecKey, design: Arc<DesignedMechanism>) {
         let mut shard = self.shards[shard_index].lock().expect("shard poisoned");
-        shard.entries.insert(
+        let previous = shard.entries.insert(
             *key,
             Entry::Ready {
                 design,
                 last_used: self.next_tick(),
             },
         );
+        // Only the designing thread publishes, over its own in-flight marker,
+        // so the insert always adds exactly one ready entry to the count.
+        debug_assert!(matches!(previous, Some(Entry::InFlight(_))));
         let evicted = self.evict_over_capacity(&mut shard);
         let mut index = self.family_index.lock().expect("family index poisoned");
         index.insert(key);
@@ -725,12 +727,12 @@ impl DesignCache {
         self.load_snapshot(&mut file)
     }
 
-    /// Number of ready designs currently resident.
+    /// Number of ready designs currently resident, read from the lock-free
+    /// residency counter.  Every insert and removal of a ready entry adjusts
+    /// the counter right after releasing its shard lock, so the count is
+    /// exact whenever no publish, snapshot load or clear is in progress.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").ready_len())
-            .sum()
+        self.resident.load(Ordering::Relaxed) as usize
     }
 
     /// Whether no designs are resident.
@@ -1161,6 +1163,45 @@ mod tests {
                 && exposition.contains("cpm_cache_shard_resident{shard=\"1\"}"),
             "per-shard gauge family missing from:\n{exposition}"
         );
+    }
+
+    #[test]
+    fn len_counter_matches_the_stripe_walk() {
+        // `len()` reads the residency counter; `resident_designs()` walks
+        // every stripe under its lock.  They must agree after every kind of
+        // residency change.
+        fn agree(cache: &DesignCache, step: &str) -> usize {
+            let walked = cache.resident_designs().len();
+            assert_eq!(cache.len(), walked, "after {step}");
+            walked
+        }
+        // One stripe, so the capacity bound (and every eviction) is global.
+        let cache = DesignCache::with_shards(4, 1);
+        let keys: Vec<SpecKey> = (2..6).map(gm_key).collect();
+        cache.warm(&keys).unwrap();
+        assert_eq!(agree(&cache, "warm"), 4);
+
+        cache.get(&gm_key(7)).unwrap();
+        cache.get(&gm_key(8)).unwrap();
+        assert_eq!(cache.stats().evictions, 2, "capacity 4 holds 6 keys");
+        assert_eq!(agree(&cache, "capacity eviction"), 4);
+
+        let mut buffer = Vec::new();
+        cache.save_snapshot(&mut buffer).unwrap();
+        let small = DesignCache::with_shards(2, 1);
+        small.get(&gm_key(10)).unwrap();
+        assert_eq!(small.load_snapshot(&mut &buffer[..]).unwrap(), 1);
+        assert_eq!(agree(&small, "partial snapshot load"), 2);
+
+        cache.clear();
+        assert_eq!(agree(&cache, "clear"), 0);
+
+        let bad = SpecKey::new(0, Alpha::new(0.9).unwrap(), PropertySet::empty());
+        assert!(cache.get(&bad).is_err());
+        assert_eq!(agree(&cache, "failed design"), 0);
+        cache.get(&gm_key(3)).unwrap();
+        assert!(cache.get(&bad).is_err());
+        assert_eq!(agree(&cache, "failed design beside a resident key"), 1);
     }
 
     #[test]

@@ -382,7 +382,6 @@ impl Engine {
         cpm_obs::counter!("cpm_engine_batches_total").inc();
         cpm_obs::counter!("cpm_engine_draws_total").add(stats.requests as u64);
         cpm_obs::histogram!("cpm_engine_batch_nanos").record(batch_span.elapsed_nanos());
-        cpm_obs::histogram!("cpm_engine_draws_per_sec").record(stats.draws_per_sec() as u64);
         Ok(BatchOutcome { outputs, stats })
     }
 }

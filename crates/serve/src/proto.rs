@@ -198,6 +198,48 @@ pub(crate) fn parse_key(request: &WireRequest) -> Result<SpecKey, String> {
     ))
 }
 
+/// The request counter and latency histogram of one op label
+/// (`cpm_wire_requests_total{op=...}` / `cpm_wire_op_nanos{op=...}`), each
+/// resolved in the registry once per process rather than once per request.
+/// The label set is closed — [`Op::label`]'s seven names plus
+/// [`normalized_op`]'s `other`, which also absorbs any unknown label — and a
+/// label's series appear in the exposition only once it has been served.
+fn op_metrics(label: &str) -> (&'static cpm_obs::Counter, &'static cpm_obs::Histogram) {
+    macro_rules! handles {
+        ($op:literal) => {
+            (
+                cpm_obs::counter!(concat!("cpm_wire_requests_total{op=\"", $op, "\"}")),
+                cpm_obs::histogram!(concat!("cpm_wire_op_nanos{op=\"", $op, "\"}")),
+            )
+        };
+    }
+    match label {
+        "privatize" => handles!("privatize"),
+        "warm" => handles!("warm"),
+        "report" => handles!("report"),
+        "estimate" => handles!("estimate"),
+        "stats" => handles!("stats"),
+        "metrics" => handles!("metrics"),
+        "shutdown" => handles!("shutdown"),
+        _ => handles!("other"),
+    }
+}
+
+/// Run one op's `work` under the wire metric discipline: the request counter
+/// fires on entry, so a `metrics` op's own scrape already includes it, and
+/// the latency histogram records once the work is done.
+pub(crate) fn metered_op<R>(label: &str, work: impl FnOnce() -> R) -> R {
+    if cpm_obs::enabled() {
+        op_metrics(label).0.inc();
+    }
+    let started = Instant::now();
+    let outcome = work();
+    if cpm_obs::enabled() {
+        op_metrics(label).1.record_duration(started.elapsed());
+    }
+    outcome
+}
+
 /// Fold a JSON wire op name into the closed label set (unknown ops become
 /// `other`) so a hostile client cannot grow the metrics registry unboundedly.
 pub(crate) fn normalized_op(op: &str) -> &'static str {
@@ -488,20 +530,7 @@ fn ingest_reports_capped(engine: &Engine, reports: &[cpm_collect::Report]) -> Wi
 /// discipline (request counter on entry, latency histogram after the work).
 /// Returns the response and whether the connection should close.
 pub fn dispatch_op(engine: &Engine, op: &Op) -> (WireResponse, bool) {
-    let label = op.label();
-    if cpm_obs::enabled() {
-        cpm_obs::registry()
-            .counter(&format!("cpm_wire_requests_total{{op=\"{label}\"}}"))
-            .inc();
-    }
-    let op_started = Instant::now();
-    let outcome = dispatch_inner(engine, op);
-    if cpm_obs::enabled() {
-        cpm_obs::registry()
-            .histogram(&format!("cpm_wire_op_nanos{{op=\"{label}\"}}"))
-            .record_duration(op_started.elapsed());
-    }
-    outcome
+    metered_op(op.label(), || dispatch_inner(engine, op))
 }
 
 pub(crate) fn dispatch_inner(engine: &Engine, op: &Op) -> (WireResponse, bool) {
@@ -972,28 +1001,18 @@ impl ProtoConnection {
     /// JSON `report` op's metric discipline (counted on entry, even when the
     /// batch turns out malformed — preserved from the pre-reactor front end).
     fn process_report_frame(&mut self, engine: &Engine, payload: &[u8]) -> WireResponse {
-        if cpm_obs::enabled() {
-            cpm_obs::registry()
-                .counter("cpm_wire_requests_total{op=\"report\"}")
-                .inc();
-        }
-        let op_started = Instant::now();
-        let response = match cpm_collect::wire::decode_batch(payload) {
-            Ok(reports) => match self.rate_limit(reports.len()) {
-                Some(refused) => refused,
-                None => ingest_reports_capped(engine, &reports),
-            },
-            Err(error) => {
-                cpm_obs::counter!("cpm_net_frame_decode_errors_total").inc();
-                failure(format!("malformed report frame: {error}"))
+        metered_op("report", || {
+            match cpm_collect::wire::decode_batch(payload) {
+                Ok(reports) => match self.rate_limit(reports.len()) {
+                    Some(refused) => refused,
+                    None => ingest_reports_capped(engine, &reports),
+                },
+                Err(error) => {
+                    cpm_obs::counter!("cpm_net_frame_decode_errors_total").inc();
+                    failure(format!("malformed report frame: {error}"))
+                }
             }
-        };
-        if cpm_obs::enabled() {
-            cpm_obs::registry()
-                .histogram("cpm_wire_op_nanos{op=\"report\"}")
-                .record_duration(op_started.elapsed());
-        }
-        response
+        })
     }
 
     fn rate_limit_op(&mut self, op: &Op) -> Option<WireResponse> {
@@ -1085,6 +1104,32 @@ mod tests {
             at += 4 + len;
         }
         frames
+    }
+
+    #[test]
+    fn op_metric_handles_are_the_named_series() {
+        let registry = cpm_obs::registry();
+        let labels = [
+            "privatize",
+            "warm",
+            "report",
+            "estimate",
+            "stats",
+            "metrics",
+            "shutdown",
+            "other",
+        ];
+        for label in labels {
+            assert_eq!(normalized_op(label), label);
+            let (requests, nanos) = op_metrics(label);
+            let named_requests =
+                registry.counter(&format!("cpm_wire_requests_total{{op=\"{label}\"}}"));
+            let named_nanos = registry.histogram(&format!("cpm_wire_op_nanos{{op=\"{label}\"}}"));
+            assert!(std::ptr::eq(requests, named_requests), "{label}");
+            assert!(std::ptr::eq(nanos, named_nanos), "{label}");
+        }
+        let (unknown, _) = op_metrics("no-such-op");
+        assert!(std::ptr::eq(unknown, op_metrics("other").0));
     }
 
     #[test]

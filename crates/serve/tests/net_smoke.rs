@@ -23,7 +23,7 @@ use cpm_serve::net::NetConfig;
 use cpm_serve::prelude::*;
 use cpm_serve::proto::{self, Op, ProtoConfig};
 
-/// Threads currently alive in this process (`/proc/self/status`).
+/// Threads currently alive in process `pid` (`/proc/<pid>/status`).
 fn thread_count_of(pid: &str) -> usize {
     let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("procfs status");
     status
@@ -33,6 +33,23 @@ fn thread_count_of(pid: &str) -> usize {
         .trim()
         .parse()
         .expect("thread count parses")
+}
+
+/// Name of the thread that drains a spawned `serve_tcp`'s stderr (at most 15
+/// bytes, the kernel's `comm` limit).  The idle-connection test starts it
+/// while the concurrent-connection test, running alongside in this process,
+/// takes its thread census, so the census leaves it out.
+const STDERR_DRAIN: &str = "stderr-drain";
+
+/// Threads alive in this process, not counting stderr-drain threads.
+fn own_thread_count() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs task dir")
+        .filter(|task| {
+            let comm = task.as_ref().expect("task entry").path().join("comm");
+            std::fs::read_to_string(comm).map_or(true, |name| name.trim() != STDERR_DRAIN)
+        })
+        .count()
 }
 
 /// Length-prefix one payload.
@@ -81,7 +98,7 @@ fn a_thousand_concurrent_connections_ride_two_worker_threads() {
     const CONNS: usize = 1_000;
     const WORKERS: usize = 2;
 
-    let threads_before = thread_count_of("self");
+    let threads_before = own_thread_count();
     let engine = Arc::new(Engine::with_defaults());
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let config = NetConfig {
@@ -93,7 +110,7 @@ fn a_thousand_concurrent_connections_ride_two_worker_threads() {
     let server = Server::tcp_with(engine, listener, config).expect("server spawns");
     let addr = server.local_addr().expect("tcp addr");
 
-    let threads_with_server = thread_count_of("self");
+    let threads_with_server = own_thread_count();
     assert_eq!(
         threads_with_server - threads_before,
         WORKERS,
@@ -109,7 +126,7 @@ fn a_thousand_concurrent_connections_ride_two_worker_threads() {
     }
     let elapsed = started.elapsed();
 
-    let threads_under_load = thread_count_of("self");
+    let threads_under_load = own_thread_count();
     assert_eq!(
         threads_under_load - threads_before,
         WORKERS,
@@ -163,7 +180,10 @@ impl ServerProcess {
             }
         };
         // Keep draining stderr so the child never blocks on a full pipe.
-        std::thread::spawn(move || for _ in lines {});
+        std::thread::Builder::new()
+            .name(STDERR_DRAIN.to_string())
+            .spawn(move || for _ in lines {})
+            .expect("stderr drain thread spawns");
         ServerProcess { child, addr }
     }
 

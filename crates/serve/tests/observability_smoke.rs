@@ -14,7 +14,10 @@
 //! * the TCP front end feeds the `cpm_net_*` family, scraped through the same
 //!   wire op over the socket;
 //! * the instrumented hot path costs ≤ 5% over the uninstrumented floor
-//!   (`cpm_obs::set_enabled(false)`) with `CPM_TRACE` off.
+//!   (`cpm_obs::set_enabled(false)`) with `CPM_TRACE` off;
+//! * a batch-1 `b"CPMF"` privatize through the protocol state machine — where
+//!   per-request fixed costs, not draws, set the price — costs ≤ 1.5× its
+//!   uninstrumented floor.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -26,6 +29,7 @@ use std::time::{Duration, Instant};
 use cpm_core::{Alpha, Property, PropertySet};
 use cpm_serve::frontend::{read_frame, write_frame, WireResponse};
 use cpm_serve::prelude::*;
+use cpm_serve::proto::{self, Op, ProtoConfig, ProtoConnection};
 use cpm_serve::workload;
 
 /// Parse a Prometheus text exposition into `sample -> value`, failing loudly
@@ -230,6 +234,70 @@ fn enabled_telemetry_costs_at_most_five_percent_over_the_disabled_floor() {
         instrumented.as_secs_f64() <= floor.as_secs_f64() * 1.05,
         "instrumented hot path exceeds the 5% overhead budget: \
          floor {floor:?} vs instrumented {instrumented:?} ({:+.2}%)",
+        overhead * 100.0
+    );
+}
+
+/// Push `ops` copies of one framed request through the protocol state machine,
+/// discarding each reply, and return the time per op.
+fn per_op_time(engine: &Engine, conn: &mut ProtoConnection, framed: &[u8], ops: u32) -> Duration {
+    let start = Instant::now();
+    for _ in 0..ops {
+        conn.ingest(engine, framed).expect("well-formed frame");
+        let written = conn.pending_output().len();
+        assert!(written > 0, "every frame is answered");
+        conn.advance_output(written);
+    }
+    start.elapsed() / ops
+}
+
+#[test]
+#[ignore = "release-mode observability smoke test; run explicitly (see CI workflow)"]
+fn enabled_telemetry_costs_at_most_half_again_per_batch_one_op() {
+    // The batch gate above times 100k draws, so per-request fixed costs (the
+    // wire metric handles, the engine's per-batch counters) vanish in it.  A
+    // batch-1 privatize on a warm key is almost nothing but those costs.
+    let hot = SpecKey::new(
+        16,
+        Alpha::new(0.9).unwrap(),
+        PropertySet::empty().with(Property::Fairness),
+    );
+    let engine = Engine::with_defaults();
+    engine.warm(&[hot]).expect("hot design");
+    let payload = proto::encode_request(&Op::Privatize {
+        key: hot,
+        inputs: vec![7],
+    })
+    .expect("encodable request");
+    let mut framed = (payload.len() as u32).to_le_bytes().to_vec();
+    framed.extend_from_slice(&payload);
+    let mut conn = ProtoConnection::new(ProtoConfig::default());
+    let (ops, rounds) = (1_000, 41);
+
+    // Warm-up, then interleave the two modes (min of N each), as above.
+    per_op_time(&engine, &mut conn, &framed, ops);
+    let mut floor = Duration::MAX;
+    let mut instrumented = Duration::MAX;
+    for _ in 0..rounds {
+        cpm_obs::set_enabled(false);
+        floor = floor.min(per_op_time(&engine, &mut conn, &framed, ops));
+        cpm_obs::set_enabled(true);
+        instrumented = instrumented.min(per_op_time(&engine, &mut conn, &framed, ops));
+    }
+
+    let overhead = instrumented.as_secs_f64() / floor.as_secs_f64() - 1.0;
+    println!(
+        "per-op observability overhead: floor {} ns/op, instrumented {} ns/op ({:+.2}%)",
+        floor.as_nanos(),
+        instrumented.as_nanos(),
+        overhead * 100.0
+    );
+    assert!(
+        instrumented.as_secs_f64() <= floor.as_secs_f64() * 1.5,
+        "instrumented batch-1 op exceeds 1.5x the uninstrumented floor: \
+         {} vs {} ns/op ({:+.2}%)",
+        instrumented.as_nanos(),
+        floor.as_nanos(),
         overhead * 100.0
     );
 }
