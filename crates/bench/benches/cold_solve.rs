@@ -1,7 +1,6 @@
-//! Criterion bench: the cold-solve hot path under the PR-6 solver machinery —
-//! projected steepest-edge vs Devex pricing on the unconstrained designs, and
-//! presolve on vs off on the constrained (weak-honesty) family whose singleton
-//! rows presolve folds into bounds.
+//! Criterion bench: the cold-solve hot path — the recommended route on the
+//! unconstrained designs, and presolve on vs off on the constrained
+//! (weak-honesty) family whose singleton rows presolve folds into bounds.
 //!
 //! Headline numbers from this bench (and the one-shot n = 128 / n = 256 runs
 //! of the `backend_scaling` bin) live in BENCHMARKS.md.
@@ -9,33 +8,24 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cpm_core::prelude::*;
-use cpm_simplex::{PricingRule, SolveOptions};
+use cpm_simplex::SolveOptions;
 
-/// Group sizes for the pricing-rule comparison.  n = 64 is the largest size a
+/// Group sizes for the unconstrained solves.  n = 64 is the largest size a
 /// ~10-sample Criterion group can afford; the n = 128 / 256 endpoints are
 /// one-shot measurements in BENCHMARKS.md.
-const PRICING_SWEEP: [usize; 3] = [16, 32, 64];
+const UNCONSTRAINED_SWEEP: [usize; 3] = [16, 32, 64];
 /// Group sizes for the presolve on/off comparison on constrained designs.
 const PRESOLVE_SWEEP: [usize; 3] = [8, 16, 32];
 
-fn bench_pricing_rules(c: &mut Criterion) {
+fn bench_unconstrained(c: &mut Criterion) {
     let alpha = Alpha::new(0.9).unwrap();
-    let mut group = c.benchmark_group("cold_solve_pricing");
+    let mut group = c.benchmark_group("cold_solve_unconstrained");
     group.sample_size(10);
-    for &n in &PRICING_SWEEP {
+    for &n in &UNCONSTRAINED_SWEEP {
         let problem = DesignProblem::unconstrained(n, alpha, Objective::l0());
-        for (label, pricing) in [
-            ("steepest_edge", PricingRule::SteepestEdge),
-            ("devex", PricingRule::Devex),
-        ] {
-            let options = SolveOptions {
-                pricing,
-                ..problem.recommended_options()
-            };
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| problem.solve_with(&options).expect("cold solve"))
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("recommended", n), &n, |b, _| {
+            b.iter(|| problem.solve().expect("cold solve"))
+        });
     }
     group.finish();
 }
@@ -63,5 +53,5 @@ fn bench_presolve(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pricing_rules, bench_presolve);
+criterion_group!(benches, bench_unconstrained, bench_presolve);
 criterion_main!(benches);

@@ -1,34 +1,30 @@
 //! Criterion bench: building and solving the constrained mechanism-design LPs,
-//! comparing the sparse revised-simplex backend against the dense tableau.
+//! comparing the sparse revised simplex against the dense tableau reference
+//! solver ([`cpm_simplex::oracle::solve_dense`]).
 //!
 //! The paper reports that solving its LPs is "negligible (sub-second)" at paper
 //! scale (n ≤ ~20); this bench verifies the same holds for this reproduction and
-//! measures how far each backend scales.  The dense tableau pays `O(rows · cols)`
+//! measures how far each solver scales.  The dense tableau pays `O(rows · cols)`
 //! per pivot, which becomes prohibitive beyond `n ≈ 32` (at `n = 32` the BASICDP
 //! LP already has ~2k rows × ~3k columns); it is therefore benched only up to
-//! `DENSE_MAX_N`, while the sparse backend runs across the full sweep.
+//! `DENSE_MAX_N`, while the sparse route runs across the full sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cpm_core::prelude::*;
-use cpm_simplex::{SolveOptions, SolverBackend};
+use cpm_simplex::{oracle, SolveOptions};
 
 /// Group sizes swept by the build benchmark.
 const SWEEP: [usize; 5] = [8, 16, 32, 64, 128];
-/// Group sizes the backends are asked to *solve*.  A single sparse n = 128 solve
-/// runs for many minutes (see ROADMAP: sparse LU + Devex are the planned fixes),
-/// so the solve comparison stops at 64.
+/// Group sizes the solvers are asked to *solve*; the n = 128 / 256 endpoints
+/// are one-shot measurements in BENCHMARKS.md.
 const SOLVE_SWEEP: [usize; 4] = [8, 16, 32, 64];
 /// Largest group size the dense tableau is asked to solve (beyond this a single
 /// solve takes minutes and the comparison stops being informative).
 const DENSE_MAX_N: usize = 32;
 
-fn options(backend: SolverBackend) -> SolveOptions {
-    SolveOptions {
-        backend,
-        max_iterations: 5_000_000,
-        ..SolveOptions::default()
-    }
+fn options() -> SolveOptions {
+    SolveOptions::default().with_max_iterations(5_000_000)
 }
 
 fn bench_backend_comparison(c: &mut Criterion) {
@@ -40,13 +36,7 @@ fn bench_backend_comparison(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("unconstrained_l0/sparse_revised", n),
             &n,
-            |b, _| {
-                b.iter(|| {
-                    problem
-                        .solve_with(&options(SolverBackend::SparseRevised))
-                        .expect("sparse solve")
-                })
-            },
+            |b, _| b.iter(|| problem.solve_with(&options()).expect("sparse solve")),
         );
         if n <= DENSE_MAX_N {
             group.bench_with_input(
@@ -54,9 +44,8 @@ fn bench_backend_comparison(c: &mut Criterion) {
                 &n,
                 |b, _| {
                     b.iter(|| {
-                        problem
-                            .solve_with(&options(SolverBackend::DenseTableau))
-                            .expect("dense solve")
+                        let (lp, _) = problem.build_lp().expect("LP builds");
+                        oracle::solve_dense(&lp, &options()).expect("dense solve")
                     })
                 },
             );

@@ -100,7 +100,7 @@ fn main() {
 
 /// Per-key solver-stat attribution: where the LP wins come from.  Presolve
 /// reductions (weak-honesty singleton rows folding into bounds), bound flips
-/// from the long-step ratio tests, and reference-framework resets are all
+/// from the long-step ratio tests, and steepest-edge framework resets are all
 /// [`SolveStats`](cpm_simplex::SolveStats) counters the probe surfaces so a
 /// serving regression can be traced to the responsible solver layer.
 fn solver_stats_attribution() {
@@ -121,7 +121,7 @@ fn solver_stats_attribution() {
     ];
     println!();
     println!(
-        "solver attribution (n = {n}) | form | pivots p1+p2 | presolve rows/cols removed | bound flips | SE resets | devex resets"
+        "solver attribution (n = {n}) | form | pivots p1+p2 | presolve rows/cols removed | bound flips | SE resets"
     );
     for (label, properties) in families {
         let designed = SpecKey::new(n, alpha, properties)
@@ -130,7 +130,7 @@ fn solver_stats_attribution() {
             .expect("attribution designs must solve");
         match designed.solver_stats() {
             Some(stats) => println!(
-                "{label:13} | {} | {}+{} | {}/{} | {} | {} | {}",
+                "{label:13} | {} | {}+{} | {}/{} | {} | {}",
                 stats.form,
                 stats.phase1_iterations,
                 stats.phase2_iterations,
@@ -138,7 +138,6 @@ fn solver_stats_attribution() {
                 stats.presolve_cols_removed,
                 stats.bound_flips,
                 stats.steepest_edge_resets,
-                stats.devex_resets,
             ),
             None => println!("{label:13} | closed form (no LP)"),
         }

@@ -1,23 +1,24 @@
 //! Release-mode scaling smoke test: the n = 64 unconstrained-L0 design LP must
 //! solve well within a generous wall-clock bound, n = 128 must stay inside
 //! the post-dual-form budget (the crash-seeded dual certification is ~0.5 s;
-//! a regression to the cold walk is tens of seconds), and n = 256 must solve
-//! through `LpForm::Auto`'s dual routing.
+//! a regression to the cold walk is tens of seconds), n = 256 must solve
+//! through `LpForm::Auto`'s dual routing, and the WM-L0 LP that serving
+//! actually solves must keep its pivot count.
 //!
 //! These are `#[ignore]`d so the ordinary (debug) `cargo test` stays fast; CI
 //! runs them explicitly with
 //! `cargo test --release -p cpm-bench --test scaling_smoke -- --ignored`.
-//! The bound is deliberately loose (the LU backend solves n = 64 in a few
+//! The bound is deliberately loose (the LU-based solver does n = 64 in a few
 //! seconds in release mode) — the test exists to catch order-of-magnitude
 //! regressions of the solver hot path, not millisecond drift.
 
 use std::time::{Duration, Instant};
 
 use cpm_core::prelude::*;
-use cpm_simplex::{LpForm, SolverBackend};
+use cpm_simplex::LpForm;
 
 /// Generous ceiling for one n = 64 unconstrained-L0 solve in release mode.
-/// The eta-file baseline needed ~22 s; the LU backend is several times faster,
+/// The eta-file baseline needed ~22 s; the LU factors are several times faster,
 /// so 60 s only trips on a genuine architectural regression.
 const N64_BUDGET: Duration = Duration::from_secs(60);
 
@@ -33,7 +34,6 @@ fn n64_unconstrained_l0_solves_within_budget() {
         elapsed < N64_BUDGET,
         "n = 64 unconstrained L0 took {elapsed:?} (budget {N64_BUDGET:?})"
     );
-    assert_eq!(solution.solver_stats.backend, SolverBackend::SparseRevised);
     // Theorem 3 closed form for the BASICDP L0 optimum.
     let n = 64.0f64;
     let a = alpha.value();
@@ -161,4 +161,43 @@ fn n256_all_properties_design_completes() {
         "every requested property must hold on the designed matrix"
     );
     assert_eq!(designed.mechanism().group_size(), 256);
+}
+
+/// Ceilings for the cold WM-L0 n = 32 solve (`{WH, RM, CM}`, α = 0.9) — an LP
+/// serving designs, unlike the unconstrained L0 that Figure 5 answers in
+/// closed form.  Measured through `recommended_options`: 3 529 pivots
+/// (phase 1 + phase 2 + dual) and ~0.6 s on a 1-CPU box.  Pivot counts are
+/// deterministic, so the pivot ceiling catches any change of pricing or
+/// route; the wall budget only catches order-of-magnitude regressions.
+const WM32_PIVOT_BUDGET: usize = 5_000;
+const WM32_BUDGET: Duration = Duration::from_secs(30);
+
+#[test]
+#[ignore = "release-mode scaling smoke test; run explicitly (see CI workflow)"]
+fn wm_l0_n32_cold_solve_stays_under_the_pivot_and_time_budget() {
+    let alpha = Alpha::new(0.9).unwrap();
+    let problem = DesignProblem::constrained(32, alpha, Objective::l0(), wm_properties());
+    let start = Instant::now();
+    let solution = problem
+        .solve_with(&problem.recommended_options())
+        .expect("n = 32 WM-L0 must solve");
+    let elapsed = start.elapsed();
+    let stats = solution.solver_stats;
+    let pivots = stats.phase1_iterations + stats.phase2_iterations + stats.dual_iterations;
+    assert!(
+        pivots <= WM32_PIVOT_BUDGET,
+        "n = 32 WM-L0 took {pivots} pivots (budget {WM32_PIVOT_BUDGET}; stats {stats:?})"
+    );
+    assert!(
+        elapsed < WM32_BUDGET,
+        "n = 32 WM-L0 took {elapsed:?} (budget {WM32_BUDGET:?})"
+    );
+    assert!(wm_properties().all_hold(&solution.mechanism, 1e-6));
+    // Section IV-D: L0(GM) <= L0(WM) <= L0(EM).
+    let score = rescaled_l0(&solution.mechanism);
+    assert!(score + 1e-6 >= closed_form::gm_l0(alpha), "score {score}");
+    assert!(
+        score <= closed_form::em_l0(32, alpha) + 1e-6,
+        "score {score}"
+    );
 }

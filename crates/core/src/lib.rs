@@ -121,8 +121,6 @@ pub mod prelude {
     };
     pub use crate::error::CoreError;
     pub use crate::linalg::LuFactors;
-    #[allow(deprecated)]
-    pub use crate::lp::weak_honest_mechanism;
     pub use crate::lp::{
         optimal_constrained, optimal_unconstrained, wm_properties, DesignProblem, DesignSolution,
     };
@@ -137,7 +135,5 @@ pub mod prelude {
     pub use crate::properties::{Property, PropertyReport, PropertySet};
     pub use crate::sampling::{sample_geometric_direct, AliasSampler, MechanismSampler};
     pub use crate::selection::{self, select_mechanism, MechanismChoice};
-    #[allow(deprecated)]
-    pub use crate::selection::{design_for_properties, realize_with_stats};
     pub use crate::symmetrize::{reflect, symmetrize};
 }

@@ -18,7 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cpm_simplex::{LinearProgram, Relation, SolveOptions, SolveStats, SolverBackend, VariableId};
+use cpm_simplex::{LinearProgram, Relation, SolveOptions, SolveStats, VariableId};
 
 use crate::alpha::Alpha;
 use crate::error::CoreError;
@@ -42,11 +42,6 @@ pub struct DesignProblem {
     /// within each column by `[β, 1/β]`.  `None` disables it (the paper's setting).
     #[serde(default)]
     pub output_dp: Option<Alpha>,
-    /// Which simplex backend [`DesignProblem::solve`] runs.  Defaults to the sparse
-    /// revised simplex; the dense tableau remains selectable for differential
-    /// testing and ablations.
-    #[serde(default)]
-    pub backend: SolverBackend,
     /// Optional warm-start hint: the [`DesignSolution::optimal_basis`] of an
     /// **identically shaped** problem (same `n`, properties, objective family —
     /// only `alpha` may differ), used to seed a dual-simplex re-solve that
@@ -82,8 +77,7 @@ pub struct DesignSolution {
     pub mechanism: Mechanism,
     /// The optimal objective value reported by the LP (unrescaled, Definition 3).
     pub objective_value: f64,
-    /// Solver statistics (iteration counts, artificial variables, ...),
-    /// including which [`SolverBackend`] produced the solution.
+    /// Solver statistics (iteration counts, artificial variables, ...).
     pub solver_stats: SolveStats,
     /// The optimal standard-form basis of the LP solve, when the solver could
     /// report one — the seed for [`DesignProblem::warm_basis`] on a
@@ -100,7 +94,6 @@ impl DesignProblem {
             objective,
             properties: PropertySet::empty(),
             output_dp: None,
-            backend: SolverBackend::default(),
             warm_basis: None,
             crash_seed: true,
         }
@@ -119,7 +112,6 @@ impl DesignProblem {
             objective,
             properties,
             output_dp: None,
-            backend: SolverBackend::default(),
             warm_basis: None,
             crash_seed: true,
         }
@@ -131,13 +123,6 @@ impl DesignProblem {
     #[must_use]
     pub fn with_output_dp(mut self, beta: Alpha) -> Self {
         self.output_dp = Some(beta);
-        self
-    }
-
-    /// Select the simplex backend used by [`DesignProblem::solve`].
-    #[must_use]
-    pub fn with_backend(mut self, backend: SolverBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -262,10 +247,9 @@ impl DesignProblem {
     }
 
     /// Solver options tuned for this problem instance:
-    /// [`SolveOptions::tuned`] sized for the `(n+1)²`-variable LP (pivot
+    /// [`SolveOptions::tuned`] sized for the `(n+1)²`-variable LP (a pivot
     /// budget that never trips the generic iteration limit at n = 128 and
-    /// beyond, projected steepest-edge pricing, and `LpForm::Auto`) plus the
-    /// problem's [`DesignProblem::backend`] choice.
+    /// beyond, and `LpForm::Auto`).
     ///
     /// `LpForm::Auto` routes the mechanism LPs through the **dual form** once
     /// they are large enough to care (≥ 512 rows, i.e. n ≥ 16 with weak
@@ -276,11 +260,10 @@ impl DesignProblem {
     /// reports which form actually ran.
     pub fn recommended_options(&self) -> SolveOptions {
         let dim = self.n + 1;
-        SolveOptions::tuned(dim * dim).with_backend(self.backend)
+        SolveOptions::tuned(dim * dim)
     }
 
-    /// Solve the design problem with recommended solver options (honouring the
-    /// problem's [`DesignProblem::backend`] choice; see
+    /// Solve the design problem with recommended solver options (see
     /// [`DesignProblem::recommended_options`]).
     pub fn solve(&self) -> Result<DesignSolution, CoreError> {
         self.solve_with(&self.recommended_options())
@@ -523,17 +506,6 @@ pub fn wm_properties() -> PropertySet {
         .with(Property::ColumnMonotonicity)
 }
 
-/// The paper's WM as a raw LP solution.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `MechanismSpec::new(n, alpha).properties(wm_properties()).build()?.design()?` \
-            for the designed artifact, or `optimal_constrained(n, alpha, Objective::l0(), \
-            wm_properties())` for the raw LP solution"
-)]
-pub fn weak_honest_mechanism(n: usize, alpha: Alpha) -> Result<DesignSolution, CoreError> {
-    optimal_constrained(n, alpha, Objective::l0(), wm_properties())
-}
-
 /// Convenience alias for [`LossKind`] users: build the standard `L0` design problem
 /// for a property subset.
 pub fn l0_problem(n: usize, alpha: Alpha, properties: PropertySet) -> DesignProblem {
@@ -693,7 +665,6 @@ mod tests {
             },
             properties: PropertySet::empty().with(Property::Symmetry),
             output_dp: None,
-            backend: SolverBackend::default(),
             warm_basis: None,
             crash_seed: true,
         };
@@ -741,7 +712,6 @@ mod tests {
     fn recommended_options_scale_the_pivot_budget_with_n() {
         let small = DesignProblem::unconstrained(4, a(0.62), Objective::l0());
         assert_eq!(small.recommended_options().max_iterations, 500_000);
-        assert_eq!(small.recommended_options().backend, small.backend);
         let large = DesignProblem::unconstrained(128, a(0.62), Objective::l0());
         assert_eq!(large.recommended_options().max_iterations, 60 * 129 * 129);
     }

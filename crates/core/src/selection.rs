@@ -15,9 +15,7 @@
 //! [`select_mechanism`] reproduces this decision procedure.  Building the chosen
 //! mechanism is the job of the typed design path —
 //! [`crate::design::MechanismSpec::design`] — which selects here and realises
-//! the choice (solving an LP when required).  The free functions [`realize`],
-//! [`realize_with_stats`], and [`design_for_properties`] are deprecated shims
-//! over that path.
+//! the choice (solving an LP when required).
 
 use serde::{Deserialize, Serialize};
 
@@ -98,39 +96,6 @@ pub fn select_mechanism(requested: PropertySet, n: usize, alpha: Alpha) -> Mecha
     MechanismChoice::Geometric
 }
 
-/// Build the actual mechanism for a [`MechanismChoice`], solving the relevant LP when
-/// the choice is one of the two LP-defined mechanisms.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `MechanismSpec::new(n, alpha).properties(…).build()?.design()?` \
-            (see `cpm_core::design`); `realize_choice` semantics live on behind \
-            `MechanismSpec::design`"
-)]
-pub fn realize(
-    choice: MechanismChoice,
-    n: usize,
-    alpha: Alpha,
-    options: &SolveOptions,
-) -> Result<Mechanism, CoreError> {
-    realize_choice(choice, n, alpha, Some(options), None).map(|(mechanism, _, _)| mechanism)
-}
-
-/// [`realize`], additionally reporting the simplex statistics when the choice
-/// required an LP solve (`None` for the closed-form constructions).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `MechanismSpec::…design()?`, which returns a `DesignedMechanism` \
-            carrying the mechanism, the choice, and the solver statistics together"
-)]
-pub fn realize_with_stats(
-    choice: MechanismChoice,
-    n: usize,
-    alpha: Alpha,
-    options: Option<&SolveOptions>,
-) -> Result<(Mechanism, Option<SolveStats>), CoreError> {
-    realize_choice(choice, n, alpha, options, None).map(|(m, stats, _)| (m, stats))
-}
-
 /// A realised choice: the matrix, the LP statistics when the simplex ran, and
 /// the LP's optimal basis when one was reported.
 pub(crate) type Realized = (Mechanism, Option<SolveStats>, Option<Vec<usize>>);
@@ -145,8 +110,8 @@ pub(crate) type Realized = (Mechanism, Option<SolveStats>, Option<Vec<usize>>);
 /// α-neighbour's optimal basis when the choice requires the simplex (closed
 /// forms ignore it; a seed that does not fit the chosen LP falls back to the
 /// cold path inside the solver).  This is the single realisation routine
-/// behind [`crate::design::MechanismSpec::design`] and the deprecated free
-/// functions.  The third return slot is the LP's optimal basis, when one ran.
+/// behind [`crate::design::MechanismSpec::design`].  The third return slot is
+/// the LP's optimal basis, when one ran.
 pub(crate) fn realize_choice(
     choice: MechanismChoice,
     n: usize,
@@ -191,27 +156,6 @@ pub(crate) fn realize_choice(
                 .with(Property::Symmetry),
         ),
     }
-}
-
-/// Convenience wrapper: select per Figure 5 and build the mechanism in one call.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `MechanismSpec::new(n, alpha).properties(requested).build()?.design()?`, \
-            whose `DesignedMechanism` carries the choice, matrix, stats, and report"
-)]
-pub fn design_for_properties(
-    requested: PropertySet,
-    n: usize,
-    alpha: Alpha,
-) -> Result<(MechanismChoice, Mechanism), CoreError> {
-    let designed = crate::design::MechanismSpec::new(n, alpha)
-        .properties(requested)
-        .build()?
-        .design()?;
-    let choice = designed
-        .choice()
-        .expect("L0 designs always route through the flowchart");
-    Ok((choice, designed.into_mechanism()))
 }
 
 #[cfg(test)]
@@ -382,35 +326,6 @@ mod tests {
         assert!(stats.phase1_iterations + stats.phase2_iterations > 0);
         assert!(basis.is_some(), "an LP choice reports its optimal basis");
         assert!(wm.satisfies_dp(alpha, 1e-6));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_the_typed_design_path() {
-        let alpha = a(0.9);
-        // realize / realize_with_stats produce the same matrix as realize_choice.
-        let direct = realize(
-            MechanismChoice::WeakHonestColumnMonotoneLp,
-            4,
-            alpha,
-            &SolveOptions::default(),
-        )
-        .unwrap();
-        let (wm, stats) =
-            realize_with_stats(MechanismChoice::WeakHonestColumnMonotoneLp, 4, alpha, None)
-                .unwrap();
-        assert!(stats.is_some());
-        for i in 0..wm.dim() {
-            for j in 0..wm.dim() {
-                assert!((wm.prob(i, j) - direct.prob(i, j)).abs() < 1e-9);
-            }
-        }
-        // design_for_properties is now a shim over MechanismSpec: bit-for-bit equal.
-        let requested = set(&[Property::ColumnMonotonicity]);
-        let (old_choice, old) = design_for_properties(requested, 4, alpha).unwrap();
-        let (new_choice, new) = design(requested, 4, alpha);
-        assert_eq!(old_choice, new_choice);
-        assert_eq!(old.entries(), new.entries());
     }
 
     #[test]

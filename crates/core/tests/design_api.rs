@@ -19,8 +19,8 @@ fn a(v: f64) -> Alpha {
 /// The pre-redesign design pipeline, reconstructed from its public pieces: the
 /// Figure-5 selection, the closed-form constructions, and the property-set LPs
 /// (WH-LP solves with `{WH, RM, S}`, WM with `{WH, RM, CM, S}`), each LP result
-/// symmetrised.  This is exactly what `design_for_properties` did before the
-/// redesign, so it is the golden reference the new path must match bit for bit.
+/// symmetrised.  This is exactly what the pre-redesign free design function
+/// did, so it is the golden reference the new path must match bit for bit.
 fn golden_design(requested: PropertySet, n: usize, alpha: Alpha) -> (MechanismChoice, Mechanism) {
     let choice = select_mechanism(requested, n, alpha);
     let solve = |properties: PropertySet| {
@@ -54,8 +54,7 @@ fn golden_design(requested: PropertySet, n: usize, alpha: Alpha) -> (MechanismCh
 /// All 128 property subsets at two `(n, α)` points: the strong-privacy regime
 /// (α > 1/2, where the LP choices actually run the simplex) and the weak
 /// regime (α ≤ 1/2, where everything short-circuits to GM/EM).  The new API
-/// must reproduce the golden pipeline bit for bit, and the deprecated
-/// `design_for_properties` shim must agree with both.
+/// must reproduce the golden pipeline bit for bit.
 #[test]
 fn golden_all_128_subsets_reproduce_the_old_pipeline_bit_for_bit() {
     for (n, alpha) in [(3usize, a(0.85)), (4, a(0.5))] {
@@ -78,15 +77,6 @@ fn golden_all_128_subsets_reproduce_the_old_pipeline_bit_for_bit() {
                 golden.entries(),
                 "subset {subset} at n={n}, α={alpha}: new API diverged from the \
                  pre-redesign pipeline"
-            );
-
-            #[allow(deprecated)]
-            let (shim_choice, shim) = design_for_properties(subset, n, alpha).unwrap();
-            assert_eq!(shim_choice, golden_choice, "subset {subset} at n={n}");
-            assert_eq!(
-                shim.entries(),
-                golden.entries(),
-                "subset {subset} at n={n}: deprecated shim diverged"
             );
         }
     }

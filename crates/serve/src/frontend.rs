@@ -84,8 +84,6 @@ use std::io::{self, Read, Write};
 
 use serde::{Deserialize, Serialize};
 
-use cpm_core::PropertySet;
-
 use crate::engine::Engine;
 
 /// Upper bound on one frame's payload (16 MiB) — a corrupt or hostile length
@@ -232,41 +230,6 @@ pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-/// Parse a property list as it appears on the wire (and in `CPM_SERVE_WARM`
-/// specs): the paper's short names split on `+`, `,`, or whitespace.
-#[deprecated(
-    since = "0.1.0",
-    note = "property-string parsing lives in the core crate now: \
-            use `text.parse::<cpm_core::PropertySet>()`"
-)]
-pub fn parse_properties(text: &str) -> Result<PropertySet, String> {
-    text.parse().map_err(|e: cpm_core::CoreError| e.to_string())
-}
-
-fn failure(message: String) -> WireResponse {
-    WireResponse {
-        ok: false,
-        error: message,
-        ..WireResponse::default()
-    }
-}
-
-/// Process one decoded request against the engine.  Returns the response and
-/// whether the connection should close (`shutdown`).
-///
-/// This is the JSON entry into the shared op dispatcher in [`crate::proto`]:
-/// the request is translated to a [`crate::proto::Op`] and dispatched exactly
-/// as its binary-codec twin would be.
-pub fn dispatch(engine: &Engine, request: &WireRequest) -> (WireResponse, bool) {
-    // Op translation is inside the timed work: a malformed key costs wire
-    // time too.
-    let label = crate::proto::normalized_op(request.op.as_str());
-    crate::proto::metered_op(label, || match crate::proto::op_from_request(request) {
-        Ok(op) => crate::proto::dispatch_inner(engine, &op),
-        Err(message) => (failure(message), false),
-    })
-}
-
 /// Serve frames until EOF or a `shutdown` op.  One bad frame (malformed JSON,
 /// unknown op, invalid α) yields an `ok: false` response and the loop continues;
 /// only I/O failures end the connection with an error.
@@ -318,7 +281,7 @@ fn flush_pending<W: Write>(
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use cpm_core::{Alpha, SpecKey};
+    use cpm_core::{Alpha, PropertySet, SpecKey};
     use std::io::Cursor;
 
     fn frame(json: &str) -> Vec<u8> {
@@ -506,8 +469,7 @@ mod tests {
     #[test]
     fn property_parsing_accepts_the_paper_separators() {
         use cpm_core::Property;
-        // The wire grammar is core's `FromStr for PropertySet`; the deprecated
-        // shim must agree with it.
+        // The wire grammar is core's `FromStr for PropertySet`.
         assert_eq!(
             "WH+CM".parse::<PropertySet>().unwrap(),
             PropertySet::empty()
@@ -522,13 +484,5 @@ mod tests {
         );
         assert_eq!("".parse::<PropertySet>().unwrap(), PropertySet::empty());
         assert!("XX".parse::<PropertySet>().is_err());
-        #[allow(deprecated)]
-        {
-            assert_eq!(
-                parse_properties("WH+CM").unwrap(),
-                "WH+CM".parse::<PropertySet>().unwrap()
-            );
-            assert!(parse_properties("XX").is_err());
-        }
     }
 }

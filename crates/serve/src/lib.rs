@@ -155,14 +155,10 @@ pub mod proto;
 pub mod snapshot;
 pub mod workload;
 
-#[allow(deprecated)]
-pub use cache::Design;
 pub use cache::{CacheStats, DesignCache, Lookup};
 pub use engine::{BatchOutcome, BatchStats, Engine, EngineConfig, Request};
 pub use error::ServeError;
 pub use frontend::{serve_connection, ConnectionSummary, WireRequest, WireResponse};
-#[allow(deprecated)]
-pub use key::MechanismKey;
 pub use key::{ObjectiveKey, SpecKey};
 pub use net::{Server, ServerSummary};
 pub use proto::{Op, ProtoConfig, ProtoConnection};

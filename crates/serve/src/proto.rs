@@ -228,7 +228,7 @@ fn op_metrics(label: &str) -> (&'static cpm_obs::Counter, &'static cpm_obs::Hist
 /// Run one op's `work` under the wire metric discipline: the request counter
 /// fires on entry, so a `metrics` op's own scrape already includes it, and
 /// the latency histogram records once the work is done.
-pub(crate) fn metered_op<R>(label: &str, work: impl FnOnce() -> R) -> R {
+fn metered_op<R>(label: &str, work: impl FnOnce() -> R) -> R {
     if cpm_obs::enabled() {
         op_metrics(label).0.inc();
     }
@@ -242,7 +242,7 @@ pub(crate) fn metered_op<R>(label: &str, work: impl FnOnce() -> R) -> R {
 
 /// Fold a JSON wire op name into the closed label set (unknown ops become
 /// `other`) so a hostile client cannot grow the metrics registry unboundedly.
-pub(crate) fn normalized_op(op: &str) -> &'static str {
+fn normalized_op(op: &str) -> &'static str {
     match op {
         "" | "privatize" => "privatize",
         "warm" => "warm",
@@ -533,7 +533,7 @@ pub fn dispatch_op(engine: &Engine, op: &Op) -> (WireResponse, bool) {
     metered_op(op.label(), || dispatch_inner(engine, op))
 }
 
-pub(crate) fn dispatch_inner(engine: &Engine, op: &Op) -> (WireResponse, bool) {
+fn dispatch_inner(engine: &Engine, op: &Op) -> (WireResponse, bool) {
     match op {
         Op::Privatize { key, inputs } => {
             let batch: Vec<Request> = inputs
@@ -973,9 +973,16 @@ impl ProtoConnection {
                     } else {
                         None
                     };
+                    // Op translation is inside the timed work: a malformed
+                    // key costs wire time too.
                     let (response, close) = match refused {
                         Some(refused) => (refused, false),
-                        None => crate::frontend::dispatch(engine, &request),
+                        None => metered_op(normalized_op(&request.op), || {
+                            match op_from_request(&request) {
+                                Ok(op) => dispatch_inner(engine, &op),
+                                Err(message) => (failure(message), false),
+                            }
+                        }),
                     };
                     (Codec::Json, 0, response, close)
                 }

@@ -4,15 +4,17 @@
 //!   α-neighbour, observable through `CacheStats::warm_seeded`;
 //! * `warm()` α-sweep chaining — one cold solve, the rest seeded;
 //! * snapshot compatibility — a pinned PR-4-era (pre-basis) snapshot still
-//!   loads, and a basis-bearing snapshot loads on builds that ignore the
+//!   loads, a spec whose solver options name since-deleted knobs still
+//!   designs, and a basis-bearing snapshot loads on builds that ignore the
 //!   field (unknown fields are skipped by the deserialiser);
 //! * concurrent merging savers — the advisory `.lock` closes the
 //!   read-modify-write race on a shared `CPM_WARM_FILE`.
 
 use std::sync::Arc;
 
-use cpm_core::{Alpha, DesignedMechanism, Property, PropertySet, SpecKey};
+use cpm_core::{Alpha, DesignedMechanism, MechanismSpec, Property, PropertySet, SpecKey};
 use cpm_serve::cache::DesignCache;
+use cpm_simplex::LpForm;
 
 fn a(v: f64) -> Alpha {
     Alpha::new(v).unwrap()
@@ -139,6 +141,33 @@ fn pre_basis_snapshots_still_load() {
     assert_eq!(loaded, 1);
     let key = SpecKey::new(2, a(0.9), PropertySet::empty().with(Property::WeakHonesty));
     assert!(cache.peek(&key).is_some(), "restored design is resident");
+}
+
+/// A `MechanismSpec` serialised while `SolveOptions` still carried its
+/// pivot-rule, pricing, partial-pricing, backend, refactor-interval and
+/// repair-budget knobs (the WM design for n = 4, α = 0.9, with the then
+/// default options, which priced Phase 2 with Devex).  Pinned as a literal so
+/// the compatibility contract survives serialiser refactors.
+const DELETED_OPTIONS_FIXTURE: &str = r#"{"n":4,"alpha":0.9,"properties":"{RM, CM, WH}","objective":"L0","tolerance":0.000001,"solver":{"max_iterations":500000,"tolerance":0.000000001,"pivot_rule":{"Hybrid":{"degenerate_threshold":64}},"backend":"SparseRevised","refactor_interval":64,"pricing":"Devex","partial_pricing":0,"max_repairs":2,"warm_basis":null,"presolve":true,"form":"Auto"}}"#;
+
+#[test]
+fn specs_naming_deleted_solver_options_still_design() {
+    let spec: MechanismSpec =
+        serde_json::from_str(DELETED_OPTIONS_FIXTURE).expect("old solver options parse");
+    let options = spec.solver_options().expect("the solver override survives");
+    assert_eq!(options.max_iterations, 500_000);
+    assert_eq!(options.tolerance, 1e-9);
+    assert_eq!(options.warm_basis, None);
+    assert!(options.presolve);
+    assert_eq!(options.form, LpForm::Auto);
+
+    // The deleted knobs are ignored, so the override is today's route and
+    // designs exactly what the spec without an override designs.
+    let designed = spec.design().expect("the old spec designs");
+    let plain = spec.key().spec().design().unwrap();
+    assert!(designed.requested_satisfied());
+    assert_eq!(designed.choice(), plain.choice());
+    assert_eq!(designed.mechanism().entries(), plain.mechanism().entries());
 }
 
 #[test]

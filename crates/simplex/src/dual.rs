@@ -380,7 +380,6 @@ pub(crate) fn solve_via_dual(
     stats.refactorizations += ds.refactorizations;
     stats.basis_updates += ds.basis_updates;
     stats.basis_repairs += ds.basis_repairs;
-    stats.devex_resets += ds.devex_resets;
     stats.steepest_edge_resets += ds.steepest_edge_resets;
     stats.bound_flips += ds.bound_flips;
     stats.dual_iterations += ds.dual_iterations;

@@ -278,14 +278,15 @@ impl LinearProgram {
         Ok(())
     }
 
-    /// Solve with default [`SolveOptions`] (sparse LU revised simplex, Devex
-    /// phase-2 pricing, periodic refactorisation with basis repair).
+    /// Solve with default [`SolveOptions`] (sparse LU revised simplex,
+    /// steepest-edge Phase-2 pricing, periodic refactorisation with basis
+    /// repair).
     pub fn solve(&self) -> Result<Solution, SimplexError> {
         self.solve_with(&SolveOptions::default())
     }
 
-    /// Solve with explicit options (iteration limit, tolerance, pivot and
-    /// pricing rules, backend, refactorisation cadence, repair budget).
+    /// Solve with explicit options (iteration limit, tolerance, warm-start
+    /// basis, presolve, LP form).
     pub fn solve_with(&self, options: &SolveOptions) -> Result<Solution, SimplexError> {
         self.validate()?;
         solve_prepared(self, options)

@@ -183,8 +183,8 @@ impl SparseMatrix {
         total
     }
 
-    /// Materialise the matrix as dense row-major rows (used by the dense-tableau
-    /// fallback backend and by tests).
+    /// Materialise the matrix as dense row-major rows (used by the dense
+    /// reference solver and by tests).
     pub fn to_dense_rows(&self) -> Vec<Vec<f64>> {
         let mut rows = vec![vec![0.0; self.num_cols]; self.num_rows];
         for (j, window) in self.col_ptr.windows(2).enumerate() {
@@ -209,7 +209,7 @@ impl SparseMatrix {
     /// Build the compressed sparse **row** mirror of this matrix.
     ///
     /// The revised simplex is column-oriented almost everywhere, but two hot
-    /// kernels want rows: Devex pricing multiplies the (sparse) pivot row of
+    /// kernels want rows: the pricing update multiplies the (sparse) pivot row of
     /// `B⁻¹` against *every* nonbasic column, which is `O(nnz(A))` column-wise
     /// but only `O(Σ_{r ∈ supp} row_nnz(r))` row-wise, and the LU
     /// factorisation's pivot search wants row counts.  Built once per solve.
@@ -273,7 +273,7 @@ impl RowMajor {
 /// `O(n)` clears between uses.
 ///
 /// Used by the LU factorisation's Schur updates, the Forrest–Tomlin row
-/// elimination, and the Devex pivot-row accumulation.
+/// elimination, and the pricing update's pivot-row accumulation.
 #[derive(Debug, Clone)]
 pub struct SparseAccumulator {
     values: Vec<f64>,

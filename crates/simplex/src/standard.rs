@@ -16,8 +16,8 @@
 //!
 //! The constraint matrix `A` is assembled as `(row, col, value)` triplets and
 //! compressed into a CSC [`SparseMatrix`] — no dense row is ever materialised, so
-//! standardisation is `O(nnz)` in time and memory.  The dense-tableau backend
-//! densifies on demand; the revised-simplex backend consumes the CSC columns
+//! standardisation is `O(nnz)` in time and memory.  The dense reference solver
+//! densifies on demand; the revised simplex consumes the CSC columns
 //! directly.
 
 use crate::model::{LinearProgram, Objective, Relation};
@@ -36,7 +36,7 @@ pub(crate) enum VariableMapping {
     Fixed(f64),
 }
 
-/// The standard-form program handed to the simplex backends.
+/// The standard-form program handed to the simplex drivers.
 #[derive(Debug, Clone)]
 pub(crate) struct StandardForm {
     /// The constraint matrix over all columns (structural + slack/surplus), CSC.
@@ -47,7 +47,7 @@ pub(crate) struct StandardForm {
     pub costs: Vec<f64>,
     /// Per-column upper bound (`f64::INFINITY` when unbounded above).  Finite
     /// entries mark **boxed** columns `0 <= z <= u`, produced by the boxed
-    /// standardisation of two-sided variable bounds; the sparse backend keeps
+    /// standardisation of two-sided variable bounds; the revised simplex keeps
     /// them nonbasic at either bound and flips them through the box instead of
     /// pivoting where the ratio test allows.
     pub upper: Vec<f64>,
@@ -98,15 +98,15 @@ impl StandardForm {
 
 /// Build the sparse standard form of `lp`, expressing two-sided variable
 /// bounds as extra `x <= u` rows (every column then has bounds `[0, inf)`).
-/// The dense-tableau backend requires this shape.
+/// The dense reference solver and the dual form require this shape.
 pub(crate) fn standardize(lp: &LinearProgram) -> StandardForm {
     standardize_with(lp, false)
 }
 
 /// Build the sparse standard form of `lp` with two-sided variable bounds kept
 /// as **boxed columns** (`StandardForm::upper`) instead of extra rows.  One
-/// row and one slack column fewer per bounded variable, and the sparse
-/// backend's bound-flipping ratio test needs the box representation.
+/// row and one slack column fewer per bounded variable, and the revised
+/// simplex's bound-flipping ratio test needs the box representation.
 pub(crate) fn standardize_boxed(lp: &LinearProgram) -> StandardForm {
     standardize_with(lp, true)
 }

@@ -7,7 +7,7 @@
 // loops are clearer than iterator chains here.
 #![allow(clippy::needless_range_loop)]
 
-use cpm_simplex::{LinearProgram, PivotRule, Relation, SolveOptions, VariableId};
+use cpm_simplex::{oracle, LinearProgram, LpForm, Relation, SolveOptions, VariableId};
 use proptest::prelude::*;
 
 /// Build the BASICDP-shaped LP: an (n+1)x(n+1) grid of variables, column sums equal
@@ -78,24 +78,18 @@ fn basic_dp_lp_matches_the_geometric_closed_form() {
     }
 }
 
+/// Steepest edge in either LP form and the dense oracle's Dantzig pricing
+/// reach the same optimum on the degenerate DP grid.
 #[test]
 fn all_pivot_rules_agree_on_the_dp_shaped_lp() {
     let (lp, _) = basic_dp_lp(5, 0.76);
-    let mut objectives = Vec::new();
-    for rule in [
-        PivotRule::Dantzig,
-        PivotRule::Bland,
-        PivotRule::Hybrid {
-            degenerate_threshold: 16,
-        },
-    ] {
-        let options = SolveOptions {
-            pivot_rule: rule,
-            max_iterations: 2_000_000,
-            ..SolveOptions::default()
-        };
-        objectives.push(lp.solve_with(&options).unwrap().objective_value);
-    }
+    let options = SolveOptions::default().with_max_iterations(2_000_000);
+    let objectives = [
+        lp.solve_with(&options.clone().with_form(LpForm::Primal)),
+        lp.solve_with(&options.clone().with_form(LpForm::Dual)),
+        oracle::solve_dense(&lp, &options),
+    ]
+    .map(|solution| solution.unwrap().objective_value);
     assert!((objectives[0] - objectives[1]).abs() < 1e-7);
     assert!((objectives[1] - objectives[2]).abs() < 1e-7);
 }
