@@ -52,16 +52,31 @@ pub struct DesignProblem {
     /// [`SolveOptions::warm_basis`] is already set.
     #[serde(default)]
     pub warm_basis: Option<Vec<usize>>,
-    /// Seed otherwise-cold solves from the closed-form **Geometric Mechanism
-    /// crash basis** (on by default).  Theorem 3 makes GM the exact optimum of
-    /// the unconstrained `L0` program, so the crash collapses that solve to a
-    /// single factorisation; on constrained problems the GM basis is still
-    /// dual-feasible whenever the objective is the one GM optimises, and the
-    /// dual-simplex cleanup drives out the property violations instead of a
-    /// full cold solve.  A crash seed that does not fit (other objectives,
-    /// presolve reductions, degenerate tightness) is rejected by the solver's
-    /// seed validation and the solve proceeds cold — the flag can change pivot
-    /// counts, never answers.  Disable for solver benchmarking ablations.
+    /// Seed otherwise-cold solves (on by default; `false` gives a fully cold
+    /// solve, for solver ablations).  Which seed depends on the rows:
+    ///
+    /// * **BASICDP** (no property rows): the closed-form **Geometric
+    ///   Mechanism crash basis**.  Theorem 3 makes GM the exact optimum of the
+    ///   unconstrained `L0` program, so the crash collapses that solve to a
+    ///   single factorisation; under the other objectives GM is a feasible
+    ///   vertex the dual-form walk starts from.
+    /// * **Property rows without equalities** (every set without S and F):
+    ///   **relax then lift**.  The BASICDP relaxation is solved first (itself
+    ///   GM-crash seeded) under the same objective, and its optimal basis,
+    ///   with each property row's slack made basic, seeds this solve through
+    ///   [`cpm_simplex::lift_basis`].  That seed is dual feasible by
+    ///   construction, so the warm start only repairs the property
+    ///   violations; the relaxation's pivots are included in
+    ///   [`DesignSolution::solver_stats`].
+    /// * **S or F** (the Figure-5 LPs): their equality rows make presolve
+    ///   alias columns, so no lifted seed fits and no relaxation is paid
+    ///   for; presolve removes those rows too, so no raw-space crash basis
+    ///   fits either.  These solves run cold.
+    ///
+    /// A seed is a hint the solver verifies: one that does not fit is
+    /// discarded and the solve proceeds cold — the flag can change pivot
+    /// counts, never answers.  `cpm_lp_crash_seeded_total` counts each seed
+    /// by kind and by whether the solver used it.
     #[serde(default = "default_crash_seed")]
     pub crash_seed: bool,
 }
@@ -274,25 +289,78 @@ impl DesignProblem {
     /// already carry one.
     pub fn solve_with(&self, options: &SolveOptions) -> Result<DesignSolution, CoreError> {
         let (lp, vars) = self.build_lp()?;
-        let seed = if options.warm_basis.is_some() {
-            None
+        self.solve_seeded(&lp, &vars, options)
+    }
+
+    /// Pick the seed for the already-built `lp` (see
+    /// [`DesignProblem::crash_seed`]), solve, and count the seed's outcome.
+    fn solve_seeded(
+        &self,
+        lp: &LinearProgram,
+        vars: &[Vec<VariableId>],
+        options: &SolveOptions,
+    ) -> Result<DesignSolution, CoreError> {
+        let mut relaxation_stats = None;
+        let (seed, seed_kind) = if options.warm_basis.is_some() {
+            (None, None)
         } else if self.warm_basis.is_some() {
-            self.warm_basis.clone()
-        } else if self.crash_seed {
-            self.geometric_crash_basis(&lp, &vars)
+            (self.warm_basis.clone(), None)
+        } else if !self.crash_seed {
+            (None, None)
+        } else if self.properties.is_empty() {
+            let crash = self.geometric_crash_basis(lp, vars);
+            let kind = crash.is_some().then_some(CrashSeed::Geometric);
+            (crash, kind)
+        } else if self.lift_fits() {
+            // BASICDP under the same objective: the same variables and
+            // leading rows, without the property and output-DP rows.
+            let relaxation =
+                DesignProblem::unconstrained(self.n, self.alpha, self.objective.clone());
+            let (relaxed_lp, relaxed_vars) = relaxation.build_lp()?;
+            // A relaxation that fails to solve only costs the seed.
+            let lifted = relaxation
+                .solve_seeded(&relaxed_lp, &relaxed_vars, options)
+                .ok()
+                .and_then(|solution| {
+                    relaxation_stats = Some(solution.solver_stats);
+                    let basis = solution.optimal_basis?;
+                    cpm_simplex::lift_basis(&relaxed_lp, &basis, lp, options.presolve)
+                });
+            (lifted, Some(CrashSeed::Lift))
         } else {
-            None
+            (None, None)
         };
-        let solution = if let Some(seed) = seed {
-            if options.warm_basis.is_none() && self.warm_basis.is_none() {
-                cpm_obs::counter!("cpm_lp_crash_seeded_total").inc();
-            }
-            let mut seeded = options.clone();
-            seeded.warm_basis = Some(seed);
-            lp.solve_with(&seeded)?
-        } else {
-            lp.solve_with(options)?
-        };
+        let mut solution = match seed {
+            Some(seed) => self.solve_built(lp, vars, &options.clone().with_warm_basis(Some(seed))),
+            None => self.solve_built(lp, vars, options),
+        }?;
+        if let Some(kind) = seed_kind {
+            kind.record(solution.solver_stats.warm_started);
+        }
+        if let Some(relaxation) = &relaxation_stats {
+            solution.solver_stats.add_work(relaxation);
+        }
+        Ok(solution)
+    }
+
+    /// Whether a basis lifted from the BASICDP relaxation fits this
+    /// problem's property rows (see [`DesignProblem::crash_seed`]): none of
+    /// them is an equality.  Decided from the properties alone, before
+    /// anything is solved.
+    fn lift_fits(&self) -> bool {
+        !self.properties.contains(Property::Symmetry)
+            && !self.properties.contains(Property::Fairness)
+    }
+
+    /// Solve the already-built `lp` (over the `vars` grid) with `options` as
+    /// given, and extract the mechanism.
+    fn solve_built(
+        &self,
+        lp: &LinearProgram,
+        vars: &[Vec<VariableId>],
+        options: &SolveOptions,
+    ) -> Result<DesignSolution, CoreError> {
+        let solution = lp.solve_with(options)?;
         let dim = self.n + 1;
 
         // Extract the matrix, clamping tiny negative round-off and renormalising each
@@ -359,6 +427,42 @@ impl DesignProblem {
             }
         }
         cpm_simplex::crash_basis(lp, &values)
+    }
+}
+
+/// The two seeds [`DesignProblem::crash_seed`] builds, as counted by
+/// `cpm_lp_crash_seeded_total`.
+#[derive(Debug, Clone, Copy)]
+enum CrashSeed {
+    /// The closed-form Geometric Mechanism crash basis.
+    Geometric,
+    /// The BASICDP relaxation's optimal basis, lifted.
+    Lift,
+}
+
+impl CrashSeed {
+    /// Count one seeded solve: `accepted` when the solver started from the
+    /// seed, `declined` when it discarded the seed (or, for a lift, when no
+    /// seed could be built) and solved cold.
+    fn record(self, accepted: bool) {
+        match (self, accepted) {
+            (CrashSeed::Geometric, true) => {
+                cpm_obs::counter!("cpm_lp_crash_seeded_total{seed=\"crash\",outcome=\"accepted\"}")
+                    .inc();
+            }
+            (CrashSeed::Geometric, false) => {
+                cpm_obs::counter!("cpm_lp_crash_seeded_total{seed=\"crash\",outcome=\"declined\"}")
+                    .inc();
+            }
+            (CrashSeed::Lift, true) => {
+                cpm_obs::counter!("cpm_lp_crash_seeded_total{seed=\"lift\",outcome=\"accepted\"}")
+                    .inc();
+            }
+            (CrashSeed::Lift, false) => {
+                cpm_obs::counter!("cpm_lp_crash_seeded_total{seed=\"lift\",outcome=\"declined\"}")
+                    .inc();
+            }
+        }
     }
 }
 

@@ -23,13 +23,15 @@
 //! |---|---|---|---|
 //! | `cpm_flight_dumps_total` | counter | — | Flight-recorder dumps emitted (breakdowns, poisonings, frontend errors). |
 //! | `cpm_lp_solves_total` | counter | `form` (`primal`/`dual`) | LP solves completed by `cpm-simplex`, by formulation. |
-//! | `cpm_lp_crash_seeded_total` | counter | — | Solves that started from a closed-form geometric crash basis. |
+//! | `cpm_lp_crash_seeded_total` | counter | `seed` (`crash`/`lift`), `outcome` (`accepted`/`declined`) | Design solves offered a seed of their own: the closed-form geometric crash basis, or a basis lifted from the BASICDP relaxation.  `declined` counts solves that ran cold instead (the solver discarded the seed, or no lifted seed could be built). |
 //! | `cpm_lp_warm_started_total` | counter | — | Solves warm-started from a cached basis. |
 //! | `cpm_lp_pivots_total` | counter | `phase` (`primal`/`dual`) | Simplex pivots, by phase. |
 //! | `cpm_lp_refactorizations_total` | counter | — | Basis refactorizations (periodic + triggered). |
 //! | `cpm_lp_repairs_total` | counter | — | Numerical repairs that recovered. |
 //! | `cpm_lp_breakdowns_total` | counter | — | Terminal numerical breakdowns (each also dumps the flight recorder). |
 //! | `cpm_lp_solve_nanos` | histogram | `form` | Wall time per LP solve. |
+//! | `cpm_lp_phase_nanos` | histogram | `phase` (`phase1`/`phase2`) | Wall time per phase of a two-phase revised-simplex walk. |
+//! | `cpm_lp_refactorize_nanos` | histogram | — | Wall time per LU factorisation of a basis. |
 //! | `cpm_design_solves_total` | counter | `kind` (`flowchart`/`lp`) | Mechanism designs, split closed-form selection vs LP. |
 //! | `cpm_design_nanos` | histogram | — | Wall time per mechanism design. |
 //! | `cpm_cache_hits_total` | counter | — | Design-cache hits. |

@@ -152,6 +152,10 @@ impl Drop for FlightGuard<'_> {
 
 struct Shard {
     entries: HashMap<SpecKey, Entry>,
+    /// This stripe's `cpm_cache_shard_resident{shard="i"}` gauge, resolved
+    /// once at construction so a publish never formats a name or takes the
+    /// registry lock.
+    resident_gauge: &'static cpm_obs::Gauge,
 }
 
 impl Shard {
@@ -160,6 +164,15 @@ impl Shard {
             .values()
             .filter(|e| matches!(e, Entry::Ready { .. }))
             .count()
+    }
+
+    /// Mirror this stripe's ready-entry count to its gauge.  The label set
+    /// is closed — the stripe count is fixed at construction — so the
+    /// registry cannot grow without bound.  Called at every residency change
+    /// while the stripe's lock is held, so the gauge never drifts from the
+    /// map.
+    fn publish_resident(&self) {
+        self.resident_gauge.set(self.ready_len() as i64);
     }
 }
 
@@ -286,9 +299,11 @@ impl DesignCache {
             .unwrap_or(true);
         DesignCache {
             shards: (0..shards)
-                .map(|_| {
+                .map(|shard| {
                     Mutex::new(Shard {
                         entries: HashMap::new(),
+                        resident_gauge: cpm_obs::registry()
+                            .gauge(&format!("cpm_cache_shard_resident{{shard=\"{shard}\"}}")),
                     })
                 })
                 .collect(),
@@ -469,24 +484,9 @@ impl DesignCache {
             index.remove(victim);
         }
         drop(index);
-        self.update_shard_gauge(shard_index, &shard);
+        shard.publish_resident();
         drop(shard);
         self.add_resident(1 - evicted.len() as i64);
-    }
-
-    /// Mirror one stripe's ready-entry count to the per-shard gauge family
-    /// `cpm_cache_shard_resident{shard="i"}`.  The label set is closed — the
-    /// stripe count is fixed at construction — so the registry cannot grow
-    /// without bound.  Called at every residency change while the owning
-    /// stripe's lock is held, so the gauge never drifts from the map.
-    fn update_shard_gauge(&self, shard_index: usize, shard: &Shard) {
-        if cpm_obs::enabled() {
-            cpm_obs::registry()
-                .gauge(&format!(
-                    "cpm_cache_shard_resident{{shard=\"{shard_index}\"}}"
-                ))
-                .set(shard.ready_len() as i64);
-        }
     }
 
     /// Fold a residency delta into the lock-free counter and mirror it to the
@@ -652,7 +652,7 @@ impl DesignCache {
                 .lock()
                 .expect("family index poisoned")
                 .insert(&key);
-            self.update_shard_gauge(shard_index, &shard);
+            shard.publish_resident();
             inserted += 1;
         }
         self.add_resident(inserted as i64);
@@ -739,7 +739,7 @@ impl DesignCache {
     /// Drop every ready entry (in-flight designs are left to finish).  Used by
     /// probes to reproduce cold-start behaviour within one process.
     pub fn clear(&self) {
-        for (shard_index, shard) in self.shards.iter().enumerate() {
+        for shard in &self.shards {
             let mut shard = shard.lock().expect("shard poisoned");
             // Index removal nests inside each shard's lock (see `publish`),
             // so a design published concurrently to another shard keeps its
@@ -756,7 +756,7 @@ impl DesignCache {
                 .entries
                 .retain(|_, entry| matches!(entry, Entry::InFlight(_)));
             let removed = before - shard.entries.len();
-            self.update_shard_gauge(shard_index, &shard);
+            shard.publish_resident();
             drop(shard);
             self.add_resident(-(removed as i64));
         }

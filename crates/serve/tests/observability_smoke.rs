@@ -17,7 +17,9 @@
 //!   (`cpm_obs::set_enabled(false)`) with `CPM_TRACE` off;
 //! * a batch-1 `b"CPMF"` privatize through the protocol state machine — where
 //!   per-request fixed costs, not draws, set the price — costs ≤ 1.5× its
-//!   uninstrumented floor.
+//!   uninstrumented floor;
+//! * every metric family a scrape shows has a row in the catalogue table on
+//!   the `cpm-obs` front page.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -74,6 +76,31 @@ fn family_total(samples: &BTreeMap<String, f64>, prefix: &str) -> f64 {
         .filter(|(name, _)| name.starts_with(prefix))
         .map(|(_, value)| value)
         .sum()
+}
+
+/// The metric families of the catalogue table on the `cpm-obs` front page.
+fn catalogue() -> Vec<&'static str> {
+    include_str!("../../obs/src/lib.rs")
+        .lines()
+        .filter_map(|line| line.strip_prefix("//! | `"))
+        .filter_map(|row| row.split('`').next())
+        .collect()
+}
+
+/// Every family in `exposition` (its `# TYPE` lines) must have a catalogue
+/// row, so the hand-kept table cannot fall behind what the code registers.
+fn assert_catalogued(exposition: &str) {
+    let catalogue = catalogue();
+    let missing: Vec<&str> = exposition
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|line| line.split_whitespace().next())
+        .filter(|family| !catalogue.contains(family))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "metric families missing from the cpm-obs catalogue: {missing:?}"
+    );
 }
 
 fn frame(json: &str) -> Vec<u8> {
@@ -141,6 +168,7 @@ fn stdio_metrics_op_scrapes_solver_cache_engine_and_wire_families() {
     // labels cover both privatizes and the metrics op.
     assert_eq!(samples["cpm_wire_requests_total{op=\"privatize\"}"], 2.0);
     assert_eq!(samples["cpm_wire_requests_total{op=\"metrics\"}"], 1.0);
+    assert_catalogued(&scrape.metrics);
 }
 
 #[test]
@@ -187,6 +215,7 @@ fn tcp_front_end_feeds_the_net_family() {
         "the scraping connection is still active at scrape time"
     );
     assert!(samples["cpm_wire_requests_total{op=\"metrics\"}"] >= 1.0);
+    assert_catalogued(&scrape.metrics);
 }
 
 /// One timed hot-key batch.

@@ -337,10 +337,10 @@ pub(crate) fn solve_via_dual(
         // A caller seed that maps is tried through the dual-side warm
         // machinery directly.  If it is declined, do NOT pay a cold dual
         // solve: a declined seed here is almost always an α-neighbour basis
-        // that is primal-infeasible under the new coefficients — which the
-        // dual form sees as *dual* infeasibility it cannot repair, while the
-        // primal warm path's dual-simplex cleanup is built for exactly that.
-        // Deferring hands the untouched seed back to the primal path.
+        // that is infeasible both ways under the new coefficients.  The dual
+        // form cannot repair that, while the primal warm path's dual-simplex
+        // cleanup is built for its primal half.  Deferring hands the
+        // untouched seed back to the primal path.
         Some(seed) => match revised::warm_solve(&dual.sf, &dual_options, seed) {
             Some(point) => point,
             None => return Ok(None),
@@ -372,17 +372,7 @@ pub(crate) fn solve_via_dual(
     let ds = dual_point.stats;
     let stats = &mut point.stats;
     stats.form = LpForm::Dual;
-    stats.phase1_iterations += ds.phase1_iterations;
-    stats.phase2_iterations += ds.phase2_iterations;
-    stats.degenerate_pivots += ds.degenerate_pivots;
-    stats.bland_activations += ds.bland_activations;
-    stats.artificial_variables += ds.artificial_variables;
-    stats.refactorizations += ds.refactorizations;
-    stats.basis_updates += ds.basis_updates;
-    stats.basis_repairs += ds.basis_repairs;
-    stats.steepest_edge_resets += ds.steepest_edge_resets;
-    stats.bound_flips += ds.bound_flips;
-    stats.dual_iterations += ds.dual_iterations;
+    stats.add_work(&ds);
     // "Warm-started" reports whether the *caller's* seed steered the solve —
     // here, whether it survived the map into dual form and was accepted
     // there.  The internal certification warm start is an implementation

@@ -33,8 +33,11 @@
 //!   then certifies optimality with the ordinary primal machinery — the
 //!   re-optimisation tool behind α sweeps, where one `(n, properties,
 //!   objective)` family is re-solved under small coefficient perturbations.
-//!   Any defective seed (wrong shape, singular, dual-infeasible) falls back
-//!   to the cold primal path silently; [`SolveStats::warm_started`] and
+//!   A seed that is primal but not dual feasible (a relaxation's optimum
+//!   lifted by [`lift_basis`], seen in dual form) runs the primal Phase 2
+//!   from where it stands.  Any defective seed (wrong shape, singular,
+//!   infeasible both ways) falls back to the cold primal path silently;
+//!   [`SolveStats::warm_started`] and
 //!   [`SolveStats::dual_iterations`] report which path ran,
 //! * a **dual-form solve path** ([`SolveOptions::form`], [`LpForm`]): tall
 //!   programs (the mechanism LPs have ~2x more rows than columns) are
@@ -184,4 +187,4 @@ pub use model::{Constraint, LinearProgram, Objective, Relation, VariableId};
 pub use solution::{Solution, SolveStatus};
 pub use solver::{LpForm, SolveOptions, SolveStats};
 pub use sparse::SparseMatrix;
-pub use standard::crash_basis;
+pub use standard::{crash_basis, lift_basis};

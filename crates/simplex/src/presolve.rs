@@ -90,6 +90,9 @@ impl PostsolveMap {
 pub(crate) struct Presolved {
     pub lp: LinearProgram,
     pub map: PostsolveMap,
+    /// The original row each reduced row came from (`row_origin[r]` for
+    /// reduced row `r`, strictly increasing).
+    pub row_origin: Vec<usize>,
 }
 
 /// One constraint row under reduction.
@@ -405,7 +408,10 @@ pub(crate) fn presolve(lp: &LinearProgram) -> Result<Presolved, SimplexError> {
             *var = VarDisposition::Alias(root);
         }
     }
-    for row in rows.iter().flatten() {
+    let mut row_origin = Vec::with_capacity(lp.num_constraints());
+    for (origin, row) in rows.iter().enumerate() {
+        let Some(row) = row else { continue };
+        row_origin.push(origin);
         reduced.add_constraint(
             row.terms.iter().map(|&(v, c)| {
                 let VarDisposition::Kept(new) = vars[v] else {
@@ -424,7 +430,11 @@ pub(crate) fn presolve(lp: &LinearProgram) -> Result<Presolved, SimplexError> {
         vars,
         objective_offset,
     };
-    Ok(Presolved { lp: reduced, map })
+    Ok(Presolved {
+        lp: reduced,
+        map,
+        row_origin,
+    })
 }
 
 /// Recognise a two-term row `c·x_a − c·x_b` (`c ≠ 0`, distinct variables),
@@ -540,6 +550,8 @@ mod tests {
         assert_eq!(pre.lp.num_constraints(), 1);
         assert_eq!(pre.lp.constraint(0).rhs, 4.0);
         assert_eq!(pre.map.rows_removed, 2);
+        // The survivor is the first statement of the halfspace.
+        assert_eq!(pre.row_origin, vec![0]);
     }
 
     #[test]

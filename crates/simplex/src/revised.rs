@@ -1183,10 +1183,11 @@ impl Workspace {
 /// Solve the standard form with the sparse revised simplex.
 ///
 /// When [`SolveOptions::warm_basis`] carries a usable seed (right shape,
-/// nonsingular, dual feasible), the solve runs the **dual simplex** warm-start
-/// path instead of the two-phase primal method; any defect in the seed falls
-/// back to the cold path silently ([`crate::SolveStats::warm_started`] reports
-/// which path produced the answer).
+/// nonsingular, dual or primal feasible), the solve runs the warm-start path
+/// ([`warm_solve`]) instead of the two-phase primal method; any defect in the
+/// seed falls back to the cold path silently
+/// ([`crate::SolveStats::warm_started`] reports which path produced the
+/// answer).
 pub(crate) fn solve(
     sf: &StandardForm,
     options: &SolveOptions,
@@ -1333,11 +1334,13 @@ fn exact_reduced_costs(basis: &RevisedState<'_>, costs: &[f64], y: &mut [f64], d
     }
 }
 
-/// Attempt the warm-started solve: factor the seeded basis, verify dual
-/// feasibility of the Phase-2 costs, run the dual simplex to primal
-/// feasibility, and certify with a primal cleanup.  `None` means "fall back to
-/// the cold path" — a malformed/singular/dual-infeasible seed, a stalled dual
-/// phase, or anything numerically suspicious.
+/// Attempt the warm-started solve: factor the seeded basis and, when the
+/// Phase-2 costs are dual feasible there, run the dual simplex to primal
+/// feasibility; a dual-infeasible but primal-feasible seed skips straight to
+/// the primal phase.  Either way a primal Phase 2 finishes and certifies the
+/// optimum.  `None` means "fall back to the cold path" — a malformed or
+/// singular seed, one infeasible both ways, a stalled dual phase, or
+/// anything numerically suspicious.
 pub(crate) fn warm_solve(
     sf: &StandardForm,
     options: &SolveOptions,
@@ -1389,22 +1392,36 @@ pub(crate) fn warm_solve(
     let mut d = vec![0.0; num_core];
     exact_reduced_costs(&basis, costs, &mut ws.y, &mut d);
     let dual_tol = (options.tolerance * 100.0).max(1e-7);
-    if d.iter()
+    let dual_feasible = !d
+        .iter()
         .enumerate()
-        .any(|(j, &dj)| !basis.in_basis[j] && dj < -dual_tol)
-    {
-        return None;
-    }
-
-    match dual_phase(&mut basis, costs, &mut d, options, &mut state, &mut ws) {
-        Ok(DualOutcome::PrimalFeasible) => {}
-        _ => return None,
+        .any(|(j, &dj)| !basis.in_basis[j] && dj < -dual_tol);
+    if dual_feasible {
+        match dual_phase(&mut basis, costs, &mut d, options, &mut state, &mut ws) {
+            Ok(DualOutcome::PrimalFeasible) => {}
+            _ => return None,
+        }
+    } else {
+        // A dual-infeasible seed is still a Phase-2 start when it is primal
+        // feasible (every basic value non-negative, residual artificials at
+        // zero): the primal simplex below walks from it.  A seed lifted from
+        // a relaxation looks like this in dual form.
+        let feas_tol = options.tolerance.max(1e-9);
+        let primal_feasible = basis
+            .basis
+            .iter()
+            .zip(&basis.xb)
+            .all(|(&col, &x)| x >= -feas_tol && (col < num_core || x <= feas_tol));
+        if !primal_feasible {
+            return None;
+        }
     }
 
     // Primal cleanup: mops up the bounded dual infeasibility the relaxed seed
     // check and the ratio-test slack allowed, and certifies optimality with
     // the existing (fresh-factor-confirming) phase machinery.  Near-neighbour
-    // warm starts terminate here in a handful of pivots.
+    // warm starts terminate here in a handful of pivots; a primal-feasible
+    // seed runs its whole Phase 2 here.
     let mut pricing = Pricing::new(num_core, PricingRule::SteepestEdge);
     state.start_phase();
     let before = state.iterations_left;

@@ -79,11 +79,14 @@ pub struct SolveOptions {
     /// Seed the solve from this standard-form basis (one
     /// column index per constraint row, as reported by
     /// [`Solution::optimal_basis`](crate::Solution::optimal_basis) of an
-    /// earlier solve of an *identically shaped* program).  A valid, dual-feasible
-    /// seed skips Phase 1 entirely and replaces most of Phase 2 with a short
-    /// **dual simplex** cleanup; a seed that is malformed, singular, or
-    /// dual-infeasible silently falls back to the ordinary two-phase primal
-    /// path ([`SolveStats::warm_started`] reports which path ran).
+    /// earlier solve of an *identically shaped* program, or built by
+    /// [`crash_basis`](crate::crash_basis) or [`lift_basis`](crate::lift_basis)).
+    /// A valid, dual-feasible seed skips Phase 1 entirely and replaces most of
+    /// Phase 2 with a short **dual simplex** cleanup; a primal-feasible one
+    /// skips Phase 1 and runs Phase 2 from the seed.  A seed that is
+    /// malformed, singular, or infeasible both ways silently falls back to the
+    /// ordinary two-phase primal path ([`SolveStats::warm_started`] reports
+    /// which path ran).
     #[serde(default)]
     pub warm_basis: Option<Vec<usize>>,
     /// Run the LP presolve pipeline (aliasing, singleton/empty/duplicate row
@@ -240,6 +243,27 @@ pub struct SolveStats {
     /// never `Auto` (that is an *options* value, resolved before the solve).
     #[serde(default = "default_stats_form")]
     pub form: LpForm,
+}
+
+impl SolveStats {
+    /// Add the pivoting work of `earlier` — a solve that ran on the way to
+    /// this one, such as the dual-form walk before its certification or a
+    /// relaxation whose basis seeded this solve — to these counters.  What
+    /// describes the final solve (`form`, `warm_started`, the presolve
+    /// counts) stays this solve's.
+    pub fn add_work(&mut self, earlier: &SolveStats) {
+        self.phase1_iterations += earlier.phase1_iterations;
+        self.phase2_iterations += earlier.phase2_iterations;
+        self.degenerate_pivots += earlier.degenerate_pivots;
+        self.bland_activations += earlier.bland_activations;
+        self.artificial_variables += earlier.artificial_variables;
+        self.refactorizations += earlier.refactorizations;
+        self.basis_updates += earlier.basis_updates;
+        self.basis_repairs += earlier.basis_repairs;
+        self.steepest_edge_resets += earlier.steepest_edge_resets;
+        self.bound_flips += earlier.bound_flips;
+        self.dual_iterations += earlier.dual_iterations;
+    }
 }
 
 // Pre-dual snapshots carry no `form` field; every solve they describe ran on

@@ -20,7 +20,10 @@
 //! densifies on demand; the revised simplex consumes the CSC columns
 //! directly.
 
+use std::borrow::Cow;
+
 use crate::model::{LinearProgram, Objective, Relation};
+use crate::presolve::VarDisposition;
 use crate::sparse::SparseMatrix;
 
 /// How a user variable is reconstructed from standard-form columns.
@@ -303,30 +306,35 @@ fn standardize_with(lp: &LinearProgram, boxed: bool) -> StandardForm {
 /// Build a **crash basis** for `lp` from a conjectured (near-)optimal point.
 ///
 /// `values` gives one value per model variable.  The returned vector is a
-/// standard-form basis — one column per constraint row, in the basis space of
-/// [`SolveOptions::warm_basis`](crate::SolveOptions::warm_basis) — encoding
-/// the active set the point implies: variables strictly between their bounds
-/// become basic, rows with visible slack keep their slack column basic, and
-/// the leftover rows (the tight ones) host the basic structural columns.
-/// When the point has more interior variables than tight rows, the smallest
-/// ones are demoted to nonbasic (they are the near-degenerate tail); when it
-/// has fewer, the unclaimed rows fall back to their own slack column — or an
+/// standard-form basis — one column per constraint row — encoding the active
+/// set the point implies: variables strictly between their bounds become
+/// basic, rows with visible slack keep their slack column basic, and the
+/// leftover rows (the tight ones) host the basic structural columns.  When
+/// the point has more interior variables than tight rows, the smallest ones
+/// are demoted to nonbasic (they are the near-degenerate tail); when it has
+/// fewer, the unclaimed rows fall back to their own slack column — or an
 /// artificial marker for equality rows — exactly as a cold solve treats
 /// redundant rows.
 ///
-/// The seed is a *hint*, never an answer: the warm-start machinery factors
-/// it, rejects it if singular or dual-infeasible, repairs residual primal
-/// infeasibility with the dual-simplex cleanup, and certifies optimality with
-/// the ordinary primal machinery.  A conjecture that is exactly the optimal
-/// vertex (e.g. the closed-form Geometric Mechanism on the unconstrained
-/// BASICDP program) reduces the whole solve to one factorisation; a merely
-/// *feasible* conjecture with the same cost structure still skips Phase 1 and
-/// most of Phase 2.
+/// The basis is expressed against the standard form of `lp` **itself**,
+/// while [`SolveOptions::warm_basis`](crate::SolveOptions::warm_basis) lives
+/// in the standard form of the presolved program.  The seed therefore fits
+/// only where presolve leaves `lp` unchanged — the BASICDP program at
+/// `α < 1`, where the closed-form Geometric Mechanism is the exact `L0`
+/// optimum and the crash reduces the solve to one factorisation, and a
+/// feasible start for the other objectives.  Presolve reshapes most
+/// property-constrained programs (weak-honesty singleton rows become bounds,
+/// column-honesty rows that repeat column-monotonicity rows drop out,
+/// symmetry and fairness equalities alias columns), so a crash seed usually
+/// does not fit them and the solve runs cold; seed those from their
+/// relaxation with [`lift_basis`] instead.
 ///
-/// Returns `None` when `values` has the wrong length.  The basis is expressed
-/// against the standard form of `lp` itself — callers that solve with
-/// presolve enabled rely on the reduction being a no-op for the seed to fit
-/// (a mismatched seed is silently discarded by the solver, never misused).
+/// The seed is a *hint*, never an answer: the solver discards a seed of the
+/// wrong shape, and the warm-start machinery factors it, rejects it if
+/// singular or infeasible both ways, and certifies optimality with the
+/// ordinary primal machinery.
+///
+/// Returns `None` when `values` has the wrong length.
 pub fn crash_basis(lp: &LinearProgram, values: &[f64]) -> Option<Vec<usize>> {
     if values.len() != lp.num_variables() {
         return None;
@@ -426,6 +434,184 @@ pub fn crash_basis(lp: &LinearProgram, values: &[f64]) -> Option<Vec<usize>> {
         });
     }
     Some(basis)
+}
+
+/// The standard form a solve pivots on — of the presolved program when
+/// presolve is on — with the maps back to the model's variables and rows.
+/// This is the space [`SolveOptions::warm_basis`](crate::SolveOptions::warm_basis)
+/// and [`Solution::optimal_basis`](crate::Solution::optimal_basis) live in.
+struct BasisSpace {
+    sf: StandardForm,
+    /// Model variable → variable of the (reduced) program, `None` when
+    /// presolve fixed or aliased it away.
+    reduced_var: Vec<Option<usize>>,
+    /// Row of the (reduced) program → model row.
+    row_origin: Vec<usize>,
+    /// Row of the (reduced) program → its slack column (`None` on equalities).
+    slack_of_row: Vec<Option<usize>>,
+}
+
+impl BasisSpace {
+    /// `None` when the program cannot be presolved or standardises with boxed
+    /// columns (whose warm-basis space depends on the LP form).
+    fn new(lp: &LinearProgram, presolve: bool) -> Option<Self> {
+        let (reduced, reduced_var, row_origin) = if presolve {
+            let pre = crate::presolve::presolve(lp).ok()?;
+            let reduced_var = pre
+                .map
+                .vars
+                .iter()
+                .map(|disposition| match *disposition {
+                    VarDisposition::Kept(new) => Some(new),
+                    _ => None,
+                })
+                .collect();
+            (Cow::Owned(pre.lp), reduced_var, pre.row_origin)
+        } else {
+            let reduced_var = (0..lp.num_variables()).map(Some).collect();
+            (
+                Cow::Borrowed(lp),
+                reduced_var,
+                (0..lp.num_constraints()).collect(),
+            )
+        };
+        let sf = standardize_boxed(&reduced);
+        if sf.upper.iter().any(|u| u.is_finite()) {
+            return None;
+        }
+        let mut next_slack = sf.num_structural;
+        let slack_of_row = reduced
+            .constraints()
+            .map(|row| {
+                (row.relation != Relation::Equal).then(|| {
+                    next_slack += 1;
+                    next_slack - 1
+                })
+            })
+            .collect();
+        Some(BasisSpace {
+            sf,
+            reduced_var,
+            row_origin,
+            slack_of_row,
+        })
+    }
+
+    /// The standard-form column of part `part` (0, or 1 for the negative half
+    /// of a split free variable) of model variable `var`.
+    fn column(&self, var: usize, part: usize) -> Option<usize> {
+        match (&self.sf.mapping[self.reduced_var[var]?], part) {
+            (VariableMapping::Shifted { col, .. } | VariableMapping::Negated { col, .. }, 0) => {
+                Some(*col)
+            }
+            (VariableMapping::Split { pos, .. }, 0) => Some(*pos),
+            (VariableMapping::Split { neg, .. }, 1) => Some(*neg),
+            _ => None,
+        }
+    }
+}
+
+/// **Lift** an optimal basis of `relaxed` to a warm seed for `lp`, a program
+/// that appends rows to it.
+///
+/// `lp` must have the same variables, bounds and objective as `relaxed`, and
+/// its constraints must start with `relaxed`'s; `relaxed_basis` is the
+/// [`Solution::optimal_basis`](crate::Solution::optimal_basis) of a solve of
+/// `relaxed` with [`SolveOptions::presolve`](crate::SolveOptions::presolve)
+/// set to `presolve`.  The lifted basis keeps every basic column of the
+/// relaxation and makes the slack of each appended row basic, expressed in
+/// the standard form `lp` is solved in — presolve folds appended singleton
+/// rows into bounds and drops appended rows that repeat others, so the seed
+/// is mapped through both programs' presolve, row by row and column by
+/// column.
+///
+/// Under the same objective the lifted basis is **dual feasible** by
+/// construction: the appended rows' multipliers are zero, so every reduced
+/// cost is the relaxation's.  It is primal infeasible exactly where the
+/// relaxed optimum violates an appended row (or a bound presolve derived from
+/// one), which the warm start's dual simplex repairs.  In dual form the same
+/// seed is primal feasible and dual infeasible, and the warm start runs the
+/// primal simplex from it.
+///
+/// Returns `None` when `lp` does not extend `relaxed`, when the basis has the
+/// wrong length, when presolve eliminates or aliases a column of `lp` that is
+/// basic in the relaxation (equality rows such as `x_a = x_b` alias columns)
+/// or drops a row of `lp` that the relaxation keeps, when an appended row
+/// that survives presolve is an equality (it has no slack to make basic), or
+/// when either program standardises with boxed columns.  Like any seed, the
+/// result is a hint the solver verifies, never an answer.
+pub fn lift_basis(
+    relaxed: &LinearProgram,
+    relaxed_basis: &[usize],
+    lp: &LinearProgram,
+    presolve: bool,
+) -> Option<Vec<usize>> {
+    let extends = relaxed.objective == lp.objective
+        && relaxed.objective_coefficients == lp.objective_coefficients
+        && relaxed.variables == lp.variables
+        && relaxed.num_constraints() <= lp.num_constraints()
+        && relaxed
+            .constraints()
+            .zip(lp.constraints())
+            .all(|(a, b)| a == b);
+    if !extends {
+        return None;
+    }
+    let from = BasisSpace::new(relaxed, presolve)?;
+    let to = BasisSpace::new(lp, presolve)?;
+    if relaxed_basis.len() != from.sf.num_rows() {
+        return None;
+    }
+
+    // Inverse maps: model row → row of `lp`'s space, and each of the
+    // relaxation's columns → the model variable (and split part) or row it
+    // belongs to.
+    let mut to_row = vec![None; lp.num_constraints()];
+    for (row, &origin) in to.row_origin.iter().enumerate() {
+        to_row[origin] = Some(row);
+    }
+    let num_structural = from.sf.num_structural;
+    let mut var_of_col = vec![(0, 0); num_structural];
+    for (var, reduced) in from.reduced_var.iter().enumerate() {
+        match reduced.map(|r| &from.sf.mapping[r]) {
+            Some(VariableMapping::Shifted { col, .. } | VariableMapping::Negated { col, .. }) => {
+                var_of_col[*col] = (var, 0);
+            }
+            Some(VariableMapping::Split { pos, neg }) => {
+                var_of_col[*pos] = (var, 0);
+                var_of_col[*neg] = (var, 1);
+            }
+            Some(VariableMapping::Fixed(_)) | None => {}
+        }
+    }
+    let mut row_of_slack = vec![0; from.sf.num_columns() - num_structural];
+    for (row, slack) in from.slack_of_row.iter().enumerate() {
+        if let Some(col) = slack {
+            row_of_slack[col - num_structural] = row;
+        }
+    }
+
+    // Each basic column moves to the slot of its row's image; an artificial
+    // marker keeps marking its (mapped) slot.  Rows with no preimage — the
+    // appended ones — keep their own slack basic.
+    let mut lifted = vec![None; to.sf.num_rows()];
+    for (slot, &col) in relaxed_basis.iter().enumerate() {
+        let target_slot = to_row[from.row_origin[slot]]?;
+        lifted[target_slot] = Some(if col < num_structural {
+            let (var, part) = var_of_col[col];
+            to.column(var, part)?
+        } else if col < from.sf.num_columns() {
+            let row = row_of_slack[col - num_structural];
+            to.slack_of_row[to_row[from.row_origin[row]]?]?
+        } else {
+            to.sf.num_columns() + target_slot
+        });
+    }
+    lifted
+        .into_iter()
+        .zip(&to.slack_of_row)
+        .map(|(basic, &slack)| basic.or(slack))
+        .collect()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! which must agree with the cold answer while skipping Phase 1 — and every
 //! defective seed must fall back to the cold primal path instead of erroring.
 
-use cpm_simplex::{LinearProgram, Relation, SolveOptions, VariableId};
+use cpm_simplex::{lift_basis, LinearProgram, LpForm, Relation, SolveOptions, VariableId};
 
 fn assert_close(a: f64, b: f64) {
     assert!((a - b).abs() < 1e-7, "{a} != {b}");
@@ -110,6 +110,127 @@ fn dual_infeasible_seed_falls_back_to_the_primal_path() {
     assert_close(solution.objective_value, 36.0);
     assert_close(solution.value(x), 2.0);
     assert_close(solution.value(y), 6.0);
+}
+
+#[test]
+fn primal_feasible_seed_runs_phase_2_from_the_seed() {
+    // max 3x + 5y over two two-term <= rows (no singleton, so presolve keeps
+    // both): the all-slack basis is primal feasible but dual infeasible.  The
+    // warm path must take it anyway and walk Phase 2 from it — no Phase 1,
+    // no dual pivots — to the cold optimum at (3, 1).
+    let mut lp = LinearProgram::maximize();
+    let x = lp.add_variable("x");
+    let y = lp.add_variable("y");
+    lp.set_objective_coefficient(x, 3.0);
+    lp.set_objective_coefficient(y, 5.0);
+    lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::LessEq, 4.0);
+    lp.add_constraint(vec![(x, 1.0), (y, 3.0)], Relation::LessEq, 6.0);
+    // Standard form: columns 0..1 structural, 2..3 slacks; the slack basis.
+    let solution = lp.solve_with(&warm_options(vec![2, 3])).unwrap();
+    assert!(
+        solution.stats.warm_started,
+        "a primal-feasible seed is a start"
+    );
+    assert_eq!(solution.stats.phase1_iterations, 0);
+    assert_eq!(solution.stats.dual_iterations, 0);
+    assert!(solution.stats.phase2_iterations >= 1);
+    assert_close(solution.objective_value, 14.0);
+    assert_close(solution.value(x), 3.0);
+    assert_close(solution.value(y), 1.0);
+}
+
+#[test]
+fn seed_infeasible_both_ways_falls_back_to_the_primal_path() {
+    // The same program plus x + y >= 1: its surplus column, basic in the
+    // all-slack seed, sits at -1, so the seed is primal infeasible as well as
+    // dual infeasible and the warm path must decline it.
+    let mut lp = LinearProgram::maximize();
+    let x = lp.add_variable("x");
+    let y = lp.add_variable("y");
+    lp.set_objective_coefficient(x, 3.0);
+    lp.set_objective_coefficient(y, 5.0);
+    lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::LessEq, 4.0);
+    lp.add_constraint(vec![(x, 1.0), (y, 3.0)], Relation::LessEq, 6.0);
+    lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::GreaterEq, 1.0);
+    let solution = lp.solve_with(&warm_options(vec![2, 3, 4])).unwrap();
+    assert!(
+        !solution.stats.warm_started,
+        "a seed infeasible both ways must not take the warm path"
+    );
+    assert_close(solution.objective_value, 14.0);
+}
+
+/// `ratio_lp` plus appended rows that cut off its optimum: a singleton
+/// floor on the last variable (presolve folds it into a bound), `p0 <= p1`,
+/// and the same halfspace restated as `p1 - p0 >= 0` (presolve drops it).
+fn extended_ratio_lp(n: usize, alpha: f64) -> LinearProgram {
+    let (mut lp, vars) = ratio_lp(n, alpha);
+    lp.add_constraint(vec![(vars[n - 1], 1.0)], Relation::GreaterEq, 0.05);
+    lp.add_constraint(vec![(vars[0], 1.0), (vars[1], -1.0)], Relation::LessEq, 0.0);
+    lp.add_constraint(
+        vec![(vars[1], 1.0), (vars[0], -1.0)],
+        Relation::GreaterEq,
+        0.0,
+    );
+    lp
+}
+
+#[test]
+fn lifted_relaxation_basis_warm_starts_the_extended_program() {
+    let (relaxed, _) = ratio_lp(10, 0.8);
+    let lp = extended_ratio_lp(10, 0.8);
+    for presolve in [true, false] {
+        for form in [LpForm::Primal, LpForm::Dual] {
+            let options = SolveOptions::default()
+                .with_presolve(presolve)
+                .with_form(form);
+            let basis = relaxed
+                .solve_with(&options)
+                .unwrap()
+                .optimal_basis
+                .expect("the relaxation reports its basis");
+            let lifted = lift_basis(&relaxed, &basis, &lp, presolve)
+                .expect("appended inequality rows always lift");
+            let cold = lp.solve_with(&options).unwrap();
+            let warm = lp
+                .solve_with(&options.clone().with_warm_basis(Some(lifted)))
+                .unwrap();
+            assert!(
+                warm.stats.warm_started,
+                "presolve {presolve}, {form}: the lifted seed must be used"
+            );
+            assert_eq!(warm.stats.phase1_iterations, 0);
+            // In dual form the lifted seed is primal feasible and dual
+            // infeasible; it must be walked there, not deferred to the primal.
+            assert_eq!(warm.stats.form, form);
+            assert_close(warm.objective_value, cold.objective_value);
+            for (w, c) in warm.values.iter().zip(cold.values.iter()) {
+                assert_close(*w, *c);
+            }
+        }
+    }
+}
+
+#[test]
+fn lift_basis_refuses_what_it_cannot_map() {
+    let (relaxed, vars) = ratio_lp(6, 0.8);
+    let basis = relaxed.solve().unwrap().optimal_basis.unwrap();
+    let lp = extended_ratio_lp(6, 0.8);
+    assert!(lift_basis(&relaxed, &basis, &lp, true).is_some());
+
+    // Wrong basis length.
+    assert!(lift_basis(&relaxed, &basis[1..], &lp, true).is_none());
+    // Not an extension: another objective, or the relaxation's rows changed.
+    let mut other_objective = lp.clone();
+    other_objective.set_objective_coefficient(vars[0], 7.0);
+    assert!(lift_basis(&relaxed, &basis, &other_objective, true).is_none());
+    let (tighter, _) = ratio_lp(6, 0.7);
+    assert!(lift_basis(&tighter, &basis, &lp, true).is_none());
+    // An appended equality `p1 = p2` makes presolve alias a column the
+    // relaxation keeps basic.
+    let mut aliased = relaxed.clone();
+    aliased.add_constraint(vec![(vars[1], 1.0), (vars[2], -1.0)], Relation::Equal, 0.0);
+    assert!(lift_basis(&relaxed, &basis, &aliased, true).is_none());
 }
 
 #[test]
