@@ -1,9 +1,9 @@
 //! Release-mode scaling smoke test: the n = 64 unconstrained-L0 design LP must
 //! solve well within a generous wall-clock bound, n = 128 must stay inside
-//! the post-dual-form budget (the crash-seeded dual certification is ~0.5 s;
+//! the post-dual-form budget (the crash-seeded dual certification is ~0.2 s;
 //! a regression to the cold walk is tens of seconds), n = 256 must solve
-//! through `LpForm::Auto`'s dual routing, and the WM-L0 LP that serving
-//! actually solves must keep its pivot count.
+//! through `LpForm::Auto`'s dual routing, and the WM-L0 and WM-L2 LPs that
+//! serving actually solves must keep their pivot counts.
 //!
 //! These are `#[ignore]`d so the ordinary (debug) `cargo test` stays fast; CI
 //! runs them explicitly with
@@ -67,10 +67,11 @@ fn n128_unconstrained_l0_completes_without_breakdown() {
 
 /// Ceiling for the default-path n = 128 solve under the PR-7 machinery: the
 /// closed-form geometric crash basis certifies through the dual form in zero
-/// pivots.  Measured: ~0.5 s and 0 + 0 pivots on the dev box (the PR-6 cold
-/// walk was ~32 s and 257 + ~38k pivots; PR 5, ~91 s).  15 s / 1k pivots
-/// trips whenever the crash seed stops being accepted — which silently falls
-/// back to the tens-of-seconds cold walk — while tolerating slow CI hardware.
+/// pivots.  Measured: ~0.2 s over orbits (~0.5 s in the full space) and
+/// 0 + 0 pivots on the dev box (the PR-6 cold walk was ~32 s and 257 + ~38k
+/// pivots; PR 5, ~91 s).  15 s / 1k pivots trips whenever the crash seed
+/// stops being accepted — which silently falls back to the tens-of-seconds
+/// cold walk — while tolerating slow CI hardware.
 const N128_BUDGET: Duration = Duration::from_secs(15);
 const N128_PIVOT_BUDGET: usize = 1_000;
 
@@ -82,7 +83,7 @@ fn n128_default_solve_stays_under_the_pivot_and_time_budget() {
     let start = Instant::now();
     let solution = problem.solve().expect("n = 128 BASICDP must solve");
     let elapsed = start.elapsed();
-    let pivots = solution.solver_stats.phase1_iterations + solution.solver_stats.phase2_iterations;
+    let pivots = solution.solver_stats.pivots();
     assert!(
         elapsed < N128_BUDGET,
         "n = 128 default-path solve took {elapsed:?} (budget {N128_BUDGET:?})"
@@ -102,16 +103,17 @@ fn n128_default_solve_stays_under_the_pivot_and_time_budget() {
     );
 }
 
-/// Generous ceiling for the n = 256 unconstrained-L0 LP (131 841 rows ×
-/// 66 049 columns — a size the pre-dual solver never finished).  Measured:
-/// ~5.2 s, 0 + 0 pivots, 2 factorisations through `LpForm::Auto` → dual with
-/// the geometric crash seed.
+/// Generous ceiling for the n = 256 unconstrained-L0 LP (65 921 rows ×
+/// 33 025 orbit columns; 131 841 × 66 049 in the full space, a size the
+/// pre-dual solver never finished).  Measured: ~0.5 s, 0 + 0 pivots,
+/// through `LpForm::Auto` → primal with the geometric crash seed (~1.6 s in
+/// dual form, ~6 s in dual form over the full space).
 const N256_BUDGET: Duration = Duration::from_secs(60);
 const N256_PIVOT_BUDGET: usize = 1_000;
 
 #[test]
 #[ignore = "release-mode scaling smoke test; run explicitly (see CI workflow)"]
-fn n256_lp_solves_through_the_dual_form_within_budget() {
+fn n256_lp_solves_within_budget() {
     let alpha = Alpha::new(0.9).unwrap();
     let problem = DesignProblem::unconstrained(256, alpha, Objective::l0());
     let start = Instant::now();
@@ -121,15 +123,15 @@ fn n256_lp_solves_through_the_dual_form_within_budget() {
         elapsed < N256_BUDGET,
         "n = 256 solve took {elapsed:?} (budget {N256_BUDGET:?})"
     );
-    let pivots = solution.solver_stats.phase1_iterations + solution.solver_stats.phase2_iterations;
+    let pivots = solution.solver_stats.pivots();
     assert!(
         pivots < N256_PIVOT_BUDGET,
         "n = 256 solve took {pivots} pivots (budget {N256_PIVOT_BUDGET})"
     );
     assert_eq!(
         solution.solver_stats.form,
-        LpForm::Dual,
-        "LpForm::Auto must route the tall n = 256 LP to the dual form"
+        LpForm::Primal,
+        "LpForm::Auto must keep the aspect-2 n = 256 BASICDP LP in primal form"
     );
     let n = 256.0f64;
     let a = alpha.value();
@@ -165,9 +167,10 @@ fn n256_all_properties_design_completes() {
 
 /// Ceilings for the cold WM-L0 n = 32 solve (`{WH, RM, CM}`, α = 0.9,
 /// `with_crash_seed(false)`) — the walk the pricing rules are judged on.
-/// Measured through `recommended_options`: 3 529 pivots (phase 1 + phase 2 +
-/// dual) and ~0.6 s on a 1-CPU box; the default route seeds this program
-/// from its relaxation and takes 377.  Pivot counts are deterministic, so the
+/// Measured through `recommended_options` on the orbit program: 1 423
+/// pivots and ~0.13 s on a 2-vCPU box (3 529 pivots and ~0.6 s in the full
+/// space); the default route seeds this program from its relaxation and
+/// takes 186.  Pivot counts are deterministic, so the
 /// pivot ceiling catches any change of pricing or route; the wall budget
 /// only catches order-of-magnitude regressions.
 const WM32_PIVOT_BUDGET: usize = 5_000;
@@ -185,7 +188,7 @@ fn wm_l0_n32_cold_solve_stays_under_the_pivot_and_time_budget() {
         .expect("n = 32 WM-L0 must solve");
     let elapsed = start.elapsed();
     let stats = solution.solver_stats;
-    let pivots = stats.phase1_iterations + stats.phase2_iterations + stats.dual_iterations;
+    let pivots = stats.pivots();
     assert!(
         pivots <= WM32_PIVOT_BUDGET,
         "n = 32 WM-L0 took {pivots} pivots (budget {WM32_PIVOT_BUDGET}; stats {stats:?})"
@@ -206,9 +209,10 @@ fn wm_l0_n32_cold_solve_stays_under_the_pivot_and_time_budget() {
 
 /// Ceilings for the WM-L2 design `collect_loop` serves (n = 32, `{WH, CM}`
 /// under `L2`, closure `{CH, CM, WH}`, α = 0.9).  Its seed is lifted from
-/// the BASICDP relaxation: measured 118 relaxation + 337 lifted pivots and
-/// ~0.18 s on a 2-vCPU box, against 3 735 pivots and ~1.0 s for the cold
-/// walk it replaced.  The pivot ceiling counts the relaxation too (the design
+/// the BASICDP relaxation: measured 59 relaxation + 154 lifted pivots and
+/// ~0.05 s on a 2-vCPU box over reflection orbits (118 + 337 and ~0.17 s in
+/// the full space), against 3 735 pivots and ~1.0 s for the full-space cold
+/// walk the lift replaced.  The pivot ceiling counts the relaxation too (the design
 /// reports both), so it trips whenever the lifted seed stops being built or
 /// accepted; the wall budget only catches order-of-magnitude regressions.
 const WM_L2_N32_PIVOT_BUDGET: usize = 1_000;
@@ -230,7 +234,7 @@ fn wm_l2_n32_lifted_solve_stays_under_the_pivot_and_time_budget() {
     let designed = key.spec().design().expect("n = 32 WM-L2 must design");
     let elapsed = start.elapsed();
     let stats = *designed.solver_stats().expect("WM-L2 is an LP design");
-    let pivots = stats.phase1_iterations + stats.phase2_iterations + stats.dual_iterations;
+    let pivots = stats.pivots();
     assert!(
         stats.warm_started,
         "the lifted seed must be accepted (stats {stats:?})"
@@ -244,4 +248,77 @@ fn wm_l2_n32_lifted_solve_stays_under_the_pivot_and_time_budget() {
         "n = 32 WM-L2 took {elapsed:?} (budget {WM_L2_N32_BUDGET:?})"
     );
     assert!(designed.requested_satisfied());
+}
+
+/// Ceilings for the WM-L0 key the design storm opens with (n = 64, `WH+CM`
+/// under `L0`, α = 0.9), designed through the serving route: Figure 5 adds
+/// S, the program is solved over reflection orbits, and the seed is lifted
+/// from the BASICDP relaxation.  Measured 393 pivots (relaxation included)
+/// and ~0.25 s on a 2-vCPU box, against 6 316 cold pivots and ~2 s on the
+/// full program with S.  The pivot ceiling trips whenever the orbit program
+/// or its lifted seed is lost; the wall budget only catches
+/// order-of-magnitude regressions.
+const WM_L0_N64_PIVOT_BUDGET: usize = 1_000;
+const WM_L0_N64_BUDGET: Duration = Duration::from_secs(15);
+
+#[test]
+#[ignore = "release-mode scaling smoke test; run explicitly (see CI workflow)"]
+fn wm_l0_n64_serving_route_stays_under_the_pivot_and_time_budget() {
+    let alpha = Alpha::new(0.9).unwrap();
+    let key = SpecKey::new(
+        64,
+        alpha,
+        PropertySet::empty()
+            .with(Property::WeakHonesty)
+            .with(Property::ColumnMonotonicity),
+    );
+    let start = Instant::now();
+    let designed = key.spec().design().expect("n = 64 WM-L0 must design");
+    let elapsed = start.elapsed();
+    let stats = *designed.solver_stats().expect("WM-L0 is an LP design");
+    let pivots = stats.pivots();
+    assert!(
+        stats.warm_started,
+        "the lifted seed must be accepted (stats {stats:?})"
+    );
+    assert!(
+        pivots <= WM_L0_N64_PIVOT_BUDGET,
+        "n = 64 WM-L0 took {pivots} pivots (budget {WM_L0_N64_PIVOT_BUDGET}; stats {stats:?})"
+    );
+    assert!(
+        elapsed < WM_L0_N64_BUDGET,
+        "n = 64 WM-L0 took {elapsed:?} (budget {WM_L0_N64_BUDGET:?})"
+    );
+    assert!(designed.requested_satisfied());
+    assert!(Property::Symmetry.holds(designed.mechanism(), 0.0));
+}
+
+/// `LpForm::Auto`'s aspect threshold (`LpForm::AUTO_MIN_ASPECT`) on the
+/// orbit programs serving solves, as measured: BASICDP (aspect ~2.0, the
+/// `design_storm` L1/L2 keys) is faster in primal form, the WM programs
+/// (aspect 3–4) in dual form.
+#[test]
+#[ignore = "release-mode scaling smoke test; run explicitly (see CI workflow)"]
+fn auto_form_picks_the_measured_form_for_served_programs() {
+    let alpha = Alpha::new(0.9).unwrap();
+    let wm = PropertySet::empty()
+        .with(Property::WeakHonesty)
+        .with(Property::ColumnMonotonicity);
+    let cases = [
+        (96, PropertySet::empty(), ObjectiveKey::L1, LpForm::Primal),
+        (96, PropertySet::empty(), ObjectiveKey::L2, LpForm::Primal),
+        (64, wm, ObjectiveKey::L0, LpForm::Dual),
+        (32, wm, ObjectiveKey::L2, LpForm::Dual),
+    ];
+    for (n, properties, objective, form) in cases {
+        let designed = SpecKey::with_objective(n, alpha, properties, objective)
+            .spec()
+            .design()
+            .unwrap();
+        let stats = designed.solver_stats().expect("an LP design");
+        assert_eq!(
+            stats.form, form,
+            "{objective} {properties} n = {n}: {stats:?}"
+        );
+    }
 }

@@ -45,10 +45,8 @@ fn n64_alpha_neighbour_warm_resolve_needs_under_a_quarter_of_the_cold_pivots() {
         cold.objective_value
     );
 
-    let cold_pivots = cold.solver_stats.phase1_iterations + cold.solver_stats.phase2_iterations;
-    let warm_pivots = warm.solver_stats.dual_iterations
-        + warm.solver_stats.phase1_iterations
-        + warm.solver_stats.phase2_iterations;
+    let cold_pivots = cold.solver_stats.pivots();
+    let warm_pivots = warm.solver_stats.pivots();
     assert!(
         warm_pivots * 4 < cold_pivots,
         "warm re-solve must perform < 25% of the cold solve's pivots: \
@@ -67,14 +65,14 @@ fn warm_chain_across_an_alpha_sweep_stays_cheap() {
     // A five-point sweep seeded hand-over-hand, the way `DesignCache::warm`
     // chains a family: every seeded re-solve must stay warm and cheap.
     let mut donor = basicdp(32, 0.88).solve().expect("first cold solve");
-    let cold_pivots = donor.solver_stats.phase1_iterations + donor.solver_stats.phase2_iterations;
+    let cold_pivots = donor.solver_stats.pivots();
     for alpha in [0.885, 0.89, 0.895, 0.90] {
         let warm = basicdp(32, alpha)
             .with_warm_basis(donor.optimal_basis.clone())
             .solve()
             .expect("warm solve");
         assert!(warm.solver_stats.warm_started, "α = {alpha} must stay warm");
-        let warm_pivots = warm.solver_stats.dual_iterations + warm.solver_stats.phase2_iterations;
+        let warm_pivots = warm.solver_stats.pivots();
         assert!(
             warm_pivots * 4 < cold_pivots,
             "α = {alpha}: warm {warm_pivots} vs cold {cold_pivots}"

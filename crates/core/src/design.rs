@@ -785,7 +785,7 @@ mod tests {
             Some(MechanismChoice::WeakHonestColumnMonotoneLp)
         );
         let stats = designed.solver_stats().expect("WM runs the simplex");
-        assert!(stats.phase1_iterations + stats.phase2_iterations > 0);
+        assert!(stats.pivots() > 0);
         assert!(designed.requested_satisfied());
         assert!(designed.report().holds(Property::WeakHonesty));
     }

@@ -10,15 +10,40 @@
 //!
 //! The upper bound `ρ_{i,j} ≤ 1` of Eq. (4) is implied by non-negativity plus the
 //! column-sum equality, so it is omitted to keep the LP smaller.
+//!
+//! # Reflection orbits (Theorem 1)
+//!
+//! Every penalty depends on `|i − j|` only, and DP, every property and the
+//! output-side DP constraint are closed under the reflection
+//! `(i, j) ↦ (n − i, n − j)`.  So when the prior is reflection-symmetric
+//! (`w_j = w_{n−j}`, see [`Prior::is_reflection_symmetric`]), symmetrising
+//! any feasible mechanism keeps it feasible at the same objective (Theorem 1,
+//! [`crate::symmetrize`]), and some optimum is symmetric.
+//! [`DesignProblem::build_lp`] then solves over one variable per orbit
+//! `{(i, j), (n − i, n − j)}` — `⌈(n+1)²/2⌉` columns, with `vars[i][j]` and
+//! `vars[n−i][n−j]` the same variable and objective coefficients summed over
+//! the orbit.  Each row is written over cells as before; mapped onto orbits,
+//! a row and its reflection become the same row, which is emitted once (as
+//! is any other row that coincides in orbit space), and rows that cancel
+//! entirely — symmetry's `ρ_{i,j} = ρ_{n−i,n−j}`, fairness's
+//! `ρ_{n,n} = ρ_{0,0}` — vanish.  The program is about half the size, has no
+//! S equality rows, and its optimum is symmetric by construction.  A prior
+//! that is not reflection-symmetric keeps the full `(n+1)²` program
+//! ([`DesignProblem::build_full_lp`], also the reference the orbit program is
+//! tested against).
+//!
+//! [`Prior::is_reflection_symmetric`]: crate::objective::Prior::is_reflection_symmetric
 
 // The formulation indexes a 2-D grid of LP variables by (row, column) throughout;
 // explicit index loops mirror the paper's double subscripts better than iterator
 // chains would.
 #![allow(clippy::needless_range_loop)]
 
+use std::collections::hash_map::{Entry, HashMap};
+
 use serde::{Deserialize, Serialize};
 
-use cpm_simplex::{LinearProgram, Relation, SolveOptions, SolveStats, VariableId};
+use cpm_simplex::{Constraint, LinearProgram, Relation, SolveOptions, SolveStats, VariableId};
 
 use crate::alpha::Alpha;
 use crate::error::CoreError;
@@ -60,18 +85,19 @@ pub struct DesignProblem {
     ///   unconstrained `L0` program, so the crash collapses that solve to a
     ///   single factorisation; under the other objectives GM is a feasible
     ///   vertex the dual-form walk starts from.
-    /// * **Property rows without equalities** (every set without S and F):
-    ///   **relax then lift**.  The BASICDP relaxation is solved first (itself
-    ///   GM-crash seeded) under the same objective, and its optimal basis,
-    ///   with each property row's slack made basic, seeds this solve through
-    ///   [`cpm_simplex::lift_basis`].  That seed is dual feasible by
-    ///   construction, so the warm start only repairs the property
-    ///   violations; the relaxation's pivots are included in
+    /// * **Property rows without equalities** (every set without F — the
+    ///   orbit program has no S rows, so this covers the Figure-5 WM and
+    ///   WH-LP sets): **relax then lift**.  The BASICDP relaxation is solved
+    ///   first (itself GM-crash seeded) under the same objective, and its
+    ///   optimal basis, with each property row's slack made basic, seeds
+    ///   this solve through [`cpm_simplex::lift_basis`].  That seed is dual
+    ///   feasible by construction, so the warm start only repairs the
+    ///   property violations; the relaxation's pivots are included in
     ///   [`DesignSolution::solver_stats`].
-    /// * **S or F** (the Figure-5 LPs): their equality rows make presolve
-    ///   alias columns, so no lifted seed fits and no relaxation is paid
-    ///   for; presolve removes those rows too, so no raw-space crash basis
-    ///   fits either.  These solves run cold.
+    /// * **F, or S in the full space** (an asymmetric prior): their equality
+    ///   rows make presolve alias columns, so no lifted seed fits and no
+    ///   relaxation is paid for; presolve removes those rows too, so no
+    ///   raw-space crash basis fits either.  These solves run cold.
     ///
     /// A seed is a hint the solver verifies: one that does not fit is
     /// discarded and the solve proceeds cold — the flag can change pivot
@@ -157,11 +183,25 @@ impl DesignProblem {
         self
     }
 
-    /// Build the linear program and the `ρ` variable grid (`vars[i][j]`).
+    /// Build the linear program and the `ρ` variable grid (`vars[i][j]`):
+    /// over reflection orbits when the prior is reflection-symmetric (see the
+    /// [module docs](self)), over all `(n+1)²` cells otherwise.
     ///
     /// Exposed so that callers (benches, tests) can inspect LP sizes; most users
     /// should call [`DesignProblem::solve`].
     pub fn build_lp(&self) -> Result<(LinearProgram, Vec<Vec<VariableId>>), CoreError> {
+        self.build(self.objective.prior.is_reflection_symmetric())
+    }
+
+    /// Build the full-space program — one variable per cell and every row,
+    /// S's equalities included — whatever the prior.  This is the reference
+    /// formulation the orbit program of [`DesignProblem::build_lp`] is checked
+    /// against; designs with a reflection-symmetric prior never solve it.
+    pub fn build_full_lp(&self) -> Result<(LinearProgram, Vec<Vec<VariableId>>), CoreError> {
+        self.build(false)
+    }
+
+    fn build(&self, orbits: bool) -> Result<(LinearProgram, Vec<Vec<VariableId>>), CoreError> {
         if self.n == 0 {
             return Err(CoreError::InvalidGroupSize { value: self.n });
         }
@@ -171,61 +211,78 @@ impl DesignProblem {
         let alpha = self.alpha.value();
 
         let mut lp = LinearProgram::minimize();
-        // vars[i][j] = rho_{i,j}.
+        // vars[i][j] = rho_{i,j}; in orbit space the cell the reflection maps
+        // (i, j) to comes first in row-major order, so it already has its
+        // variable.
         let mut vars: Vec<Vec<VariableId>> = Vec::with_capacity(dim);
         for i in 0..dim {
             let mut row = Vec::with_capacity(dim);
             for j in 0..dim {
-                row.push(lp.add_variable(format!("rho_{i}_{j}")));
+                let var = if orbits && (n - i, n - j) < (i, j) {
+                    if n - i == i {
+                        row[n - j]
+                    } else {
+                        vars[n - i][n - j]
+                    }
+                } else {
+                    lp.add_variable(format!("rho_{i}_{j}"))
+                };
+                row.push(var);
             }
             vars.push(row);
         }
 
-        // Objective (Eq. 3).
-        match self.objective.aggregator {
+        // Objective (Eq. 3).  An orbit's coefficient is the sum over its cells.
+        let t_max = match self.objective.aggregator {
             Aggregator::Sum => {
                 for j in 0..dim {
                     for i in 0..dim {
                         let coefficient = weights[j] * self.objective.loss.penalty(i, j);
                         if coefficient != 0.0 {
-                            lp.set_objective_coefficient(vars[i][j], coefficient);
+                            lp.add_objective_coefficient(vars[i][j], coefficient);
                         }
                     }
                 }
+                None
             }
+            // Epigraph formulation: minimise t with t >= per-column loss.
             Aggregator::Max => {
-                // Epigraph formulation: minimise t with t >= per-column loss.
                 let t = lp.add_variable("t_max");
                 lp.set_objective_coefficient(t, 1.0);
-                for j in 0..dim {
-                    let mut terms: Vec<(VariableId, f64)> = vec![(t, 1.0)];
-                    for i in 0..dim {
-                        let coefficient = self.objective.loss.penalty(i, j);
-                        if coefficient != 0.0 {
-                            terms.push((vars[i][j], -coefficient));
-                        }
-                    }
-                    lp.add_constraint(terms, Relation::GreaterEq, 0.0);
-                }
+                Some(t)
+            }
+        };
+
+        let mut rows = Rows::new(&mut lp, orbits);
+        if let Some(t) = t_max {
+            for j in 0..dim {
+                let loss = (0..dim).filter_map(|i| {
+                    let coefficient = self.objective.loss.penalty(i, j);
+                    (coefficient != 0.0).then(|| (vars[i][j], -coefficient))
+                });
+                rows.add(
+                    std::iter::once((t, 1.0)).chain(loss),
+                    Relation::GreaterEq,
+                    0.0,
+                );
             }
         }
 
         // Column stochasticity (Eq. 5).  Non-negativity (Eq. 4) is the default
-        // variable bound.  Rows are streamed straight into the LP's term arena —
-        // no per-row `Vec` is materialised anywhere in this builder.
+        // variable bound.
         for j in 0..dim {
-            lp.add_constraint((0..dim).map(|i| (vars[i][j], 1.0)), Relation::Equal, 1.0);
+            rows.add((0..dim).map(|i| (vars[i][j], 1.0)), Relation::Equal, 1.0);
         }
 
         // Differential privacy (Eq. 6): rho_{i,j} >= alpha * rho_{i,j+1} and vice versa.
         for i in 0..dim {
             for j in 0..n {
-                lp.add_constraint(
+                rows.add(
                     [(vars[i][j], 1.0), (vars[i][j + 1], -alpha)],
                     Relation::GreaterEq,
                     0.0,
                 );
-                lp.add_constraint(
+                rows.add(
                     [(vars[i][j + 1], 1.0), (vars[i][j], -alpha)],
                     Relation::GreaterEq,
                     0.0,
@@ -235,7 +292,7 @@ impl DesignProblem {
 
         // Structural properties (Section IV-A), each as linear constraints.
         for property in self.properties.iter() {
-            add_property_constraints(&mut lp, &vars, n, property);
+            add_property_constraints(&mut rows, &vars, n, property);
         }
 
         // Optional output-side DP (the paper's suggested extension): within each
@@ -244,12 +301,12 @@ impl DesignProblem {
             let b = beta.value();
             for j in 0..dim {
                 for i in 0..n {
-                    lp.add_constraint(
+                    rows.add(
                         [(vars[i][j], 1.0), (vars[i + 1][j], -b)],
                         Relation::GreaterEq,
                         0.0,
                     );
-                    lp.add_constraint(
+                    rows.add(
                         [(vars[i + 1][j], 1.0), (vars[i][j], -b)],
                         Relation::GreaterEq,
                         0.0,
@@ -266,13 +323,13 @@ impl DesignProblem {
     /// budget that never trips the generic iteration limit at n = 128 and
     /// beyond, and `LpForm::Auto`).
     ///
-    /// `LpForm::Auto` routes the mechanism LPs through the **dual form** once
-    /// they are large enough to care (≥ 512 rows, i.e. n ≥ 16 with weak
-    /// honesty, and ≥ 1.5x more rows than columns, which every mechanism LP
-    /// satisfies at ~2x): the dual basis is half the size and the
-    /// nonnegative mechanism costs make phase 1 vanish.  Small or square
-    /// programs keep the primal path; [`cpm_simplex::SolveStats::form`]
-    /// reports which form actually ran.
+    /// `LpForm::Auto` routes the property-constrained mechanism LPs through
+    /// the **dual form** once they are large enough to care (≥ 512 rows and
+    /// ≥ [`cpm_simplex::LpForm::AUTO_MIN_ASPECT`] rows per column, which the
+    /// WM programs satisfy at 3–4x): the dual basis is a fraction of the
+    /// size and the nonnegative mechanism costs make phase 1 vanish.  BASICDP
+    /// (~2x), small programs and square ones keep the primal path;
+    /// [`cpm_simplex::SolveStats::form`] reports which form actually ran.
     pub fn recommended_options(&self) -> SolveOptions {
         let dim = self.n + 1;
         SolveOptions::tuned(dim * dim)
@@ -345,11 +402,13 @@ impl DesignProblem {
 
     /// Whether a basis lifted from the BASICDP relaxation fits this
     /// problem's property rows (see [`DesignProblem::crash_seed`]): none of
-    /// them is an equality.  Decided from the properties alone, before
-    /// anything is solved.
+    /// them is an equality — F's never, S's only in the full space (the orbit
+    /// program has none).  Decided from the problem alone, before anything is
+    /// solved.
     fn lift_fits(&self) -> bool {
-        !self.properties.contains(Property::Symmetry)
-            && !self.properties.contains(Property::Fairness)
+        !self.properties.contains(Property::Fairness)
+            && (self.objective.prior.is_reflection_symmetric()
+                || !self.properties.contains(Property::Symmetry))
     }
 
     /// Solve the already-built `lp` (over the `vars` grid) with `options` as
@@ -372,7 +431,20 @@ impl DesignProblem {
             }
         }
         for j in 0..dim {
-            let total: f64 = (0..dim).map(|i| entries[i * dim + j]).sum();
+            // Summed in reflected pairs, so columns j and n − j of a symmetric
+            // solution get bit-identical totals and the result stays exactly
+            // symmetric.
+            let total: f64 = (0..=self.n / 2)
+                .map(|i| {
+                    let mirror = self.n - i;
+                    let top = entries[i * dim + j];
+                    if mirror == i {
+                        top
+                    } else {
+                        top + entries[mirror * dim + j]
+                    }
+                })
+                .sum();
             if (total - 1.0).abs() > 1e-4 {
                 return Err(CoreError::DegenerateSolution {
                     reason: format!("column {j} sums to {total} after solving"),
@@ -412,8 +484,8 @@ impl DesignProblem {
                 values[vars[i][j].index()] = gm.prob(i, j);
             }
         }
-        // The epigraph variable of a `Max` aggregator sits at the largest
-        // per-column loss of the conjectured mechanism.
+        // The epigraph variable of a `Max` aggregator (the last variable)
+        // sits at the largest per-column loss of the conjectured mechanism.
         if let Aggregator::Max = self.objective.aggregator {
             let t = (0..dim)
                 .map(|j| {
@@ -422,7 +494,7 @@ impl DesignProblem {
                         .sum::<f64>()
                 })
                 .fold(0.0f64, f64::max);
-            if let Some(value) = values.get_mut(dim * dim) {
+            if let Some(value) = values.last_mut() {
                 *value = t;
             }
         }
@@ -466,9 +538,87 @@ impl CrashSeed {
     }
 }
 
+/// The constraint rows of a program under construction.  In the full space a
+/// row goes into the LP as written.  In orbit space its terms are merged per
+/// orbit variable, a row that cancels to nothing is dropped, and so is a row
+/// identical to one already emitted — a reflection's image, which the orbit
+/// variables have already made the same row.
+struct Rows<'a> {
+    lp: &'a mut LinearProgram,
+    /// Orbit space only: the index of the first emitted row under each row
+    /// fingerprint.
+    emitted: Option<HashMap<u64, usize>>,
+    merged: Vec<(VariableId, f64)>,
+}
+
+impl<'a> Rows<'a> {
+    fn new(lp: &'a mut LinearProgram, orbits: bool) -> Self {
+        Rows {
+            lp,
+            emitted: orbits.then(HashMap::default),
+            merged: Vec::new(),
+        }
+    }
+
+    fn add(
+        &mut self,
+        terms: impl IntoIterator<Item = (VariableId, f64)>,
+        relation: Relation,
+        rhs: f64,
+    ) {
+        let Some(emitted) = &mut self.emitted else {
+            self.lp.add_constraint(terms, relation, rhs);
+            return;
+        };
+        let merged = &mut self.merged;
+        merged.clear();
+        merged.extend(terms);
+        merged.sort_unstable_by_key(|&(var, _)| var.index());
+        merged.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        merged.retain(|&(_, coefficient)| coefficient != 0.0);
+        if merged.is_empty() {
+            // A row that cancels (S's, and F's ρ_{n,n} = ρ_{0,0}) reads 0 = 0.
+            debug_assert_eq!(rhs, 0.0);
+            return;
+        }
+
+        // An FxHash-style fingerprint: the rows are short and there are
+        // tens of thousands of them, so SipHash would dominate the build.
+        let mix = |hash: u64, word: u64| {
+            (hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+        };
+        let fingerprint = merged.iter().fold(
+            mix(relation as u64, rhs.to_bits()),
+            |hash, &(var, coefficient)| mix(mix(hash, var.index() as u64), coefficient.to_bits()),
+        );
+        let row = Constraint {
+            terms: merged,
+            relation,
+            rhs,
+        };
+        match emitted.entry(fingerprint) {
+            Entry::Occupied(first) if self.lp.constraint(*first.get()) == row => return,
+            // A fingerprint collision: keep the row (a duplicate would only
+            // cost presolve a row to remove).
+            Entry::Occupied(_) => {}
+            Entry::Vacant(slot) => {
+                slot.insert(self.lp.num_constraints());
+            }
+        }
+        self.lp
+            .add_constraint(merged.iter().copied(), relation, rhs);
+    }
+}
+
 /// Append the linear constraints encoding one structural property (Theorem 2).
 fn add_property_constraints(
-    lp: &mut LinearProgram,
+    rows: &mut Rows<'_>,
     vars: &[Vec<VariableId>],
     n: usize,
     property: Property,
@@ -480,7 +630,7 @@ fn add_property_constraints(
             for i in 0..dim {
                 for j in 0..dim {
                     if i != j {
-                        lp.add_constraint(
+                        rows.add(
                             [(vars[i][i], 1.0), (vars[i][j], -1.0)],
                             Relation::GreaterEq,
                             0.0,
@@ -495,14 +645,14 @@ fn add_property_constraints(
         Property::RowMonotonicity => {
             for i in 0..dim {
                 for j in 1..=i {
-                    lp.add_constraint(
+                    rows.add(
                         [(vars[i][j], 1.0), (vars[i][j - 1], -1.0)],
                         Relation::GreaterEq,
                         0.0,
                     );
                 }
                 for j in i..n {
-                    lp.add_constraint(
+                    rows.add(
                         [(vars[i][j], 1.0), (vars[i][j + 1], -1.0)],
                         Relation::GreaterEq,
                         0.0,
@@ -515,7 +665,7 @@ fn add_property_constraints(
             for j in 0..dim {
                 for i in 0..dim {
                     if i != j {
-                        lp.add_constraint(
+                        rows.add(
                             [(vars[j][j], 1.0), (vars[i][j], -1.0)],
                             Relation::GreaterEq,
                             0.0,
@@ -529,14 +679,14 @@ fn add_property_constraints(
         Property::ColumnMonotonicity => {
             for j in 0..dim {
                 for i in 1..=j {
-                    lp.add_constraint(
+                    rows.add(
                         [(vars[i][j], 1.0), (vars[i - 1][j], -1.0)],
                         Relation::GreaterEq,
                         0.0,
                     );
                 }
                 for i in j..n {
-                    lp.add_constraint(
+                    rows.add(
                         [(vars[i][j], 1.0), (vars[i + 1][j], -1.0)],
                         Relation::GreaterEq,
                         0.0,
@@ -547,7 +697,7 @@ fn add_property_constraints(
         // F (Eq. 11): all diagonal entries equal.
         Property::Fairness => {
             for i in 1..dim {
-                lp.add_constraint(
+                rows.add(
                     [(vars[i][i], 1.0), (vars[0][0], -1.0)],
                     Relation::Equal,
                     0.0,
@@ -558,16 +708,17 @@ fn add_property_constraints(
         Property::WeakHonesty => {
             let bound = 1.0 / dim as f64;
             for i in 0..dim {
-                lp.add_constraint([(vars[i][i], 1.0)], Relation::GreaterEq, bound);
+                rows.add([(vars[i][i], 1.0)], Relation::GreaterEq, bound);
             }
         }
         // S (Eq. 14): rho_{i,j} = rho_{n-i,n-j}; only half the pairs are needed.
+        // In orbit space every such row cancels.
         Property::Symmetry => {
             for i in 0..dim {
                 for j in 0..dim {
                     let (oi, oj) = (n - i, n - j);
                     if (i, j) < (oi, oj) {
-                        lp.add_constraint(
+                        rows.add(
                             [(vars[i][j], 1.0), (vars[oi][oj], -1.0)],
                             Relation::Equal,
                             0.0,
@@ -643,21 +794,134 @@ mod tests {
 
     #[test]
     fn lp_sizes_are_as_expected() {
+        // The uniform prior is reflection-symmetric: one variable per orbit,
+        // ⌈25 / 2⌉ = 13, and one row per row orbit.
         let problem = DesignProblem::unconstrained(4, a(0.62), Objective::l0());
         let (lp, vars) = problem.build_lp().unwrap();
         assert_eq!(vars.len(), 5);
-        assert_eq!(lp.num_variables(), 25);
-        // 5 column sums + 2 * 5 * 4 DP constraints.
-        assert_eq!(lp.num_constraints(), 5 + 40);
+        assert_eq!(lp.num_variables(), 13);
+        assert_eq!(vars[1][3], vars[3][1]);
+        assert_ne!(vars[1][3], vars[3][3]);
+        // Column sums 0..=2 + half of the 2 * 5 * 4 DP constraints.
+        assert_eq!(lp.num_constraints(), 3 + 20);
 
-        let constrained = DesignProblem::constrained(
-            4,
-            a(0.62),
-            Objective::l0(),
-            PropertySet::empty().with(Property::WeakHonesty),
-        );
+        let weak_honesty = PropertySet::empty().with(Property::WeakHonesty);
+        let constrained = DesignProblem::constrained(4, a(0.62), Objective::l0(), weak_honesty);
         let (lp2, _) = constrained.build_lp().unwrap();
-        assert_eq!(lp2.num_constraints(), 45 + 5);
+        assert_eq!(lp2.num_constraints(), 23 + 3);
+
+        // An asymmetric prior keeps the full program: 25 variables, 5 column
+        // sums + 2 * 5 * 4 DP constraints (+ 5 WH rows).
+        let skewed = Objective {
+            prior: Prior::Weights(vec![0.1, 0.2, 0.2, 0.2, 0.3]),
+            ..Objective::l0()
+        };
+        let (full, vars) = DesignProblem::constrained(4, a(0.62), skewed, weak_honesty)
+            .build_lp()
+            .unwrap();
+        assert_eq!(full.num_variables(), 25);
+        assert_ne!(vars[1][3], vars[3][1]);
+        assert_eq!(full.num_constraints(), 45 + 5);
+        let (reference, _) = constrained.build_full_lp().unwrap();
+        assert_eq!(reference.num_variables(), 25);
+        assert_eq!(reference.num_constraints(), 45 + 5);
+    }
+
+    /// Theorem 1 in LP form: the orbit program reaches the full program's
+    /// optimum under every property, the output-side DP rows and the
+    /// minimax epigraph, at odd and even n (the centre orbit), and its
+    /// mechanism is exactly symmetric.
+    #[test]
+    fn orbit_and_full_programs_reach_the_same_optimum() {
+        let mut problems = Vec::new();
+        for n in 1..=5usize {
+            for property in Property::ALL {
+                let properties = PropertySet::empty().with(property);
+                problems.push(DesignProblem::constrained(
+                    n,
+                    a(0.8),
+                    Objective::l1(),
+                    properties,
+                ));
+            }
+            problems.push(DesignProblem::constrained(
+                n,
+                a(0.9),
+                Objective::l0(),
+                PropertySet::all(),
+            ));
+            problems.push(
+                DesignProblem::unconstrained(n, a(0.9), Objective::l2()).with_output_dp(a(0.9)),
+            );
+            let minimax = Objective {
+                aggregator: Aggregator::Max,
+                ..Objective::l0()
+            };
+            problems.push(DesignProblem::constrained(
+                n,
+                a(0.7),
+                minimax,
+                wm_properties(),
+            ));
+            if n >= 2 {
+                problems.push(DesignProblem::unconstrained(
+                    n,
+                    a(0.9),
+                    Objective::l0_beyond(1),
+                ));
+            }
+        }
+        for problem in problems {
+            let case = format!(
+                "{} {} n={} α={}",
+                problem.objective.loss.name(),
+                problem.properties,
+                problem.n,
+                problem.alpha.value()
+            );
+            let options = problem.recommended_options();
+            let (full, _) = problem.build_full_lp().unwrap();
+            let full = full.solve_with(&options).expect("full program solves");
+            let orbit = problem.solve().expect("orbit program solves");
+            assert!(
+                (orbit.objective_value - full.objective_value).abs() <= 1e-9,
+                "{case}: orbit {} vs full {}",
+                orbit.objective_value,
+                full.objective_value
+            );
+            assert!(
+                Property::Symmetry.holds(&orbit.mechanism, 0.0),
+                "{case}: not exactly symmetric"
+            );
+            assert!(orbit.mechanism.satisfies_dp(problem.alpha, 1e-6), "{case}");
+            assert!(
+                problem.properties.all_hold(&orbit.mechanism, 1e-6),
+                "{case}"
+            );
+        }
+    }
+
+    /// An asymmetric prior is solved in the full space: there, requiring
+    /// symmetry costs utility, so the orbit program would be wrong.
+    #[test]
+    fn asymmetric_priors_solve_the_full_program() {
+        let skewed = Objective {
+            prior: Prior::Weights(vec![0.05, 0.05, 0.1, 0.3, 0.5]),
+            ..Objective::l1()
+        };
+        let problem = DesignProblem::constrained(4, a(0.9), skewed, wm_properties());
+        let solution = problem.solve().unwrap();
+        let (full, _) = problem.build_full_lp().unwrap();
+        let reference = full.solve().unwrap();
+        assert!((solution.objective_value - reference.objective_value).abs() <= 1e-9);
+        let symmetric = DesignProblem {
+            properties: wm_properties().with(Property::Symmetry),
+            ..problem
+        };
+        let symmetric = symmetric.solve().unwrap();
+        assert!(solution.objective_value < symmetric.objective_value - 1e-6);
+        assert!(Property::Symmetry.holds(&symmetric.mechanism, 1e-6));
+        assert!(!Property::Symmetry.holds(&solution.mechanism, 1e-6));
     }
 
     #[test]

@@ -89,6 +89,17 @@ pub enum Prior {
 }
 
 impl Prior {
+    /// Whether the weights are invariant under the reflection `j ↦ n − j`
+    /// (`w_j = w_{n−j}`, exactly).  With every penalty depending on `|i − j|`
+    /// only, this is what lets the design LP solve over reflection orbits
+    /// (Theorem 1, [`crate::lp::DesignProblem::build_lp`]).
+    pub fn is_reflection_symmetric(&self) -> bool {
+        match self {
+            Prior::Uniform => true,
+            Prior::Weights(w) => w.iter().eq(w.iter().rev()),
+        }
+    }
+
     /// Materialise the weights for a group of size `n`.
     pub fn weights(&self, n: usize) -> Result<Vec<f64>, CoreError> {
         match self {

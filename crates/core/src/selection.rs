@@ -16,6 +16,12 @@
 //! mechanism is the job of the typed design path —
 //! [`crate::design::MechanismSpec::design`] — which selects here and realises
 //! the choice (solving an LP when required).
+//!
+//! The two LP choices solve their property sets (`{WH, RM, S}` and
+//! `{WH, RM, CM, S}`) over reflection orbits (Theorem 1, see
+//! [`crate::lp::formulation`]): the prior is uniform, so the LP's optimum is
+//! symmetric by construction and needs no symmetrisation afterwards, and with
+//! no S equality rows left the solve is seeded from its BASICDP relaxation.
 
 use serde::{Deserialize, Serialize};
 
@@ -101,7 +107,7 @@ pub fn select_mechanism(requested: PropertySet, n: usize, alpha: Alpha) -> Mecha
 pub(crate) type Realized = (Mechanism, Option<SolveStats>, Option<Vec<usize>>);
 
 /// Materialise one [`MechanismChoice`]: closed forms for GM/EM/UM, the
-/// (symmetrised) LP optimum for the two LP-defined choices.
+/// LP optimum (symmetric by construction) for the two LP-defined choices.
 ///
 /// `options: None` lets each LP pick its own size-scaled
 /// [`crate::lp::DesignProblem::recommended_options`] — the right default for
@@ -127,7 +133,7 @@ pub(crate) fn realize_choice(
             None => problem.solve()?,
         };
         Ok((
-            crate::symmetrize::symmetrize(&solution.mechanism),
+            solution.mechanism,
             Some(solution.solver_stats),
             solution.optimal_basis,
         ))
@@ -323,7 +329,7 @@ mod tests {
         )
         .unwrap();
         let stats = stats.expect("WM requires an LP solve");
-        assert!(stats.phase1_iterations + stats.phase2_iterations > 0);
+        assert!(stats.pivots() > 0);
         assert!(basis.is_some(), "an LP choice reports its optimal basis");
         assert!(wm.satisfies_dp(alpha, 1e-6));
     }

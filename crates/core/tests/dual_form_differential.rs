@@ -52,7 +52,7 @@ fn assert_zero_pivot_reseed(problem: &DesignProblem, dual: &DesignSolution) {
     );
     assert_eq!(reseeded.solver_stats.phase1_iterations, 0);
     assert_eq!(
-        reseeded.solver_stats.dual_iterations + reseeded.solver_stats.phase2_iterations,
+        reseeded.solver_stats.pivots(),
         0,
         "an optimal basis re-solves in zero pivots"
     );

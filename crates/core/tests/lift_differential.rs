@@ -1,16 +1,19 @@
-//! Differential coverage for the relax-then-lift seed: a property-constrained
-//! design seeded from its BASICDP relaxation's optimal basis must reach the
-//! same optimum as a fully cold solve (`with_crash_seed(false)`) and as the
-//! dense-tableau oracle, over the objectives, property sets, group sizes and
-//! privacy levels the lift serves.  The lifted route runs in the form
-//! `LpForm::Auto` picks and in forced dual form, where the lifted seed is
-//! primal feasible but dual infeasible.
+//! Differential coverage for the orbit program and the relax-then-lift
+//! seed.  A property-constrained design — solved over reflection orbits
+//! (Theorem 1) and seeded from its BASICDP relaxation's optimal basis — must
+//! reach the same optimum as the full `(n+1)²` program solved cold and by
+//! the dense-tableau oracle, over the objectives, property sets, group sizes
+//! (odd and even, so the centre orbit is covered) and privacy levels the
+//! lift serves.  The lifted route runs in the form `LpForm::Auto` picks and
+//! in forced dual form, where the lifted seed is primal feasible but dual
+//! infeasible.
 //!
-//! The cold route has a known defect the lift does not share: on three cases
-//! at α = 0.99, n = 10 it pivots until the budget runs out (on L1 `{RM}` a
-//! zero-step cycle with the Bland fallback active).  Those cases are listed
-//! in [`COLD_ROUTE_CYCLES`]; everywhere else all three routes must agree.  A
-//! fix to the cold route empties that list.
+//! The cold route on the full program has a known defect the lifted orbit
+//! route does not share: on three cases at α = 0.99, n = 10 it pivots until
+//! the budget runs out (on L1 `{RM}` a zero-step cycle with the Bland
+//! fallback active).  Those cases are listed in [`COLD_ROUTE_CYCLES`];
+//! everywhere else all three routes must agree.  A fix to the cold route
+//! empties that list.
 
 use cpm_core::prelude::*;
 use cpm_core::properties::{Property, PropertySet};
@@ -20,9 +23,16 @@ use cpm_simplex::{oracle, LpForm, SimplexError};
 /// terminates needs (462), so a cycling cold solve fails in seconds.
 const COLD_PIVOT_BUDGET: usize = 5_000;
 
-/// `(objective, properties, n, α)` cases whose cold solve exhausts the
-/// pivot budget.  The lifted route and the dense oracle still agree on
-/// them.
+/// `(objective, properties, n, α)` cases whose cold full-program solve
+/// exhausts the pivot budget.  The lifted orbit route and the dense oracle
+/// still agree on them.
+///
+/// One more full-space stall, too slow to re-run here: the full
+/// `{WH, RM, CM, S}` L0 program at n = 64, α = 0.9, forced into
+/// `LpForm::Primal` under `recommended_options`, ends in
+/// `IterationLimit { limit: 500000 }` after ~190 s (the route designs took
+/// before they solved over orbits).  The orbit program, lifted, solves it in
+/// primal form in ~0.5 s (2-vCPU VM).
 const COLD_ROUTE_CYCLES: [(&str, &str, usize, f64); 3] = [
     ("L1", "RM", 10, 0.99),
     ("L0", "RM", 10, 0.99),
@@ -38,11 +48,12 @@ fn assert_same_objective(what: &str, got: f64, expected: f64) {
     );
 }
 
-/// Run the grid — property sets {WH, CM, RM, CH, RH, WH+CM, WH+RM+CM} ×
-/// n ∈ {3, 6, 10} × α ∈ {0.5, 0.9, 0.99} — under one objective.
-fn lifted_cold_and_dense_oracle_agree(name: &str, objective: Objective) {
+/// Run the grid — property sets {WH, CM, RM, CH, RH, WH+CM, WH+RM+CM} plus
+/// `extra_sets` × n ∈ {3, 6, 10} × α ∈ {0.5, 0.9, 0.99} — under one
+/// objective.
+fn lifted_cold_and_dense_oracle_agree(name: &str, objective: Objective, extra_sets: &[&str]) {
     use Property::*;
-    let property_sets: [PropertySet; 7] = [
+    let mut property_sets: Vec<PropertySet> = vec![
         [WeakHonesty].into_iter().collect(),
         [ColumnMonotonicity].into_iter().collect(),
         [RowMonotonicity].into_iter().collect(),
@@ -53,6 +64,11 @@ fn lifted_cold_and_dense_oracle_agree(name: &str, objective: Objective) {
             .into_iter()
             .collect(),
     ];
+    property_sets.extend(
+        extra_sets
+            .iter()
+            .map(|set| set.parse::<PropertySet>().unwrap()),
+    );
     let mut cycling = Vec::new();
     for properties in property_sets {
         for n in [3usize, 6, 10] {
@@ -65,19 +81,18 @@ fn lifted_cold_and_dense_oracle_agree(name: &str, objective: Objective) {
                 );
                 let case = format!("{name} {properties} n={n} α={alpha}");
                 let options = problem.recommended_options();
-                let (lp, _) = problem.build_lp().unwrap();
-                let dense = oracle::solve_dense(&lp, &options).expect("dense oracle");
-                let cold = problem
-                    .clone()
-                    .with_crash_seed(false)
-                    .solve_with(&options.clone().with_max_iterations(COLD_PIVOT_BUDGET));
+                // The references solve the full program; the design solves
+                // the orbit program.
+                let (full, _) = problem.build_full_lp().unwrap();
+                let dense = oracle::solve_dense(&full, &options).expect("dense oracle");
+                let cold = full.solve_with(&options.clone().with_max_iterations(COLD_PIVOT_BUDGET));
                 match cold {
                     Ok(cold) => assert_same_objective(
                         &format!("{case} cold"),
                         cold.objective_value,
                         dense.objective_value,
                     ),
-                    Err(CoreError::Solver(SimplexError::IterationLimit { .. })) => {
+                    Err(SimplexError::IterationLimit { .. }) => {
                         cycling.push((properties, n, alpha));
                     }
                     Err(error) => panic!("{case}: cold solve failed: {error}"),
@@ -92,6 +107,10 @@ fn lifted_cold_and_dense_oracle_agree(name: &str, objective: Objective) {
                         dense.objective_value,
                     );
                     assert!(properties.all_hold(&lifted.mechanism, 1e-6), "{case}");
+                    assert!(
+                        Property::Symmetry.holds(&lifted.mechanism, 0.0),
+                        "{case}: the orbit optimum is exactly symmetric"
+                    );
                 }
             }
         }
@@ -109,19 +128,19 @@ fn lifted_cold_and_dense_oracle_agree(name: &str, objective: Objective) {
 
 #[test]
 fn l1_lifted_cold_and_dense_oracle_agree() {
-    lifted_cold_and_dense_oracle_agree("L1", Objective::l1());
+    lifted_cold_and_dense_oracle_agree("L1", Objective::l1(), &[]);
 }
 
 #[test]
 fn l2_lifted_cold_and_dense_oracle_agree() {
-    lifted_cold_and_dense_oracle_agree("L2", Objective::l2());
+    lifted_cold_and_dense_oracle_agree("L2", Objective::l2(), &[]);
 }
 
-/// `L0` without symmetry — the L0 sets serving designs add S, which the lift
-/// does not serve.
+/// `L0`, plus the two S-bearing Figure-5 sets serving designs solve (WH-LP
+/// and WM), which the lift serves now that the orbit program has no S rows.
 #[test]
 fn l0_lifted_cold_and_dense_oracle_agree() {
-    lifted_cold_and_dense_oracle_agree("L0", Objective::l0());
+    lifted_cold_and_dense_oracle_agree("L0", Objective::l0(), &["WH+RM+S", "WH+RM+CM+S"]);
 }
 
 /// The lift must actually be taken: a silent fall-back to a cold solve still
@@ -149,12 +168,12 @@ fn wm_l2_n8_is_warm_started_from_the_lifted_seed() {
     assert!(!cold.solver_stats.warm_started, "crash_seed(false) is cold");
 }
 
-/// Lift scope: the serving WM-L0 key goes through Figure 5, which adds S, so
-/// its LP has equality rows presolve aliases and no lifted seed fits.  It
-/// must not pay for a relaxation solve: its route and pivot count stay
-/// exactly those of the GM-crash route (phase 2 only, in dual form).
+/// The serving WM-L0 key goes through Figure 5, which adds S.  Over orbits
+/// its program has no S rows, so it takes the lifted seed: its route and
+/// pivot count are pinned (relaxation included; 1 423 cold phase-2 pivots
+/// on the full program before the orbit formulation).
 #[test]
-fn wm_l0_serving_key_keeps_its_route_without_a_relaxation() {
+fn wm_l0_serving_key_takes_the_lifted_route() {
     let key = SpecKey::new(
         32,
         Alpha::new(0.9).unwrap(),
@@ -170,9 +189,9 @@ fn wm_l0_serving_key_keeps_its_route_without_a_relaxation() {
             stats.phase2_iterations,
             stats.dual_iterations
         ),
-        (0, 1_423, 0),
+        (0, 186, 0),
         "{stats:?}"
     );
-    assert!(!stats.warm_started);
+    assert!(stats.warm_started, "{stats:?}");
     assert_eq!(stats.form, LpForm::Dual);
 }

@@ -93,8 +93,8 @@ fn near_neighbour_warm_starts_take_the_dual_path_and_save_pivots() {
         warm.solver_stats.warm_started,
         "a near α-neighbour seed must take the warm path"
     );
-    let cold_pivots = cold.solver_stats.phase1_iterations + cold.solver_stats.phase2_iterations;
-    let warm_pivots = warm.solver_stats.phase2_iterations + warm.solver_stats.dual_iterations;
+    let cold_pivots = cold.solver_stats.pivots();
+    let warm_pivots = warm.solver_stats.pivots();
     assert!(
         warm_pivots * 4 < cold_pivots,
         "warm re-solve must cost < 25% of the cold solve's pivots \

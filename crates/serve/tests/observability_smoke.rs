@@ -149,8 +149,9 @@ fn stdio_metrics_op_scrapes_solver_cache_engine_and_wire_families() {
     assert!(scrape.ok, "metrics op failed: {}", scrape.error);
     let samples = parse_exposition(&scrape.metrics);
 
-    // Solver family: the WH+CM design runs exactly one LP.
-    assert_eq!(family_total(&samples, "cpm_lp_solves_total"), 1.0);
+    // Solver family: the WH+CM design runs exactly two LPs, its BASICDP
+    // relaxation and the lifted orbit program.
+    assert_eq!(family_total(&samples, "cpm_lp_solves_total"), 2.0);
     assert!(family_total(&samples, "cpm_lp_pivots_total") > 0.0);
     assert!(
         family_total(&samples, "cpm_lp_solve_nanos_count") >= 1.0,

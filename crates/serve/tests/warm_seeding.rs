@@ -5,14 +5,22 @@
 //! * `warm()` α-sweep chaining — one cold solve, the rest seeded;
 //! * snapshot compatibility — a pinned PR-4-era (pre-basis) snapshot still
 //!   loads, a spec whose solver options name since-deleted knobs still
-//!   designs, and a basis-bearing snapshot loads on builds that ignore the
-//!   field (unknown fields are skipped by the deserialiser);
+//!   designs, a basis-bearing snapshot loads on builds that ignore the
+//!   field (unknown fields are skipped by the deserialiser), and a design
+//!   whose basis was written for the full-space program (before designs
+//!   solved over reflection orbits) still serves, while its basis is
+//!   declined as a seed — unless S made presolve reduce the full program to
+//!   the orbit program, where it still fits;
 //! * concurrent merging savers — the advisory `.lock` closes the
 //!   read-modify-write race on a shared `CPM_WARM_FILE`.
 
 use std::sync::Arc;
 
-use cpm_core::{Alpha, DesignedMechanism, MechanismSpec, Property, PropertySet, SpecKey};
+use cpm_core::lp::DesignProblem;
+use cpm_core::{
+    Alpha, DesignedMechanism, MechanismSpec, Objective, ObjectiveKey, Property, PropertySet,
+    SpecKey,
+};
 use cpm_serve::cache::DesignCache;
 use cpm_simplex::LpForm;
 
@@ -197,6 +205,107 @@ fn basis_bearing_snapshots_load_on_builds_that_ignore_the_field() {
         restored.optimal_basis().is_some(),
         "the basis survives the round trip"
     );
+}
+
+/// The optimal basis the full-space program of `key`'s LP reports — what a
+/// snapshot written before designs solved over reflection orbits stores.
+fn full_space_basis(key: &SpecKey, properties: PropertySet) -> Vec<usize> {
+    let problem = DesignProblem::constrained(
+        key.n,
+        key.alpha_value(),
+        key.objective.to_objective(),
+        properties,
+    );
+    let (full, _) = problem.build_full_lp().unwrap();
+    full.solve_with(&problem.recommended_options())
+        .unwrap()
+        .optimal_basis
+        .expect("the full program reports a basis")
+}
+
+/// Design `key`, write a snapshot whose basis is replaced by `basis`, and
+/// load it into a fresh cache.  The restored design must serve the stored
+/// matrix bit-exactly, without a solve.
+fn restore_with_basis(key: &SpecKey, basis: &[usize]) -> DesignCache {
+    let cache = DesignCache::new(8);
+    let stored = cache.get(key).unwrap();
+    let mut snapshot = Vec::new();
+    cache.save_snapshot(&mut snapshot).unwrap();
+    let text = String::from_utf8(snapshot).unwrap();
+    let basis_json = |basis: &[usize]| {
+        format!(
+            "\"basis\":{}",
+            serde_json::to_string(&basis.to_vec()).unwrap()
+        )
+    };
+    let written = basis_json(stored.optimal_basis().expect("an LP design has a basis"));
+    assert!(text.contains(&written), "the snapshot stores the basis");
+    let older = text.replacen(&written, &basis_json(basis), 1);
+
+    let fresh = DesignCache::new(8);
+    assert_eq!(fresh.load_snapshot(&mut older.as_bytes()).unwrap(), 1);
+    let restored = fresh.get(key).unwrap();
+    assert_eq!(restored.optimal_basis(), Some(basis));
+    assert_eq!(
+        restored.mechanism().entries(),
+        stored.mechanism().entries(),
+        "the stored matrix is served bit-exactly"
+    );
+    assert_eq!(fresh.stats().lp_solves, 0, "restored, not re-solved");
+    fresh
+}
+
+/// A snapshot written before designs solved over reflection orbits stores
+/// full-space bases.  The WM-L2 closure `{CH, CM, WH}` has no S, so its full
+/// program is about twice the orbit program's size after presolve: the stale
+/// basis is offered to an α-neighbour, declined, and the neighbour is
+/// exactly the orbit program's cold design.
+#[test]
+fn full_space_bases_from_older_snapshots_are_declined_as_seeds() {
+    let key =
+        |alpha| SpecKey::with_objective(8, a(alpha), wm_key(8, alpha).properties, ObjectiveKey::L2);
+    let closure = key(0.9).properties.closure();
+    let stale = full_space_basis(&key(0.9), closure);
+    let cache = restore_with_basis(&key(0.9), &stale);
+
+    let neighbour = cache.get(&key(0.905)).unwrap();
+    assert_eq!(cache.stats().warm_seeded, 1, "the stale basis is offered");
+    let stats = neighbour.solver_stats().expect("WM-L2 runs the simplex");
+    assert!(
+        !stats.warm_started,
+        "a full-space seed must be declined: {stats:?}"
+    );
+    let cold = DesignProblem::constrained(8, a(0.905), Objective::l2(), closure)
+        .with_crash_seed(false)
+        .solve()
+        .unwrap();
+    assert_ne!(stale.len(), cold.optimal_basis.unwrap().len());
+    assert_eq!(neighbour.mechanism().entries(), cold.mechanism.entries());
+}
+
+/// The L0 WM key's full program carries S, and presolve aliases S's rows
+/// down to exactly the orbit program — so a stale full-space basis still
+/// fits the orbit program and seeds the α-neighbour like a fresh one.
+#[test]
+fn full_space_bases_of_s_programs_still_fit_the_orbit_program() {
+    let wm_closure = PropertySet::empty()
+        .with(Property::WeakHonesty)
+        .with(Property::RowMonotonicity)
+        .with(Property::ColumnMonotonicity)
+        .with(Property::Symmetry);
+    let stale = full_space_basis(&wm_key(8, 0.9), wm_closure);
+    let (orbit, _) = DesignProblem::constrained(8, a(0.9), Objective::l0(), wm_closure)
+        .build_lp()
+        .unwrap();
+    let cold_orbit = orbit.solve().unwrap().optimal_basis.unwrap();
+    assert_eq!(stale, cold_orbit, "the same presolved program");
+
+    let cache = restore_with_basis(&wm_key(8, 0.9), &stale);
+    let neighbour = cache.get(&wm_key(8, 0.905)).unwrap();
+    assert_eq!(cache.stats().warm_seeded, 1);
+    assert!(neighbour.solver_stats().unwrap().warm_started);
+    let unseeded = DesignCache::new(8).get(&wm_key(8, 0.905)).unwrap();
+    assert!((neighbour.score() - unseeded.score()).abs() < 1e-12);
 }
 
 #[test]

@@ -74,10 +74,8 @@ fn alpha_neighbour_warm_start_agrees_with_the_cold_solve() {
         for (w, c) in warm.values.iter().zip(cold.values.iter()) {
             assert_close(*w, *c);
         }
-        let cold_pivots = cold.stats.phase1_iterations + cold.stats.phase2_iterations;
-        let warm_pivots = warm.stats.phase1_iterations
-            + warm.stats.phase2_iterations
-            + warm.stats.dual_iterations;
+        let cold_pivots = cold.stats.pivots();
+        let warm_pivots = warm.stats.pivots();
         if warm.stats.warm_started {
             assert_eq!(warm.stats.phase1_iterations, 0);
             assert!(
