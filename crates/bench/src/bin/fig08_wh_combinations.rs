@@ -32,7 +32,7 @@ fn main() {
     .map(|a| Alpha::new(a).unwrap())
     .collect();
     // The paper's panel uses n = 6; CPM_FIG8_N scales the α sweep up for
-    // benchmarking the warm-chained solve path on nontrivial LPs.
+    // timing it on nontrivial LPs.
     let n = std::env::var("CPM_FIG8_N")
         .ok()
         .and_then(|v| v.parse().ok())

@@ -18,11 +18,9 @@
 //! add scheduling noise.  On a single-CPU host the sweep degenerates to one
 //! row (and says so) rather than failing.
 //!
-//! After that, an **α-sweep storm** compares a cold start over one
-//! `(n, properties, objective)` family — the worst-case serving pattern —
-//! with the cache's family warm seeding on vs off: total LP design time and
-//! the `warm_seeded` counter show how much of the storm the dual-simplex
-//! warm starts absorb.
+//! After that, an **α-sweep storm** times a cold start over eight α values
+//! of one `(n, properties, objective)` family, each designed from its own
+//! seed.
 //!
 //! Overrides: `CPM_SERVE_BATCHES=10000,100000` (batch sizes),
 //! `CPM_SERVE_THREAD_SWEEP=1,2,8` (thread counts), `--full` widens both sweeps;
@@ -247,9 +245,7 @@ fn format_nanos(nanos: Option<u64>) -> String {
 }
 
 /// Cold-start storm over an α sweep of one LP family (the WM at strong
-/// privacy), with the cache's family warm seeding on vs off.  The entire gap
-/// is LP time: the seeded run pays one cold two-phase solve and chains
-/// dual-simplex cleanups for the rest of the sweep.
+/// privacy): total design time and LP solves.
 fn alpha_sweep_storm() {
     let n: usize = std::env::var("CPM_SERVE_SWEEP_N")
         .ok()
@@ -266,22 +262,13 @@ fn alpha_sweep_storm() {
         .collect();
 
     println!();
+    println!("alpha-sweep storm (n = {n}, WH+CM, 8 α values) | design total | LP solves");
+    let engine = Engine::new(EngineConfig::default());
+    let start = Instant::now();
+    engine.warm(&sweep).expect("sweep designs must succeed");
     println!(
-        "alpha-sweep storm (n = {n}, WH+CM, 8 α values) | design total | LP solves | warm-seeded"
+        "{:>10.2?} | {:2}",
+        start.elapsed(),
+        engine.cache_stats().lp_solves
     );
-    for seeding in [false, true] {
-        let engine = Engine::new(EngineConfig::default());
-        engine.cache().set_family_seeding(seeding);
-        let start = Instant::now();
-        engine.warm(&sweep).expect("sweep designs must succeed");
-        let elapsed = start.elapsed();
-        let stats = engine.cache_stats();
-        println!(
-            "family seeding {} | {:>10.2?} | {:2} | {:2}",
-            if seeding { "on " } else { "off" },
-            elapsed,
-            stats.lp_solves,
-            stats.warm_seeded,
-        );
-    }
 }

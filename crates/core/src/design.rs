@@ -195,7 +195,7 @@ impl Deserialize for SpecKey {
 /// let designed = spec.design().unwrap();
 /// assert_eq!(designed.key(), spec.key());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MechanismSpec {
     n: usize,
     alpha: Alpha,
@@ -203,25 +203,6 @@ pub struct MechanismSpec {
     objective: ObjectiveKey,
     tolerance: f64,
     solver: Option<SolveOptions>,
-    /// Transient warm-start hint: an α-neighbour's optimal LP basis (see
-    /// [`DesignedMechanism::optimal_basis`]).  A *hint*, not part of what the
-    /// spec denotes — excluded from equality and from the serde form, and
-    /// stripped from the spec stored inside the designed artifact.
-    warm_basis: Option<Vec<usize>>,
-}
-
-impl PartialEq for MechanismSpec {
-    /// Equality over what the spec denotes; the warm-start *hint* can only
-    /// change how fast the design is computed, never which design, so two
-    /// specs differing only in the hint are equal.
-    fn eq(&self, other: &Self) -> bool {
-        self.n == other.n
-            && self.alpha == other.alpha
-            && self.properties == other.properties
-            && self.objective == other.objective
-            && self.tolerance == other.tolerance
-            && self.solver == other.solver
-    }
 }
 
 impl MechanismSpec {
@@ -236,7 +217,6 @@ impl MechanismSpec {
             objective: ObjectiveKey::L0,
             tolerance: DEFAULT_PROPERTY_TOLERANCE,
             solver: None,
-            warm_basis: None,
         }
     }
 
@@ -273,18 +253,6 @@ impl MechanismSpec {
     #[must_use]
     pub fn solver(mut self, options: SolveOptions) -> Self {
         self.solver = Some(options);
-        self
-    }
-
-    /// Seed the design's LP solve (when one runs) from an α-neighbour's
-    /// [`DesignedMechanism::optimal_basis`].  The hint is transparent: a seed
-    /// that does not fit the LP this spec resolves to — or is dual-infeasible
-    /// under its coefficients — falls back to the cold primal path inside the
-    /// solver, so the designed mechanism is identical either way.  Closed-form
-    /// designs (GM/EM/UM) ignore it.
-    #[must_use]
-    pub fn warm_start(mut self, basis: Option<Vec<usize>>) -> Self {
-        self.warm_basis = basis;
         self
     }
 
@@ -348,11 +316,6 @@ impl MechanismSpec {
         self.solver.as_ref()
     }
 
-    /// The warm-start hint, if any (see [`MechanismSpec::warm_start`]).
-    pub fn warm_start_hint(&self) -> Option<&[usize]> {
-        self.warm_basis.as_deref()
-    }
-
     /// The bit-exact cache key of this spec (tolerance and solver overrides are
     /// excluded — see [`SpecKey`]).
     pub fn key(&self) -> SpecKey {
@@ -366,17 +329,12 @@ impl MechanismSpec {
     pub fn design(&self) -> Result<DesignedMechanism, CoreError> {
         self.validate()?;
         let start = Instant::now();
-        let (choice, mechanism, solver_stats, basis) = match self.objective {
+        let (choice, mechanism, solver_stats) = match self.objective {
             ObjectiveKey::L0 => {
                 let choice = selection::select_mechanism(self.properties, self.n, self.alpha);
-                let (mechanism, stats, basis) = selection::realize_choice(
-                    choice,
-                    self.n,
-                    self.alpha,
-                    self.solver.as_ref(),
-                    self.warm_basis.as_deref(),
-                )?;
-                (Some(choice), mechanism, stats, basis)
+                let (mechanism, stats) =
+                    selection::realize_choice(choice, self.n, self.alpha, self.solver.as_ref())?;
+                (Some(choice), mechanism, stats)
             }
             objective => {
                 let problem = DesignProblem::constrained(
@@ -384,18 +342,12 @@ impl MechanismSpec {
                     self.alpha,
                     objective.to_objective(),
                     self.properties.closure(),
-                )
-                .with_warm_basis(self.warm_basis.clone());
+                );
                 let solution = match &self.solver {
                     Some(options) => problem.solve_with(options)?,
                     None => problem.solve()?,
                 };
-                (
-                    None,
-                    solution.mechanism,
-                    Some(solution.solver_stats),
-                    solution.optimal_basis,
-                )
+                (None, solution.mechanism, Some(solution.solver_stats))
             }
         };
         let design_nanos = start.elapsed().as_nanos() as u64;
@@ -407,11 +359,10 @@ impl MechanismSpec {
         }
         let report = PropertyReport::evaluate(&mechanism, self.tolerance);
         let score = rescaled_l0(&mechanism);
-        // The stored spec drops the transient warm-start hint — including one
-        // smuggled in through the solver override — so the artifact records
-        // what was designed, not how its solve was seeded (and the serde form
-        // must not balloon with stale bases).
-        let mut stored = self.clone().warm_start(None);
+        // The stored spec drops a warm basis passed through the solver
+        // override, so the artifact records what was designed, not how its
+        // solve was seeded.
+        let mut stored = self.clone();
         if let Some(solver) = &mut stored.solver {
             solver.warm_basis = None;
         }
@@ -423,7 +374,6 @@ impl MechanismSpec {
             report,
             score,
             design_nanos,
-            basis,
             cdf_sampler: OnceLock::new(),
             alias_sampler: OnceLock::new(),
             inverse: OnceLock::new(),
@@ -491,11 +441,6 @@ pub struct DesignedMechanism {
     report: PropertyReport,
     score: f64,
     design_nanos: u64,
-    /// The optimal standard-form basis of the LP solve, when one ran and the
-    /// solver could report it.  Serialised (optional field; pre-basis
-    /// snapshots default to `None`) so a restored design can seed the warm
-    /// start of its α-neighbours.
-    basis: Option<Vec<usize>>,
     cdf_sampler: OnceLock<MechanismSampler>,
     alias_sampler: OnceLock<AliasSampler>,
     inverse: OnceLock<Result<Vec<f64>, CoreError>>,
@@ -512,7 +457,6 @@ impl Clone for DesignedMechanism {
             report: self.report.clone(),
             score: self.score,
             design_nanos: self.design_nanos,
-            basis: self.basis.clone(),
             cdf_sampler: OnceLock::new(),
             alias_sampler: OnceLock::new(),
             inverse: OnceLock::new(),
@@ -531,7 +475,6 @@ impl PartialEq for DesignedMechanism {
             && self.report == other.report
             && self.score == other.score
             && self.design_nanos == other.design_nanos
-            && self.basis == other.basis
     }
 }
 
@@ -571,14 +514,6 @@ impl DesignedMechanism {
     /// Whether the design ran the simplex (as opposed to a closed form).
     pub fn used_lp(&self) -> bool {
         self.solver_stats.is_some()
-    }
-
-    /// The optimal standard-form basis of the LP solve, when one ran and
-    /// could report it — the seed for [`MechanismSpec::warm_start`] on an
-    /// α-neighbour of this design's family.  `None` for closed-form designs
-    /// and for artifacts restored from pre-basis snapshots.
-    pub fn optimal_basis(&self) -> Option<&[usize]> {
-        self.basis.as_deref()
     }
 
     /// The achieved properties of the designed matrix, evaluated at the spec's
@@ -653,7 +588,6 @@ impl Serialize for DesignedMechanism {
             ("report".to_string(), self.report.to_value()),
             ("score".to_string(), self.score.to_value()),
             ("design_nanos".to_string(), self.design_nanos.to_value()),
-            ("basis".to_string(), self.basis.to_value()),
         ])
     }
 }
@@ -684,28 +618,8 @@ impl Deserialize for DesignedMechanism {
         let report = PropertyReport::from_value(field("report")?)?;
         let score = f64::from_value(field("score")?)?;
         let design_nanos = u64::from_value(field("design_nanos")?)?;
-        // Optional for compatibility: snapshots written before warm starts
-        // existed have no basis field and load with `None`.
-        let basis = match serde::object_get(pairs, "basis") {
-            Some(raw) => Option::<Vec<usize>>::from_value(raw)?,
-            None => None,
-        };
-        if let Some(basis) = &basis {
-            let dim = spec.n() + 1;
-            // A basis never has more entries than the LP has rows; the
-            // constrained formulations top out well under 16·dim² rows.  The
-            // check is deliberately loose — its job is to reject corrupt
-            // snapshots, not to re-derive the exact LP shape here — and the
-            // bound saturates so an absurd `n` cannot overflow the multiply
-            // (a corrupt snapshot must degrade to an error, never a panic).
-            if basis.len() > 16usize.saturating_mul(dim).saturating_mul(dim) {
-                return Err(serde::Error::custom(format!(
-                    "designed-mechanism basis has {} entries, far beyond any n = {} LP",
-                    basis.len(),
-                    spec.n()
-                )));
-            }
-        }
+        // Snapshots written while designs still carried their LP basis hold
+        // a `"basis"` field; it is ignored.
         Ok(DesignedMechanism {
             spec,
             choice,
@@ -714,7 +628,6 @@ impl Deserialize for DesignedMechanism {
             report,
             score,
             design_nanos,
-            basis,
             cdf_sampler: OnceLock::new(),
             alias_sampler: OnceLock::new(),
             inverse: OnceLock::new(),

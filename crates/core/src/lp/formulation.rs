@@ -67,16 +67,6 @@ pub struct DesignProblem {
     /// within each column by `[β, 1/β]`.  `None` disables it (the paper's setting).
     #[serde(default)]
     pub output_dp: Option<Alpha>,
-    /// Optional warm-start hint: the [`DesignSolution::optimal_basis`] of an
-    /// **identically shaped** problem (same `n`, properties, objective family —
-    /// only `alpha` may differ), used to seed a dual-simplex re-solve that
-    /// skips Phase 1 and most of Phase 2.  A hint that does not fit (or is
-    /// dual-infeasible under this problem's coefficients) silently falls back
-    /// to the cold primal path — a warm start can never change the answer,
-    /// only the pivot count.  Ignored when the caller's explicit
-    /// [`SolveOptions::warm_basis`] is already set.
-    #[serde(default)]
-    pub warm_basis: Option<Vec<usize>>,
     /// Seed otherwise-cold solves (on by default; `false` gives a fully cold
     /// solve, for solver ablations).  Which seed depends on the rows:
     ///
@@ -102,7 +92,11 @@ pub struct DesignProblem {
     /// A seed is a hint the solver verifies: one that does not fit is
     /// discarded and the solve proceeds cold — the flag can change pivot
     /// counts, never answers.  `cpm_lp_crash_seeded_total` counts each seed
-    /// by kind and by whether the solver used it.
+    /// by kind and by whether the solver used it.  An explicit
+    /// [`SolveOptions::warm_basis`] replaces the seed.
+    ///
+    /// Every seed is derived from this problem alone, so a design does not
+    /// depend on what was solved before it.
     #[serde(default = "default_crash_seed")]
     pub crash_seed: bool,
 }
@@ -121,8 +115,8 @@ pub struct DesignSolution {
     /// Solver statistics (iteration counts, artificial variables, ...).
     pub solver_stats: SolveStats,
     /// The optimal standard-form basis of the LP solve, when the solver could
-    /// report one — the seed for [`DesignProblem::warm_basis`] on a
-    /// perturbed re-solve (an α sweep within one problem family).
+    /// report one — what relax-then-lift lifts from the BASICDP relaxation
+    /// (see [`DesignProblem::crash_seed`]).
     pub optimal_basis: Option<Vec<usize>>,
 }
 
@@ -135,7 +129,6 @@ impl DesignProblem {
             objective,
             properties: PropertySet::empty(),
             output_dp: None,
-            warm_basis: None,
             crash_seed: true,
         }
     }
@@ -153,7 +146,6 @@ impl DesignProblem {
             objective,
             properties,
             output_dp: None,
-            warm_basis: None,
             crash_seed: true,
         }
     }
@@ -164,14 +156,6 @@ impl DesignProblem {
     #[must_use]
     pub fn with_output_dp(mut self, beta: Alpha) -> Self {
         self.output_dp = Some(beta);
-        self
-    }
-
-    /// Seed the solve from a neighbouring problem's
-    /// [`DesignSolution::optimal_basis`] (see [`DesignProblem::warm_basis`]).
-    #[must_use]
-    pub fn with_warm_basis(mut self, basis: Option<Vec<usize>>) -> Self {
-        self.warm_basis = basis;
         self
     }
 
@@ -341,9 +325,9 @@ impl DesignProblem {
         self.solve_with(&self.recommended_options())
     }
 
-    /// Solve the design problem with explicit solver options.  The problem's
-    /// own [`DesignProblem::warm_basis`] hint is applied unless the options
-    /// already carry one.
+    /// Solve the design problem with explicit solver options.  Options that
+    /// carry a [`SolveOptions::warm_basis`] seed the solve from it; otherwise
+    /// the problem picks its own seed (see [`DesignProblem::crash_seed`]).
     pub fn solve_with(&self, options: &SolveOptions) -> Result<DesignSolution, CoreError> {
         let (lp, vars) = self.build_lp()?;
         self.solve_seeded(&lp, &vars, options)
@@ -358,11 +342,7 @@ impl DesignProblem {
         options: &SolveOptions,
     ) -> Result<DesignSolution, CoreError> {
         let mut relaxation_stats = None;
-        let (seed, seed_kind) = if options.warm_basis.is_some() {
-            (None, None)
-        } else if self.warm_basis.is_some() {
-            (self.warm_basis.clone(), None)
-        } else if !self.crash_seed {
+        let (seed, seed_kind) = if options.warm_basis.is_some() || !self.crash_seed {
             (None, None)
         } else if self.properties.is_empty() {
             let crash = self.geometric_crash_basis(lp, vars);
@@ -1033,7 +1013,6 @@ mod tests {
             },
             properties: PropertySet::empty().with(Property::Symmetry),
             output_dp: None,
-            warm_basis: None,
             crash_seed: true,
         };
         let solution = problem.solve().expect("solve ok");

@@ -102,52 +102,35 @@ pub fn select_mechanism(requested: PropertySet, n: usize, alpha: Alpha) -> Mecha
     MechanismChoice::Geometric
 }
 
-/// A realised choice: the matrix, the LP statistics when the simplex ran, and
-/// the LP's optimal basis when one was reported.
-pub(crate) type Realized = (Mechanism, Option<SolveStats>, Option<Vec<usize>>);
-
 /// Materialise one [`MechanismChoice`]: closed forms for GM/EM/UM, the
 /// LP optimum (symmetric by construction) for the two LP-defined choices.
 ///
 /// `options: None` lets each LP pick its own size-scaled
 /// [`crate::lp::DesignProblem::recommended_options`] — the right default for
 /// callers (such as a design cache) that serve arbitrary `(n, α)` pairs rather
-/// than one known problem size.  `warm_basis` seeds the LP solve from an
-/// α-neighbour's optimal basis when the choice requires the simplex (closed
-/// forms ignore it; a seed that does not fit the chosen LP falls back to the
-/// cold path inside the solver).  This is the single realisation routine
-/// behind [`crate::design::MechanismSpec::design`].  The third return slot is
-/// the LP's optimal basis, when one ran.
+/// than one known problem size.  This is the single realisation routine
+/// behind [`crate::design::MechanismSpec::design`].  The second return slot
+/// holds the LP statistics when the simplex ran.
 pub(crate) fn realize_choice(
     choice: MechanismChoice,
     n: usize,
     alpha: Alpha,
     options: Option<&SolveOptions>,
-    warm_basis: Option<&[usize]>,
-) -> Result<Realized, CoreError> {
-    let solve_lp = |properties: PropertySet| -> Result<Realized, CoreError> {
-        let problem = crate::lp::DesignProblem::constrained(n, alpha, Objective::l0(), properties)
-            .with_warm_basis(warm_basis.map(|b| b.to_vec()));
+) -> Result<(Mechanism, Option<SolveStats>), CoreError> {
+    let solve_lp = |properties: PropertySet| {
+        let problem = crate::lp::DesignProblem::constrained(n, alpha, Objective::l0(), properties);
         let solution = match options {
             Some(options) => problem.solve_with(options)?,
             None => problem.solve()?,
         };
-        Ok((
-            solution.mechanism,
-            Some(solution.solver_stats),
-            solution.optimal_basis,
-        ))
+        Ok((solution.mechanism, Some(solution.solver_stats)))
     };
     match choice {
-        MechanismChoice::Geometric => {
-            Ok((GeometricMechanism::new(n, alpha)?.into_matrix(), None, None))
+        MechanismChoice::Geometric => Ok((GeometricMechanism::new(n, alpha)?.into_matrix(), None)),
+        MechanismChoice::ExplicitFair => {
+            Ok((ExplicitFairMechanism::new(n, alpha)?.into_matrix(), None))
         }
-        MechanismChoice::ExplicitFair => Ok((
-            ExplicitFairMechanism::new(n, alpha)?.into_matrix(),
-            None,
-            None,
-        )),
-        MechanismChoice::Uniform => Ok((UniformMechanism::new(n)?.into_matrix(), None, None)),
+        MechanismChoice::Uniform => Ok((UniformMechanism::new(n)?.into_matrix(), None)),
         MechanismChoice::WeakHonestLp => solve_lp(
             PropertySet::empty()
                 .with(Property::WeakHonesty)
@@ -314,23 +297,14 @@ mod tests {
     #[test]
     fn realize_choice_reports_lp_statistics_only_for_lp_choices() {
         let alpha = a(0.9);
-        let (gm, stats, basis) =
-            realize_choice(MechanismChoice::Geometric, 6, alpha, None, None).unwrap();
+        let (gm, stats) = realize_choice(MechanismChoice::Geometric, 6, alpha, None).unwrap();
         assert!(stats.is_none(), "GM is closed-form, no LP solve");
-        assert!(basis.is_none(), "no LP, no basis");
         assert!(gm.satisfies_dp(alpha, 1e-9));
 
-        let (wm, stats, basis) = realize_choice(
-            MechanismChoice::WeakHonestColumnMonotoneLp,
-            4,
-            alpha,
-            None,
-            None,
-        )
-        .unwrap();
+        let (wm, stats) =
+            realize_choice(MechanismChoice::WeakHonestColumnMonotoneLp, 4, alpha, None).unwrap();
         let stats = stats.expect("WM requires an LP solve");
         assert!(stats.pivots() > 0);
-        assert!(basis.is_some(), "an LP choice reports its optimal basis");
         assert!(wm.satisfies_dp(alpha, 1e-6));
     }
 

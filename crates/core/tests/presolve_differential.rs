@@ -78,10 +78,10 @@ proptest! {
         // objective.
         prop_assert!(presolved.optimal_basis.is_some(),
             "presolved LP solves must still report a postsolved basis");
-        let plain_options = options(&p, false);
+        let reseed_options =
+            options(&p, false).with_warm_basis(presolved.optimal_basis.clone());
         let reseeded = p
-            .with_warm_basis(presolved.optimal_basis.clone())
-            .solve_with(&plain_options)
+            .solve_with(&reseed_options)
             .expect("warm re-solve from a postsolved basis");
         prop_assert!(
             (reseeded.objective_value - plain.objective_value).abs() < 1e-6,

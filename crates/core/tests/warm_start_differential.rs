@@ -1,5 +1,6 @@
 //! Differential coverage for dual-simplex warm starts at the design layer:
-//! a warm-started α-neighbour re-solve must agree with a cold primal solve —
+//! a design problem seeded through `SolveOptions::warm_basis` from an
+//! α-neighbour's optimal basis must agree with the problem's own solve —
 //! same objective (within tolerance) and the same achieved `PropertyReport` —
 //! across random α pairs and all property subsets, and every unusable seed
 //! must fall back to the cold path rather than erroring.
@@ -15,6 +16,12 @@ fn a(v: f64) -> Alpha {
 /// The constrained L0 problem for one `(n, α, properties)` triple.
 fn problem(n: usize, alpha: f64, properties: PropertySet) -> DesignProblem {
     DesignProblem::constrained(n, a(alpha), Objective::l0(), properties)
+}
+
+/// Solve `problem` from `seed`, passed as the solver's own warm basis.
+fn solve_from(problem: DesignProblem, seed: Option<Vec<usize>>) -> DesignSolution {
+    let options = problem.recommended_options().with_warm_basis(seed);
+    problem.solve_with(&options).expect("seeded solve")
 }
 
 proptest! {
@@ -45,10 +52,7 @@ proptest! {
         let cold = problem(n, neighbour_alpha, properties)
             .solve()
             .expect("cold solve");
-        let warm = problem(n, neighbour_alpha, properties)
-            .with_warm_basis(seed)
-            .solve()
-            .expect("warm solve");
+        let warm = solve_from(problem(n, neighbour_alpha, properties), seed);
 
         prop_assert!(
             (warm.objective_value - cold.objective_value).abs() < 1e-6,
@@ -84,10 +88,7 @@ fn near_neighbour_warm_starts_take_the_dual_path_and_save_pivots() {
     let properties = wm_properties();
     let donor = problem(16, 0.90, properties).solve().unwrap();
     let cold = problem(16, 0.905, properties).solve().unwrap();
-    let warm = problem(16, 0.905, properties)
-        .with_warm_basis(donor.optimal_basis.clone())
-        .solve()
-        .unwrap();
+    let warm = solve_from(problem(16, 0.905, properties), donor.optimal_basis.clone());
 
     assert!(
         warm.solver_stats.warm_started,
@@ -111,10 +112,7 @@ fn mismatched_and_cross_objective_seeds_fall_back_to_the_primal_path() {
     // A basis from a differently-shaped LP (wrong n): wrong length, rejected
     // up front.
     let foreign = problem(4, 0.9, properties).solve().unwrap();
-    let fallback = problem(8, 0.9, properties)
-        .with_warm_basis(foreign.optimal_basis)
-        .solve()
-        .unwrap();
+    let fallback = solve_from(problem(8, 0.9, properties), foreign.optimal_basis);
     assert!(!fallback.solver_stats.warm_started);
     assert!((fallback.objective_value - cold.objective_value).abs() < 1e-9);
 
@@ -124,70 +122,6 @@ fn mismatched_and_cross_objective_seeds_fall_back_to_the_primal_path() {
     let l2_donor = DesignProblem::constrained(8, a(0.9), Objective::l2(), properties)
         .solve()
         .unwrap();
-    let cross = problem(8, 0.9, properties)
-        .with_warm_basis(l2_donor.optimal_basis)
-        .solve()
-        .unwrap();
+    let cross = solve_from(problem(8, 0.9, properties), l2_donor.optimal_basis);
     assert!((cross.objective_value - cold.objective_value).abs() < 1e-6);
-}
-
-#[test]
-fn mechanism_spec_threads_the_hint_and_the_artifact_carries_its_basis() {
-    // The WM family at n = 8 runs the LP; its artifact must expose a basis.
-    let donor = MechanismSpec::new(8, a(0.90))
-        .properties(wm_properties())
-        .build()
-        .unwrap()
-        .design()
-        .unwrap();
-    let basis = donor
-        .optimal_basis()
-        .expect("LP-designed artifact carries its optimal basis")
-        .to_vec();
-
-    let cold = MechanismSpec::new(8, a(0.905))
-        .properties(wm_properties())
-        .build()
-        .unwrap()
-        .design()
-        .unwrap();
-    let warm = MechanismSpec::new(8, a(0.905))
-        .properties(wm_properties())
-        .warm_start(Some(basis))
-        .build()
-        .unwrap()
-        .design()
-        .unwrap();
-
-    assert!((warm.score() - cold.score()).abs() < 1e-9);
-    assert!(warm.requested_satisfied() && cold.requested_satisfied());
-    assert_eq!(warm.choice(), cold.choice());
-    // The hint is transient: equal specs, equal serde forms.
-    assert_eq!(warm.spec(), cold.spec());
-    let warm_json = serde_json::to_string(warm.spec()).unwrap();
-    let cold_json = serde_json::to_string(cold.spec()).unwrap();
-    assert_eq!(warm_json, cold_json);
-
-    // Closed-form designs have no basis to offer.
-    let gm = MechanismSpec::new(8, a(0.5))
-        .build()
-        .unwrap()
-        .design()
-        .unwrap();
-    assert!(gm.optimal_basis().is_none());
-}
-
-#[test]
-fn designed_mechanism_serde_round_trips_the_basis_exactly() {
-    let designed = MechanismSpec::new(6, a(0.9))
-        .properties(wm_properties())
-        .build()
-        .unwrap()
-        .design()
-        .unwrap();
-    assert!(designed.optimal_basis().is_some());
-    let text = serde_json::to_string(&designed).unwrap();
-    let back: DesignedMechanism = serde_json::from_str(&text).unwrap();
-    assert_eq!(back, designed);
-    assert_eq!(back.optimal_basis(), designed.optimal_basis());
 }

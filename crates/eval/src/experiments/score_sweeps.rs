@@ -139,43 +139,21 @@ pub fn combinations_vs_group_size(
 }
 
 /// Figure 8(b): the same combinations as a function of α at fixed group size.
-///
-/// Parallelism is over the nine *property combinations* rather than the α
-/// points: within one combination every α solves an identically shaped LP, so
-/// each task walks the α axis sequentially and seeds every solve from its
-/// predecessor's [`DesignSolution::optimal_basis`].  The warm dual-simplex
-/// cleanup replaces most of the two-phase cold solve, which is a large
-/// wall-clock win over the per-point fan-out once `n` is nontrivial.
 pub fn combinations_vs_alpha(n: usize, alphas: &[Alpha]) -> Result<CombinationSweep, CoreError> {
-    let alphas = alphas.to_vec();
-    // One task per combination; each returns that combination's score at every α.
-    let columns = crate::par::try_parallel_map(weak_honesty_combinations(), {
-        let alphas = alphas.clone();
-        move |(label, properties)| {
-            let mut basis: Option<Vec<usize>> = None;
-            let mut scores = Vec::with_capacity(alphas.len());
-            for &alpha in &alphas {
-                let solution = DesignProblem::constrained(n, alpha, Objective::l0(), properties)
-                    .with_warm_basis(basis.take())
-                    .solve()?;
-                basis = solution.optimal_basis.clone();
-                scores.push(rescaled_l0(&solution.mechanism));
-            }
-            Ok::<_, CoreError>((label, scores))
-        }
-    })?;
-    // Transpose back into per-α points, preserving the combination order.
-    let points = alphas
-        .iter()
-        .enumerate()
-        .map(|(k, alpha)| CombinationPoint {
+    // One task per sweep point; each task solves its nine property-set LPs.
+    let points = crate::par::try_parallel_map(alphas.to_vec(), |alpha| {
+        let scores = weak_honesty_combinations()
+            .into_iter()
+            .map(|(label, properties)| {
+                let solution = optimal_constrained(n, alpha, Objective::l0(), properties)?;
+                Ok((label, rescaled_l0(&solution.mechanism)))
+            })
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        Ok::<_, CoreError>(CombinationPoint {
             x: alpha.value(),
-            scores: columns
-                .iter()
-                .map(|(label, scores)| (label.clone(), scores[k]))
-                .collect(),
+            scores,
         })
-        .collect();
+    })?;
     Ok(CombinationSweep {
         swept: "alpha".to_string(),
         fixed: n as f64,
@@ -359,9 +337,8 @@ mod tests {
     }
 
     #[test]
-    fn figure8b_warm_chained_alpha_sweep_matches_independent_solves() {
-        // The α sweep chains each combination's solves through warm bases; the
-        // scores must be indistinguishable from solving every point cold.
+    fn figure8b_alpha_sweep_matches_independent_solves() {
+        // The per-α fan-out must return each point's own scores, in α order.
         let alphas = [a(0.6), a(0.76), a(0.9)];
         let sweep = combinations_vs_alpha(5, &alphas).unwrap();
         assert_eq!(sweep.points.len(), alphas.len());
@@ -370,7 +347,7 @@ mod tests {
                 let cold = optimal_constrained(5, alpha, Objective::l0(), properties).unwrap();
                 assert!(
                     (score_of(point, &label) - rescaled_l0(&cold.mechanism)).abs() < 1e-6,
-                    "alpha={} {label}: chained {} vs cold {}",
+                    "alpha={} {label}: sweep {} vs cold {}",
                     alpha.value(),
                     score_of(point, &label),
                     rescaled_l0(&cold.mechanism)

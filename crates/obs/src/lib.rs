@@ -24,7 +24,7 @@
 //! | `cpm_flight_dumps_total` | counter | — | Flight-recorder dumps emitted (breakdowns, poisonings, frontend errors). |
 //! | `cpm_lp_solves_total` | counter | `form` (`primal`/`dual`) | LP solves completed by `cpm-simplex`, by formulation. |
 //! | `cpm_lp_crash_seeded_total` | counter | `seed` (`crash`/`lift`), `outcome` (`accepted`/`declined`) | Design solves offered a seed of their own: the closed-form geometric crash basis, or a basis lifted from the BASICDP relaxation.  `declined` counts solves that ran cold instead (the solver discarded the seed, or no lifted seed could be built). |
-//! | `cpm_lp_warm_started_total` | counter | — | Solves warm-started from a cached basis. |
+//! | `cpm_lp_warm_started_total` | counter | — | Solves warm-started from a seed basis the solver accepted. |
 //! | `cpm_lp_pivots_total` | counter | `phase` (`primal`/`dual`) | Simplex pivots, by phase. |
 //! | `cpm_lp_refactorizations_total` | counter | — | Basis refactorizations (periodic + triggered). |
 //! | `cpm_lp_repairs_total` | counter | — | Numerical repairs that recovered. |
@@ -38,7 +38,6 @@
 //! | `cpm_cache_misses_total` | counter | — | Design-cache misses (includes coalesced waiters). |
 //! | `cpm_cache_coalesced_total` | counter | — | Requests that waited on another thread's in-flight design. |
 //! | `cpm_cache_evictions_total` | counter | — | LRU evictions. |
-//! | `cpm_cache_warm_seeded_total` | counter | — | Designs warm-started from an α-neighbour basis. |
 //! | `cpm_cache_resident_entries` | gauge | — | Entries currently resident across all shards. |
 //! | `cpm_cache_wait_nanos` | histogram | — | Time spent blocked on single-flight coalescing. |
 //! | `cpm_engine_batches_total` | counter | — | Privatize batches served. |

@@ -65,41 +65,38 @@ fn list(files: &[String]) -> i32 {
         if designs.is_empty() {
             continue;
         }
-        let rows: Vec<[String; 5]> = designs.iter().map(describe).collect();
-        let header = ["key", "designed via", "basis", "score", "design time"];
-        let mut widths: [usize; 5] = header.map(str::len);
+        let rows: Vec<[String; 4]> = designs.iter().map(describe).collect();
+        let header = ["key", "designed via", "score", "design time"];
+        let mut widths: [usize; 4] = header.map(str::len);
         for row in &rows {
             for (width, cell) in widths.iter_mut().zip(row) {
                 *width = (*width).max(cell.len());
             }
         }
-        let print_row = |cells: [&str; 5]| {
+        let print_row = |cells: [&str; 4]| {
             println!(
-                "  {:<kw$}  {:<hw$}  {:<bw$}  {:>sw$}  {:>tw$}",
+                "  {:<kw$}  {:<hw$}  {:>sw$}  {:>tw$}",
                 cells[0],
                 cells[1],
                 cells[2],
                 cells[3],
-                cells[4],
                 kw = widths[0],
                 hw = widths[1],
-                bw = widths[2],
-                sw = widths[3],
-                tw = widths[4],
+                sw = widths[2],
+                tw = widths[3],
             );
         };
         print_row(header);
         for row in &rows {
-            print_row([&row[0], &row[1], &row[2], &row[3], &row[4]]);
+            print_row([&row[0], &row[1], &row[2], &row[3]]);
         }
     }
     0
 }
 
 /// One table row per artifact: the key, how it was designed (with the solve
-/// effort), whether it carries an optimal basis that can seed a warm start,
-/// its objective score, and the design time it cost to produce.
-fn describe(design: &DesignedMechanism) -> [String; 5] {
+/// effort), its objective score, and the design time it cost to produce.
+fn describe(design: &DesignedMechanism) -> [String; 4] {
     let how = match design.solver_stats() {
         Some(stats) => format!(
             "lp[{}] {}+{} pivots",
@@ -110,15 +107,9 @@ fn describe(design: &DesignedMechanism) -> [String; 5] {
             None => "closed-form".to_string(),
         },
     };
-    let basis = if design.optimal_basis().is_some() {
-        "yes"
-    } else {
-        "-"
-    };
     [
         design.key().to_string(),
         how,
-        basis.to_string(),
         format!("{:.6}", design.score()),
         format!("{:.3}s", design.design_time().as_secs_f64()),
     ]

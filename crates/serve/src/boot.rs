@@ -87,11 +87,9 @@ pub fn parse_warm_keys(list: &str) -> Result<Vec<SpecKey>, String> {
 /// file exists), design every `CPM_SERVE_WARM` key not already resident, and
 /// write the cache back to `CPM_WARM_FILE` (if set).  Progress goes to stderr.
 ///
-/// α sweeps in the warm list are cheap: [`crate::cache::DesignCache::warm`]
-/// groups the keys by `(n, properties, objective)` family and solves each
-/// family in α order, chaining dual-simplex warm starts — and designs
-/// restored from the snapshot file carry their optimal bases, so even keys
-/// *near* (not equal to) a snapshotted α start warm.
+/// [`crate::cache::DesignCache::warm`] designs the keys concurrently, each
+/// from its own problem alone, so the served designs do not depend on the
+/// order of the warm list or on what the snapshot file already held.
 pub fn bootstrap(engine: &Engine) -> io::Result<BootReport> {
     // Start the optional CPM_METRICS_DUMP stderr dumper with the server, so
     // both binaries get periodic scrapes without per-binary wiring.

@@ -20,23 +20,22 @@
 //! * **persistence** — [`DesignCache::save_snapshot`] serialises every resident
 //!   design (the [`DesignedMechanism`] serde form is exact) and
 //!   [`DesignCache::load_snapshot`] restores them in a fresh process, turning
-//!   cold-start storms into a deploy-time cost;
-//! * **family warm seeding** — resident keys are indexed by their
-//!   `(n, properties, objective)` family in α order, and a cold key's LP solve
-//!   is seeded from the nearest resident α-neighbour's optimal basis
-//!   ([`DesignedMechanism::optimal_basis`]), so an α sweep over one family
-//!   pays one cold two-phase solve plus a chain of short dual-simplex
-//!   cleanups ([`CacheStats::warm_seeded`] counts the seeded solves).
+//!   cold-start storms into a deploy-time cost.
+//!
+//! A design is a function of its key alone: [`SpecKey::spec`] and
+//! [`cpm_core::MechanismSpec::design`] seed every LP from its own problem, never
+//! from whatever else happens to be resident, so the served matrix does not
+//! depend on which keys were warmed before it or in what order.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use cpm_core::{DesignedMechanism, ObjectiveKey, PropertySet, SpecKey};
+use cpm_core::{DesignedMechanism, SpecKey};
 
 use crate::error::ServeError;
 
@@ -68,10 +67,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Designs restored from a snapshot instead of being computed.
     pub preloaded: u64,
-    /// Cold designs whose LP solve was seeded from the optimal basis of a
-    /// resident α-neighbour in the same `(n, properties, objective)` family
-    /// (the seed is a hint — the solver may still have fallen back to the
-    /// cold primal path if it did not fit).
+    /// Always 0: a design seeds only from its own problem, never from
+    /// another resident design.  Kept because the socket benchmark's trace
+    /// reader reports it as `cache.warm_seeded`.
     pub warm_seeded: u64,
     /// Total wall-clock nanoseconds spent designing.
     pub design_nanos: u64,
@@ -176,88 +174,10 @@ impl Shard {
     }
 }
 
-/// The α-sweep family of a key: everything but α.  Keys in one family solve
-/// identically-shaped LPs, so any member's optimal basis can seed another's
-/// dual-simplex warm start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct FamilyKey {
-    n: usize,
-    properties: PropertySet,
-    objective: ObjectiveKey,
-}
-
-impl FamilyKey {
-    fn of(key: &SpecKey) -> Self {
-        FamilyKey {
-            n: key.n,
-            properties: key.properties,
-            objective: key.objective,
-        }
-    }
-}
-
-/// Index of resident designs grouped by family and ordered by α.  The inner
-/// map is keyed by the α bit pattern, which for the strictly-positive finite
-/// α values [`cpm_core::Alpha`] admits orders exactly like the value — so a
-/// range scan finds the nearest resident neighbour of a cold α.
-#[derive(Default)]
-struct FamilyIndex {
-    families: HashMap<FamilyKey, BTreeMap<u64, SpecKey>>,
-}
-
-impl FamilyIndex {
-    fn insert(&mut self, key: &SpecKey) {
-        self.families
-            .entry(FamilyKey::of(key))
-            .or_default()
-            .insert(key.alpha.bits(), *key);
-    }
-
-    fn remove(&mut self, key: &SpecKey) {
-        if let Some(family) = self.families.get_mut(&FamilyKey::of(key)) {
-            family.remove(&key.alpha.bits());
-            if family.is_empty() {
-                self.families.remove(&FamilyKey::of(key));
-            }
-        }
-    }
-
-    /// The resident family member whose α is closest to `key`'s (by value,
-    /// not bit distance), excluding `key` itself.
-    fn nearest_neighbour(&self, key: &SpecKey) -> Option<SpecKey> {
-        let family = self.families.get(&FamilyKey::of(key))?;
-        let bits = key.alpha.bits();
-        let below = family.range(..bits).next_back().map(|(_, k)| *k);
-        let above = family
-            .range(bits..)
-            .find(|(&b, _)| b != bits)
-            .map(|(_, k)| *k);
-        let alpha = key.alpha_value().value();
-        match (below, above) {
-            (Some(lo), Some(hi)) => {
-                let d_lo = (alpha - lo.alpha_value().value()).abs();
-                let d_hi = (hi.alpha_value().value() - alpha).abs();
-                Some(if d_lo <= d_hi { lo } else { hi })
-            }
-            (found, None) | (None, found) => found,
-        }
-    }
-}
-
 /// The sharded, single-flight, LRU-bounded design registry.
 pub struct DesignCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
-    /// Resident keys grouped by `(n, properties, objective)` family and
-    /// ordered by α, so a cold key can seed its LP from the nearest resident
-    /// α-neighbour's optimal basis.  Lock ordering: taken alone or nested
-    /// *inside* a shard lock (every residency change updates the index under
-    /// the owning shard's lock); no thread ever takes a shard lock while
-    /// holding this one.
-    family_index: Mutex<FamilyIndex>,
-    /// Whether cold designs seed from family neighbours (on by default; the
-    /// `CPM_SERVE_FAMILY_SEED=0` escape hatch and A/B probes turn it off).
-    family_seeding: AtomicBool,
     tick: AtomicU64,
     /// Ready entries currently resident, maintained at every residency change
     /// so [`DesignCache::len`] and [`DesignCache::stats`] (and metrics scrapes
@@ -271,7 +191,6 @@ pub struct DesignCache {
     lp_solves: AtomicU64,
     evictions: AtomicU64,
     preloaded: AtomicU64,
-    warm_seeded: AtomicU64,
     design_nanos: AtomicU64,
 }
 
@@ -294,9 +213,6 @@ impl DesignCache {
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         let per_shard_capacity = capacity.div_ceil(shards).max(1);
-        let seeding = std::env::var("CPM_SERVE_FAMILY_SEED")
-            .map(|v| v != "0" && !v.eq_ignore_ascii_case("off"))
-            .unwrap_or(true);
         DesignCache {
             shards: (0..shards)
                 .map(|shard| {
@@ -308,8 +224,6 @@ impl DesignCache {
                 })
                 .collect(),
             per_shard_capacity,
-            family_index: Mutex::new(FamilyIndex::default()),
-            family_seeding: AtomicBool::new(seeding),
             tick: AtomicU64::new(0),
             resident: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -319,15 +233,8 @@ impl DesignCache {
             lp_solves: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             preloaded: AtomicU64::new(0),
-            warm_seeded: AtomicU64::new(0),
             design_nanos: AtomicU64::new(0),
         }
-    }
-
-    /// Enable or disable seeding cold designs from resident α-neighbours
-    /// (see [`CacheStats::warm_seeded`]).  On by default.
-    pub fn set_family_seeding(&self, enabled: bool) {
-        self.family_seeding.store(enabled, Ordering::Relaxed);
     }
 
     fn shard_of(&self, key: &SpecKey) -> usize {
@@ -415,7 +322,10 @@ impl DesignCache {
     }
 
     /// Run the design for `key` outside any shard lock, then publish the result
-    /// to the map and to every coalesced waiter.
+    /// to the map and to every coalesced waiter.  The key's default-tuned
+    /// [`cpm_core::MechanismSpec`] routes `L0` requests through the Figure-5
+    /// flowchart (closed forms whenever it can) and other objectives through
+    /// the constrained LP.
     fn design_and_publish(
         &self,
         shard_index: usize,
@@ -429,7 +339,10 @@ impl DesignCache {
             flight: Arc::clone(&flight),
             armed: true,
         };
-        let result = self.design_seeded(key);
+        let result = key
+            .spec()
+            .design()
+            .map_err(|source| ServeError::Design { key: *key, source });
         guard.armed = false;
         drop(guard);
         match result {
@@ -456,15 +369,6 @@ impl DesignCache {
 
     /// Insert a ready design into its shard (used by both the design path and
     /// the snapshot loader) and evict over capacity.
-    ///
-    /// The family-index update nests *inside* the shard lock: every residency
-    /// change of a key happens under its own shard's lock (evictions are
-    /// per-shard), so the nesting keeps index and shard consistent — an
-    /// update applied after release could be interleaved with a concurrent
-    /// re-insert of an evicted key and strand a resident design outside the
-    /// index.  The ordering is deadlock-free because the index lock is only
-    /// ever taken alone or inside a shard lock, never the other way around
-    /// ([`DesignCache::family_seed`] releases it before touching a shard).
     fn publish(&self, shard_index: usize, key: &SpecKey, design: Arc<DesignedMechanism>) {
         let mut shard = self.shards[shard_index].lock().expect("shard poisoned");
         let previous = shard.entries.insert(
@@ -478,15 +382,9 @@ impl DesignCache {
         // so the insert always adds exactly one ready entry to the count.
         debug_assert!(matches!(previous, Some(Entry::InFlight(_))));
         let evicted = self.evict_over_capacity(&mut shard);
-        let mut index = self.family_index.lock().expect("family index poisoned");
-        index.insert(key);
-        for victim in &evicted {
-            index.remove(victim);
-        }
-        drop(index);
         shard.publish_resident();
         drop(shard);
-        self.add_resident(1 - evicted.len() as i64);
+        self.add_resident(1 - evicted as i64);
     }
 
     /// Fold a residency delta into the lock-free counter and mirror it to the
@@ -509,11 +407,10 @@ impl DesignCache {
 
     /// Evict least-recently-used ready entries until the shard fits its share of
     /// the capacity.  In-flight entries are never evicted, and the entry just
-    /// touched carries the freshest tick, so it survives.  Returns the evicted
-    /// keys so the caller can update the family index once the shard lock is
-    /// released.
-    fn evict_over_capacity(&self, shard: &mut Shard) -> Vec<SpecKey> {
-        let mut evicted = Vec::new();
+    /// touched carries the freshest tick, so it survives.  Returns how many
+    /// entries were evicted.
+    fn evict_over_capacity(&self, shard: &mut Shard) -> usize {
+        let mut evicted = 0;
         while shard.ready_len() > self.per_shard_capacity {
             let victim = shard
                 .entries
@@ -529,7 +426,7 @@ impl DesignCache {
                     shard.entries.remove(&key);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                     cpm_obs::counter!("cpm_cache_evictions_total").inc();
-                    evicted.push(key);
+                    evicted += 1;
                 }
                 None => break,
             }
@@ -541,45 +438,8 @@ impl DesignCache {
     /// across the [`cpm_eval::par`] worker pool.  Returns the designs in key
     /// order.  On failure the *first* key's error is reported — after the whole
     /// set has been attempted — and the keys that did design stay resident.
-    ///
-    /// Keys are grouped by `(n, properties, objective)` family, each family is
-    /// sorted by α and designed **serially** (families still run concurrently):
-    /// within a family every solve after the first seeds its dual-simplex
-    /// warm start from the basis its predecessor just left in the cache, so an
-    /// α sweep pays one cold solve plus a chain of short dual cleanups.
     pub fn warm(&self, keys: &[SpecKey]) -> Result<Vec<Arc<DesignedMechanism>>, ServeError> {
-        // Group the positions (not the keys) so the output order is restored.
-        let mut families: HashMap<FamilyKey, Vec<usize>> = HashMap::new();
-        for (position, key) in keys.iter().enumerate() {
-            families
-                .entry(FamilyKey::of(key))
-                .or_default()
-                .push(position);
-        }
-        let mut groups: Vec<Vec<usize>> = families.into_values().collect();
-        for group in &mut groups {
-            group.sort_by_key(|&position| keys[position].alpha.bits());
-        }
-        // Deterministic fan-out order regardless of the HashMap's iteration.
-        groups.sort_by_key(|group| keys[group[0]]);
-
-        type Designed = Vec<(usize, Result<Arc<DesignedMechanism>, ServeError>)>;
-        let outcomes: Vec<Designed> = cpm_eval::par::parallel_map(groups, |group| {
-            group
-                .into_iter()
-                .map(|position| (position, self.get(&keys[position])))
-                .collect()
-        });
-
-        let mut slots: Vec<Option<Result<Arc<DesignedMechanism>, ServeError>>> =
-            (0..keys.len()).map(|_| None).collect();
-        for (position, outcome) in outcomes.into_iter().flatten() {
-            slots[position] = Some(outcome);
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every key position is designed exactly once"))
-            .collect()
+        cpm_eval::par::try_parallel_map(keys.to_vec(), |key| self.get(&key))
     }
 
     /// Every resident design, sorted by key so the order (and any snapshot
@@ -647,11 +507,6 @@ impl DesignCache {
                     last_used: self.next_tick(),
                 },
             );
-            // Nested inside the shard lock — see `publish` for the ordering.
-            self.family_index
-                .lock()
-                .expect("family index poisoned")
-                .insert(&key);
             shard.publish_resident();
             inserted += 1;
         }
@@ -741,16 +596,6 @@ impl DesignCache {
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut shard = shard.lock().expect("shard poisoned");
-            // Index removal nests inside each shard's lock (see `publish`),
-            // so a design published concurrently to another shard keeps its
-            // index entry.
-            let mut index = self.family_index.lock().expect("family index poisoned");
-            for (key, entry) in shard.entries.iter() {
-                if matches!(entry, Entry::Ready { .. }) {
-                    index.remove(key);
-                }
-            }
-            drop(index);
             let before = shard.entries.len();
             shard
                 .entries
@@ -772,65 +617,10 @@ impl DesignCache {
             lp_solves: self.lp_solves.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             preloaded: self.preloaded.load(Ordering::Relaxed),
-            warm_seeded: self.warm_seeded.load(Ordering::Relaxed),
+            warm_seeded: 0,
             design_nanos: self.design_nanos.load(Ordering::Relaxed),
             entries: self.resident.load(Ordering::Relaxed) as usize,
         }
-    }
-
-    /// A resident design looked up without touching the hit counters or the
-    /// LRU clock — the family-seeding path must not masquerade as traffic.
-    fn resident(&self, key: &SpecKey) -> Option<Arc<DesignedMechanism>> {
-        let shard = self.shards[self.shard_of(key)]
-            .lock()
-            .expect("shard poisoned");
-        match shard.entries.get(key) {
-            Some(Entry::Ready { design, .. }) => Some(Arc::clone(design)),
-            _ => None,
-        }
-    }
-
-    /// The optimal basis of the resident design nearest in α within `key`'s
-    /// family, if any carries one.
-    fn family_seed(&self, key: &SpecKey) -> Option<Vec<usize>> {
-        if !self.family_seeding.load(Ordering::Relaxed) {
-            return None;
-        }
-        let neighbour = self
-            .family_index
-            .lock()
-            .expect("family index poisoned")
-            .nearest_neighbour(key)?;
-        self.resident(&neighbour)?
-            .optimal_basis()
-            .map(|basis| basis.to_vec())
-    }
-
-    /// Perform one design through the typed core path: the key's default-tuned
-    /// [`cpm_core::MechanismSpec`] routes `L0` requests through the Figure-5
-    /// flowchart (which short-circuits to closed forms whenever it can) and
-    /// other objectives through the constrained LP.  When a same-family
-    /// α-neighbour is resident, its optimal basis seeds the LP's dual-simplex
-    /// warm start — converting a cold-start storm over an α sweep into one
-    /// cold solve plus short dual cleanups.  The seed is a hint: an unusable
-    /// one falls back to the cold primal path inside the solver.
-    ///
-    /// Note on determinism: degenerate mechanism LPs can have several optimal
-    /// vertices, and a warm-started solve may return a different optimal
-    /// matrix than a cold one (same objective value, same requested
-    /// properties).  Deployments that require bit-identical designs across
-    /// differently-warmed processes should disable seeding
-    /// ([`DesignCache::set_family_seeding`], `CPM_SERVE_FAMILY_SEED=0`) or
-    /// share snapshots rather than re-solving.
-    fn design_seeded(&self, key: &SpecKey) -> Result<DesignedMechanism, ServeError> {
-        let mut spec = key.spec();
-        if let Some(seed) = self.family_seed(key) {
-            self.warm_seeded.fetch_add(1, Ordering::Relaxed);
-            cpm_obs::counter!("cpm_cache_warm_seeded_total").inc();
-            spec = spec.warm_start(Some(seed));
-        }
-        spec.design()
-            .map_err(|source| ServeError::Design { key: *key, source })
     }
 }
 

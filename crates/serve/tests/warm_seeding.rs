@@ -1,26 +1,19 @@
-//! The serving side of dual-simplex warm starts:
+//! Warming the serving cache:
 //!
-//! * family seeding — a cold key's LP is seeded from the nearest resident
-//!   α-neighbour, observable through `CacheStats::warm_seeded`;
-//! * `warm()` α-sweep chaining — one cold solve, the rest seeded;
+//! * warm order — a key's design is a function of the key alone, so warming
+//!   an α sweep in any order, one key per call or all in one call, serves
+//!   exactly the matrix `key.spec().design()` computes on its own;
 //! * snapshot compatibility — a pinned PR-4-era (pre-basis) snapshot still
 //!   loads, a spec whose solver options name since-deleted knobs still
-//!   designs, a basis-bearing snapshot loads on builds that ignore the
-//!   field (unknown fields are skipped by the deserialiser), and a design
-//!   whose basis was written for the full-space program (before designs
-//!   solved over reflection orbits) still serves, while its basis is
-//!   declined as a seed — unless S made presolve reduce the full program to
-//!   the orbit program, where it still fits;
+//!   designs, a pinned snapshot from the releases whose designs carried their
+//!   LP basis still loads and serves its stored matrix, and new snapshots
+//!   carry no basis;
 //! * concurrent merging savers — the advisory `.lock` closes the
 //!   read-modify-write race on a shared `CPM_WARM_FILE`.
 
 use std::sync::Arc;
 
-use cpm_core::lp::DesignProblem;
-use cpm_core::{
-    Alpha, DesignedMechanism, MechanismSpec, Objective, ObjectiveKey, Property, PropertySet,
-    SpecKey,
-};
+use cpm_core::{Alpha, DesignedMechanism, MechanismSpec, Property, PropertySet, SpecKey};
 use cpm_serve::cache::DesignCache;
 use cpm_simplex::LpForm;
 
@@ -39,91 +32,54 @@ fn wm_key(n: usize, alpha: f64) -> SpecKey {
     )
 }
 
+/// The WM-L0 n = 8 α sweep 0.880, 0.885, …, 0.915.
+fn wm_sweep() -> Vec<SpecKey> {
+    (0..8)
+        .map(|i| wm_key(8, 0.880 + 0.005 * i as f64))
+        .collect()
+}
+
+/// Every design in `designs` is bit-identical to its key designed alone.
+fn assert_designed_alone(designs: &[Arc<DesignedMechanism>], order: &str) {
+    for design in designs {
+        let alone = design.key().spec().design().unwrap();
+        assert!(design.used_lp(), "{}: the WM key runs the LP", design.key());
+        assert_eq!(
+            design.mechanism().entries(),
+            alone.mechanism().entries(),
+            "{order}: {} differs from its design alone",
+            design.key()
+        );
+    }
+}
+
 #[test]
-fn cold_keys_seed_from_the_nearest_resident_alpha_neighbour() {
+fn warm_order_does_not_change_any_design() {
+    let sweep = wm_sweep();
+    for (order, keys) in [
+        ("ascending", sweep.clone()),
+        ("descending", sweep.iter().rev().copied().collect()),
+    ] {
+        let cache = DesignCache::new(16);
+        let designs: Vec<_> = keys
+            .iter()
+            .map(|key| cache.warm(&[*key]).unwrap().remove(0))
+            .collect();
+        assert_designed_alone(&designs, order);
+    }
+
+    // One call over an unsorted sweep plus a closed-form key: the designs
+    // come back in key order.
+    let mut keys: Vec<SpecKey> = [3, 0, 6, 1, 7, 4, 2, 5].map(|i| sweep[i]).to_vec();
+    keys.insert(4, SpecKey::new(8, a(0.9), PropertySet::empty()));
     let cache = DesignCache::new(16);
-    let donor = wm_key(8, 0.90);
-    cache.get(&donor).unwrap();
-    assert_eq!(cache.stats().warm_seeded, 0, "first key has no neighbour");
-
-    let neighbour = wm_key(8, 0.905);
-    let design = cache.get(&neighbour).unwrap();
-    let stats = cache.stats();
-    assert_eq!(stats.warm_seeded, 1, "the α-neighbour seeds the solve");
-    assert!(design.used_lp());
-    assert!(design.mechanism().satisfies_dp(a(0.905), 1e-6));
-    assert!(design.requested_satisfied());
-
-    // A different family (same n, different properties) must not be seeded
-    // from the WM designs.
-    let other_family = SpecKey::new(8, a(0.902), PropertySet::empty().with(Property::Fairness));
-    cache.get(&other_family).unwrap();
-    assert_eq!(
-        cache.stats().warm_seeded,
-        1,
-        "cross-family keys never seed from each other"
-    );
-}
-
-#[test]
-fn seeded_designs_match_cold_designs_on_score_and_properties() {
-    let seeded = DesignCache::new(16);
-    seeded.get(&wm_key(8, 0.90)).unwrap();
-    let warm = seeded.get(&wm_key(8, 0.91)).unwrap();
-    assert_eq!(seeded.stats().warm_seeded, 1);
-
-    let cold_cache = DesignCache::new(16);
-    cold_cache.set_family_seeding(false);
-    cold_cache.get(&wm_key(8, 0.90)).unwrap();
-    let cold = cold_cache.get(&wm_key(8, 0.91)).unwrap();
-    assert_eq!(cold_cache.stats().warm_seeded, 0, "seeding disabled");
-
-    assert!((warm.score() - cold.score()).abs() < 1e-9);
-    assert!(warm.requested_satisfied() && cold.requested_satisfied());
-}
-
-#[test]
-fn warm_sweeps_chain_alpha_neighbours_within_a_family() {
-    let cache = DesignCache::new(32);
-    // Deliberately unsorted α sweep plus one foreign family member.
-    let keys = vec![
-        wm_key(8, 0.93),
-        wm_key(8, 0.90),
-        SpecKey::new(8, a(0.9), PropertySet::empty()),
-        wm_key(8, 0.92),
-        wm_key(8, 0.91),
-    ];
     let designs = cache.warm(&keys).unwrap();
-    assert_eq!(designs.len(), keys.len());
-    // Results come back in key order regardless of the sweep's sort.
     for (key, design) in keys.iter().zip(&designs) {
         assert_eq!(design.key(), *key);
     }
-    let stats = cache.stats();
-    assert_eq!(stats.design_solves, 5);
-    // The WM family pays one cold solve; its three other members are seeded
-    // (the GM key is closed-form and alone in its family).
-    assert_eq!(stats.warm_seeded, 3, "sweep chains warm starts: {stats:?}");
-}
-
-#[test]
-fn eviction_and_clear_prune_the_family_index() {
-    // Single stripe, capacity 1: designing a second family member evicts the
-    // first; the index must follow, so the evicted key cannot seed anyone.
-    let cache = DesignCache::with_shards(1, 1);
-    cache.get(&wm_key(8, 0.90)).unwrap();
-    cache.get(&wm_key(8, 0.905)).unwrap();
-    assert_eq!(cache.stats().warm_seeded, 1);
-    assert_eq!(cache.stats().evictions, 1);
-
-    cache.clear();
-    // With the index cleared, the next design has no neighbour to seed from.
-    cache.get(&wm_key(8, 0.907)).unwrap();
-    assert_eq!(
-        cache.stats().warm_seeded,
-        1,
-        "a cleared cache must not seed from evicted designs"
-    );
+    let lp: Vec<_> = designs.into_iter().filter(|d| d.used_lp()).collect();
+    assert_eq!(lp.len(), sweep.len());
+    assert_designed_alone(&lp, "one call");
 }
 
 /// A PR-4-era snapshot entry, serialised before `DesignedMechanism` carried a
@@ -134,11 +90,10 @@ const PRE_BASIS_FIXTURE: &str = r#"[{"spec":{"n":2,"alpha":0.9,"properties":"{WH
 
 #[test]
 fn pre_basis_snapshots_still_load() {
-    // Directly as an artifact: the missing basis defaults to None.
+    // Directly as an artifact.
     let designs: Vec<DesignedMechanism> =
         serde_json::from_str(PRE_BASIS_FIXTURE).expect("PR-4 snapshot parses");
     assert_eq!(designs.len(), 1);
-    assert!(designs[0].optimal_basis().is_none());
     assert!(designs[0].solver_stats().is_some());
 
     // And through the cache loader: resident and servable.
@@ -178,134 +133,44 @@ fn specs_naming_deleted_solver_options_still_design() {
     assert_eq!(designed.mechanism().entries(), plain.mechanism().entries());
 }
 
+/// A snapshot written while designs carried the optimal basis of their LP
+/// solve (the WM design for n = 4, α = 0.9).  Pinned as a literal so the
+/// compatibility contract survives serialiser refactors.
+const BASIS_FIXTURE: &str = r#"[{"spec":{"n":4,"alpha":0.9,"properties":"{CM, WH}","objective":"L0","tolerance":0.000001,"solver":null},"choice":"WeakHonestColumnMonotoneLp","mechanism":{"n":4,"entries":[0.2469135802469136,0.2222222222222222,0.19999999999999998,0.18436213991769546,0.18436213991769548,0.20000000000000004,0.2222222222222222,0.2,0.18436213991769546,0.18436213991769548,0.18436213991769548,0.18683127572016467,0.2,0.18683127572016467,0.18436213991769548,0.18436213991769548,0.18436213991769546,0.2,0.2222222222222222,0.20000000000000004,0.18436213991769548,0.18436213991769546,0.19999999999999998,0.2222222222222222,0.2469135802469136]},"solver_stats":{"phase1_iterations":0,"phase2_iterations":0,"degenerate_pivots":0,"bland_activations":0,"artificial_variables":0,"refactorizations":3,"basis_updates":6,"basis_repairs":0,"steepest_edge_resets":0,"bound_flips":0,"presolve_rows_removed":3,"presolve_cols_removed":0,"dual_iterations":6,"warm_started":true,"form":"Primal"},"report":{"satisfied":[["RH",true],["RM",true],["CH",true],["CM",true],["F",false],["WH",true],["S",true]]},"score":0.9654320987654321,"design_nanos":654105,"basis":[10,11,7,13,0,15,2,17,18,19,20,5,22,23,6,25,26,27,28,29,30,31,32,33,34,35,3,37,38,39,40,41,42,43,44,9,4,1,48,49,8,51,12]}]"#;
+
 #[test]
 fn basis_bearing_snapshots_load_on_builds_that_ignore_the_field() {
-    // A snapshot written by this build carries the basis; the deserialiser
-    // skips unknown fields, so a build that has never heard of `basis` (or of
-    // any future field) still loads it.  Simulate the future-field case by
-    // injecting one.
+    assert!(BASIS_FIXTURE.contains("\"basis\":["));
+    let stored: Vec<DesignedMechanism> = serde_json::from_str(BASIS_FIXTURE).unwrap();
     let cache = DesignCache::new(8);
-    cache.get(&wm_key(6, 0.9)).unwrap();
+    assert_eq!(
+        cache.load_snapshot(&mut BASIS_FIXTURE.as_bytes()).unwrap(),
+        1
+    );
+    let key = wm_key(4, 0.9);
+    let served = cache.get(&key).unwrap();
+    assert_eq!(
+        served.mechanism().entries(),
+        stored[0].mechanism().entries(),
+        "the stored matrix is served bit-exactly"
+    );
+    assert_eq!(cache.stats().lp_solves, 0, "restored, not re-solved");
+    let designed = key.spec().design().unwrap();
+    assert!((served.score() - designed.score()).abs() < 1e-12);
+
+    // New snapshots carry no basis, and the deserialiser skips unknown
+    // fields, so a field added later does not break loading either.
     let mut snapshot = Vec::new();
     cache.save_snapshot(&mut snapshot).unwrap();
     let text = String::from_utf8(snapshot).unwrap();
-    assert!(
-        text.contains("\"basis\":["),
-        "new snapshots carry the basis"
-    );
-
+    assert!(!text.contains("\"basis\""), "new snapshots carry no basis");
     let with_future_field = text.replacen("{\"spec\"", "{\"future_field\":42,\"spec\"", 1);
     let fresh = DesignCache::new(8);
     let loaded = fresh
         .load_snapshot(&mut with_future_field.as_bytes())
         .expect("unknown fields are ignored");
     assert_eq!(loaded, 1);
-    let restored = fresh.peek(&wm_key(6, 0.9)).expect("resident");
-    assert!(
-        restored.optimal_basis().is_some(),
-        "the basis survives the round trip"
-    );
-}
-
-/// The optimal basis the full-space program of `key`'s LP reports — what a
-/// snapshot written before designs solved over reflection orbits stores.
-fn full_space_basis(key: &SpecKey, properties: PropertySet) -> Vec<usize> {
-    let problem = DesignProblem::constrained(
-        key.n,
-        key.alpha_value(),
-        key.objective.to_objective(),
-        properties,
-    );
-    let (full, _) = problem.build_full_lp().unwrap();
-    full.solve_with(&problem.recommended_options())
-        .unwrap()
-        .optimal_basis
-        .expect("the full program reports a basis")
-}
-
-/// Design `key`, write a snapshot whose basis is replaced by `basis`, and
-/// load it into a fresh cache.  The restored design must serve the stored
-/// matrix bit-exactly, without a solve.
-fn restore_with_basis(key: &SpecKey, basis: &[usize]) -> DesignCache {
-    let cache = DesignCache::new(8);
-    let stored = cache.get(key).unwrap();
-    let mut snapshot = Vec::new();
-    cache.save_snapshot(&mut snapshot).unwrap();
-    let text = String::from_utf8(snapshot).unwrap();
-    let basis_json = |basis: &[usize]| {
-        format!(
-            "\"basis\":{}",
-            serde_json::to_string(&basis.to_vec()).unwrap()
-        )
-    };
-    let written = basis_json(stored.optimal_basis().expect("an LP design has a basis"));
-    assert!(text.contains(&written), "the snapshot stores the basis");
-    let older = text.replacen(&written, &basis_json(basis), 1);
-
-    let fresh = DesignCache::new(8);
-    assert_eq!(fresh.load_snapshot(&mut older.as_bytes()).unwrap(), 1);
-    let restored = fresh.get(key).unwrap();
-    assert_eq!(restored.optimal_basis(), Some(basis));
-    assert_eq!(
-        restored.mechanism().entries(),
-        stored.mechanism().entries(),
-        "the stored matrix is served bit-exactly"
-    );
-    assert_eq!(fresh.stats().lp_solves, 0, "restored, not re-solved");
-    fresh
-}
-
-/// A snapshot written before designs solved over reflection orbits stores
-/// full-space bases.  The WM-L2 closure `{CH, CM, WH}` has no S, so its full
-/// program is about twice the orbit program's size after presolve: the stale
-/// basis is offered to an α-neighbour, declined, and the neighbour is
-/// exactly the orbit program's cold design.
-#[test]
-fn full_space_bases_from_older_snapshots_are_declined_as_seeds() {
-    let key =
-        |alpha| SpecKey::with_objective(8, a(alpha), wm_key(8, alpha).properties, ObjectiveKey::L2);
-    let closure = key(0.9).properties.closure();
-    let stale = full_space_basis(&key(0.9), closure);
-    let cache = restore_with_basis(&key(0.9), &stale);
-
-    let neighbour = cache.get(&key(0.905)).unwrap();
-    assert_eq!(cache.stats().warm_seeded, 1, "the stale basis is offered");
-    let stats = neighbour.solver_stats().expect("WM-L2 runs the simplex");
-    assert!(
-        !stats.warm_started,
-        "a full-space seed must be declined: {stats:?}"
-    );
-    let cold = DesignProblem::constrained(8, a(0.905), Objective::l2(), closure)
-        .with_crash_seed(false)
-        .solve()
-        .unwrap();
-    assert_ne!(stale.len(), cold.optimal_basis.unwrap().len());
-    assert_eq!(neighbour.mechanism().entries(), cold.mechanism.entries());
-}
-
-/// The L0 WM key's full program carries S, and presolve aliases S's rows
-/// down to exactly the orbit program — so a stale full-space basis still
-/// fits the orbit program and seeds the α-neighbour like a fresh one.
-#[test]
-fn full_space_bases_of_s_programs_still_fit_the_orbit_program() {
-    let wm_closure = PropertySet::empty()
-        .with(Property::WeakHonesty)
-        .with(Property::RowMonotonicity)
-        .with(Property::ColumnMonotonicity)
-        .with(Property::Symmetry);
-    let stale = full_space_basis(&wm_key(8, 0.9), wm_closure);
-    let (orbit, _) = DesignProblem::constrained(8, a(0.9), Objective::l0(), wm_closure)
-        .build_lp()
-        .unwrap();
-    let cold_orbit = orbit.solve().unwrap().optimal_basis.unwrap();
-    assert_eq!(stale, cold_orbit, "the same presolved program");
-
-    let cache = restore_with_basis(&wm_key(8, 0.9), &stale);
-    let neighbour = cache.get(&wm_key(8, 0.905)).unwrap();
-    assert_eq!(cache.stats().warm_seeded, 1);
-    assert!(neighbour.solver_stats().unwrap().warm_started);
-    let unseeded = DesignCache::new(8).get(&wm_key(8, 0.905)).unwrap();
-    assert!((neighbour.score() - unseeded.score()).abs() < 1e-12);
+    assert!(fresh.peek(&key).is_some());
 }
 
 #[test]

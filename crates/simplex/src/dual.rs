@@ -336,7 +336,7 @@ pub(crate) fn solve_via_dual(
     let dual_point = match &mapped_seed {
         // A caller seed that maps is tried through the dual-side warm
         // machinery directly.  If it is declined, do NOT pay a cold dual
-        // solve: a declined seed here is almost always an α-neighbour basis
+        // solve: a declined seed here is typically a perturbed program's basis
         // that is infeasible both ways under the new coefficients.  The dual
         // form cannot repair that, while the primal warm path's dual-simplex
         // cleanup is built for its primal half.  Deferring hands the

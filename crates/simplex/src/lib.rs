@@ -30,9 +30,11 @@
 //!   solve with the [`Solution::optimal_basis`] of an identically shaped
 //!   program skips Phase 1 entirely and replaces most of Phase 2 with a short
 //!   dual cleanup (dual Devex row pricing + Harris-style dual ratio test),
-//!   then certifies optimality with the ordinary primal machinery — the
-//!   re-optimisation tool behind α sweeps, where one `(n, properties,
-//!   objective)` family is re-solved under small coefficient perturbations.
+//!   then certifies optimality with the ordinary primal machinery.  The
+//!   design layer seeds every solve from its own problem: a closed-form
+//!   crash basis ([`crash_basis`]) or a relaxation's optimum lifted by
+//!   [`lift_basis`]; an identically shaped program's basis (say, an
+//!   α-neighbour's) is a seed callers may still pass themselves.
 //!   A seed that is primal but not dual feasible (a relaxation's optimum
 //!   lifted by [`lift_basis`], seen in dual form) runs the primal Phase 2
 //!   from where it stands.  Any defective seed (wrong shape, singular,

@@ -34,8 +34,8 @@ pub(crate) const DEGENERATE_THRESHOLD: usize = 64;
 /// form.  [`crate::dual`] builds the dual, solves it with the ordinary
 /// machinery, and maps the dual-optimal basis back to a primal-optimal one by
 /// complementary slackness, so [`Solution::optimal_basis`](crate::Solution)
-/// stays expressed in the *primal* standard form either way: warm starts,
-/// serialized bases, and α-family seeding are form-agnostic.
+/// stays expressed in the *primal* standard form either way: warm starts and
+/// lifted seeds are form-agnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum LpForm {
     /// Decide per problem: solve tall programs (rows ≥
