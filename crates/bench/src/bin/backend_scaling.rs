@@ -1,17 +1,20 @@
 //! Scaling probe: time one BASICDP solve per group size, printing the
-//! wall-clock, pivot counts, factorisation/update/repair counts, and LP
-//! dimensions.  Quicker and more informative for tuning than the statistical
+//! wall-clock, pivot counts, factorisation/update/repair counts, the total
+//! time spent factorising (the solve's delta of the
+//! `cpm_lp_refactorize_nanos` histogram), and LP dimensions.  Quicker and more informative for tuning than the statistical
 //! Criterion bench; `--full` extends the sweep to n = 128.
 //!
 //! The independent per-size solves run on the [`cpm_eval::par`] worker pool;
 //! per-solve wall-clocks are still measured inside each task, so set
-//! `CPM_THREADS=1` for contention-free timings when comparing runs.  The LP
+//! `CPM_THREADS=1` for contention-free timings when comparing runs (the
+//! factorisation histogram is process-wide, so with several workers a
+//! solve's factor time also counts its neighbours').  The LP
 //! form can be overridden with `CPM_FORM=auto|primal|dual` (default `auto`,
 //! which takes the dual on the tall mechanism LPs), the closed-form crash
 //! seed with `CPM_CRASH=0` (disable, for cold-walk ablations), and the sweep
 //! itself with `CPM_SWEEP=64,128` (comma-separated group sizes).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cpm_bench::cli::FigureOptions;
 use cpm_core::prelude::*;
@@ -63,7 +66,7 @@ fn main() {
         );
     }
     println!(
-        "n | form | rows x cols | terms | solve | phase1+phase2 pivots | factors | updates | repairs | objective"
+        "n | form | rows x cols | terms | solve | phase1+phase2 pivots | factors | factor time | updates | repairs | objective"
     );
     let rows = parallel_map(sweep, |n| {
         let problem =
@@ -76,13 +79,17 @@ fn main() {
         if let Some(form) = form {
             solve_options = solve_options.with_form(form);
         }
+        let factor_histogram = cpm_obs::histogram!("cpm_lp_refactorize_nanos");
+        let factor_before = factor_histogram.snapshot();
         let start = Instant::now();
         match problem.solve_with(&solve_options) {
             Ok(solution) => {
                 let elapsed = start.elapsed();
+                let factor_time =
+                    Duration::from_nanos(factor_histogram.snapshot().diff(&factor_before).sum);
                 let stats = solution.solver_stats;
                 format!(
-                    "{n:4} | {} | {}x{} | {} | {elapsed:10.2?} | {}+{} | {} | {} | {} | {:.9}",
+                    "{n:4} | {} | {}x{} | {} | {elapsed:10.2?} | {}+{} | {} | {factor_time:9.2?} | {} | {} | {:.9}",
                     stats.form,
                     lp.num_constraints(),
                     lp.num_variables(),

@@ -22,9 +22,9 @@
 //! * `version` — [`WIRE_VERSION`]; decoding accepts exactly this version and
 //!   rejects everything else (no cross-version compatibility window).
 //! * `count` — number of records; the frame length must match exactly.
-//! * `alpha bits` — the IEEE-754 bits of α, bit-exact with [`AlphaKey`] so a
+//! * `alpha bits` — the IEEE-754 bits of α, bit-exact with [`AlphaKey`](cpm_core::AlphaKey) so a
 //!   decoded report lands on the same cache/accumulator key that designed it.
-//! * `props` — [`PropertySet::bits`] (values ≥ 128 are invalid).
+//! * `props` — [`PropertySet::bits`](cpm_core::PropertySet::bits) (values ≥ 128 are invalid).
 //! * `obj`/`d` — objective tag (`0=L0, 1=L1, 2=L2, 3=L0,d`) and the `L0,d`
 //!   threshold (must be 0 unless the tag is `3`).
 //! * `output` — the reported output index in `0..=n`.

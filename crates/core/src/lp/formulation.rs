@@ -741,8 +741,8 @@ pub fn wm_properties() -> PropertySet {
         .with(Property::ColumnMonotonicity)
 }
 
-/// Convenience alias for [`LossKind`] users: build the standard `L0` design problem
-/// for a property subset.
+/// The standard `L0` design problem for a property subset: shorthand for
+/// [`DesignProblem::constrained`] with [`Objective::l0`].
 pub fn l0_problem(n: usize, alpha: Alpha, properties: PropertySet) -> DesignProblem {
     DesignProblem::constrained(n, alpha, Objective::l0(), properties)
 }

@@ -44,7 +44,7 @@ pub struct MechanismSampler {
 impl MechanismSampler {
     /// Precompute the sampler for `mechanism`.
     ///
-    /// Columns whose total mass has drifted more than [`COLUMN_MASS_DRIFT`] from 1
+    /// Columns whose total mass has drifted more than `1e-12` from 1
     /// (LP round-off, hand-built matrices) are renormalised so the CDF covers the
     /// whole unit interval, and the final entry of every column is forced to
     /// exactly `1.0` — `u ~ Uniform[0, 1)` then always lands strictly inside the

@@ -9,9 +9,8 @@
 //! infeasible.
 //!
 //! The cold route on the full program has a known defect the lifted orbit
-//! route does not share: on three cases at α = 0.99, n = 10 it pivots until
-//! the budget runs out (on L1 `{RM}` a zero-step cycle with the Bland
-//! fallback active).  Those cases are listed in [`COLD_ROUTE_CYCLES`];
+//! route does not share: on one case at α = 0.99, n = 10 it pivots until the
+//! budget runs out.  That case is listed in [`COLD_ROUTE_CYCLES`];
 //! everywhere else all three routes must agree.  A fix to the cold route
 //! empties that list.
 
@@ -33,11 +32,11 @@ const COLD_PIVOT_BUDGET: usize = 5_000;
 /// `IterationLimit { limit: 500000 }` after ~190 s (the route designs took
 /// before they solved over orbits).  The orbit program, lifted, solves it in
 /// primal form in ~0.5 s (2-vCPU VM).
-const COLD_ROUTE_CYCLES: [(&str, &str, usize, f64); 3] = [
-    ("L1", "RM", 10, 0.99),
-    ("L0", "RM", 10, 0.99),
-    ("L0", "RH", 10, 0.99),
-];
+///
+/// Which cases stall depends on where the factors are rebuilt, not only on
+/// the program: L1 `{RM}` and L0 `{RM}` at the same point also stall when
+/// the solver refactorises every 64 updates instead of every 32.
+const COLD_ROUTE_CYCLES: [(&str, &str, usize, f64); 1] = [("L0", "RH", 10, 0.99)];
 
 fn assert_same_objective(what: &str, got: f64, expected: f64) {
     let scale = expected.abs().max(got.abs()).max(1e-12);
@@ -189,7 +188,7 @@ fn wm_l0_serving_key_takes_the_lifted_route() {
             stats.phase2_iterations,
             stats.dual_iterations
         ),
-        (0, 186, 0),
+        (0, 193, 0),
         "{stats:?}"
     );
     assert!(stats.warm_started, "{stats:?}");

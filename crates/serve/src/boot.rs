@@ -170,9 +170,9 @@ pub fn bootstrap(engine: &Engine) -> io::Result<BootReport> {
     Ok(report)
 }
 
-/// A running background estimate flusher.  Dropping (or [`stop`ping]
-/// (FlusherHandle::stop)) the handle wakes the thread, runs one final flush,
-/// and joins it — collected reports are never lost to a clean shutdown.
+/// A running background estimate flusher.  Dropping the handle (or calling
+/// [`FlusherHandle::stop`]) wakes the thread, runs one final flush, and joins
+/// it — collected reports are never lost to a clean shutdown.
 pub struct FlusherHandle {
     stop: Arc<(Mutex<bool>, Condvar)>,
     handle: Option<JoinHandle<()>>,

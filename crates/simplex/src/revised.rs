@@ -55,9 +55,11 @@ use crate::standard::StandardForm;
 const DEVEX_WEIGHT_LIMIT: f64 = 1e7;
 
 /// Forrest–Tomlin updates between refactorisations.  A floor: tall programs
-/// stretch the cadence to `rows / 32`, which tracks the measured optimum on
-/// the mechanism LPs.
-const REFACTOR_FLOOR: usize = 64;
+/// stretch the cadence to `rows / 32`.  Measured by total design time over
+/// the served LP keys, 32 beats 16 and 64: a fresh factorisation keeps the
+/// pivot-row BTRAN sparse, and since the factorisation costs about what its
+/// nonzeros cost, refactorising that often pays.
+const REFACTOR_FLOOR: usize = 32;
 
 /// Consecutive numerical breakdowns (with no successful basis update in
 /// between) that may be repaired before the solve gives up with
@@ -202,6 +204,27 @@ struct RevisedState<'a> {
     last_good_at_upper: Vec<bool>,
 }
 
+/// The `(row, value)` entries of column `j` of `sf`'s matrix extended by its
+/// artificials (column `num_columns + i` is the unit column of
+/// `artificial_rows[i]`).
+fn column_entries<'s>(
+    sf: &'s StandardForm,
+    artificial_rows: &'s [usize],
+    j: usize,
+) -> impl Iterator<Item = (usize, f64)> + 's {
+    let num_core = sf.num_columns();
+    let (rows, values, unit) = if j < num_core {
+        let (rows, values) = sf.matrix.column_slices(j);
+        (rows, values, None)
+    } else {
+        (&[][..], &[][..], Some(artificial_rows[j - num_core]))
+    };
+    rows.iter()
+        .copied()
+        .zip(values.iter().copied())
+        .chain(unit.map(|r| (r, 1.0)))
+}
+
 impl<'a> RevisedState<'a> {
     fn new(sf: &'a StandardForm) -> Result<Self, SimplexError> {
         let num_rows = sf.num_rows();
@@ -227,12 +250,10 @@ impl<'a> RevisedState<'a> {
             artificial_rows,
             basis: basis.clone(),
             in_basis,
-            // Placeholder; replaced by the initial factorisation below (the
-            // initial basis is all slacks/artificials, i.e. the identity, so
-            // this cannot fail for want of pivots).
-            lu: LuFactors::factor(0, &[], 1e-11)
-                .expect("empty factorisation")
-                .0,
+            // Empty until the initial factorisation below (the initial basis
+            // is all slacks/artificials, i.e. the identity, so that cannot
+            // fail for want of pivots).
+            lu: LuFactors::default(),
             row_major: sf.matrix.to_row_major(),
             xb: sf.rhs.clone(),
             last_good_basis: basis,
@@ -283,9 +304,7 @@ impl<'a> RevisedState<'a> {
             artificial_rows,
             basis: basis.clone(),
             in_basis,
-            lu: LuFactors::factor(0, &[], 1e-11)
-                .expect("empty factorisation")
-                .0,
+            lu: LuFactors::default(),
             row_major: sf.matrix.to_row_major(),
             xb: sf.rhs.clone(),
             last_good_basis: basis,
@@ -324,25 +343,6 @@ impl<'a> RevisedState<'a> {
 
     fn num_artificials(&self) -> usize {
         self.artificial_rows.len()
-    }
-
-    /// The `(row, value)` entries of column `j`, covering artificials as unit
-    /// columns.
-    fn column_rows(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let (rows, values, unit) = if j < self.num_core {
-            let (rows, values) = self.sf.matrix.column_slices(j);
-            (rows, values, None)
-        } else {
-            (
-                &[][..],
-                &[][..],
-                Some(self.artificial_rows[j - self.num_core]),
-            )
-        };
-        rows.iter()
-            .copied()
-            .zip(values.iter().copied())
-            .chain(unit.map(|r| (r, 1.0)))
     }
 
     /// Dot product of column `j` with a dense row vector.
@@ -428,7 +428,6 @@ impl<'a> RevisedState<'a> {
             w.pattern.len() as f64 / m as f64
         };
         self.ftran_density = 0.9 * self.ftran_density + 0.1 * density;
-        if !w.dense {}
     }
 
     /// BTRAN: overwrite `y` with `y B⁻¹` (dense — used for full cost vectors).
@@ -458,7 +457,6 @@ impl<'a> RevisedState<'a> {
                 rho.pattern.clear();
             }
         }
-        if !rho.dense {}
     }
 
     /// Bounded sparse BTRAN of an already-populated pattern vector in place
@@ -710,24 +708,22 @@ impl<'a> RevisedState<'a> {
     fn refactorize(&mut self) -> Result<(), SimplexError> {
         let refactor_started = std::time::Instant::now();
         let num_rows = self.num_rows();
-        let columns: Vec<Vec<(usize, f64)>> = self
-            .basis
-            .iter()
-            .map(|&col| self.column_rows(col).collect())
-            .collect();
-        let (lu, row_of_slot) = LuFactors::factor(num_rows, &columns, 1e-11)
-            .or_else(|_| LuFactors::factor(num_rows, &columns, 1e-13))
-            .map_err(|_| SimplexError::NumericalBreakdown {
-                context: "LU factorisation met a numerically singular basis",
-                repairs: self.repairs,
+        let (sf, artificial_rows, basis) = (self.sf, &self.artificial_rows, &self.basis);
+        let column = |slot: usize| column_entries(sf, artificial_rows, basis[slot]);
+        if self.lu.factor(num_rows, column, 1e-11).is_err() {
+            self.lu.factor(num_rows, column, 1e-13).map_err(|_| {
+                SimplexError::NumericalBreakdown {
+                    context: "LU factorisation met a numerically singular basis",
+                    repairs: self.repairs,
+                }
             })?;
+        }
 
         // The factorisation may re-key which row each basic column pivots on.
         let old_basis = self.basis.clone();
-        for (slot, &new_row) in row_of_slot.iter().enumerate() {
+        for (slot, &new_row) in self.lu.row_of_slot().iter().enumerate() {
             self.basis[new_row] = old_basis[slot];
         }
-        self.lu = lu;
         self.factorizations += 1;
         // Fresh factors are at their sparsest: let the FTRAN path try the
         // hypersparse route again instead of staying locked dense by the
@@ -1672,10 +1668,9 @@ fn run_phase(
                 limit: options.max_iterations,
             });
         }
-        // The interval is a floor: for tall problems a longer update run
-        // amortises the factorisation cost better (the measured optimum
-        // tracks rows/32 on the mechanism LPs), so stretch the cadence with
-        // the row count.
+        // Refactorise every REFACTOR_FLOOR (32) updates, stretched to rows/32
+        // on programs taller than 1 024 rows; see REFACTOR_FLOOR for how the
+        // cadence was measured.
         let interval = REFACTOR_FLOOR.max(basis.num_rows() / 32);
         if basis.lu.updates() >= interval {
             if basis.refactorize().is_err() {

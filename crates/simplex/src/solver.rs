@@ -31,7 +31,7 @@ pub(crate) const DEGENERATE_THRESHOLD: usize = 64;
 /// The mechanism-design LPs have ~2x more constraint rows than columns, so
 /// their **dual** has a basis half the size — and because every cost is
 /// non-negative, `y = 0` is dual-feasible, which makes Phase 1 vanish in dual
-/// form.  [`crate::dual`] builds the dual, solves it with the ordinary
+/// form.  The solver's `dual` module builds the dual, solves it with the ordinary
 /// machinery, and maps the dual-optimal basis back to a primal-optimal one by
 /// complementary slackness, so [`Solution::optimal_basis`](crate::Solution)
 /// stays expressed in the *primal* standard form either way: warm starts and

@@ -20,7 +20,7 @@
 //!
 //! The matrix is built from `(row, col, value)` triplets via a counting sort —
 //! `O(nnz + cols)`, no comparisons — which is how
-//! [`standardize`](crate::standard) assembles the standard-form constraint matrix
+//! the crate's `standardize` step assembles the standard-form constraint matrix
 //! row by row.
 
 /// An immutable sparse matrix in compressed sparse column form.
@@ -272,9 +272,9 @@ impl RowMajor {
 /// linear combination costs `O(nnz)` to build and `O(pattern)` to reset — no
 /// `O(n)` clears between uses.
 ///
-/// Used by the LU factorisation's Schur updates, the Forrest–Tomlin row
-/// elimination, and the pricing update's pivot-row accumulation.
-#[derive(Debug, Clone)]
+/// Used by the Forrest–Tomlin row elimination and the pricing update's
+/// pivot-row accumulation.
+#[derive(Debug, Clone, Default)]
 pub struct SparseAccumulator {
     values: Vec<f64>,
     marked: Vec<bool>,

@@ -46,7 +46,7 @@ impl PollFd {
         self.fd
     }
 
-    /// The readiness bits the last [`poll`] call reported (error conditions
+    /// The readiness bits the last [`poll_ready`] call reported (error conditions
     /// `POLLERR`/`POLLHUP`/`POLLNVAL` may be set even when not requested).
     pub fn revents(&self) -> i16 {
         self.revents
