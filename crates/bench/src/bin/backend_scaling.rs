@@ -10,9 +10,9 @@
 //! factorisation histogram is process-wide, so with several workers a
 //! solve's factor time also counts its neighbours').  The LP
 //! form can be overridden with `CPM_FORM=auto|primal|dual` (default `auto`,
-//! which takes the dual on the tall mechanism LPs), the closed-form crash
-//! seed with `CPM_CRASH=0` (disable, for cold-walk ablations), and the sweep
-//! itself with `CPM_SWEEP=64,128` (comma-separated group sizes).
+//! which takes the dual on the tall mechanism LPs), and the sweep itself with
+//! `CPM_SWEEP=64,128` (comma-separated group sizes).  Each design seeds
+//! itself as in serving (the closed-form GM crash basis).
 
 use std::time::{Duration, Instant};
 
@@ -55,7 +55,6 @@ fn main() {
         Ok("auto") => Some(LpForm::Auto),
         _ => None,
     };
-    let crash = !matches!(std::env::var("CPM_CRASH").as_deref(), Ok("0") | Ok("off"));
 
     let workers = cpm_eval::par::worker_count(sweep.len());
     if workers > 1 {
@@ -69,8 +68,7 @@ fn main() {
         "n | form | rows x cols | terms | solve | phase1+phase2 pivots | factors | factor time | updates | repairs | objective"
     );
     let rows = parallel_map(sweep, |n| {
-        let problem =
-            DesignProblem::unconstrained(n, alpha, Objective::l0()).with_crash_seed(crash);
+        let problem = DesignProblem::unconstrained(n, alpha, Objective::l0());
         let (lp, _) = problem.build_lp().unwrap();
         // Start from the per-size tuning, then layer the env override through
         // the builder.

@@ -97,8 +97,8 @@ fn main() {
 }
 
 /// Per-key solver-stat attribution: where the LP wins come from.  Presolve
-/// reductions (weak-honesty singleton rows folding into bounds), bound flips
-/// from the long-step ratio tests, and steepest-edge framework resets are all
+/// reductions (weak-honesty singleton rows folding into bounds) and
+/// steepest-edge framework resets are
 /// [`SolveStats`](cpm_simplex::SolveStats) counters the probe surfaces so a
 /// serving regression can be traced to the responsible solver layer.
 fn solver_stats_attribution() {
@@ -119,7 +119,7 @@ fn solver_stats_attribution() {
     ];
     println!();
     println!(
-        "solver attribution (n = {n}) | form | pivots p1+p2 | presolve rows/cols removed | bound flips | SE resets"
+        "solver attribution (n = {n}) | form | pivots p1+p2 | presolve rows/cols removed | SE resets"
     );
     for (label, properties) in families {
         let designed = SpecKey::new(n, alpha, properties)
@@ -128,13 +128,12 @@ fn solver_stats_attribution() {
             .expect("attribution designs must solve");
         match designed.solver_stats() {
             Some(stats) => println!(
-                "{label:13} | {} | {}+{} | {}/{} | {} | {}",
+                "{label:13} | {} | {}+{} | {}/{} | {}",
                 stats.form,
                 stats.phase1_iterations,
                 stats.phase2_iterations,
                 stats.presolve_rows_removed,
                 stats.presolve_cols_removed,
-                stats.bound_flips,
                 stats.steepest_edge_resets,
             ),
             None => println!("{label:13} | closed form (no LP)"),

@@ -67,42 +67,6 @@ pub struct DesignProblem {
     /// within each column by `[β, 1/β]`.  `None` disables it (the paper's setting).
     #[serde(default)]
     pub output_dp: Option<Alpha>,
-    /// Seed otherwise-cold solves (on by default; `false` gives a fully cold
-    /// solve, for solver ablations).  Which seed depends on the rows:
-    ///
-    /// * **BASICDP** (no property rows): the closed-form **Geometric
-    ///   Mechanism crash basis**.  Theorem 3 makes GM the exact optimum of the
-    ///   unconstrained `L0` program, so the crash collapses that solve to a
-    ///   single factorisation; under the other objectives GM is a feasible
-    ///   vertex the dual-form walk starts from.
-    /// * **Property rows without equalities** (every set without F — the
-    ///   orbit program has no S rows, so this covers the Figure-5 WM and
-    ///   WH-LP sets): **relax then lift**.  The BASICDP relaxation is solved
-    ///   first (itself GM-crash seeded) under the same objective, and its
-    ///   optimal basis, with each property row's slack made basic, seeds
-    ///   this solve through [`cpm_simplex::lift_basis`].  That seed is dual
-    ///   feasible by construction, so the warm start only repairs the
-    ///   property violations; the relaxation's pivots are included in
-    ///   [`DesignSolution::solver_stats`].
-    /// * **F, or S in the full space** (an asymmetric prior): their equality
-    ///   rows make presolve alias columns, so no lifted seed fits and no
-    ///   relaxation is paid for; presolve removes those rows too, so no
-    ///   raw-space crash basis fits either.  These solves run cold.
-    ///
-    /// A seed is a hint the solver verifies: one that does not fit is
-    /// discarded and the solve proceeds cold — the flag can change pivot
-    /// counts, never answers.  `cpm_lp_crash_seeded_total` counts each seed
-    /// by kind and by whether the solver used it.  An explicit
-    /// [`SolveOptions::warm_basis`] replaces the seed.
-    ///
-    /// Every seed is derived from this problem alone, so a design does not
-    /// depend on what was solved before it.
-    #[serde(default = "default_crash_seed")]
-    pub crash_seed: bool,
-}
-
-fn default_crash_seed() -> bool {
-    true
 }
 
 /// The result of solving a [`DesignProblem`].
@@ -116,7 +80,7 @@ pub struct DesignSolution {
     pub solver_stats: SolveStats,
     /// The optimal standard-form basis of the LP solve, when the solver could
     /// report one — what relax-then-lift lifts from the BASICDP relaxation
-    /// (see [`DesignProblem::crash_seed`]).
+    /// (see [`DesignProblem::solve_with`]).
     pub optimal_basis: Option<Vec<usize>>,
 }
 
@@ -129,7 +93,6 @@ impl DesignProblem {
             objective,
             properties: PropertySet::empty(),
             output_dp: None,
-            crash_seed: true,
         }
     }
 
@@ -146,7 +109,6 @@ impl DesignProblem {
             objective,
             properties,
             output_dp: None,
-            crash_seed: true,
         }
     }
 
@@ -156,14 +118,6 @@ impl DesignProblem {
     #[must_use]
     pub fn with_output_dp(mut self, beta: Alpha) -> Self {
         self.output_dp = Some(beta);
-        self
-    }
-
-    /// Enable or disable the closed-form crash seed for cold solves (see
-    /// [`DesignProblem::crash_seed`]).
-    #[must_use]
-    pub fn with_crash_seed(mut self, crash_seed: bool) -> Self {
-        self.crash_seed = crash_seed;
         self
     }
 
@@ -327,14 +281,42 @@ impl DesignProblem {
 
     /// Solve the design problem with explicit solver options.  Options that
     /// carry a [`SolveOptions::warm_basis`] seed the solve from it; otherwise
-    /// the problem picks its own seed (see [`DesignProblem::crash_seed`]).
+    /// the problem seeds the solve itself.  Which seed depends on the rows:
+    ///
+    /// * **BASICDP** (no property rows): the closed-form **Geometric
+    ///   Mechanism crash basis**.  Theorem 3 makes GM the exact optimum of the
+    ///   unconstrained `L0` program, so the crash collapses that solve to a
+    ///   single factorisation; under the other objectives GM is a feasible
+    ///   vertex the dual-form walk starts from.
+    /// * **Property rows without equalities** (every set without F — the
+    ///   orbit program has no S rows, so this covers the Figure-5 WM and
+    ///   WH-LP sets): **relax then lift**.  The BASICDP relaxation is solved
+    ///   first (itself GM-crash seeded) under the same objective, and its
+    ///   optimal basis, with each property row's slack made basic, seeds
+    ///   this solve through [`cpm_simplex::lift_basis`].  That seed is dual
+    ///   feasible by construction, so the warm start only repairs the
+    ///   property violations; the relaxation's pivots are included in
+    ///   [`DesignSolution::solver_stats`].
+    /// * **F, or S in the full space** (an asymmetric prior): their equality
+    ///   rows make presolve alias columns, so no lifted seed fits and no
+    ///   relaxation is paid for; presolve removes those rows too, so no
+    ///   raw-space crash basis fits either.  These solves run cold.
+    ///
+    /// A seed is a hint the solver verifies: one that does not fit is
+    /// discarded and the solve proceeds cold — a seed can change pivot
+    /// counts, never answers.  `cpm_lp_crash_seeded_total` counts each seed
+    /// by kind and by whether the solver used it.  Every seed is derived
+    /// from this problem alone, so a design does not depend on what was
+    /// solved before it.  The unseeded walk of the same program is
+    /// [`DesignProblem::build_lp`] solved with
+    /// [`LinearProgram::solve_with`].
     pub fn solve_with(&self, options: &SolveOptions) -> Result<DesignSolution, CoreError> {
         let (lp, vars) = self.build_lp()?;
         self.solve_seeded(&lp, &vars, options)
     }
 
     /// Pick the seed for the already-built `lp` (see
-    /// [`DesignProblem::crash_seed`]), solve, and count the seed's outcome.
+    /// [`DesignProblem::solve_with`]), solve, and count the seed's outcome.
     fn solve_seeded(
         &self,
         lp: &LinearProgram,
@@ -342,7 +324,7 @@ impl DesignProblem {
         options: &SolveOptions,
     ) -> Result<DesignSolution, CoreError> {
         let mut relaxation_stats = None;
-        let (seed, seed_kind) = if options.warm_basis.is_some() || !self.crash_seed {
+        let (seed, seed_kind) = if options.warm_basis.is_some() {
             (None, None)
         } else if self.properties.is_empty() {
             let crash = self.geometric_crash_basis(lp, vars);
@@ -381,7 +363,7 @@ impl DesignProblem {
     }
 
     /// Whether a basis lifted from the BASICDP relaxation fits this
-    /// problem's property rows (see [`DesignProblem::crash_seed`]): none of
+    /// problem's property rows (see [`DesignProblem::solve_with`]): none of
     /// them is an equality — F's never, S's only in the full space (the orbit
     /// program has none).  Decided from the problem alone, before anything is
     /// solved.
@@ -448,7 +430,7 @@ impl DesignProblem {
     /// The closed-form crash seed for this problem: the active set implied by
     /// the Geometric Mechanism at this `(n, α)`, expressed as a standard-form
     /// basis via [`cpm_simplex::crash_basis`] (see
-    /// [`DesignProblem::crash_seed`] for when it helps and how it can fail
+    /// [`DesignProblem::solve_with`] for when it helps and how it can fail
     /// safely).
     fn geometric_crash_basis(
         &self,
@@ -482,7 +464,7 @@ impl DesignProblem {
     }
 }
 
-/// The two seeds [`DesignProblem::crash_seed`] builds, as counted by
+/// The two seeds [`DesignProblem::solve_with`] builds, as counted by
 /// `cpm_lp_crash_seeded_total`.
 #[derive(Debug, Clone, Copy)]
 enum CrashSeed {
@@ -758,18 +740,20 @@ mod tests {
         Alpha::new(v).unwrap()
     }
 
-    /// A pre-PR-7 serialized `DesignProblem` carries no `crash_seed` field;
-    /// it must deserialize with the seed on (the production default), not
-    /// `bool::default()`.
+    /// A `DesignProblem` serialized while it still had a `crash_seed` field
+    /// (either value) must deserialize: the field is ignored, and every
+    /// design seeds itself.
     #[test]
-    fn missing_crash_seed_field_defaults_to_on() {
+    fn retired_crash_seed_field_still_deserializes() {
         let problem = DesignProblem::unconstrained(4, a(0.62), Objective::l0());
-        let mut json = serde_json::to_string(&problem).unwrap();
-        assert!(json.contains("\"crash_seed\":true"));
-        json = json.replace(",\"crash_seed\":true", "");
-        let back: DesignProblem = serde_json::from_str(&json).unwrap();
-        assert!(back.crash_seed);
-        assert_eq!(back, problem);
+        let json = serde_json::to_string(&problem).unwrap();
+        assert!(!json.contains("crash_seed"));
+        for value in ["true", "false"] {
+            let fields = json.strip_suffix('}').unwrap();
+            let old = format!("{fields},\"crash_seed\":{value}}}");
+            let back: DesignProblem = serde_json::from_str(&old).unwrap();
+            assert_eq!(back, problem);
+        }
     }
 
     #[test]
@@ -1013,7 +997,6 @@ mod tests {
             },
             properties: PropertySet::empty().with(Property::Symmetry),
             output_dp: None,
-            crash_seed: true,
         };
         let solution = problem.solve().expect("solve ok");
         // The minimax L0 loss of any DP mechanism is at least the uniform-column

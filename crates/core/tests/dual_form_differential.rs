@@ -25,9 +25,8 @@ fn solve_as(problem: &DesignProblem, form: LpForm) -> DesignSolution {
         .expect("differential solves must succeed")
 }
 
-/// When the dual path produced this solution (it can decline — e.g. presolve
-/// left two-sided bounds — and defer to the primal path, which reports
-/// `Primal`), its recovered basis must re-solve the same problem under the
+/// When the dual path produced this solution (it can decline and defer to
+/// the primal path, which reports `Primal`), its recovered basis must re-solve the same problem under the
 /// primal form as a pure warm start: accepted, no Phase 1, and zero pivots of
 /// either kind — the complementary-slackness mapping is exact, not heuristic.
 fn assert_zero_pivot_reseed(problem: &DesignProblem, dual: &DesignSolution) {
@@ -107,25 +106,35 @@ proptest! {
     }
 }
 
-/// The unconstrained BASICDP LP is unboxed and tall, so a forced dual solve
-/// must actually take the dual path — and its recovered basis is exact.
+/// The unconstrained BASICDP LP is tall, so a forced dual solve must
+/// actually take the dual path — and its recovered basis is exact.
 #[test]
 fn unconstrained_dual_form_runs_dual_and_recovers_an_exact_basis() {
     for n in [8usize, 16] {
-        // Disable the closed-form crash seed so the dual walk is exercised
-        // rather than certified away in zero pivots.
-        let problem =
-            DesignProblem::unconstrained(n, a(0.9), Objective::l0()).with_crash_seed(false);
-        let primal = solve_as(&problem, LpForm::Primal);
-        let dual = solve_as(&problem, LpForm::Dual);
+        // Solve the unseeded program, so the dual walk is exercised rather
+        // than certified away in zero pivots by the closed-form crash seed.
+        let problem = DesignProblem::unconstrained(n, a(0.9), Objective::l0());
+        let (lp, _) = problem.build_lp().unwrap();
+        let options = |form| problem.recommended_options().with_form(form);
+        let primal = lp.solve_with(&options(LpForm::Primal)).unwrap();
+        let dual = lp.solve_with(&options(LpForm::Dual)).unwrap();
 
-        assert_eq!(dual.solver_stats.form, LpForm::Dual);
+        assert_eq!(dual.stats.form, LpForm::Dual);
         assert_eq!(
-            dual.solver_stats.phase1_iterations, 0,
+            dual.stats.phase1_iterations, 0,
             "the dual starts feasible: no Phase 1"
         );
         assert!((dual.objective_value - primal.objective_value).abs() < 1e-9);
-        assert_zero_pivot_reseed(&problem, &dual);
+        let reseeded = lp
+            .solve_with(&options(LpForm::Primal).with_warm_basis(dual.optimal_basis))
+            .unwrap();
+        assert!(reseeded.stats.warm_started, "{:?}", reseeded.stats);
+        assert_eq!(
+            reseeded.stats.pivots(),
+            0,
+            "an optimal basis re-solves in zero pivots"
+        );
+        assert!((reseeded.objective_value - dual.objective_value).abs() < 1e-9);
     }
 }
 

@@ -11,8 +11,9 @@
 //! The cold route on the full program has a known defect the lifted orbit
 //! route does not share: on one case at α = 0.99, n = 10 it pivots until the
 //! budget runs out.  That case is listed in [`COLD_ROUTE_CYCLES`];
-//! everywhere else all three routes must agree.  A fix to the cold route
-//! empties that list.
+//! everywhere else all three routes must agree.  Designs no seed fits (the F
+//! sets) run that cold route too, and [`COLD_ROUTE_STALLS`] pins two of them
+//! that fail.  A fix to the cold route empties both lists.
 
 use cpm_core::prelude::*;
 use cpm_core::properties::{Property, PropertySet};
@@ -37,6 +38,36 @@ const COLD_PIVOT_BUDGET: usize = 5_000;
 /// the program: L1 `{RM}` and L0 `{RM}` at the same point also stall when
 /// the solver refactorises every 64 updates instead of every 32.
 const COLD_ROUTE_CYCLES: [(&str, &str, usize, f64); 1] = [("L0", "RH", 10, 0.99)];
+
+/// Pivot budget of the [`COLD_ROUTE_STALLS`] solves: ~4x the 540 pivots
+/// the most expensive F set that does solve at their `(n, α)` needs under
+/// the same objective.
+const STALL_PIVOT_BUDGET: usize = 2_000;
+
+/// Property sets whose design fails on the cold route at n = 12, α = 0.5
+/// under `L0` with the `Max` aggregator, and how.  An F set gets no seed
+/// (its equality rows alias columns, so neither a crash nor a lifted basis
+/// fits) and its orbit program is solved cold.  At this point 20 of the 64
+/// F sets fail under `L0`-`Max`, none with WH: the 8 with CM but not RM
+/// pivot until the budget runs out (`{CM, F}` ends in
+/// `IterationLimit { limit: 500000 }` after ~10 s under
+/// `recommended_options`), and the 12 with RM fail in phase 1 within 100
+/// pivots.  None fails at n ≤ 8, and no F set fails under
+/// `Sum` `L0`/`L1`/`L2` at n ∈ {12, 16, 24}.  These two stand for the two
+/// failure modes.
+const COLD_ROUTE_STALLS: [(&str, ColdStall); 2] = [
+    ("CM+F", ColdStall::PivotBudget),
+    ("RM+F", ColdStall::Phase1Unbounded),
+];
+
+/// How a [`COLD_ROUTE_STALLS`] design fails.
+#[derive(Debug)]
+enum ColdStall {
+    /// `IterationLimit` at [`STALL_PIVOT_BUDGET`].
+    PivotBudget,
+    /// `NumericalBreakdown`: phase 1 became unbounded.
+    Phase1Unbounded,
+}
 
 fn assert_same_objective(what: &str, got: f64, expected: f64) {
     let scale = expected.abs().max(got.abs()).max(1e-12);
@@ -142,6 +173,37 @@ fn l0_lifted_cold_and_dense_oracle_agree() {
     lifted_cold_and_dense_oracle_agree("L0", Objective::l0(), &["WH+RM+S", "WH+RM+CM+S"]);
 }
 
+#[test]
+fn known_cold_route_stalls_still_fail() {
+    let objective = Objective {
+        aggregator: Aggregator::Max,
+        ..Objective::l0()
+    };
+    for (properties, stall) in COLD_ROUTE_STALLS {
+        let problem = DesignProblem::constrained(
+            12,
+            Alpha::new(0.5).unwrap(),
+            objective.clone(),
+            properties.parse().unwrap(),
+        );
+        let options = problem
+            .recommended_options()
+            .with_max_iterations(STALL_PIVOT_BUDGET);
+        let error = problem.solve_with(&options).unwrap_err();
+        let as_pinned = match (&stall, &error) {
+            (ColdStall::PivotBudget, CoreError::Solver(SimplexError::IterationLimit { limit })) => {
+                *limit == STALL_PIVOT_BUDGET
+            }
+            (
+                ColdStall::Phase1Unbounded,
+                CoreError::Solver(SimplexError::NumericalBreakdown { context, .. }),
+            ) => context.starts_with("phase 1"),
+            _ => false,
+        };
+        assert!(as_pinned, "{properties}: expected {stall:?}, got {error:?}");
+    }
+}
+
 /// The lift must actually be taken: a silent fall-back to a cold solve still
 /// gets the right answer, so only the seed's outcome shows it.
 #[test]
@@ -163,8 +225,12 @@ fn wm_l2_n8_is_warm_started_from_the_lifted_seed() {
             assert_eq!(lifted.solver_stats.form, LpForm::Dual);
         }
     }
-    let cold = problem.clone().with_crash_seed(false).solve().unwrap();
-    assert!(!cold.solver_stats.warm_started, "crash_seed(false) is cold");
+    let (lp, _) = problem.build_lp().unwrap();
+    let cold = lp.solve_with(&problem.recommended_options()).unwrap();
+    assert!(
+        !cold.stats.warm_started,
+        "the unseeded program is solved cold"
+    );
 }
 
 /// The serving WM-L0 key goes through Figure 5, which adds S.  Over orbits

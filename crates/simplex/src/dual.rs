@@ -15,9 +15,8 @@
 //!
 //! ## The dualize transform
 //!
-//! [`dualize`] consumes a row-encoded primal [`StandardForm`] (no boxed
-//! columns) and produces the dual as a [`LinearProgram`] that the existing
-//! standardisation handles:
+//! [`dualize`] consumes a primal [`StandardForm`] and produces the dual as a
+//! [`LinearProgram`] that the existing standardisation handles:
 //!
 //! * each primal row `r` becomes a dual variable `y_r`.  Primal slack
 //!   columns are *folded into sign bounds* instead of rows of their own: a
@@ -43,8 +42,8 @@
 //!   this primal candidate (expand both determinants along their unit
 //!   columns and the same `A[Y, S]` minor remains).
 //! * **primal seed → dual seed** ([`Dualized::map_primal_seed`]): the exact
-//!   inverse, so a stored primal-optimal warm basis becomes a dual-feasible
-//!   seed and α-sweeps chain warm in dual form too.
+//!   inverse, so a primal warm seed — a stored optimal basis or a lifted
+//!   one — seeds the dual solve too.
 //!
 //! The mapped primal basis is then handed to the ordinary warm-start
 //! machinery ([`revised::warm_solve`]), which factors it, verifies dual
@@ -58,12 +57,12 @@ use crate::error::SimplexError;
 use crate::model::{LinearProgram, Relation};
 use crate::revised;
 use crate::solver::{LpForm, SolveOptions, SolvedPoint};
-use crate::standard::{standardize_boxed, StandardForm, VariableMapping};
+use crate::standard::{standardize, StandardForm, VariableMapping};
 
 /// A dualized program plus the bookkeeping needed to map bases across forms.
 pub(crate) struct Dualized {
-    /// Standard form of the dual LP (never boxed: every `y` bound is
-    /// one-sided, so `standardize_boxed` produces no finite uppers).
+    /// Standard form of the dual LP (every `y` bound is one-sided, so it has
+    /// one row per primal structural column and no bound rows).
     pub sf: StandardForm,
     /// Per primal row: the primal slack/surplus column folded into `y_r`'s
     /// sign bound, if the row has one (equality rows do not).
@@ -80,31 +79,20 @@ pub(crate) struct Dualized {
 /// true one.
 const RHS_PERTURBATION: f64 = 1e-6;
 
-/// Build the dual of a row-encoded primal standard form.  The caller must
-/// ensure `primal` has no boxed columns (`solve_via_dual` gates on this).
+/// Build the dual of a primal standard form.
 pub(crate) fn dualize(primal: &StandardForm) -> Dualized {
     let m = primal.num_rows();
     let ns = primal.num_structural;
-    debug_assert!(primal.upper.iter().all(|u| u.is_infinite()));
 
-    // Locate each row's slack/surplus singleton so it can fold into a bound.
-    let mut slack_of_row: Vec<Option<(usize, f64)>> = vec![None; m];
-    for col in ns..primal.num_columns() {
-        let mut entries = primal.matrix.column(col);
-        let (row, value) = entries
-            .next()
-            .expect("slack columns are nonempty singletons");
-        debug_assert!(entries.next().is_none(), "slack columns are singletons");
-        debug_assert!(slack_of_row[row].is_none(), "one slack per row");
-        slack_of_row[row] = Some((col, value));
-    }
+    // Each row's slack/surplus singleton folds into a bound.
+    let slack_of_row = primal.slack_of_row();
 
     let mut lp = LinearProgram::minimize();
     let y: Vec<_> = (0..m)
         .map(|r| {
             let (lower, upper) = match slack_of_row[r] {
                 // `+1` slack: its dual constraint is `y_r <= 0`.
-                Some((_, value)) if value > 0.0 => (f64::NEG_INFINITY, 0.0),
+                Some(col) if primal.matrix.get(r, col) > 0.0 => (f64::NEG_INFINITY, 0.0),
                 // `-1` surplus: `-y_r <= 0`, i.e. `y_r >= 0`.
                 Some(_) => (0.0, f64::INFINITY),
                 // Equality row: free multiplier.
@@ -138,9 +126,8 @@ pub(crate) fn dualize(primal: &StandardForm) -> Dualized {
         );
     }
 
-    let sf = standardize_boxed(&lp);
+    let sf = standardize(&lp);
     debug_assert_eq!(sf.num_rows(), ns);
-    debug_assert!(sf.upper.iter().all(|u| u.is_infinite()));
 
     let mut y_col_row = vec![0usize; sf.num_structural];
     for (r, mapping) in sf.mapping.iter().enumerate() {
@@ -158,7 +145,7 @@ pub(crate) fn dualize(primal: &StandardForm) -> Dualized {
 
     Dualized {
         sf,
-        primal_slack_of_row: slack_of_row.iter().map(|s| s.map(|(col, _)| col)).collect(),
+        primal_slack_of_row: slack_of_row,
         y_col_row,
     }
 }
@@ -302,10 +289,10 @@ impl Dualized {
     }
 }
 
-/// Solve `sf` (a row-encoded primal standard form) through its dual.
+/// Solve `sf` (a primal standard form) through its dual.
 ///
 /// `Ok(None)` means "not handled here — run the primal path": the program is
-/// ineligible (boxed columns, no rows/structural columns), the dual solve hit
+/// ineligible (no rows or structural columns), the dual solve hit
 /// a non-budget error (a dual infeasibility/unboundedness maps to a primal
 /// unboundedness/infeasibility the primal path classifies authoritatively),
 /// a caller warm seed mapped into dual form but was declined there (the
@@ -318,9 +305,6 @@ pub(crate) fn solve_via_dual(
     options: &SolveOptions,
 ) -> Result<Option<SolvedPoint>, SimplexError> {
     if sf.num_rows() == 0 || sf.num_structural == 0 {
-        return Ok(None);
-    }
-    if sf.upper.iter().any(|u| u.is_finite()) {
         return Ok(None);
     }
 
@@ -559,24 +543,5 @@ mod tests {
         assert!(solve_via_dual(&sf, &SolveOptions::default())
             .unwrap()
             .is_none());
-    }
-
-    #[test]
-    fn boxed_standard_forms_are_declined() {
-        let mut lp = LinearProgram::minimize();
-        let x = lp.add_variable_with_bounds("x", 0.0, 2.0);
-        lp.set_objective_coefficient(x, -1.0);
-        lp.add_constraint(vec![(x, 1.0)], Relation::LessEq, 5.0);
-        let sf = crate::standard::standardize_boxed(&lp);
-        assert!(solve_via_dual(&sf, &SolveOptions::default())
-            .unwrap()
-            .is_none());
-        // The row encoding of the same program is eligible and agrees.
-        let point = via_dual(&lp);
-        let row_sf = standardize(&lp);
-        assert_close(
-            point.objective + row_sf.objective_constant,
-            primal_objective(&lp),
-        );
     }
 }

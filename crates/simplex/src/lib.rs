@@ -14,8 +14,9 @@
 //!   sparsely in a term arena,
 //! * an **LP presolve pass** that shrinks the model before standardisation and
 //!   reconstructs the full solution — values, duals, and basis — afterwards,
-//! * conversion to sparse (CSC) standard form with slack / surplus / artificial
-//!   variables — see [`SparseMatrix`],
+//! * conversion to one sparse (CSC) standard form, `min c'z, Az = b, z ≥ 0`,
+//!   with slack / surplus / artificial variables — a two-sided variable bound
+//!   becomes one more row — see [`SparseMatrix`],
 //! * Phase 1 (minimise the sum of artificials) to find a basic feasible solution,
 //! * Phase 2 with the user objective,
 //! * the **revised simplex**: the basis inverse is a **sparse LU
@@ -30,11 +31,11 @@
 //!   solve with the [`Solution::optimal_basis`] of an identically shaped
 //!   program skips Phase 1 entirely and replaces most of Phase 2 with a short
 //!   dual cleanup (dual Devex row pricing + Harris-style dual ratio test),
-//!   then certifies optimality with the ordinary primal machinery.  The
-//!   design layer seeds every solve from its own problem: a closed-form
-//!   crash basis ([`crash_basis`]) or a relaxation's optimum lifted by
-//!   [`lift_basis`]; an identically shaped program's basis (say, an
-//!   α-neighbour's) is a seed callers may still pass themselves.
+//!   then certifies optimality with the ordinary primal machinery.  A seed
+//!   is a closed-form crash basis ([`crash_basis`]), a relaxation's optimum
+//!   lifted by [`lift_basis`], or the optimal basis of an earlier solve of
+//!   an identically shaped program; the design layer builds the first two
+//!   from each problem alone.
 //!   A seed that is primal but not dual feasible (a relaxation's optimum
 //!   lifted by [`lift_basis`], seen in dual form) runs the primal Phase 2
 //!   from where it stands.  Any defective seed (wrong shape, singular,
@@ -74,10 +75,10 @@
 //!       │                              columns; records a postsolve map
 //!       │ standardize
 //!       ▼
-//! StandardForm           standard.rs   min c'z, Az = b, z ≥ 0 (boxed columns keep
-//!       │                sparse.rs     finite uppers), b ≥ 0; CSC matrix
+//! StandardForm           standard.rs   min c'z, Az = b, z ≥ 0, b ≥ 0 (two-sided
+//!       │                sparse.rs     bounds become rows); CSC matrix
 //!       │                              (SparseMatrix + RowMajor mirror + SPA utils)
-//!       │ LpForm::Dual (tall programs, row-encoded, Auto-picked by aspect ratio)
+//!       │ LpForm::Dual (tall programs, Auto-picked by aspect ratio)
 //!       ├──────────────▶ dual.rs       dualize: rows ↔ columns, slack columns fold
 //!       │                              into y sign bounds, c ≥ 0 ⇒ all-slack start
 //!       │                              (no phase 1); solve the transpose with the
@@ -89,9 +90,8 @@
 //!       │                              the recovered basis is primal-optimal and
 //!       │                              warm-start-valid (a re-solve takes 0 pivots)
 //!       ▼
-//! revised simplex        revised.rs    two-phase driver, Harris two-pass +
-//!       │                              long-step/bound-flipping ratio tests,
-//!       │                              Dantzig (phase 1) / steepest-edge
+//! revised simplex        revised.rs    two-phase driver, Harris two-pass ratio
+//!       │                              test, Dantzig (phase 1) / steepest-edge
 //!       │                              (phase 2) pricing with a Bland fallback,
 //!       │                              incremental reduced costs, basis
 //!       │                              repair, dual-simplex warm starts
@@ -114,7 +114,7 @@
 //! identically with presolve on or off.  [`SolveStats::presolve_rows_removed`]
 //! and [`SolveStats::presolve_cols_removed`] attribute the shrinkage.
 //!
-//! The LU factors are rebuilt every 64 Forrest–Tomlin updates — stretched to
+//! The LU factors are rebuilt every 32 Forrest–Tomlin updates — stretched to
 //! `rows / 32` on tall problems — and whenever an update signals numerical
 //! trouble (the *basis repair* path, which gives up after two consecutive
 //! repairs with [`SimplexError::NumericalBreakdown`]).
@@ -122,10 +122,11 @@
 //! ## Pricing and ratio tests
 //!
 //! The pricing is fixed per phase; the leaving side always runs the Harris
-//! two-pass ratio test extended with long-step **bound flips**: when the
-//! tightest limit is the entering (or a passing boxed) variable's *opposite
-//! bound*, the variable flips across its box without a basis change
-//! ([`SolveStats::bound_flips`]).
+//! two-pass ratio test (Bland's exact minimum ratio in the fallback).  Every
+//! column is bounded below by zero only, so each entering column moves up
+//! from zero and each leaving variable lands on zero: the design LPs
+//! (Eqs. 3–6 of the paper) need no upper bounds, since the column sums
+//! already imply `ρ ≤ 1`.
 //!
 //! | phase             | entering rule                                   | why |
 //! |-------------------|-------------------------------------------------|-----|
@@ -139,7 +140,7 @@
 //! (5 670 / 7 162), and on the L1/L2 designs every rule walks the same pivots
 //! (see BENCHMARKS.md).  The dual simplex of a warm start prices its leaving
 //! row with dual Devex weights, a separate mechanism.  [`SolveStats`] reports
-//! factorisations, rank-one updates, repairs, bound flips, Bland fallbacks and
+//! factorisations, rank-one updates, repairs, Bland fallbacks and
 //! steepest-edge framework resets ([`SolveStats::steepest_edge_resets`]).
 //!
 //! ## Example

@@ -5,7 +5,7 @@
 //! Dantzig rule, and the same Bland fallback as the production route (after
 //! a run of consecutive degenerate pivots) guarantees termination.  It shares presolve, standardisation and postsolve with
 //! [`LinearProgram::solve_with`] but none of the revised machinery (LU
-//! factors, steepest-edge pricing, bound flips, warm starts, the dual form),
+//! factors, steepest-edge pricing, warm starts, the dual form),
 //! which is what makes it an independent check on that machinery.  Its
 //! `O(rows · cols)` pivots limit it to small programs; nothing in the serving
 //! path calls it.

@@ -134,19 +134,6 @@ macro_rules! for_nz {
     };
 }
 
-/// What the (long-step) ratio test decided for an entering column.
-enum RatioOutcome {
-    /// No basic variable and no bound blocks the step: the program is
-    /// unbounded along this column.
-    Unbounded,
-    /// The entering column hits its **own** opposite bound before any basic
-    /// variable blocks: flip it through the box — no pivot, no factor update.
-    BoundFlip,
-    /// Ordinary pivot: the basic variable on `row` leaves, at its lower bound
-    /// or (boxed basics only) at its upper bound.
-    Pivot { row: usize, to_upper: bool },
-}
-
 /// The revised-simplex working state: basis bookkeeping, the LU factors, and
 /// the current basic solution.
 struct RevisedState<'a> {
@@ -192,16 +179,6 @@ struct RevisedState<'a> {
     dirty_reduced_costs: bool,
     /// Set when a repair rolled the basis back: pricing weights must reset.
     dirty_weights: bool,
-    /// Whether any core column is boxed (`sf.upper` finite); gates all the
-    /// bound-side bookkeeping so unboxed programs pay nothing.
-    has_boxes: bool,
-    /// Nonbasic boxed core columns currently sitting at their **upper** bound
-    /// (`z_j = u_j`); everything else nonbasic sits at zero.
-    at_upper: Vec<bool>,
-    /// `at_upper` snapshot taken with [`RevisedState::last_good_basis`] — a
-    /// repair rollback must restore both or the recomputed `x_B` would belong
-    /// to a different vertex.
-    last_good_at_upper: Vec<bool>,
 }
 
 /// The `(row, value)` entries of column `j` of `sf`'s matrix extended by its
@@ -267,9 +244,6 @@ impl<'a> RevisedState<'a> {
             repair_streak: 0,
             dirty_reduced_costs: false,
             dirty_weights: false,
-            has_boxes: sf.upper.iter().any(|u| u.is_finite()),
-            at_upper: vec![false; num_core],
-            last_good_at_upper: vec![false; num_core],
         };
         state.refactorize()?;
         Ok(state)
@@ -318,23 +292,9 @@ impl<'a> RevisedState<'a> {
             repair_streak: 0,
             dirty_reduced_costs: false,
             dirty_weights: false,
-            has_boxes: sf.upper.iter().any(|u| u.is_finite()),
-            at_upper: vec![false; num_core],
-            last_good_at_upper: vec![false; num_core],
         };
         state.refactorize()?;
         Ok(state)
-    }
-
-    /// Upper bound of a column's standard-form value (`z`), `INFINITY` for
-    /// slacks without boxes and for artificials.
-    #[inline]
-    fn ub(&self, col: usize) -> f64 {
-        if col < self.num_core {
-            self.sf.upper[col]
-        } else {
-            f64::INFINITY
-        }
     }
 
     fn num_rows(&self) -> usize {
@@ -478,7 +438,9 @@ impl<'a> RevisedState<'a> {
         }
     }
 
-    /// Ratio test.  `None` means the column is unbounded.
+    /// Ratio test: the row whose basic variable leaves when the FTRANed
+    /// column `w` enters, or `None` when no row blocks (the column is
+    /// unbounded).
     ///
     /// Two variants, matching the entering rule in force:
     ///
@@ -494,111 +456,46 @@ impl<'a> RevisedState<'a> {
     ///   degenerate pivots; the tiny transient infeasibility (≤ `feas_tol`) is
     ///   absorbed by the clamping in [`RevisedState::apply_pivot`] and by the
     ///   exact `x_B` recomputation at every refactorisation.
-    ///
-    /// Boxed extension (the *long-step* part): an entering column at its lower
-    /// bound moves up (`σ = +1`), one at its upper bound moves down
-    /// (`σ = −1`); basic variables move by `−σ θ w_r` and may block at either
-    /// of their own bounds, and the entering column's own span `u_q` is a
-    /// third limit — when it is the tightest, the column just flips to its
-    /// opposite bound with no pivot at all ([`RatioOutcome::BoundFlip`]).
-    fn ratio_test(&self, w: &PatVec, entering: usize, eps: f64, use_bland: bool) -> RatioOutcome {
-        let sigma = if self.has_boxes && entering < self.num_core && self.at_upper[entering] {
-            -1.0
-        } else {
-            1.0
-        };
-        let span = self.ub(entering);
+    fn ratio_test(&self, w: &PatVec, eps: f64, use_bland: bool) -> Option<usize> {
         if use_bland {
-            let mut best: Option<(usize, f64, bool)> = None;
+            let mut best: Option<(usize, f64)> = None;
             for_nz!(w, r, wr, {
-                let delta = sigma * wr;
-                let cand = if delta > eps {
-                    Some((self.xb[r] / delta, false))
-                } else if delta < -eps {
-                    let ub = self.ub(self.basis[r]);
-                    if ub.is_finite() {
-                        Some(((ub - self.xb[r]) / -delta, true))
-                    } else {
-                        None
-                    }
-                } else {
-                    None
-                };
-                if let Some((ratio, to_upper)) = cand {
-                    match best {
-                        None => best = Some((r, ratio, to_upper)),
-                        Some((best_row, best_ratio, _)) => {
-                            if ratio < best_ratio - eps
-                                || (ratio < best_ratio + eps
-                                    && self.basis[r] < self.basis[best_row])
-                            {
-                                best = Some((r, ratio, to_upper));
-                            }
-                        }
+                if wr > eps {
+                    let ratio = self.xb[r] / wr;
+                    let better = best.is_none_or(|(best_row, best_ratio)| {
+                        ratio < best_ratio - eps
+                            || (ratio < best_ratio + eps && self.basis[r] < self.basis[best_row])
+                    });
+                    if better {
+                        best = Some((r, ratio));
                     }
                 }
             });
-            return match best {
-                Some((row, ratio, to_upper)) if ratio <= span => {
-                    RatioOutcome::Pivot { row, to_upper }
-                }
-                _ if span.is_finite() => RatioOutcome::BoundFlip,
-                Some((row, _, to_upper)) => RatioOutcome::Pivot { row, to_upper },
-                None => RatioOutcome::Unbounded,
-            };
+            return best.map(|(row, _)| row);
         }
         let feas_tol = eps.max(1e-10);
         let mut theta_bound = f64::INFINITY;
         for_nz!(w, r, wr, {
-            let delta = sigma * wr;
-            if delta > eps {
-                theta_bound = theta_bound.min((self.xb[r] + feas_tol) / delta);
-            } else if delta < -eps {
-                let ub = self.ub(self.basis[r]);
-                if ub.is_finite() {
-                    theta_bound = theta_bound.min((ub - self.xb[r] + feas_tol) / -delta);
-                }
+            if wr > eps {
+                theta_bound = theta_bound.min((self.xb[r] + feas_tol) / wr);
             }
         });
-        if span < theta_bound {
-            return RatioOutcome::BoundFlip;
-        }
         if theta_bound.is_infinite() {
-            return RatioOutcome::Unbounded;
+            return None;
         }
-        let mut best: Option<(usize, f64, bool)> = None;
+        let mut best: Option<(usize, f64)> = None;
         for_nz!(w, r, wr, {
-            let delta = sigma * wr;
-            let cand = if delta > eps && self.xb[r] / delta <= theta_bound {
-                Some(false)
-            } else if delta < -eps {
-                let ub = self.ub(self.basis[r]);
-                if ub.is_finite() && (ub - self.xb[r]) / -delta <= theta_bound {
-                    Some(true)
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
-            if let Some(to_upper) = cand {
-                match best {
-                    None => best = Some((r, delta.abs(), to_upper)),
-                    Some((_, best_mag, _)) if delta.abs() > best_mag => {
-                        best = Some((r, delta.abs(), to_upper))
-                    }
-                    _ => {}
-                }
+            if wr > eps
+                && self.xb[r] / wr <= theta_bound
+                && best.is_none_or(|(_, best_wr)| wr > best_wr)
+            {
+                best = Some((r, wr));
             }
         });
-        match best {
-            Some((row, _, to_upper)) => RatioOutcome::Pivot { row, to_upper },
-            // Unreachable in exact arithmetic (the pass-1 minimiser fits its
-            // own bound); flip if the box allows, else report unbounded and
-            // let the caller's certification machinery decide.
-            None if span.is_finite() => RatioOutcome::BoundFlip,
-            None => RatioOutcome::Unbounded,
-        }
+        // `None` is unreachable in exact arithmetic (the pass-1 minimiser
+        // fits its own bound); reporting unbounded lets the caller's
+        // certification machinery decide.
+        best.map(|(row, _)| row)
     }
 
     /// Execute the basis change `col` enters / row `row` leaves, given the
@@ -606,59 +503,26 @@ impl<'a> RevisedState<'a> {
     /// from [`RevisedState::ftran_column`]).  Updates the basic solution, the
     /// basis books, and the LU factors (repairing on breakdown).  Returns
     /// `true` for a non-degenerate pivot.
-    fn apply_pivot(
-        &mut self,
-        row: usize,
-        col: usize,
-        w: &PatVec,
-        to_upper: bool,
-    ) -> Result<bool, SimplexError> {
+    fn apply_pivot(&mut self, row: usize, col: usize, w: &PatVec) -> Result<bool, SimplexError> {
         let pivot_value = w.values[row];
         debug_assert!(pivot_value.abs() > 0.0, "pivot on a zero element");
-        let sigma = if self.has_boxes && col < self.num_core && self.at_upper[col] {
-            -1.0
-        } else {
-            1.0
-        };
-        let leaving = self.basis[row];
-        // Step length t: how far the entering variable travels from its
-        // current bound (`t >= 0`); the leaving variable lands exactly on the
-        // bound the ratio test picked.
-        let t = if to_upper {
-            (self.ub(leaving) - self.xb[row]) / -(sigma * pivot_value)
-        } else {
-            self.xb[row] / (sigma * pivot_value)
-        };
+        // Step length t: how far the entering variable travels from zero
+        // (`t >= 0`); the leaving variable lands exactly on zero.
+        let t = self.xb[row] / pivot_value;
         let nondegenerate = t > 0.0;
 
-        // Update the basic solution: the entering variable moves by t from its
-        // bound, every other basic variable retreats along the column.
+        // Update the basic solution: the entering variable moves by t, every
+        // other basic variable retreats along the column.
         for_nz!(w, r, wr, {
             if r != row {
-                self.xb[r] -= sigma * wr * t;
+                self.xb[r] -= wr * t;
                 if self.xb[r] < 0.0 && self.xb[r] > -1e-11 {
                     self.xb[r] = 0.0;
-                } else if self.has_boxes {
-                    let ub = self.ub(self.basis[r]);
-                    if self.xb[r] > ub && self.xb[r] < ub + 1e-11 {
-                        self.xb[r] = ub;
-                    }
                 }
             }
         });
-        self.xb[row] = if sigma > 0.0 { t } else { self.ub(col) - t };
+        self.xb[row] = t;
 
-        if self.has_boxes {
-            if to_upper {
-                // Artificials and plain slacks have no finite upper bound, so
-                // a variable leaving at its upper bound is always a core
-                // boxed column.
-                self.at_upper[leaving] = true;
-            }
-            if col < self.num_core {
-                self.at_upper[col] = false;
-            }
-        }
         self.in_basis[self.basis[row]] = false;
         self.in_basis[col] = true;
         self.basis[row] = col;
@@ -677,27 +541,6 @@ impl<'a> RevisedState<'a> {
             self.repair_streak = 0;
         }
         Ok(nondegenerate)
-    }
-
-    /// Flip a nonbasic boxed column to its opposite bound: the basic solution
-    /// absorbs the full span of the box along the FTRANed column `w`, the
-    /// basis and its factors stay untouched.
-    fn bound_flip(&mut self, col: usize, w: &PatVec) {
-        debug_assert!(col < self.num_core && self.ub(col).is_finite());
-        let span = self.ub(col);
-        let sigma = if self.at_upper[col] { -1.0 } else { 1.0 };
-        for_nz!(w, r, wr, {
-            self.xb[r] -= sigma * wr * span;
-            if self.xb[r] < 0.0 && self.xb[r] > -1e-11 {
-                self.xb[r] = 0.0;
-            } else {
-                let ub = self.ub(self.basis[r]);
-                if self.xb[r] > ub && self.xb[r] < ub + 1e-11 {
-                    self.xb[r] = ub;
-                }
-            }
-        });
-        self.at_upper[col] = !self.at_upper[col];
     }
 
     /// Rebuild the LU factors from the current basis columns and recompute
@@ -730,40 +573,16 @@ impl<'a> RevisedState<'a> {
         // tail-of-window density estimate.
         self.ftran_density = 0.0;
         self.last_good_basis.clone_from(&self.basis);
-        if self.has_boxes {
-            self.last_good_at_upper.clone_from(&self.at_upper);
-        }
         self.dirty_reduced_costs = true;
 
-        // Fresh basic solution; clamp the usual tiny negative round-off.  With
-        // boxed columns the effective right-hand side subtracts the at-upper
-        // nonbasic contributions: x_B = B⁻¹ (b − Σ_{j at upper} u_j a_j).
+        // Fresh basic solution; clamp the usual tiny negative round-off.
         self.xb.copy_from_slice(&self.sf.rhs);
-        if self.has_boxes {
-            let mut xb = std::mem::take(&mut self.xb);
-            for (j, &up) in self.at_upper.iter().enumerate() {
-                if up {
-                    let u = self.sf.upper[j];
-                    for (r, v) in self.sf.matrix.column(j) {
-                        xb[r] -= u * v;
-                    }
-                }
-            }
-            self.xb = xb;
-        }
-        let mut xb = std::mem::take(&mut self.xb);
-        self.lu.ftran(&mut xb);
-        for (r, value) in xb.iter_mut().enumerate() {
+        self.lu.ftran(&mut self.xb);
+        for value in &mut self.xb {
             if *value < 0.0 && *value > -1e-9 {
                 *value = 0.0;
-            } else if self.has_boxes {
-                let ub = self.ub(self.basis[r]);
-                if *value > ub && *value < ub + 1e-9 {
-                    *value = ub;
-                }
             }
         }
-        self.xb = xb;
         cpm_obs::histogram!("cpm_lp_refactorize_nanos").record_duration(refactor_started.elapsed());
         Ok(())
     }
@@ -807,9 +626,6 @@ impl<'a> RevisedState<'a> {
                     });
                 }
                 self.basis.clone_from(&self.last_good_basis);
-                if self.has_boxes {
-                    self.at_upper.clone_from(&self.last_good_at_upper);
-                }
                 self.in_basis.fill(false);
                 for &col in &self.basis {
                     self.in_basis[col] = true;
@@ -823,26 +639,13 @@ impl<'a> RevisedState<'a> {
         }
     }
 
-    /// The current objective `c_B' x_B` (plus `Σ c_j u_j` over nonbasic
-    /// at-upper boxed columns) under the given cost vector.
+    /// The current objective `c_B' x_B` under the given cost vector.
     fn objective(&self, costs: &[f64]) -> f64 {
-        let basic: f64 = self
-            .basis
+        self.basis
             .iter()
             .zip(self.xb.iter())
             .map(|(&col, &value)| costs[col] * value)
-            .sum();
-        if !self.has_boxes {
-            return basic;
-        }
-        basic
-            + self
-                .at_upper
-                .iter()
-                .enumerate()
-                .filter(|&(_, &up)| up)
-                .map(|(j, _)| costs[j] * self.sf.upper[j])
-                .sum::<f64>()
+            .sum()
     }
 }
 
@@ -934,11 +737,10 @@ impl Pricing {
         g
     }
 
-    /// Put `j` on the candidate list if its reduced cost warrants it
-    /// (side-aware: an at-upper column prices favourably on *positive* `d`).
+    /// Put `j` on the candidate list if its reduced cost warrants it.
     #[inline]
-    fn consider_candidate(&mut self, j: usize, up: bool) {
-        if !self.in_list[j] && favourable(self.d[j], up, CANDIDATE_EPS) {
+    fn consider_candidate(&mut self, j: usize) {
+        if !self.in_list[j] && favourable(self.d[j], CANDIDATE_EPS) {
             self.in_list[j] = true;
             self.list.push(j);
         }
@@ -961,9 +763,7 @@ impl Pricing {
             } else {
                 costs[j] - basis.column_dot(j, y)
             };
-            if !basis.in_basis[j]
-                && favourable(*d, basis.has_boxes && basis.at_upper[j], CANDIDATE_EPS)
-            {
+            if !basis.in_basis[j] && favourable(*d, CANDIDATE_EPS) {
                 self.in_list[j] = true;
                 self.list.push(j);
             }
@@ -976,18 +776,18 @@ impl Pricing {
     /// candidate prices favourably.  Scans the candidate list, evicting
     /// entries that went basic or stopped pricing favourably (they re-join
     /// through [`Pricing::consider_candidate`] if an update revives them).
-    fn select(&mut self, eps: f64, in_basis: &[bool], at_upper: &[bool]) -> Option<usize> {
+    fn select(&mut self, eps: f64, in_basis: &[bool]) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         let mut k = 0;
         while k < self.list.len() {
             let j = self.list[k];
-            if in_basis[j] || !favourable(self.d[j], at_upper[j], CANDIDATE_EPS) {
+            if in_basis[j] || !favourable(self.d[j], CANDIDATE_EPS) {
                 self.in_list[j] = false;
                 self.list.swap_remove(k);
                 continue;
             }
             let d = self.d[j];
-            if favourable(d, at_upper[j], eps) {
+            if favourable(d, eps) {
                 let score = match self.rule {
                     PricingRule::Dantzig => d.abs(),
                     PricingRule::SteepestEdge => d * d / self.weights[j],
@@ -1017,9 +817,7 @@ impl Pricing {
         entering: usize,
         d_q: f64,
         leaving: usize,
-        leaving_to_upper: bool,
         in_basis: &[bool],
-        at_upper: &[bool],
     ) {
         let theta_d = d_q / alpha_rq;
         for &j in alpha.pattern() {
@@ -1031,13 +829,13 @@ impl Pricing {
                 continue;
             }
             self.d[j] -= theta_d * a;
-            self.consider_candidate(j, at_upper[j]);
+            self.consider_candidate(j);
         }
         // The leaving column re-enters the nonbasic set: its pivot-row entry is
         // exactly one (B⁻¹ a_leaving = e_r), so its new reduced cost is −θ_d.
         if leaving < self.d.len() {
             self.d[leaving] = -theta_d;
-            self.consider_candidate(leaving, leaving_to_upper);
+            self.consider_candidate(leaving);
         }
         self.d[entering] = 0.0;
         self.exact = false;
@@ -1071,10 +869,8 @@ impl Pricing {
         entering: usize,
         d_q: f64,
         leaving: usize,
-        leaving_to_upper: bool,
         leaving_in_ref: bool,
         in_basis: &[bool],
-        at_upper: &[bool],
     ) {
         let theta_d = d_q / alpha_rq;
         let entering_in_ref = self.in_ref[entering];
@@ -1087,7 +883,7 @@ impl Pricing {
                 continue;
             }
             self.d[j] -= theta_d * a;
-            self.consider_candidate(j, at_upper[j]);
+            self.consider_candidate(j);
             let ratio = a / alpha_rq;
             let mut g = self.weights[j] - 2.0 * ratio * tau.get(j) + ratio * ratio * gamma_q;
             if leaving_in_ref {
@@ -1103,7 +899,7 @@ impl Pricing {
         }
         if leaving < self.d.len() {
             self.d[leaving] = -theta_d;
-            self.consider_candidate(leaving, leaving_to_upper);
+            self.consider_candidate(leaving);
             let inv = 1.0 / (alpha_rq * alpha_rq);
             self.weights[leaving] = (gamma_q * inv).max(GAMMA_FLOOR);
         }
@@ -1112,16 +908,11 @@ impl Pricing {
     }
 }
 
-/// Does a nonbasic column price favourably?  At the lower bound it wants a
-/// negative reduced cost (move up); at the upper bound a positive one (move
-/// down).
+/// Does a nonbasic column price favourably?  It sits at zero, so it wants a
+/// reduced cost below `−thresh`.
 #[inline]
-fn favourable(d: f64, at_upper: bool, thresh: f64) -> bool {
-    if at_upper {
-        d > thresh
-    } else {
-        d < -thresh
-    }
+fn favourable(d: f64, thresh: f64) -> bool {
+    d < -thresh
 }
 
 /// Work vectors shared across phases: a dense cost-BTRAN buffer plus
@@ -1275,13 +1066,6 @@ fn cold_solve(sf: &StandardForm, options: &SolveOptions) -> Result<SolvedPoint, 
     }
 
     let mut z = vec![0.0; num_core];
-    if basis.has_boxes {
-        for (j, &up) in basis.at_upper.iter().enumerate() {
-            if up {
-                z[j] = sf.upper[j];
-            }
-        }
-    }
     for (r, &col) in basis.basis.iter().enumerate() {
         if col < num_core {
             z[col] = basis.xb[r];
@@ -1345,13 +1129,6 @@ pub(crate) fn warm_solve(
     let num_rows = sf.num_rows();
     let num_core = sf.num_columns();
 
-    // The dual warm path has no bound-flipping machinery: a boxed standard
-    // form (only produced for LPs with two-sided bounds, which mechanism LPs
-    // never have) takes the cold primal path instead.
-    if sf.upper.iter().any(|u| u.is_finite()) {
-        return None;
-    }
-
     // Shape check: one column per row, core entries distinct.  Entries beyond
     // the core columns mark rows the donor kept basic through an artificial
     // (redundant constraints) — those need no distinctness, each receives a
@@ -1382,9 +1159,10 @@ pub(crate) fn warm_solve(
     let costs = &costs[..];
 
     // Dual feasibility at the seed.  The tolerance is deliberately looser than
-    // the pivot tolerance: an α-neighbour's optimal basis is typically a few
-    // ulps dual-infeasible under the perturbed matrix, and the primal cleanup
-    // below repairs anything this slack lets through.
+    // the pivot tolerance: a basis mapped back from the perturbed dual form,
+    // or stored from a program with slightly different coefficients, can be
+    // a few ulps dual-infeasible here, and the primal cleanup below repairs
+    // anything this slack lets through.
     let mut d = vec![0.0; num_core];
     exact_reduced_costs(&basis, costs, &mut ws.y, &mut d);
     let dual_tol = (options.tolerance * 100.0).max(1e-7);
@@ -1415,9 +1193,10 @@ pub(crate) fn warm_solve(
 
     // Primal cleanup: mops up the bounded dual infeasibility the relaxed seed
     // check and the ratio-test slack allowed, and certifies optimality with
-    // the existing (fresh-factor-confirming) phase machinery.  Near-neighbour
-    // warm starts terminate here in a handful of pivots; a primal-feasible
-    // seed runs its whole Phase 2 here.
+    // the existing (fresh-factor-confirming) phase machinery.  A seed that is
+    // already optimal — the dual form's mapped basis, a crash basis at the
+    // exact optimum — terminates here in a handful of pivots; a
+    // primal-feasible seed runs its whole Phase 2 here.
     let mut pricing = Pricing::new(num_core, PricingRule::SteepestEdge);
     state.start_phase();
     let before = state.iterations_left;
@@ -1448,13 +1227,6 @@ pub(crate) fn warm_solve(
     }
 
     let mut z = vec![0.0; num_core];
-    if basis.has_boxes {
-        for (j, &up) in basis.at_upper.iter().enumerate() {
-            if up {
-                z[j] = sf.upper[j];
-            }
-        }
-    }
     for (r, &col) in basis.basis.iter().enumerate() {
         if col < num_core {
             z[col] = basis.xb[r];
@@ -1643,7 +1415,7 @@ fn dual_phase(
             weight_max = 1.0;
         }
 
-        if basis.apply_pivot(row, col, &ws.w, false).is_err() {
+        if basis.apply_pivot(row, col, &ws.w).is_err() {
             return Ok(DualOutcome::Stalled);
         }
         state.iterations_left -= 1;
@@ -1703,7 +1475,7 @@ fn run_phase(
             if pricing.dirty {
                 pricing.recompute(basis, costs, &mut ws.y);
             }
-            match pricing.select(eps, &basis.in_basis, &basis.at_upper) {
+            match pricing.select(eps, &basis.in_basis) {
                 Some(j) => break Some(j),
                 None if !pricing.exact => {
                     // The incremental reduced costs may have drifted; prove
@@ -1740,27 +1512,14 @@ fn run_phase(
                 d_actual -= costs[basis.basis[r]] * wr;
             });
         }
-        let entering_up = basis.has_boxes && col < basis.num_core && basis.at_upper[col];
-        if !state.using_bland && !pricing.exact && !favourable(d_actual, entering_up, eps * 0.5) {
+        if !state.using_bland && !pricing.exact && !favourable(d_actual, eps * 0.5) {
             pricing.d[col] = d_actual;
             pricing.dirty = true;
             continue;
         }
 
-        let (row, to_upper) = match basis.ratio_test(&ws.w, col, eps, state.using_bland) {
-            RatioOutcome::Unbounded => return Ok(PhaseOutcome::Unbounded),
-            RatioOutcome::BoundFlip => {
-                // Long-step: the entering column's own box is the tightest
-                // limit — flip it through to the opposite bound.  The basis
-                // (and its factors) are untouched, the reduced costs are
-                // unchanged, and the move strictly improves the objective, so
-                // it is safe even under Bland's rule.
-                basis.bound_flip(col, &ws.w);
-                state.stats.bound_flips += 1;
-                state.record_pivot(true);
-                continue;
-            }
-            RatioOutcome::Pivot { row, to_upper } => (row, to_upper),
+        let Some(row) = basis.ratio_test(&ws.w, eps, state.using_bland) else {
+            return Ok(PhaseOutcome::Unbounded);
         };
 
         // ---- pricing update from the pivot row (before the basis changes) ----
@@ -1817,10 +1576,8 @@ fn run_phase(
                     col,
                     d_actual,
                     leaving,
-                    to_upper,
                     leaving_in_ref,
                     &basis.in_basis,
-                    &basis.at_upper,
                 );
             } else {
                 pricing.update_reduced_costs(
@@ -1829,9 +1586,7 @@ fn run_phase(
                     col,
                     d_actual,
                     leaving,
-                    to_upper,
                     &basis.in_basis,
-                    &basis.at_upper,
                 );
             }
         } else {
@@ -1840,7 +1595,7 @@ fn run_phase(
             pricing.dirty = true;
         }
 
-        let nondegenerate = basis.apply_pivot(row, col, &ws.w, to_upper)?;
+        let nondegenerate = basis.apply_pivot(row, col, &ws.w)?;
         state.record_pivot(nondegenerate);
     }
 }
@@ -1854,14 +1609,8 @@ fn price_bland(basis: &RevisedState<'_>, costs: &[f64], eps: f64, y: &mut [f64])
         *slot = costs[basis.basis[r]];
     }
     basis.btran(y);
-    (0..basis.num_core).find(|&j| {
-        !basis.in_basis[j]
-            && favourable(
-                costs[j] - basis.column_dot(j, y),
-                basis.has_boxes && basis.at_upper[j],
-                eps,
-            )
-    })
+    (0..basis.num_core)
+        .find(|&j| !basis.in_basis[j] && favourable(costs[j] - basis.column_dot(j, y), eps))
 }
 
 /// After Phase 1, pivot any artificial variables that are still basic (at value
@@ -1892,7 +1641,7 @@ fn drive_out_artificials(
                 basis.ftran_column(col, &mut ws.w);
                 debug_assert!(ws.w.values[row].abs() > eps * 0.5);
                 let repairs_before = basis.repairs;
-                basis.apply_pivot(row, col, &ws.w, false)?;
+                basis.apply_pivot(row, col, &ws.w)?;
                 if basis.repairs != repairs_before && restarts < basis.num_rows() {
                     restarts += 1;
                     continue 'scan;
@@ -1926,10 +1675,10 @@ mod tests {
         let mut w = PatVec::new(2);
         state.ftran_column(0, &mut w);
         let w0 = w.clone();
-        state.apply_pivot(0, 0, &w0, false).unwrap();
+        state.apply_pivot(0, 0, &w0).unwrap();
         state.ftran_column(1, &mut w);
         let w1 = w.clone();
-        state.apply_pivot(1, 1, &w1, false).unwrap();
+        state.apply_pivot(1, 1, &w1).unwrap();
 
         // B^{-1} = [[0.5, -0.5], [0, 1]]; check on a probe vector.
         let mut v = vec![4.0, 1.0];

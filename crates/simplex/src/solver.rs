@@ -20,7 +20,7 @@ use crate::error::SimplexError;
 use crate::model::LinearProgram;
 use crate::revised;
 use crate::solution::{Solution, SolveStatus};
-use crate::standard::{standardize, standardize_boxed, StandardForm};
+use crate::standard::{standardize, StandardForm};
 
 /// Consecutive degenerate pivots tolerated before the pricing falls back to
 /// Bland's rule (and back after the next improving pivot).
@@ -40,8 +40,8 @@ pub(crate) const DEGENERATE_THRESHOLD: usize = 64;
 pub enum LpForm {
     /// Decide per problem: solve tall programs (rows ≥
     /// [`LpForm::AUTO_MIN_ASPECT`] · cols and at least
-    /// [`LpForm::AUTO_MIN_ROWS`] rows, no two-sided variable bounds) in dual
-    /// form, everything else in primal form.  The default.
+    /// [`LpForm::AUTO_MIN_ROWS`] rows) in dual form, everything else in
+    /// primal form.  The default.
     #[default]
     Auto,
     /// Always pivot on the primal (the pre-dual behaviour).
@@ -110,7 +110,7 @@ pub struct SolveOptions {
     /// [`LpForm::Auto`] (the default) solves tall programs in dual form; a
     /// warm seed composes with either choice — in dual form the stored
     /// primal-optimal basis is mapped to a dual-feasible seed by
-    /// complementary slackness, so α-sweeps chain warm in dual form too.
+    /// complementary slackness.
     #[serde(default)]
     pub form: LpForm,
 }
@@ -223,11 +223,6 @@ pub struct SolveStats {
     /// weight disagreed with the exact projected norm of its FTRANed column.
     #[serde(default)]
     pub steepest_edge_resets: usize,
-    /// Boxed nonbasic variables flipped to their opposite
-    /// bound by the long-step ratio tests instead of being pivoted through the
-    /// basis.
-    #[serde(default)]
-    pub bound_flips: usize,
     /// Constraint rows removed by presolve before standardisation.
     #[serde(default)]
     pub presolve_rows_removed: usize,
@@ -276,7 +271,6 @@ impl SolveStats {
         self.basis_updates += earlier.basis_updates;
         self.basis_repairs += earlier.basis_repairs;
         self.steepest_edge_resets += earlier.steepest_edge_resets;
-        self.bound_flips += earlier.bound_flips;
         self.dual_iterations += earlier.dual_iterations;
     }
 }
@@ -425,26 +419,17 @@ fn solve_prepared_inner(
     options: &SolveOptions,
 ) -> Result<Solution, SimplexError> {
     with_presolve(lp, options, |lp| {
-        // The revised simplex understands boxed columns natively
-        // (bound-flipping ratio test), so two-sided bounds stay as boxes
-        // instead of extra rows.  The dual-form path wants the row encoding
-        // (its dualize transform folds slack columns into sign bounds on `y`,
-        // which requires every primal column unboxed), so the standard form
-        // is chosen together with the resolved LP form.
         let form = resolve_form(options, lp);
-        if form == LpForm::Dual {
-            solve_standard(&standardize(lp), |sf| {
-                match crate::dual::solve_via_dual(sf, options)? {
-                    Some(point) => Ok(point),
-                    // Ineligible or numerically unlucky dual attempt: the
-                    // primal path is always correct.  The row-encoded form is
-                    // a valid input for it (a superset of the boxed one).
-                    None => revised::solve(sf, options),
+        solve_standard(&standardize(lp), |sf| {
+            if form == LpForm::Dual {
+                // An ineligible or numerically unlucky dual attempt falls
+                // back to the primal path, which is always correct.
+                if let Some(point) = crate::dual::solve_via_dual(sf, options)? {
+                    return Ok(point);
                 }
-            })
-        } else {
-            solve_standard(&standardize_boxed(lp), |sf| revised::solve(sf, options))
-        }
+            }
+            revised::solve(sf, options)
+        })
     })
 }
 
@@ -495,8 +480,7 @@ pub(crate) fn solve_standard(
 ) -> Result<Solution, SimplexError> {
     if sf.num_rows() == 0 {
         // No constraints: the optimum of a non-negative-variable LP is attained
-        // at the lower bounds unless a negative cost runs to an open upper
-        // bound, in which case it is unbounded.
+        // at the lower bounds unless a negative cost makes it unbounded.
         return solve_unconstrained(sf);
     }
     let point = pivot(sf)?;
@@ -518,9 +502,7 @@ pub(crate) fn solve_standard(
 /// `Auto` becomes `Dual` exactly when the (presolved) program is tall enough
 /// for the half-size dual basis to pay for the dualize and certification
 /// factorisations — at least [`LpForm::AUTO_MIN_ROWS`] rows and rows ≥
-/// [`LpForm::AUTO_MIN_ASPECT`] · cols — and no variable carries two-sided
-/// bounds (boxed columns keep the primal and dual standard forms, and
-/// therefore their warm-basis spaces, from coinciding).
+/// [`LpForm::AUTO_MIN_ASPECT`] · cols.
 fn resolve_form(options: &SolveOptions, lp: &LinearProgram) -> LpForm {
     match options.form {
         LpForm::Primal => LpForm::Primal,
@@ -528,12 +510,8 @@ fn resolve_form(options: &SolveOptions, lp: &LinearProgram) -> LpForm {
         LpForm::Auto => {
             let rows = lp.num_constraints();
             let cols = lp.num_variables();
-            let boxed = lp
-                .variables
-                .iter()
-                .any(|v| v.lower.is_finite() && v.upper.is_finite() && v.upper > v.lower);
             let tall = rows as f64 >= LpForm::AUTO_MIN_ASPECT * cols as f64;
-            if rows >= LpForm::AUTO_MIN_ROWS && tall && !boxed {
+            if rows >= LpForm::AUTO_MIN_ROWS && tall {
                 LpForm::Dual
             } else {
                 LpForm::Primal
@@ -542,27 +520,14 @@ fn resolve_form(options: &SolveOptions, lp: &LinearProgram) -> LpForm {
     }
 }
 
-/// Handle the degenerate "no constraints" case directly.
+/// Handle the degenerate "no constraints" case directly: every column sits
+/// at zero, unless a negative cost runs it without bound.
 fn solve_unconstrained(sf: &StandardForm) -> Result<Solution, SimplexError> {
-    // A negative-cost column runs to its upper bound — or without bound when
-    // the box is open above.
-    let mut z = vec![0.0; sf.num_columns()];
-    for (j, &c) in sf.costs.iter().enumerate() {
-        if c < 0.0 {
-            if sf.upper[j].is_finite() {
-                z[j] = sf.upper[j];
-            } else {
-                return Err(SimplexError::Unbounded);
-            }
-        }
+    if sf.costs.iter().any(|&c| c < 0.0) {
+        return Err(SimplexError::Unbounded);
     }
-    let values = sf.recover_values(&z);
-    let mut objective_value = sf.objective_constant
-        + sf.costs
-            .iter()
-            .zip(z.iter())
-            .map(|(&c, &v)| c * v)
-            .sum::<f64>();
+    let values = sf.recover_values(&vec![0.0; sf.num_columns()]);
+    let mut objective_value = sf.objective_constant;
     if sf.maximize {
         objective_value = -objective_value;
     }

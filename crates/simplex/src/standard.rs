@@ -9,6 +9,9 @@
 //!
 //! obtained by shifting / splitting bounded and free variables, adding slack and
 //! surplus columns, and flipping the sign of rows with negative right-hand sides.
+//! A variable with two finite bounds becomes a shifted column plus a
+//! `z ≤ upper − lower` row; these bound rows follow the constraint rows, in
+//! variable order, so every column has bounds `[0, ∞)`.
 //! Rows that end up containing a `+1` slack column with non-negative right-hand side
 //! record that column as a *basis hint*; the solver only needs artificial variables
 //! for the remaining rows, which keeps Phase 1 small for the mechanism-design LPs
@@ -48,12 +51,6 @@ pub(crate) struct StandardForm {
     pub rhs: Vec<f64>,
     /// Minimisation costs for every column (structural + slack/surplus).
     pub costs: Vec<f64>,
-    /// Per-column upper bound (`f64::INFINITY` when unbounded above).  Finite
-    /// entries mark **boxed** columns `0 <= z <= u`, produced by the boxed
-    /// standardisation of two-sided variable bounds; the revised simplex keeps
-    /// them nonbasic at either bound and flips them through the box instead of
-    /// pivoting where the ratio test allows.
-    pub upper: Vec<f64>,
     /// Number of structural columns; columns `num_structural..num_columns()`
     /// are the slack/surplus singletons appended per inequality row (the
     /// dualize transform folds them into sign bounds on the dual variables).
@@ -97,24 +94,41 @@ impl StandardForm {
             })
             .collect()
     }
+
+    /// The slack or surplus column of each row (`None` on equality rows).
+    pub fn slack_of_row(&self) -> Vec<Option<usize>> {
+        let mut slack_of_row = vec![None; self.num_rows()];
+        for col in self.num_structural..self.num_columns() {
+            let mut entries = self.matrix.column(col);
+            let (row, _) = entries
+                .next()
+                .expect("slack columns are nonempty singletons");
+            debug_assert!(entries.next().is_none(), "slack columns are singletons");
+            debug_assert!(slack_of_row[row].is_none(), "one slack per row");
+            slack_of_row[row] = Some(col);
+        }
+        slack_of_row
+    }
+
+    /// The bound row of user variable `var` — the `z ≤ upper − lower` row
+    /// standardisation writes after the `num_constraints` constraint rows for
+    /// a variable with two finite bounds — if it has one.
+    fn bound_row(&self, var: usize, num_constraints: usize) -> Option<usize> {
+        match self.mapping[var] {
+            VariableMapping::Shifted { col, .. } => self
+                .matrix
+                .column(col)
+                .map(|(row, _)| row)
+                .find(|&row| row >= num_constraints),
+            _ => None,
+        }
+    }
 }
 
-/// Build the sparse standard form of `lp`, expressing two-sided variable
-/// bounds as extra `x <= u` rows (every column then has bounds `[0, inf)`).
-/// The dense reference solver and the dual form require this shape.
+/// Build the sparse standard form of `lp`: every column has bounds
+/// `[0, ∞)`, and two-sided variable bounds become `z ≤ upper − lower` rows
+/// after the constraint rows.
 pub(crate) fn standardize(lp: &LinearProgram) -> StandardForm {
-    standardize_with(lp, false)
-}
-
-/// Build the sparse standard form of `lp` with two-sided variable bounds kept
-/// as **boxed columns** (`StandardForm::upper`) instead of extra rows.  One
-/// row and one slack column fewer per bounded variable, and the revised
-/// simplex's bound-flipping ratio test needs the box representation.
-pub(crate) fn standardize_boxed(lp: &LinearProgram) -> StandardForm {
-    standardize_with(lp, true)
-}
-
-fn standardize_with(lp: &LinearProgram, boxed: bool) -> StandardForm {
     let maximize = lp.objective == Objective::Maximize;
     let sign = if maximize { -1.0 } else { 1.0 };
 
@@ -123,10 +137,8 @@ fn standardize_with(lp: &LinearProgram, boxed: bool) -> StandardForm {
     let mut costs: Vec<f64> = Vec::new();
     let mut objective_constant = 0.0;
     // Extra `column <= bound` rows generated by two-sided bounds, expressed directly
-    // in terms of standard-form columns (row mode only).
+    // in terms of standard-form columns.
     let mut extra_upper_rows: Vec<(usize, f64)> = Vec::new();
-    // Boxed-column upper bounds (box mode only), parallel to `costs`.
-    let mut upper: Vec<f64> = Vec::new();
 
     for (i, var) in lp.variables.iter().enumerate() {
         let c = sign * lp.objective_coefficients[i];
@@ -138,21 +150,15 @@ fn standardize_with(lp: &LinearProgram, boxed: bool) -> StandardForm {
         } else if lower.is_finite() {
             let col = costs.len();
             costs.push(c);
-            upper.push(f64::INFINITY);
             objective_constant += c * lower;
             mapping.push(VariableMapping::Shifted { col, offset: lower });
             if upper_bound.is_finite() {
-                if boxed {
-                    upper[col] = upper_bound - lower;
-                } else {
-                    extra_upper_rows.push((col, upper_bound - lower));
-                }
+                extra_upper_rows.push((col, upper_bound - lower));
             }
         } else if upper_bound.is_finite() {
             // Only an upper bound: substitute x = upper - z, z >= 0.
             let col = costs.len();
             costs.push(-c);
-            upper.push(f64::INFINITY);
             objective_constant += c * upper_bound;
             mapping.push(VariableMapping::Negated {
                 col,
@@ -164,8 +170,6 @@ fn standardize_with(lp: &LinearProgram, boxed: bool) -> StandardForm {
             costs.push(c);
             let neg = costs.len();
             costs.push(-c);
-            upper.push(f64::INFINITY);
-            upper.push(f64::INFINITY);
             mapping.push(VariableMapping::Split { pos, neg });
         }
     }
@@ -179,7 +183,6 @@ fn standardize_with(lp: &LinearProgram, boxed: bool) -> StandardForm {
         + extra_upper_rows.len();
     let total_columns = num_structural_columns + num_slacks;
     costs.resize(total_columns, 0.0);
-    upper.resize(total_columns, f64::INFINITY);
 
     // 2. Emit each row's sparse terms (over standard-form columns) as triplets,
     //    appending the slack/surplus entry and flipping signs where needed.
@@ -284,7 +287,6 @@ fn standardize_with(lp: &LinearProgram, boxed: bool) -> StandardForm {
         matrix,
         rhs: rhs_vec,
         costs,
-        upper,
         num_structural: num_structural_columns,
         basis_hint,
         mapping,
@@ -306,9 +308,10 @@ fn standardize_with(lp: &LinearProgram, boxed: bool) -> StandardForm {
 /// Build a **crash basis** for `lp` from a conjectured (near-)optimal point.
 ///
 /// `values` gives one value per model variable.  The returned vector is a
-/// standard-form basis — one column per constraint row — encoding the active
-/// set the point implies: variables strictly between their bounds become
-/// basic, rows with visible slack keep their slack column basic, and the
+/// standard-form basis — one column per standard-form row — encoding the
+/// active set the point implies: variables off their lower bound become
+/// basic (a variable at its upper bound leaves its bound row tight), rows
+/// with visible slack keep their slack column basic, and the
 /// leftover rows (the tight ones) host the basic structural columns.  When
 /// the point has more interior variables than tight rows, the smallest ones
 /// are demoted to nonbasic (they are the near-degenerate tail); when it has
@@ -339,24 +342,25 @@ pub fn crash_basis(lp: &LinearProgram, values: &[f64]) -> Option<Vec<usize>> {
     if values.len() != lp.num_variables() {
         return None;
     }
-    let sf = standardize_boxed(lp);
+    let sf = standardize(lp);
     let m = sf.num_rows();
     let num_core = sf.num_columns();
+    let num_constraints = lp.num_constraints();
+    let slack_of_row = sf.slack_of_row();
 
-    // Interior structural columns, remembered with their distance from the
-    // nearest bound so the near-degenerate tail can be demoted first.  A
-    // strictly positive distance counts — closed-form conjectures produce
-    // exact zeros at the bounds they sit on, and geometrically decaying
-    // interiors (~1e-13 at n = 256) are interior all the same.
+    // Interior structural columns, remembered with their distance from zero
+    // so the near-degenerate tail can be demoted first.  A strictly positive
+    // distance counts — closed-form conjectures produce exact zeros at the
+    // bounds they sit on, and geometrically decaying interiors (~1e-13 at
+    // n = 256) are interior all the same.
     let mut interior: Vec<(f64, usize)> = Vec::new();
     for (var, mapping) in sf.mapping.iter().enumerate() {
         let value = values[var];
         match *mapping {
             VariableMapping::Shifted { col, offset } => {
-                let dist_lower = value - offset;
-                let dist_upper = sf.upper[col] - dist_lower;
-                if dist_lower > 0.0 && dist_upper > 0.0 {
-                    interior.push((dist_lower.min(dist_upper), col));
+                let dist = value - offset;
+                if dist > 0.0 {
+                    interior.push((dist, col));
                 }
             }
             VariableMapping::Negated { col, offset } => {
@@ -376,11 +380,15 @@ pub fn crash_basis(lp: &LinearProgram, values: &[f64]) -> Option<Vec<usize>> {
         }
     }
 
-    // Row activities at the conjectured point, from the model itself (the
-    // standard form may have flipped row signs; the model view has not).
+    // Rows with visible slack at the conjectured point keep their slack
+    // basic.  Constraint activities come from the model itself (the standard
+    // form may have flipped row signs; the model view has not); a bound row
+    // is loose when its variable sits below its upper bound.
     let mut slots: Vec<Option<usize>> = vec![None; m];
-    let mut slack_cursor = sf.num_structural;
     for (row, constraint) in lp.constraints().enumerate() {
+        let Some(slack_col) = slack_of_row[row] else {
+            continue;
+        };
         let mut activity = 0.0;
         let mut scale = constraint.rhs.abs();
         for &(var, coeff) in constraint.terms {
@@ -388,19 +396,20 @@ pub fn crash_basis(lp: &LinearProgram, values: &[f64]) -> Option<Vec<usize>> {
             activity += term;
             scale = scale.max(term.abs());
         }
-        let slack_col = match constraint.relation {
-            Relation::Equal => continue,
-            _ => {
-                let col = slack_cursor;
-                slack_cursor += 1;
-                col
-            }
-        };
         if (activity - constraint.rhs).abs() > 1e-7 * scale {
             slots[row] = Some(slack_col);
         }
     }
-    debug_assert_eq!(slack_cursor, num_core);
+    for (var, mapping) in sf.mapping.iter().enumerate() {
+        if let (Some(row), VariableMapping::Shifted { offset, .. }) =
+            (sf.bound_row(var, num_constraints), mapping)
+        {
+            let (dist, span) = (values[var] - offset, sf.rhs[row]);
+            if (span - dist).abs() > 1e-7 * span.max(dist.abs()) {
+                slots[row] = slack_of_row[row];
+            }
+        }
+    }
 
     // Hand the empty slots (tight + equality rows) to the largest interior
     // columns; demote any excess, and pad any shortfall with the row's own
@@ -412,28 +421,27 @@ pub fn crash_basis(lp: &LinearProgram, values: &[f64]) -> Option<Vec<usize>> {
         interior.truncate(open);
     }
     let mut spares = interior.iter().map(|&(_, col)| col);
-    let mut basis = Vec::with_capacity(m);
-    for (row, slot) in slots.into_iter().enumerate() {
-        basis.push(match slot {
-            Some(col) => col,
-            None => match spares.next() {
-                Some(col) => col,
-                None => match lp.constraint(row).relation {
-                    Relation::Equal => num_core + row,
-                    // Tight row left over: keep its slack basic at zero, the
-                    // same degenerate state a cold solve would report.
-                    _ => {
-                        sf.num_structural
-                            + lp.constraints()
-                                .take(row)
-                                .filter(|c| c.relation != Relation::Equal)
-                                .count()
-                    }
-                },
-            },
-        });
-    }
+    let basis = slots
+        .into_iter()
+        .enumerate()
+        .map(|(row, slot)| {
+            slot.or_else(|| spares.next())
+                // Tight row left over: keep its slack basic at zero, the
+                // same degenerate state a cold solve would report.
+                .or(slack_of_row[row])
+                .unwrap_or(num_core + row)
+        })
+        .collect();
     Some(basis)
+}
+
+/// What a row of a [`BasisSpace`] stands for in the model.
+#[derive(Debug, Clone, Copy)]
+enum RowOrigin {
+    /// Model constraint `row`.
+    Constraint(usize),
+    /// The bound row of model variable `var`.
+    Bound(usize),
 }
 
 /// The standard form a solve pivots on — of the presolved program when
@@ -445,19 +453,18 @@ struct BasisSpace {
     /// Model variable → variable of the (reduced) program, `None` when
     /// presolve fixed or aliased it away.
     reduced_var: Vec<Option<usize>>,
-    /// Row of the (reduced) program → model row.
-    row_origin: Vec<usize>,
-    /// Row of the (reduced) program → its slack column (`None` on equalities).
+    /// Standard-form row → what it stands for in the model.
+    row_origin: Vec<RowOrigin>,
+    /// Standard-form row → its slack column (`None` on equalities).
     slack_of_row: Vec<Option<usize>>,
 }
 
 impl BasisSpace {
-    /// `None` when the program cannot be presolved or standardises with boxed
-    /// columns (whose warm-basis space depends on the LP form).
+    /// `None` when the program cannot be presolved.
     fn new(lp: &LinearProgram, presolve: bool) -> Option<Self> {
-        let (reduced, reduced_var, row_origin) = if presolve {
+        let (reduced, reduced_var, constraint_origin) = if presolve {
             let pre = crate::presolve::presolve(lp).ok()?;
-            let reduced_var = pre
+            let reduced_var: Vec<Option<usize>> = pre
                 .map
                 .vars
                 .iter()
@@ -475,25 +482,22 @@ impl BasisSpace {
                 (0..lp.num_constraints()).collect(),
             )
         };
-        let sf = standardize_boxed(&reduced);
-        if sf.upper.iter().any(|u| u.is_finite()) {
-            return None;
-        }
-        let mut next_slack = sf.num_structural;
-        let slack_of_row = reduced
-            .constraints()
-            .map(|row| {
-                (row.relation != Relation::Equal).then(|| {
-                    next_slack += 1;
-                    next_slack - 1
-                })
-            })
+        let sf = standardize(&reduced);
+        let mut row_origin: Vec<RowOrigin> = constraint_origin
+            .into_iter()
+            .map(RowOrigin::Constraint)
             .collect();
+        row_origin.resize(sf.num_rows(), RowOrigin::Bound(0));
+        for (var, kept) in reduced_var.iter().enumerate() {
+            if let Some(row) = kept.and_then(|r| sf.bound_row(r, reduced.num_constraints())) {
+                row_origin[row] = RowOrigin::Bound(var);
+            }
+        }
         Some(BasisSpace {
+            slack_of_row: sf.slack_of_row(),
             sf,
             reduced_var,
             row_origin,
-            slack_of_row,
         })
     }
 
@@ -521,9 +525,9 @@ impl BasisSpace {
 /// set to `presolve`.  The lifted basis keeps every basic column of the
 /// relaxation and makes the slack of each appended row basic, expressed in
 /// the standard form `lp` is solved in — presolve folds appended singleton
-/// rows into bounds and drops appended rows that repeat others, so the seed
-/// is mapped through both programs' presolve, row by row and column by
-/// column.
+/// rows into bounds (a two-sided bound standardises as a bound row) and
+/// drops appended rows that repeat others, so the seed is mapped through
+/// both programs' presolve, row by row and column by column.
 ///
 /// Under the same objective the lifted basis is **dual feasible** by
 /// construction: the appended rows' multipliers are zero, so every reduced
@@ -536,10 +540,10 @@ impl BasisSpace {
 /// Returns `None` when `lp` does not extend `relaxed`, when the basis has the
 /// wrong length, when presolve eliminates or aliases a column of `lp` that is
 /// basic in the relaxation (equality rows such as `x_a = x_b` alias columns)
-/// or drops a row of `lp` that the relaxation keeps, when an appended row
-/// that survives presolve is an equality (it has no slack to make basic), or
-/// when either program standardises with boxed columns.  Like any seed, the
-/// result is a hint the solver verifies, never an answer.
+/// or drops a row of `lp` (a bound row included) that the relaxation keeps,
+/// or when an appended row that survives presolve is an equality (it has no
+/// slack to make basic).  Like any seed, the result is a hint the solver
+/// verifies, never an answer.
 pub fn lift_basis(
     relaxed: &LinearProgram,
     relaxed_basis: &[usize],
@@ -563,13 +567,21 @@ pub fn lift_basis(
         return None;
     }
 
-    // Inverse maps: model row → row of `lp`'s space, and each of the
-    // relaxation's columns → the model variable (and split part) or row it
-    // belongs to.
+    // Inverse maps: model row or bound → row of `lp`'s space, and each of
+    // the relaxation's columns → the model variable (and split part) or row
+    // it belongs to.
     let mut to_row = vec![None; lp.num_constraints()];
+    let mut to_bound_row = vec![None; lp.num_variables()];
     for (row, &origin) in to.row_origin.iter().enumerate() {
-        to_row[origin] = Some(row);
+        match origin {
+            RowOrigin::Constraint(model_row) => to_row[model_row] = Some(row),
+            RowOrigin::Bound(var) => to_bound_row[var] = Some(row),
+        }
     }
+    let image = |from_row: usize| match from.row_origin[from_row] {
+        RowOrigin::Constraint(model_row) => to_row[model_row],
+        RowOrigin::Bound(var) => to_bound_row[var],
+    };
     let num_structural = from.sf.num_structural;
     let mut var_of_col = vec![(0, 0); num_structural];
     for (var, reduced) in from.reduced_var.iter().enumerate() {
@@ -596,13 +608,13 @@ pub fn lift_basis(
     // appended ones — keep their own slack basic.
     let mut lifted = vec![None; to.sf.num_rows()];
     for (slot, &col) in relaxed_basis.iter().enumerate() {
-        let target_slot = to_row[from.row_origin[slot]]?;
+        let target_slot = image(slot)?;
         lifted[target_slot] = Some(if col < num_structural {
             let (var, part) = var_of_col[col];
             to.column(var, part)?
         } else if col < from.sf.num_columns() {
             let row = row_of_slack[col - num_structural];
-            to.slack_of_row[to_row[from.row_origin[row]]?]?
+            to.slack_of_row[image(row)?]?
         } else {
             to.sf.num_columns() + target_slot
         });

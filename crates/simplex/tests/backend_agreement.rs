@@ -226,7 +226,10 @@ fn backends_agree_on_redundant_equalities() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random bounded `<=` programs: both backends find the same optimum.
+    /// Random bounded `<=` programs whose variables carry random two-sided
+    /// bounds (each standardises as a row): the production route in forced
+    /// primal and forced dual form and the dense oracle classify every
+    /// program alike and find the same optimum.
     #[test]
     fn prop_backends_agree_on_random_le_programs(
         rows in proptest::collection::vec(
@@ -235,6 +238,7 @@ proptest! {
         ),
         rhs in proptest::collection::vec(0.5f64..10.0, 10),
         costs in proptest::collection::vec(-3.0f64..3.0, 5),
+        bounds in proptest::collection::vec((-1.0f64..0.5, 0.1f64..2.0), 5),
     ) {
         // Maximise a mixed-sign objective over a bounded box-ish polytope (the
         // program is bounded because every variable also gets a unit cap).
@@ -243,6 +247,9 @@ proptest! {
         for (v, c) in vars.iter().zip(costs.iter()) {
             lp.set_objective_coefficient(*v, *c);
         }
+        for (&v, &(lower, span)) in vars.iter().zip(bounds.iter()) {
+            lp.set_bounds(v, lower, lower + span);
+        }
         for (i, row) in rows.iter().enumerate() {
             let terms: Vec<_> = vars.iter().zip(row.iter()).map(|(&v, &a)| (v, a)).collect();
             lp.add_constraint(terms, Relation::LessEq, rhs[i.min(rhs.len() - 1)]);
@@ -250,11 +257,21 @@ proptest! {
         for &v in &vars {
             lp.add_constraint([(v, 1.0)], Relation::LessEq, 1.0);
         }
-        let [sparse, dense] = solve_both(&lp).map(Result::unwrap);
-        prop_assert!(
-            (sparse.objective_value - dense.objective_value).abs() < AGREEMENT_TOLERANCE,
-            "sparse {} vs dense {}", sparse.objective_value, dense.objective_value
-        );
+        let dense = oracle::solve_dense(&lp, &options());
+        for form in [LpForm::Primal, LpForm::Dual] {
+            match (lp.solve_with(&options().with_form(form)), &dense) {
+                (Ok(s), Ok(d)) => {
+                    // The requested form ran: the dual path did not decline.
+                    prop_assert_eq!(s.stats.form, form);
+                    prop_assert!(
+                        (s.objective_value - d.objective_value).abs() < AGREEMENT_TOLERANCE,
+                        "{form}: sparse {} vs dense {}", s.objective_value, d.objective_value
+                    );
+                }
+                (Err(se), Err(de)) => prop_assert_eq!(&se, de),
+                (s, d) => prop_assert!(false, "{form}: sparse {s:?} vs dense {d:?}"),
+            }
+        }
     }
 
     /// Heavily degenerate random programs — many zero right-hand sides, so

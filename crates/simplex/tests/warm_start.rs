@@ -3,7 +3,9 @@
 //! which must agree with the cold answer while skipping Phase 1 — and every
 //! defective seed must fall back to the cold primal path instead of erroring.
 
-use cpm_simplex::{lift_basis, LinearProgram, LpForm, Relation, SolveOptions, VariableId};
+use cpm_simplex::{
+    crash_basis, lift_basis, LinearProgram, LpForm, Relation, SolveOptions, VariableId,
+};
 
 fn assert_close(a: f64, b: f64) {
     assert!((a - b).abs() < 1e-7, "{a} != {b}");
@@ -90,7 +92,10 @@ fn alpha_neighbour_warm_start_agrees_with_the_cold_solve() {
 fn dual_infeasible_seed_falls_back_to_the_primal_path() {
     // max 3x + 5y over three <= rows: the all-slack basis is primal feasible
     // but badly dual infeasible (both structural reduced costs are negative),
-    // so the warm path must decline and the primal path must still answer.
+    // so the dual cleanup must not run: the primal simplex walks from the
+    // seed.  Presolve folds the two singleton rows into the bounds x ≤ 4 and
+    // y ≤ 6, which standardise back into rows, so the reduced program has
+    // three rows and the three slacks are still columns 2..4.
     let mut lp = LinearProgram::maximize();
     let x = lp.add_variable("x");
     let y = lp.add_variable("y");
@@ -101,10 +106,12 @@ fn dual_infeasible_seed_falls_back_to_the_primal_path() {
     lp.add_constraint(vec![(x, 3.0), (y, 2.0)], Relation::LessEq, 18.0);
     // Standard form: columns 0..1 structural, 2..4 slacks; the slack basis.
     let solution = lp.solve_with(&warm_options(vec![2, 3, 4])).unwrap();
-    assert!(
-        !solution.stats.warm_started,
-        "a dual-infeasible seed must not take the warm path"
+    assert_eq!(
+        solution.stats.dual_iterations, 0,
+        "a dual-infeasible seed must not run the dual simplex"
     );
+    assert_eq!(solution.stats.phase1_iterations, 0);
+    assert!(solution.stats.phase2_iterations >= 1);
     assert_close(solution.objective_value, 36.0);
     assert_close(solution.value(x), 2.0);
     assert_close(solution.value(y), 6.0);
@@ -285,4 +292,84 @@ fn warm_basis_round_trips_through_solve_options_serde() {
     assert!(!legacy.contains("warm_basis"));
     let back: SolveOptions = serde_json::from_str(&legacy).unwrap();
     assert_eq!(back, SolveOptions::default());
+}
+
+/// `ratio_lp` with every variable boxed in `[0.02, 0.15]`: the optimum puts
+/// the cheap head of the chain on its upper bound.  Each two-sided bound
+/// standardises as a `z ≤ upper − lower` row.
+fn boxed_ratio_lp(n: usize, alpha: f64) -> (LinearProgram, Vec<VariableId>) {
+    let (mut lp, vars) = ratio_lp(n, alpha);
+    for &v in &vars {
+        lp.set_bounds(v, 0.02, 0.15);
+    }
+    (lp, vars)
+}
+
+#[test]
+fn boxed_program_resolves_from_its_own_optimal_basis_warm_and_pivot_free() {
+    let (lp, vars) = boxed_ratio_lp(12, 0.8);
+    for form in [LpForm::Primal, LpForm::Dual] {
+        let options = SolveOptions::default().with_form(form);
+        let cold = lp.solve_with(&options).unwrap();
+        assert!(
+            vars.iter().any(|&v| (cold.value(v) - 0.15).abs() < 1e-9),
+            "{form}: some upper bound must be tight"
+        );
+        let basis = cold
+            .optimal_basis
+            .clone()
+            .expect("a clean solve reports its basis");
+        let warm = lp
+            .solve_with(&options.clone().with_warm_basis(Some(basis)))
+            .unwrap();
+        assert!(warm.stats.warm_started, "{form}: {:?}", warm.stats);
+        assert_eq!(warm.stats.form, form);
+        if form == LpForm::Primal {
+            assert_eq!(warm.stats.pivots(), 0, "{:?}", warm.stats);
+        }
+        assert_close(warm.objective_value, cold.objective_value);
+        for (w, c) in warm.values.iter().zip(cold.values.iter()) {
+            assert_close(*w, *c);
+        }
+    }
+}
+
+#[test]
+fn crash_and_lift_accept_two_sided_bounds() {
+    let (relaxed, vars) = boxed_ratio_lp(10, 0.8);
+    let options = SolveOptions::default().with_presolve(false);
+    let optimum = relaxed.solve_with(&options).unwrap();
+
+    // A crash basis at the optimum is accepted and certifies it.
+    let crash = crash_basis(&relaxed, &optimum.values).expect("boxed programs crash");
+    let crashed = relaxed
+        .solve_with(&options.clone().with_warm_basis(Some(crash)))
+        .unwrap();
+    assert!(crashed.stats.warm_started, "{:?}", crashed.stats);
+    assert_close(crashed.objective_value, optimum.objective_value);
+
+    // The relaxation's basis lifts to the program with appended rows.
+    let mut lp = relaxed.clone();
+    lp.add_constraint(vec![(vars[0], 1.0), (vars[1], -1.0)], Relation::LessEq, 0.0);
+    lp.add_constraint(vec![(vars[9], 1.0)], Relation::GreaterEq, 0.05);
+    for presolve in [true, false] {
+        for form in [LpForm::Primal, LpForm::Dual] {
+            let options = SolveOptions::default()
+                .with_presolve(presolve)
+                .with_form(form);
+            let basis = relaxed.solve_with(&options).unwrap().optimal_basis.unwrap();
+            let lifted =
+                lift_basis(&relaxed, &basis, &lp, presolve).expect("two-sided bounds lift");
+            let cold = lp.solve_with(&options).unwrap();
+            let warm = lp
+                .solve_with(&options.clone().with_warm_basis(Some(lifted)))
+                .unwrap();
+            assert!(
+                warm.stats.warm_started,
+                "presolve {presolve}, {form}: {:?}",
+                warm.stats
+            );
+            assert_close(warm.objective_value, cold.objective_value);
+        }
+    }
 }
