@@ -96,9 +96,8 @@ fn main() {
     solver_stats_attribution();
 }
 
-/// Per-key solver-stat attribution: where the LP wins come from.  Presolve
-/// reductions (weak-honesty singleton rows folding into bounds) and
-/// steepest-edge framework resets are
+/// Per-key solver-stat attribution: where the LP wins come from.  The form,
+/// the pivots per phase and the steepest-edge framework resets are
 /// [`SolveStats`](cpm_simplex::SolveStats) counters the probe surfaces so a
 /// serving regression can be traced to the responsible solver layer.
 fn solver_stats_attribution() {
@@ -118,9 +117,7 @@ fn solver_stats_attribution() {
         ),
     ];
     println!();
-    println!(
-        "solver attribution (n = {n}) | form | pivots p1+p2 | presolve rows/cols removed | SE resets"
-    );
+    println!("solver attribution (n = {n}) | form | pivots p1+p2 | SE resets");
     for (label, properties) in families {
         let designed = SpecKey::new(n, alpha, properties)
             .spec()
@@ -128,12 +125,10 @@ fn solver_stats_attribution() {
             .expect("attribution designs must solve");
         match designed.solver_stats() {
             Some(stats) => println!(
-                "{label:13} | {} | {}+{} | {}/{} | {}",
+                "{label:13} | {} | {}+{} | {}",
                 stats.form,
                 stats.phase1_iterations,
                 stats.phase2_iterations,
-                stats.presolve_rows_removed,
-                stats.presolve_cols_removed,
                 stats.steepest_edge_resets,
             ),
             None => println!("{label:13} | closed form (no LP)"),

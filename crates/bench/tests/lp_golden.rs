@@ -8,9 +8,9 @@
 //!
 //! The pins make "this change keeps every trajectory bit-identical" a
 //! checked claim.  A change that moves a trajectory on purpose (pricing,
-//! ratio test, factorisation cadence, presolve, seeding) re-pins the table
-//! from the failure message, which prints every key's actual row, and says
-//! why in its description.
+//! ratio test, factorisation cadence, the program the builder emits,
+//! seeding) re-pins the table from the failure message, which prints every
+//! key's actual row, and says why in its description.
 //!
 //! `#[ignore]`d so the ordinary (debug) `cargo test` stays fast; CI runs it
 //! explicitly with

@@ -2,8 +2,9 @@
 //! solve well within a generous wall-clock bound, n = 128 must stay inside
 //! the post-dual-form budget (the crash-seeded dual certification is ~0.2 s;
 //! a regression to the cold walk is tens of seconds), n = 256 must solve
-//! through `LpForm::Auto`'s dual routing, and the WM-L0 and WM-L2 LPs that
-//! serving actually solves must keep their pivot counts.
+//! through `LpForm::Auto`'s dual routing, the WM-L0 and WM-L2 LPs that
+//! serving actually solves must keep their pivot counts, and two `α = 1`
+//! designs must keep the pivot counts of their row-class programs.
 //!
 //! These are `#[ignore]`d so the ordinary (debug) `cargo test` stays fast; CI
 //! runs them explicitly with
@@ -295,6 +296,58 @@ fn wm_l0_n64_serving_route_stays_under_the_pivot_and_time_budget() {
     );
     assert!(designed.requested_satisfied());
     assert!(Property::Symmetry.holds(designed.mechanism(), 0.0));
+}
+
+/// Pivot ceilings for two `α = 1` designs, where DP holds every row of the
+/// matrix constant and the builder gives each row one variable: `{WH, CM}`
+/// under `L0` at n = 64 and the unconstrained `L1` design at n = 32.  Over
+/// reflection orbits with every DP row written out they take 2 204 and 635
+/// pivots; over row classes, 0 and 2.
+const ALPHA_ONE_WH_CM_N64_PIVOT_BUDGET: usize = 200;
+const ALPHA_ONE_L1_N32_PIVOT_BUDGET: usize = 50;
+
+#[test]
+#[ignore = "release-mode scaling smoke test; run explicitly (see CI workflow)"]
+fn alpha_one_designs_solve_over_row_classes_within_the_pivot_budget() {
+    let alpha = Alpha::new(1.0).unwrap();
+    let wh_cm = PropertySet::empty()
+        .with(Property::WeakHonesty)
+        .with(Property::ColumnMonotonicity);
+    let cases = [
+        (
+            DesignProblem::constrained(64, alpha, Objective::l0(), wh_cm),
+            ALPHA_ONE_WH_CM_N64_PIVOT_BUDGET,
+        ),
+        (
+            DesignProblem::unconstrained(32, alpha, Objective::l1()),
+            ALPHA_ONE_L1_N32_PIVOT_BUDGET,
+        ),
+    ];
+    for (problem, budget) in cases {
+        let case = format!(
+            "{} {} n = {}",
+            problem.objective.loss.name(),
+            problem.properties,
+            problem.n
+        );
+        let solution = problem.solve().expect("α = 1 designs solve");
+        let stats = solution.solver_stats;
+        assert!(
+            stats.pivots() <= budget,
+            "{case}: {} pivots (budget {budget}; stats {stats:?})",
+            stats.pivots()
+        );
+        // At α = 1 every row of the mechanism is constant.
+        let mechanism = &solution.mechanism;
+        for i in 0..=problem.n {
+            assert!(
+                (0..=problem.n)
+                    .all(|j| (mechanism.prob(i, j) - mechanism.prob(i, 0)).abs() <= 1e-12),
+                "{case}: row {i} is not constant"
+            );
+        }
+        assert!(problem.properties.all_hold(mechanism, 1e-6), "{case}");
+    }
 }
 
 /// `LpForm::Auto`'s aspect threshold (`LpForm::AUTO_MIN_ASPECT`) on the

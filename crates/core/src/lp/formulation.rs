@@ -11,26 +11,39 @@
 //! The upper bound `ρ_{i,j} ≤ 1` of Eq. (4) is implied by non-negativity plus the
 //! column-sum equality, so it is omitted to keep the LP smaller.
 //!
-//! # Reflection orbits (Theorem 1)
+//! # Cell classes
 //!
-//! Every penalty depends on `|i − j|` only, and DP, every property and the
-//! output-side DP constraint are closed under the reflection
-//! `(i, j) ↦ (n − i, n − j)`.  So when the prior is reflection-symmetric
-//! (`w_j = w_{n−j}`, see [`Prior::is_reflection_symmetric`]), symmetrising
-//! any feasible mechanism keeps it feasible at the same objective (Theorem 1,
-//! [`crate::symmetrize`]), and some optimum is symmetric.
-//! [`DesignProblem::build_lp`] then solves over one variable per orbit
-//! `{(i, j), (n − i, n − j)}` — `⌈(n+1)²/2⌉` columns, with `vars[i][j]` and
-//! `vars[n−i][n−j]` the same variable and objective coefficients summed over
-//! the orbit.  Each row is written over cells as before; mapped onto orbits,
-//! a row and its reflection become the same row, which is emitted once (as
-//! is any other row that coincides in orbit space), and rows that cancel
-//! entirely — symmetry's `ρ_{i,j} = ρ_{n−i,n−j}`, fairness's
-//! `ρ_{n,n} = ρ_{0,0}` — vanish.  The program is about half the size, has no
-//! S equality rows, and its optimum is symmetric by construction.  A prior
-//! that is not reflection-symmetric keeps the full `(n+1)²` program
-//! ([`DesignProblem::build_full_lp`], also the reference the orbit program is
-//! tested against).
+//! [`DesignProblem::build_lp`] gives one variable to each class of cells that
+//! some optimum holds equal, so the program arrives at the solver already
+//! reduced.  Three identifications come from the paper's own structure:
+//!
+//! * **Reflection orbits (Theorem 1).**  Every penalty depends on `|i − j|`
+//!   only, and DP, every property and the output-side DP constraint are
+//!   closed under the reflection `(i, j) ↦ (n − i, n − j)`.  So when the
+//!   prior is reflection-symmetric (`w_j = w_{n−j}`, see
+//!   [`Prior::is_reflection_symmetric`]), symmetrising any feasible mechanism
+//!   keeps it feasible at the same objective (Theorem 1,
+//!   [`crate::symmetrize`]), and some optimum is symmetric: the orbit
+//!   `{(i, j), (n − i, n − j)}` is one class.
+//! * **Fairness (Eq. 11)** makes every diagonal cell equal: when F is
+//!   requested the diagonal is one class.
+//! * **DP at `α = 1` (Eq. 6)** reads `ρ_{i,j} = ρ_{i,j+1}`: every row of the
+//!   matrix is one class.
+//!
+//! Classes are the connected components of these identifications, so they
+//! compose (at `α = 1` under F every cell is one variable).  `vars[i][j]` is
+//! the variable of `(i, j)`'s class, named after and created in the
+//! row-major order of its first cell, and its objective coefficient is
+//! summed over the class.  Each row is written over cells as before; mapped
+//! onto classes, its terms merge, a row that cancels entirely — symmetry's
+//! `ρ_{i,j} = ρ_{n−i,n−j}` over orbits, fairness's `ρ_{i,i} = ρ_{0,0}`, DP
+//! and row properties at `α = 1` — vanishes, and a row that coincides with
+//! one already emitted (a reflection's image) is emitted once.  Over orbits
+//! the program is about half the size and its optimum is symmetric by
+//! construction.  Weak honesty's floors `ρ_{i,i} ≥ 1/(n+1)` (Eq. 13) are
+//! lower bounds on the diagonal variables rather than rows.
+//! [`DesignProblem::build_full_lp`] keeps one variable per cell and every
+//! row: it is the reference the reduced program is tested against.
 //!
 //! [`Prior::is_reflection_symmetric`]: crate::objective::Prior::is_reflection_symmetric
 
@@ -121,25 +134,27 @@ impl DesignProblem {
         self
     }
 
-    /// Build the linear program and the `ρ` variable grid (`vars[i][j]`):
-    /// over reflection orbits when the prior is reflection-symmetric (see the
-    /// [module docs](self)), over all `(n+1)²` cells otherwise.
+    /// Build the linear program and the `ρ` variable grid (`vars[i][j]`),
+    /// with one variable per class of cells the problem forces equal (see the
+    /// [module docs](self)): reflection orbits when the prior is
+    /// reflection-symmetric, F's diagonal, and each row at `α = 1`.  WH's
+    /// floors are variable bounds.
     ///
     /// Exposed so that callers (benches, tests) can inspect LP sizes; most users
     /// should call [`DesignProblem::solve`].
     pub fn build_lp(&self) -> Result<(LinearProgram, Vec<Vec<VariableId>>), CoreError> {
-        self.build(self.objective.prior.is_reflection_symmetric())
+        self.build(true)
     }
 
     /// Build the full-space program — one variable per cell and every row,
-    /// S's equalities included — whatever the prior.  This is the reference
-    /// formulation the orbit program of [`DesignProblem::build_lp`] is checked
-    /// against; designs with a reflection-symmetric prior never solve it.
+    /// S's and F's equalities and WH's floors included — whatever the prior
+    /// and `α`.  This is the reference formulation the reduced program of
+    /// [`DesignProblem::build_lp`] is checked against; designs never solve it.
     pub fn build_full_lp(&self) -> Result<(LinearProgram, Vec<Vec<VariableId>>), CoreError> {
         self.build(false)
     }
 
-    fn build(&self, orbits: bool) -> Result<(LinearProgram, Vec<Vec<VariableId>>), CoreError> {
+    fn build(&self, reduced: bool) -> Result<(LinearProgram, Vec<Vec<VariableId>>), CoreError> {
         if self.n == 0 {
             return Err(CoreError::InvalidGroupSize { value: self.n });
         }
@@ -149,28 +164,25 @@ impl DesignProblem {
         let alpha = self.alpha.value();
 
         let mut lp = LinearProgram::minimize();
-        // vars[i][j] = rho_{i,j}; in orbit space the cell the reflection maps
-        // (i, j) to comes first in row-major order, so it already has its
-        // variable.
-        let mut vars: Vec<Vec<VariableId>> = Vec::with_capacity(dim);
-        for i in 0..dim {
-            let mut row = Vec::with_capacity(dim);
-            for j in 0..dim {
-                let var = if orbits && (n - i, n - j) < (i, j) {
-                    if n - i == i {
-                        row[n - j]
-                    } else {
-                        vars[n - i][n - j]
-                    }
-                } else {
-                    lp.add_variable(format!("rho_{i}_{j}"))
-                };
-                row.push(var);
-            }
-            vars.push(row);
+        // vars[i][j] = rho_{i,j}; a class's first cell in row-major order
+        // creates its variable, so every later cell finds it already made.
+        let class = if reduced {
+            self.cell_classes()
+        } else {
+            (0..dim * dim).collect()
+        };
+        let mut cell_vars: Vec<VariableId> = Vec::with_capacity(dim * dim);
+        for (cell, &first) in class.iter().enumerate() {
+            let var = if first == cell {
+                lp.add_variable(format!("rho_{}_{}", cell / dim, cell % dim))
+            } else {
+                cell_vars[first]
+            };
+            cell_vars.push(var);
         }
+        let vars: Vec<Vec<VariableId>> = cell_vars.chunks(dim).map(<[_]>::to_vec).collect();
 
-        // Objective (Eq. 3).  An orbit's coefficient is the sum over its cells.
+        // Objective (Eq. 3).  A class's coefficient is the sum over its cells.
         let t_max = match self.objective.aggregator {
             Aggregator::Sum => {
                 for j in 0..dim {
@@ -191,7 +203,7 @@ impl DesignProblem {
             }
         };
 
-        let mut rows = Rows::new(&mut lp, orbits);
+        let mut rows = Rows::new(&mut lp, reduced);
         if let Some(t) = t_max {
             for j in 0..dim {
                 let loss = (0..dim).filter_map(|i| {
@@ -256,6 +268,47 @@ impl DesignProblem {
         Ok((lp, vars))
     }
 
+    /// The class of each cell (row-major index `i · (n+1) + j`) under the
+    /// identifications this problem allows (see the [module docs](self)),
+    /// as the index of the class's first cell.
+    fn cell_classes(&self) -> Vec<usize> {
+        /// The first cell of `cell`'s class, compressing the path on the way.
+        fn first(class: &mut [usize], mut cell: usize) -> usize {
+            while class[cell] != cell {
+                class[cell] = class[class[cell]];
+                cell = class[cell];
+            }
+            cell
+        }
+        /// Merge two classes; the merged class keeps the earlier first cell.
+        fn join(class: &mut [usize], a: usize, b: usize) {
+            let (a, b) = (first(class, a), first(class, b));
+            class[a.max(b)] = a.min(b);
+        }
+
+        let n = self.n;
+        let dim = n + 1;
+        let mut class: Vec<usize> = (0..dim * dim).collect();
+        if self.objective.prior.is_reflection_symmetric() {
+            for cell in 0..dim * dim {
+                join(&mut class, cell, dim * dim - 1 - cell);
+            }
+        }
+        if self.properties.contains(Property::Fairness) {
+            for i in 1..dim {
+                join(&mut class, i * dim + i, 0);
+            }
+        }
+        if self.alpha.value() == 1.0 {
+            for i in 0..dim {
+                for j in 1..dim {
+                    join(&mut class, i * dim + j, i * dim);
+                }
+            }
+        }
+        (0..dim * dim).map(|cell| first(&mut class, cell)).collect()
+    }
+
     /// Solver options tuned for this problem instance:
     /// [`SolveOptions::tuned`] sized for the `(n+1)²`-variable LP (a pivot
     /// budget that never trips the generic iteration limit at n = 128 and
@@ -292,15 +345,17 @@ impl DesignProblem {
     ///   orbit program has no S rows, so this covers the Figure-5 WM and
     ///   WH-LP sets): **relax then lift**.  The BASICDP relaxation is solved
     ///   first (itself GM-crash seeded) under the same objective, and its
-    ///   optimal basis, with each property row's slack made basic, seeds
-    ///   this solve through [`cpm_simplex::lift_basis`].  That seed is dual
-    ///   feasible by construction, so the warm start only repairs the
-    ///   property violations; the relaxation's pivots are included in
+    ///   optimal basis, with each property row's slack made basic (WH's
+    ///   floors raise lower bounds instead), seeds this solve through
+    ///   [`cpm_simplex::lift_basis`].  That seed is dual feasible by
+    ///   construction, so the warm start only repairs the property
+    ///   violations; the relaxation's pivots are included in
     ///   [`DesignSolution::solver_stats`].
-    /// * **F, or S in the full space** (an asymmetric prior): their equality
-    ///   rows make presolve alias columns, so no lifted seed fits and no
-    ///   relaxation is paid for; presolve removes those rows too, so no
-    ///   raw-space crash basis fits either.  These solves run cold.
+    /// * **F, or S in the full space** (an asymmetric prior): F's diagonal
+    ///   is one variable, so the program has other columns than its
+    ///   relaxation, and S's equality rows have no slack to make basic; no
+    ///   lifted seed fits, so no relaxation is paid for.  These solves run
+    ///   cold.
     ///
     /// A seed is a hint the solver verifies: one that does not fit is
     /// discarded and the solve proceeds cold — a seed can change pivot
@@ -343,7 +398,7 @@ impl DesignProblem {
                 .and_then(|solution| {
                     relaxation_stats = Some(solution.solver_stats);
                     let basis = solution.optimal_basis?;
-                    cpm_simplex::lift_basis(&relaxed_lp, &basis, lp, options.presolve)
+                    cpm_simplex::lift_basis(&relaxed_lp, &basis, lp)
                 });
             (lifted, Some(CrashSeed::Lift))
         } else {
@@ -363,8 +418,9 @@ impl DesignProblem {
     }
 
     /// Whether a basis lifted from the BASICDP relaxation fits this
-    /// problem's property rows (see [`DesignProblem::solve_with`]): none of
-    /// them is an equality — F's never, S's only in the full space (the orbit
+    /// problem's program (see [`DesignProblem::solve_with`]): it has the
+    /// relaxation's variables — F's diagonal class never does — and no
+    /// property row is an equality — S's only in the full space (the orbit
     /// program has none).  Decided from the problem alone, before anything is
     /// solved.
     fn lift_fits(&self) -> bool {
@@ -500,25 +556,37 @@ impl CrashSeed {
     }
 }
 
-/// The constraint rows of a program under construction.  In the full space a
-/// row goes into the LP as written.  In orbit space its terms are merged per
-/// orbit variable, a row that cancels to nothing is dropped, and so is a row
-/// identical to one already emitted — a reflection's image, which the orbit
-/// variables have already made the same row.
+/// The constraint rows of a program under construction.  In the full
+/// program a row goes into the LP as written.  In the reduced program its
+/// terms are merged per class variable, a row that cancels to nothing is
+/// dropped, and so is a row identical to one already emitted — a
+/// reflection's image, which the orbit variables have already made the same
+/// row, or a column-monotonicity row that restates a column-honesty one —
+/// and a single-variable floor is a bound instead of a row.
 struct Rows<'a> {
     lp: &'a mut LinearProgram,
-    /// Orbit space only: the index of the first emitted row under each row
-    /// fingerprint.
+    /// Reduced program only: the index of the first emitted row under each
+    /// row fingerprint.
     emitted: Option<HashMap<u64, usize>>,
     merged: Vec<(VariableId, f64)>,
 }
 
 impl<'a> Rows<'a> {
-    fn new(lp: &'a mut LinearProgram, orbits: bool) -> Self {
+    fn new(lp: &'a mut LinearProgram, reduced: bool) -> Self {
         Rows {
             lp,
-            emitted: orbits.then(HashMap::default),
+            emitted: reduced.then(HashMap::default),
             merged: Vec::new(),
+        }
+    }
+
+    /// `var ≥ floor`.
+    fn at_least(&mut self, var: VariableId, floor: f64) {
+        if self.emitted.is_some() {
+            let (lower, upper) = self.lp.bounds(var);
+            self.lp.set_bounds(var, lower.max(floor), upper);
+        } else {
+            self.add([(var, 1.0)], Relation::GreaterEq, floor);
         }
     }
 
@@ -545,7 +613,8 @@ impl<'a> Rows<'a> {
         });
         merged.retain(|&(_, coefficient)| coefficient != 0.0);
         if merged.is_empty() {
-            // A row that cancels (S's, and F's ρ_{n,n} = ρ_{0,0}) reads 0 = 0.
+            // A row that cancels (S's over orbits, F's, and DP's and the row
+            // properties' at α = 1) reads 0 = 0.
             debug_assert_eq!(rhs, 0.0);
             return;
         }
@@ -566,8 +635,8 @@ impl<'a> Rows<'a> {
         };
         match emitted.entry(fingerprint) {
             Entry::Occupied(first) if self.lp.constraint(*first.get()) == row => return,
-            // A fingerprint collision: keep the row (a duplicate would only
-            // cost presolve a row to remove).
+            // A fingerprint collision: keep the row (were it a duplicate,
+            // it would only be redundant).
             Entry::Occupied(_) => {}
             Entry::Vacant(slot) => {
                 slot.insert(self.lp.num_constraints());
@@ -670,11 +739,11 @@ fn add_property_constraints(
         Property::WeakHonesty => {
             let bound = 1.0 / dim as f64;
             for i in 0..dim {
-                rows.add([(vars[i][i], 1.0)], Relation::GreaterEq, bound);
+                rows.at_least(vars[i][i], bound);
             }
         }
         // S (Eq. 14): rho_{i,j} = rho_{n-i,n-j}; only half the pairs are needed.
-        // In orbit space every such row cancels.
+        // Over reflection orbits every such row cancels.
         Property::Symmetry => {
             for i in 0..dim {
                 for j in 0..dim {
@@ -769,13 +838,16 @@ mod tests {
         // Column sums 0..=2 + half of the 2 * 5 * 4 DP constraints.
         assert_eq!(lp.num_constraints(), 3 + 20);
 
+        // WH's floors are bounds on the three diagonal orbits, not rows.
         let weak_honesty = PropertySet::empty().with(Property::WeakHonesty);
         let constrained = DesignProblem::constrained(4, a(0.62), Objective::l0(), weak_honesty);
-        let (lp2, _) = constrained.build_lp().unwrap();
-        assert_eq!(lp2.num_constraints(), 23 + 3);
+        let (lp2, vars) = constrained.build_lp().unwrap();
+        assert_eq!(lp2.num_constraints(), 23);
+        assert_eq!(lp2.bounds(vars[3][3]), (0.2, f64::INFINITY));
+        assert_eq!(lp2.bounds(vars[3][1]), (0.0, f64::INFINITY));
 
-        // An asymmetric prior keeps the full program: 25 variables, 5 column
-        // sums + 2 * 5 * 4 DP constraints (+ 5 WH rows).
+        // An asymmetric prior keeps every cell: 25 variables, 5 column sums
+        // + 2 * 5 * 4 DP constraints; the full program adds 5 WH rows.
         let skewed = Objective {
             prior: Prior::Weights(vec![0.1, 0.2, 0.2, 0.2, 0.3]),
             ..Objective::l0()
@@ -785,7 +857,7 @@ mod tests {
             .unwrap();
         assert_eq!(full.num_variables(), 25);
         assert_ne!(vars[1][3], vars[3][1]);
-        assert_eq!(full.num_constraints(), 45 + 5);
+        assert_eq!(full.num_constraints(), 45);
         let (reference, _) = constrained.build_full_lp().unwrap();
         assert_eq!(reference.num_variables(), 25);
         assert_eq!(reference.num_constraints(), 45 + 5);
@@ -862,6 +934,62 @@ mod tests {
                 problem.properties.all_hold(&orbit.mechanism, 1e-6),
                 "{case}"
             );
+        }
+    }
+
+    fn equality_rows(lp: &LinearProgram) -> usize {
+        lp.constraints()
+            .filter(|row| row.relation == Relation::Equal)
+            .count()
+    }
+
+    /// Fairness makes the diagonal one variable, so its equality rows
+    /// cancel; the full program keeps a variable per cell and every F row.
+    #[test]
+    fn fairness_gives_the_diagonal_one_variable() {
+        let fair = PropertySet::empty().with(Property::Fairness);
+        let problem = DesignProblem::constrained(4, a(0.9), Objective::l2(), fair);
+        let (lp, vars) = problem.build_lp().unwrap();
+        // 13 orbits, of which the diagonal's three are one class.
+        assert_eq!(lp.num_variables(), 11);
+        for i in 0..5 {
+            assert_eq!(vars[i][i], vars[0][0]);
+        }
+        assert_ne!(vars[0][1], vars[0][0]);
+        // The only equalities left are the three column-sum orbits.
+        assert_eq!(equality_rows(&lp), 3);
+
+        let (full, vars) = problem.build_full_lp().unwrap();
+        assert_eq!(full.num_variables(), 25);
+        assert_ne!(vars[1][1], vars[0][0]);
+        assert_eq!(equality_rows(&full), 5 + 4);
+    }
+
+    /// At α = 1 DP holds every row constant: each row is one variable, the
+    /// DP rows cancel, and every column sum is the same row.  Under a
+    /// symmetric prior rows i and n − i are one orbit as well.
+    #[test]
+    fn alpha_one_gives_each_row_one_variable() {
+        let skewed = Objective {
+            prior: Prior::Weights(vec![0.1, 0.2, 0.2, 0.2, 0.1, 0.2]),
+            ..Objective::l1()
+        };
+        for (objective, variables) in [(Objective::l1(), 3), (skewed, 6)] {
+            let problem = DesignProblem::unconstrained(5, a(1.0), objective);
+            let (lp, vars) = problem.build_lp().unwrap();
+            assert_eq!(lp.num_variables(), variables);
+            for row in &vars {
+                assert!(row.iter().all(|&var| var == row[0]));
+            }
+            assert_ne!(vars[0][0], vars[1][0]);
+            assert_eq!(lp.num_constraints(), 1, "one column-sum row");
+
+            let (full, _) = problem.build_full_lp().unwrap();
+            assert_eq!(full.num_variables(), 36);
+            assert_eq!(full.num_constraints(), 6 + 2 * 6 * 5);
+            let reference = full.solve().unwrap();
+            let solution = problem.solve().unwrap();
+            assert!((solution.objective_value - reference.objective_value).abs() <= 1e-9);
         }
     }
 

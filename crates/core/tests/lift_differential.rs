@@ -46,10 +46,10 @@ const STALL_PIVOT_BUDGET: usize = 2_000;
 
 /// Property sets whose design fails on the cold route at n = 12, α = 0.5
 /// under `L0` with the `Max` aggregator, and how.  An F set gets no seed
-/// (its equality rows alias columns, so neither a crash nor a lifted basis
-/// fits) and its orbit program is solved cold.  At this point 20 of the 64
-/// F sets fail under `L0`-`Max`, none with WH: the 8 with CM but not RM
-/// pivot until the budget runs out (`{CM, F}` ends in
+/// (its diagonal is one variable, so its program has other columns than
+/// its relaxation and no lifted basis fits) and is solved cold.  At this
+/// point 20 of the 64 F sets fail under `L0`-`Max`, none with WH: the 8
+/// with CM but not RM pivot until the budget runs out (`{CM, F}` ends in
 /// `IterationLimit { limit: 500000 }` after ~10 s under
 /// `recommended_options`), and the 12 with RM fail in phase 1 within 100
 /// pivots.  None fails at n ≤ 8, and no F set fails under

@@ -121,7 +121,6 @@ fn specs_naming_deleted_solver_options_still_design() {
     assert_eq!(options.max_iterations, 500_000);
     assert_eq!(options.tolerance, 1e-9);
     assert_eq!(options.warm_basis, None);
-    assert!(options.presolve);
     assert_eq!(options.form, LpForm::Auto);
 
     // The deleted knobs are ignored, so the override is today's route and

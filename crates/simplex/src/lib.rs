@@ -12,8 +12,6 @@
 //! * a [`LinearProgram`] model-builder API (named variables, bounds, `<=`/`>=`/`=`
 //!   constraints, minimisation or maximisation objectives) storing constraints
 //!   sparsely in a term arena,
-//! * an **LP presolve pass** that shrinks the model before standardisation and
-//!   reconstructs the full solution — values, duals, and basis — afterwards,
 //! * conversion to one sparse (CSC) standard form, `min c'z, Az = b, z ≥ 0`,
 //!   with slack / surplus / artificial variables — a two-sided variable bound
 //!   becomes one more row — see [`SparseMatrix`],
@@ -61,18 +59,12 @@
 //!   seed, so a wrong conjecture costs one declined factorisation and falls
 //!   back to the cold path — it can never produce a wrong optimum.
 //!
-//! ## Architecture: the presolve → standardise → solve → postsolve pipeline
+//! ## Architecture: the standardise → solve pipeline
 //!
-//! A call to [`LinearProgram::solve`] flows through five layers:
+//! A call to [`LinearProgram::solve`] flows through four layers:
 //!
 //! ```text
 //! LinearProgram          model.rs      named variables, bounds, constraint arena
-//!       │ presolve                     (skipped when SolveOptions::presolve = false)
-//!       ▼
-//! PresolvedProgram       presolve.rs   α≈1 ratio-row aliasing, singleton rows →
-//!       │                              bounds, fixed-variable substitution,
-//!       │                              duplicate/dominated row folding, empty
-//!       │                              columns; records a postsolve map
 //!       │ standardize
 //!       ▼
 //! StandardForm           standard.rs   min c'z, Az = b, z ≥ 0, b ≥ 0 (two-sided
@@ -97,22 +89,19 @@
 //!       │                              repair, dual-simplex warm starts
 //!       ▼
 //! LU basis inverse       lu.rs         Markowitz factorisation (singleton peeling
-//!       │                              + threshold pivoting), Suhl–Suhl ordered
-//!       │ postsolve                    sparse triangular FTRAN/BTRAN with
-//!       ▼                              dense-result pattern harvest,
-//! Solution               solution.rs   Forrest–Tomlin updates; postsolve expands
-//!                                      values and basis back to the original model
+//!                                      + threshold pivoting), Suhl–Suhl ordered
+//!                                      sparse triangular FTRAN/BTRAN with
+//!                                      dense-result pattern harvest,
+//!                                      Forrest–Tomlin updates
 //! ```
 //!
-//! Presolve (on by default via [`SolveOptions::presolve`]) targets the
-//! reductions that actually occur in the mechanism LPs: weak-honesty
-//! singleton rows fold into variable bounds, α = 1 DP-ratio pairs alias whole
-//! variable chains, and property rows duplicated by the implication closure
-//! collapse to the tightest representative.  The postsolve map restores
-//! removed variables and rows so [`Solution::optimal_basis`] stays expressed
-//! in the *original* standard form — warm starts and basis provenance work
-//! identically with presolve on or off.  [`SolveStats::presolve_rows_removed`]
-//! and [`SolveStats::presolve_cols_removed`] attribute the shrinkage.
+//! The solver takes the program as written: it has no presolve.  The design
+//! LPs arrive already reduced — `cpm-core`'s builder gives each class of
+//! cells that the paper's structure forces equal (reflection orbits,
+//! fairness's diagonal, the rows of an `α = 1` mechanism) one variable,
+//! drops the rows that cancel and writes single-variable floors as bounds —
+//! so [`Solution::optimal_basis`] and [`SolveOptions::warm_basis`] are
+//! expressed in the standard form of the program the caller built.
 //!
 //! The LU factors are rebuilt every 32 Forrest–Tomlin updates — stretched to
 //! `rows / 32` on tall problems — and whenever an update signals numerical
@@ -177,7 +166,6 @@ mod error;
 mod lu;
 mod model;
 pub mod oracle;
-mod presolve;
 mod revised;
 mod solution;
 mod solver;

@@ -286,7 +286,7 @@ impl LinearProgram {
     }
 
     /// Solve with explicit options (iteration limit, tolerance, warm-start
-    /// basis, presolve, LP form).
+    /// basis, LP form).
     pub fn solve_with(&self, options: &SolveOptions) -> Result<Solution, SimplexError> {
         self.validate()?;
         solve_prepared(self, options)

@@ -3,10 +3,11 @@
 //! [`solve_dense`] runs the classic two-phase tableau method: every pivot
 //! updates all `rows · cols` entries, Phase 1 and Phase 2 both price with the
 //! Dantzig rule, and the same Bland fallback as the production route (after
-//! a run of consecutive degenerate pivots) guarantees termination.  It shares presolve, standardisation and postsolve with
-//! [`LinearProgram::solve_with`] but none of the revised machinery (LU
-//! factors, steepest-edge pricing, warm starts, the dual form),
-//! which is what makes it an independent check on that machinery.  Its
+//! a run of consecutive degenerate pivots) guarantees termination.  It
+//! shares standardisation with [`LinearProgram::solve_with`] but none of the
+//! revised machinery (LU factors, steepest-edge pricing, warm starts, the
+//! dual form), which is what makes it an independent check on that
+//! machinery.  Its
 //! `O(rows · cols)` pivots limit it to small programs; nothing in the serving
 //! path calls it.
 //!
@@ -30,21 +31,24 @@
 use crate::error::SimplexError;
 use crate::model::LinearProgram;
 use crate::solution::Solution;
-use crate::solver::{
-    solve_standard, with_presolve, PhaseOutcome, PivotState, SolveOptions, SolvedPoint,
-};
+use crate::solver::{solve_standard, PhaseOutcome, PivotState, SolveOptions, SolvedPoint};
 use crate::standard::{standardize, StandardForm};
 use crate::tableau::Tableau;
 
-/// Solve `lp` with the dense tableau.  Honours [`SolveOptions::max_iterations`],
-/// [`SolveOptions::tolerance`] and [`SolveOptions::presolve`]; always pivots on
-/// the primal from a cold start, so `warm_basis` and `form` are ignored.
-/// Reports the same [`SimplexError`] classes as the production route.
+/// Smallest pivot element the ratio test accepts, whatever the tolerance.
+/// With the floor at the tolerance, Phase 1 on the full `{WH, RM, S}` `L0`
+/// program at n = 10 pivots on elements of 1e-8 to 1e-10; the division
+/// drives basic values negative (to ~−1e-7), and Phase 1 then reports the
+/// feasible program infeasible.
+const MIN_PIVOT: f64 = 1e-7;
+
+/// Solve `lp` with the dense tableau.  Honours [`SolveOptions::max_iterations`]
+/// and [`SolveOptions::tolerance`]; always pivots on the primal from a cold
+/// start, so `warm_basis` and `form` are ignored.  Reports the same
+/// [`SimplexError`] classes as the production route.
 pub fn solve_dense(lp: &LinearProgram, options: &SolveOptions) -> Result<Solution, SimplexError> {
     lp.validate()?;
-    with_presolve(lp, options, |lp| {
-        solve_standard(&standardize(lp), |sf| pivot_dense(sf, options))
-    })
+    solve_standard(&standardize(lp), |sf| pivot_dense(sf, options))
 }
 
 /// The dense two-phase driver over a row-encoded standard form.
@@ -174,7 +178,7 @@ fn run_phase(
         let Some(col) = entering else {
             return Ok(PhaseOutcome::Optimal);
         };
-        let Some(row) = tableau.ratio_test(col, eps) else {
+        let Some(row) = tableau.ratio_test(col, eps.max(MIN_PIVOT), eps) else {
             return Ok(PhaseOutcome::Unbounded);
         };
 

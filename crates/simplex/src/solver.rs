@@ -1,7 +1,7 @@
 //! The solve route and the options it takes.
 //!
-//! Every [`LinearProgram::solve_with`] call runs one route: presolve, the
-//! sparse revised simplex (primal or dual form, see [`LpForm`]), postsolve.
+//! Every [`LinearProgram::solve_with`] call runs one route: standardise,
+//! then the sparse revised simplex (primal or dual form, see [`LpForm`]).
 //! The pivoting itself lives in [`crate::revised`]: the basis inverse is a
 //! sparse LU factorisation updated in place by Forrest–Tomlin rank-one
 //! updates, so a pivot costs `O(nnz)` (see [`crate::lu`]).  Phase 1 prices
@@ -10,9 +10,9 @@
 //! pivots, which guarantees termination.
 //!
 //! [`SolveOptions`] carries only what callers vary: the pivot budget, the
-//! tolerance, a warm-start basis, presolve, and the LP form.  The dense
-//! full-tableau method survives as a reference solver in [`crate::oracle`],
-//! which shares the presolve and standardisation steps below.
+//! tolerance, a warm-start basis, and the LP form.  The dense full-tableau
+//! method survives as a reference solver in [`crate::oracle`], which shares
+//! the standardisation step below.
 
 use serde::{Deserialize, Serialize};
 
@@ -98,14 +98,6 @@ pub struct SolveOptions {
     /// which path ran).
     #[serde(default)]
     pub warm_basis: Option<Vec<usize>>,
-    /// Run the LP presolve pipeline (aliasing, singleton/empty/duplicate row
-    /// elimination, fixed-variable substitution) before standardising.  The
-    /// reductions are deterministic, so warm bases and the design cache stay
-    /// consistent across runs with the same setting; disable only to compare
-    /// against the raw formulation.  [`SolveStats::presolve_rows_removed`] and
-    /// [`SolveStats::presolve_cols_removed`] report what it accomplished.
-    #[serde(default = "default_presolve")]
-    pub presolve: bool,
     /// Which form of the LP to pivot on (see [`LpForm`]).
     /// [`LpForm::Auto`] (the default) solves tall programs in dual form; a
     /// warm seed composes with either choice — in dual form the stored
@@ -115,20 +107,12 @@ pub struct SolveOptions {
     pub form: LpForm,
 }
 
-// Referenced by the string path in the `#[serde(default = "...")]` attribute
-// above; rustc's dead-code pass cannot see through that.
-#[allow(dead_code)]
-fn default_presolve() -> bool {
-    true
-}
-
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
             max_iterations: 500_000,
             tolerance: 1e-9,
             warm_basis: None,
-            presolve: true,
             form: LpForm::default(),
         }
     }
@@ -176,13 +160,6 @@ impl SolveOptions {
         self
     }
 
-    /// Builder: replace [`SolveOptions::presolve`].
-    #[must_use]
-    pub fn with_presolve(mut self, presolve: bool) -> Self {
-        self.presolve = presolve;
-        self
-    }
-
     /// Builder: replace [`SolveOptions::form`].
     #[must_use]
     pub fn with_form(mut self, form: LpForm) -> Self {
@@ -223,13 +200,6 @@ pub struct SolveStats {
     /// weight disagreed with the exact projected norm of its FTRANed column.
     #[serde(default)]
     pub steepest_edge_resets: usize,
-    /// Constraint rows removed by presolve before standardisation.
-    #[serde(default)]
-    pub presolve_rows_removed: usize,
-    /// Variables eliminated by presolve (fixed, aliased, or empty) before
-    /// standardisation.
-    #[serde(default)]
-    pub presolve_cols_removed: usize,
     /// Dual-simplex pivots performed by a warm-started
     /// solve before the primal cleanup confirmed optimality.  Zero for cold
     /// solves (and for warm seeds that fell back to the primal path).
@@ -259,8 +229,7 @@ impl SolveStats {
     /// Add the pivoting work of `earlier` — a solve that ran on the way to
     /// this one, such as the dual-form walk before its certification or a
     /// relaxation whose basis seeded this solve — to these counters.  What
-    /// describes the final solve (`form`, `warm_started`, the presolve
-    /// counts) stays this solve's.
+    /// describes the final solve (`form`, `warm_started`) stays this solve's.
     pub fn add_work(&mut self, earlier: &SolveStats) {
         self.phase1_iterations += earlier.phase1_iterations;
         self.phase2_iterations += earlier.phase2_iterations;
@@ -418,56 +387,17 @@ fn solve_prepared_inner(
     lp: &LinearProgram,
     options: &SolveOptions,
 ) -> Result<Solution, SimplexError> {
-    with_presolve(lp, options, |lp| {
-        let form = resolve_form(options, lp);
-        solve_standard(&standardize(lp), |sf| {
-            if form == LpForm::Dual {
-                // An ineligible or numerically unlucky dual attempt falls
-                // back to the primal path, which is always correct.
-                if let Some(point) = crate::dual::solve_via_dual(sf, options)? {
-                    return Ok(point);
-                }
+    let form = resolve_form(options, lp);
+    solve_standard(&standardize(lp), |sf| {
+        if form == LpForm::Dual {
+            // An ineligible or numerically unlucky dual attempt falls back to
+            // the primal path, which is always correct.
+            if let Some(point) = crate::dual::solve_via_dual(sf, options)? {
+                return Ok(point);
             }
-            revised::solve(sf, options)
-        })
-    })
-}
-
-/// Presolve `lp` (when [`SolveOptions::presolve`] is on), hand the reduced
-/// program to `solve`, and expand its solution back to the original model.
-/// Shared by the production route and [`crate::oracle`].
-pub(crate) fn with_presolve(
-    lp: &LinearProgram,
-    options: &SolveOptions,
-    solve: impl FnOnce(&LinearProgram) -> Result<Solution, SimplexError>,
-) -> Result<Solution, SimplexError> {
-    if !options.presolve {
-        return solve(lp);
-    }
-    let pre = crate::presolve::presolve(lp)?;
-    let map = &pre.map;
-
-    // Presolve may eliminate the entire program (every variable aliased or
-    // fixed): the map alone reconstructs the optimum.
-    let mut solution = if pre.lp.num_variables() == 0 {
-        Solution {
-            status: SolveStatus::Optimal,
-            objective_value: 0.0,
-            values: Vec::new(),
-            stats: SolveStats {
-                form: LpForm::Primal,
-                ..SolveStats::default()
-            },
-            optimal_basis: None,
         }
-    } else {
-        solve(&pre.lp)?
-    };
-    solution.objective_value += map.objective_offset;
-    solution.values = map.expand_values(&solution.values);
-    solution.stats.presolve_rows_removed = map.rows_removed;
-    solution.stats.presolve_cols_removed = map.cols_removed;
-    Ok(solution)
+        revised::solve(sf, options)
+    })
 }
 
 /// Run `pivot` on a standard form and turn its optimum into a [`Solution`]
@@ -499,7 +429,7 @@ pub(crate) fn solve_standard(
 }
 
 /// Resolve [`SolveOptions::form`] to the form the solve will actually run on:
-/// `Auto` becomes `Dual` exactly when the (presolved) program is tall enough
+/// `Auto` becomes `Dual` exactly when the program is tall enough
 /// for the half-size dual basis to pay for the dualize and certification
 /// factorisations — at least [`LpForm::AUTO_MIN_ROWS`] rows and rows ≥
 /// [`LpForm::AUTO_MIN_ASPECT`] · cols.
@@ -615,17 +545,27 @@ mod tests {
         assert_eq!(resolve_form(&dual, &program(300, 300)), LpForm::Dual);
     }
 
-    /// Pre-PR-6 serialized options carry no `presolve` field and pre-dual
-    /// stats carry no `form`; both must fill from their documented defaults
-    /// (`true` / `Primal`), not `Default::default()` — this pins the vendored
-    /// derive's `#[serde(default = "path")]` support.
+    /// Options and stats serialised while the solver still had a presolve
+    /// pass carry its retired fields, which must be ignored; pre-dual stats
+    /// carry no `form`, which must fill from its documented default
+    /// (`Primal`), not `Default::default()` — this pins the vendored derive's
+    /// `#[serde(default = "path")]` support.
     #[test]
     fn serde_defaults_for_missing_presolve_and_form_fields() {
-        let mut options_json = serde_json::to_string(&SolveOptions::default()).unwrap();
-        assert!(options_json.contains("\"presolve\":true"));
-        options_json = options_json.replace("\"presolve\":true,", "");
-        let options: SolveOptions = serde_json::from_str(&options_json).unwrap();
-        assert!(options.presolve, "missing `presolve` defaults to on");
+        let options_json = serde_json::to_string(&SolveOptions::default()).unwrap();
+        assert!(!options_json.contains("presolve"));
+        let retired = options_json.replace("\"form\":", "\"presolve\":false,\"form\":");
+        assert!(retired.contains("\"presolve\":false"));
+        let options: SolveOptions = serde_json::from_str(&retired).unwrap();
+        assert_eq!(options, SolveOptions::default());
+        let retired_stats = serde_json::to_string(&SolveStats::default())
+            .unwrap()
+            .replace(
+                '{',
+                "{\"presolve_rows_removed\":3,\"presolve_cols_removed\":1,",
+            );
+        let stats: SolveStats = serde_json::from_str(&retired_stats).unwrap();
+        assert_eq!(stats, SolveStats::default());
 
         let mut stats_json = serde_json::to_string(&SolveStats {
             form: LpForm::Dual,

@@ -23,10 +23,7 @@
 //! densifies on demand; the revised simplex consumes the CSC columns
 //! directly.
 
-use std::borrow::Cow;
-
 use crate::model::{LinearProgram, Objective, Relation};
-use crate::presolve::VarDisposition;
 use crate::sparse::SparseMatrix;
 
 /// How a user variable is reconstructed from standard-form columns.
@@ -319,18 +316,12 @@ pub(crate) fn standardize(lp: &LinearProgram) -> StandardForm {
 /// artificial marker for equality rows — exactly as a cold solve treats
 /// redundant rows.
 ///
-/// The basis is expressed against the standard form of `lp` **itself**,
-/// while [`SolveOptions::warm_basis`](crate::SolveOptions::warm_basis) lives
-/// in the standard form of the presolved program.  The seed therefore fits
-/// only where presolve leaves `lp` unchanged — the BASICDP program at
-/// `α < 1`, where the closed-form Geometric Mechanism is the exact `L0`
-/// optimum and the crash reduces the solve to one factorisation, and a
-/// feasible start for the other objectives.  Presolve reshapes most
-/// property-constrained programs (weak-honesty singleton rows become bounds,
-/// column-honesty rows that repeat column-monotonicity rows drop out,
-/// symmetry and fairness equalities alias columns), so a crash seed usually
-/// does not fit them and the solve runs cold; seed those from their
-/// relaxation with [`lift_basis`] instead.
+/// The basis is expressed against the standard form of `lp`, the space
+/// [`SolveOptions::warm_basis`](crate::SolveOptions::warm_basis) lives in.
+/// On the BASICDP program, where the closed-form Geometric Mechanism is the
+/// exact `L0` optimum, the crash reduces the solve to one factorisation; under
+/// the other objectives it is a feasible start.  Property-constrained
+/// programs are better seeded from their relaxation with [`lift_basis`].
 ///
 /// The seed is a *hint*, never an answer: the solver discards a seed of the
 /// wrong shape, and the warm-start machinery factors it, rejects it if
@@ -435,124 +426,46 @@ pub fn crash_basis(lp: &LinearProgram, values: &[f64]) -> Option<Vec<usize>> {
     Some(basis)
 }
 
-/// What a row of a [`BasisSpace`] stands for in the model.
-#[derive(Debug, Clone, Copy)]
-enum RowOrigin {
-    /// Model constraint `row`.
-    Constraint(usize),
-    /// The bound row of model variable `var`.
-    Bound(usize),
-}
-
-/// The standard form a solve pivots on — of the presolved program when
-/// presolve is on — with the maps back to the model's variables and rows.
-/// This is the space [`SolveOptions::warm_basis`](crate::SolveOptions::warm_basis)
-/// and [`Solution::optimal_basis`](crate::Solution::optimal_basis) live in.
-struct BasisSpace {
-    sf: StandardForm,
-    /// Model variable → variable of the (reduced) program, `None` when
-    /// presolve fixed or aliased it away.
-    reduced_var: Vec<Option<usize>>,
-    /// Standard-form row → what it stands for in the model.
-    row_origin: Vec<RowOrigin>,
-    /// Standard-form row → its slack column (`None` on equalities).
-    slack_of_row: Vec<Option<usize>>,
-}
-
-impl BasisSpace {
-    /// `None` when the program cannot be presolved.
-    fn new(lp: &LinearProgram, presolve: bool) -> Option<Self> {
-        let (reduced, reduced_var, constraint_origin) = if presolve {
-            let pre = crate::presolve::presolve(lp).ok()?;
-            let reduced_var: Vec<Option<usize>> = pre
-                .map
-                .vars
-                .iter()
-                .map(|disposition| match *disposition {
-                    VarDisposition::Kept(new) => Some(new),
-                    _ => None,
-                })
-                .collect();
-            (Cow::Owned(pre.lp), reduced_var, pre.row_origin)
-        } else {
-            let reduced_var = (0..lp.num_variables()).map(Some).collect();
-            (
-                Cow::Borrowed(lp),
-                reduced_var,
-                (0..lp.num_constraints()).collect(),
-            )
-        };
-        let sf = standardize(&reduced);
-        let mut row_origin: Vec<RowOrigin> = constraint_origin
-            .into_iter()
-            .map(RowOrigin::Constraint)
-            .collect();
-        row_origin.resize(sf.num_rows(), RowOrigin::Bound(0));
-        for (var, kept) in reduced_var.iter().enumerate() {
-            if let Some(row) = kept.and_then(|r| sf.bound_row(r, reduced.num_constraints())) {
-                row_origin[row] = RowOrigin::Bound(var);
-            }
-        }
-        Some(BasisSpace {
-            slack_of_row: sf.slack_of_row(),
-            sf,
-            reduced_var,
-            row_origin,
-        })
-    }
-
-    /// The standard-form column of part `part` (0, or 1 for the negative half
-    /// of a split free variable) of model variable `var`.
-    fn column(&self, var: usize, part: usize) -> Option<usize> {
-        match (&self.sf.mapping[self.reduced_var[var]?], part) {
-            (VariableMapping::Shifted { col, .. } | VariableMapping::Negated { col, .. }, 0) => {
-                Some(*col)
-            }
-            (VariableMapping::Split { pos, .. }, 0) => Some(*pos),
-            (VariableMapping::Split { neg, .. }, 1) => Some(*neg),
-            _ => None,
-        }
-    }
-}
-
 /// **Lift** an optimal basis of `relaxed` to a warm seed for `lp`, a program
-/// that appends rows to it.
+/// that appends rows to it and may raise finite lower bounds.
 ///
-/// `lp` must have the same variables, bounds and objective as `relaxed`, and
-/// its constraints must start with `relaxed`'s; `relaxed_basis` is the
+/// `lp` must have the same variables, upper bounds and objective as
+/// `relaxed`, each lower bound equal or raised from a finite one, and its
+/// constraints must start with `relaxed`'s; `relaxed_basis` is the
 /// [`Solution::optimal_basis`](crate::Solution::optimal_basis) of a solve of
-/// `relaxed` with [`SolveOptions::presolve`](crate::SolveOptions::presolve)
-/// set to `presolve`.  The lifted basis keeps every basic column of the
-/// relaxation and makes the slack of each appended row basic, expressed in
-/// the standard form `lp` is solved in — presolve folds appended singleton
-/// rows into bounds (a two-sided bound standardises as a bound row) and
-/// drops appended rows that repeat others, so the seed is mapped through
-/// both programs' presolve, row by row and column by column.
+/// `relaxed`.  A raised lower bound only shifts its column, so both
+/// standard forms have the same structural columns, and the relaxation's
+/// rows map onto `lp`'s row for row: its constraint rows are a prefix of
+/// `lp`'s, and its bound rows (one per two-sided variable bound) follow
+/// `lp`'s appended constraint rows.  The lifted basis keeps every basic
+/// column of the relaxation on its mapped row and makes the slack of each
+/// appended row basic.
 ///
 /// Under the same objective the lifted basis is **dual feasible** by
 /// construction: the appended rows' multipliers are zero, so every reduced
 /// cost is the relaxation's.  It is primal infeasible exactly where the
-/// relaxed optimum violates an appended row (or a bound presolve derived from
-/// one), which the warm start's dual simplex repairs.  In dual form the same
-/// seed is primal feasible and dual infeasible, and the warm start runs the
-/// primal simplex from it.
+/// relaxed optimum violates an appended row or a raised bound, which the warm
+/// start's dual simplex repairs.  In dual form the same seed is primal feasible and dual
+/// infeasible, and the warm start runs the primal simplex from it.
 ///
 /// Returns `None` when `lp` does not extend `relaxed`, when the basis has the
-/// wrong length, when presolve eliminates or aliases a column of `lp` that is
-/// basic in the relaxation (equality rows such as `x_a = x_b` alias columns)
-/// or drops a row of `lp` (a bound row included) that the relaxation keeps,
-/// or when an appended row that survives presolve is an equality (it has no
-/// slack to make basic).  Like any seed, the result is a hint the solver
-/// verifies, never an answer.
+/// wrong length, or when an appended row is an equality (it has no slack to
+/// make basic).  Like any seed, the result is a hint the solver verifies,
+/// never an answer.
 pub fn lift_basis(
     relaxed: &LinearProgram,
     relaxed_basis: &[usize],
     lp: &LinearProgram,
-    presolve: bool,
 ) -> Option<Vec<usize>> {
+    let raises_lower_bounds = relaxed.variables.len() == lp.variables.len()
+        && relaxed.variables.iter().zip(&lp.variables).all(|(a, b)| {
+            a.upper == b.upper
+                && (a.lower == b.lower
+                    || (a.lower.is_finite() && a.lower < b.lower && b.lower < b.upper))
+        });
     let extends = relaxed.objective == lp.objective
         && relaxed.objective_coefficients == lp.objective_coefficients
-        && relaxed.variables == lp.variables
+        && raises_lower_bounds
         && relaxed.num_constraints() <= lp.num_constraints()
         && relaxed
             .constraints()
@@ -561,67 +474,39 @@ pub fn lift_basis(
     if !extends {
         return None;
     }
-    let from = BasisSpace::new(relaxed, presolve)?;
-    let to = BasisSpace::new(lp, presolve)?;
-    if relaxed_basis.len() != from.sf.num_rows() {
+    let (from, to) = (standardize(relaxed), standardize(lp));
+    if relaxed_basis.len() != from.num_rows() {
         return None;
     }
-
-    // Inverse maps: model row or bound → row of `lp`'s space, and each of
-    // the relaxation's columns → the model variable (and split part) or row
-    // it belongs to.
-    let mut to_row = vec![None; lp.num_constraints()];
-    let mut to_bound_row = vec![None; lp.num_variables()];
-    for (row, &origin) in to.row_origin.iter().enumerate() {
-        match origin {
-            RowOrigin::Constraint(model_row) => to_row[model_row] = Some(row),
-            RowOrigin::Bound(var) => to_bound_row[var] = Some(row),
-        }
-    }
-    let image = |from_row: usize| match from.row_origin[from_row] {
-        RowOrigin::Constraint(model_row) => to_row[model_row],
-        RowOrigin::Bound(var) => to_bound_row[var],
-    };
-    let num_structural = from.sf.num_structural;
-    let mut var_of_col = vec![(0, 0); num_structural];
-    for (var, reduced) in from.reduced_var.iter().enumerate() {
-        match reduced.map(|r| &from.sf.mapping[r]) {
-            Some(VariableMapping::Shifted { col, .. } | VariableMapping::Negated { col, .. }) => {
-                var_of_col[*col] = (var, 0);
-            }
-            Some(VariableMapping::Split { pos, neg }) => {
-                var_of_col[*pos] = (var, 0);
-                var_of_col[*neg] = (var, 1);
-            }
-            Some(VariableMapping::Fixed(_)) | None => {}
-        }
-    }
-    let mut row_of_slack = vec![0; from.sf.num_columns() - num_structural];
-    for (row, slack) in from.slack_of_row.iter().enumerate() {
+    let kept = relaxed.num_constraints();
+    let appended = lp.num_constraints() - kept;
+    let image = |row: usize| if row < kept { row } else { row + appended };
+    let num_structural = from.num_structural;
+    let to_slack = to.slack_of_row();
+    let mut row_of_slack = vec![0; from.num_columns() - num_structural];
+    for (row, slack) in from.slack_of_row().into_iter().enumerate() {
         if let Some(col) = slack {
             row_of_slack[col - num_structural] = row;
         }
     }
 
     // Each basic column moves to the slot of its row's image; an artificial
-    // marker keeps marking its (mapped) slot.  Rows with no preimage — the
-    // appended ones — keep their own slack basic.
-    let mut lifted = vec![None; to.sf.num_rows()];
+    // marker keeps marking its (mapped) slot.  The appended rows keep their
+    // own slack basic.
+    let mut lifted = vec![None; to.num_rows()];
     for (slot, &col) in relaxed_basis.iter().enumerate() {
-        let target_slot = image(slot)?;
+        let target_slot = image(slot);
         lifted[target_slot] = Some(if col < num_structural {
-            let (var, part) = var_of_col[col];
-            to.column(var, part)?
-        } else if col < from.sf.num_columns() {
-            let row = row_of_slack[col - num_structural];
-            to.slack_of_row[image(row)?]?
+            col
+        } else if col < from.num_columns() {
+            to_slack[image(row_of_slack[col - num_structural])]?
         } else {
-            to.sf.num_columns() + target_slot
+            to.num_columns() + target_slot
         });
     }
     lifted
         .into_iter()
-        .zip(&to.slack_of_row)
+        .zip(&to_slack)
         .map(|(basic, &slack)| basic.or(slack))
         .collect()
 }

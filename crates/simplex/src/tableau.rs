@@ -113,15 +113,16 @@ impl Tableau {
         x
     }
 
-    /// The ratio test: among rows with `a[r][col] > eps`, pick the one minimising
-    /// `rhs[r] / a[r][col]`, breaking ties by the smallest basic-variable index
-    /// (which is what Bland's rule requires).  Returns `None` if no row qualifies,
-    /// i.e. the column is unbounded.
-    pub fn ratio_test(&self, col: usize, eps: f64) -> Option<usize> {
+    /// The ratio test: among rows with `a[r][col] > min_pivot`, pick the one
+    /// minimising `rhs[r] / a[r][col]`, treating ratios within `eps` as ties
+    /// and breaking them by the smallest basic-variable index (which is what
+    /// Bland's rule requires).  Returns `None` if no row qualifies, i.e. the
+    /// column is unbounded.
+    pub fn ratio_test(&self, col: usize, min_pivot: f64, eps: f64) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for r in 0..self.num_rows {
             let arc = self.at(r, col);
-            if arc > eps {
+            if arc > min_pivot {
                 let ratio = self.rhs[r] / arc;
                 match best {
                     None => best = Some((r, ratio)),
@@ -247,14 +248,14 @@ mod tests {
         let mut t = example_tableau();
         t.set_costs(&[-3.0, -5.0, 0.0, 0.0, 0.0]);
         // Enter y (column 1): ratio test picks row 1 (12/2 = 6 vs 18/2 = 9).
-        let row = t.ratio_test(1, 1e-9).unwrap();
+        let row = t.ratio_test(1, 1e-9, 1e-9).unwrap();
         assert_eq!(row, 1);
         let nondegenerate = t.pivot(row, 1);
         assert!(nondegenerate);
         assert_eq!(t.basis()[1], 1);
         assert!((t.objective() - (-30.0)).abs() < 1e-12);
         // Enter x (column 0): ratio test now picks row 2 (6/3 = 2 vs 4/1 = 4).
-        let row = t.ratio_test(0, 1e-9).unwrap();
+        let row = t.ratio_test(0, 1e-9, 1e-9).unwrap();
         assert_eq!(row, 2);
         t.pivot(row, 0);
         assert!((t.objective() - (-36.0)).abs() < 1e-12);
@@ -271,7 +272,7 @@ mod tests {
         let rhs = vec![1.0, 2.0];
         let basis = vec![1, 2];
         let t = Tableau::new(rows, rhs, basis);
-        assert_eq!(t.ratio_test(0, 1e-9), None);
+        assert_eq!(t.ratio_test(0, 1e-9, 1e-9), None);
     }
 
     #[test]
@@ -281,7 +282,7 @@ mod tests {
         let basis = vec![1, 2];
         let mut t = Tableau::new(rows, rhs, basis);
         t.set_costs(&[-1.0, 0.0, 0.0]);
-        let row = t.ratio_test(0, 1e-9).unwrap();
+        let row = t.ratio_test(0, 1e-9, 1e-9).unwrap();
         assert_eq!(row, 0);
         let nondegenerate = t.pivot(row, 0);
         assert!(!nondegenerate);

@@ -93,9 +93,7 @@ fn dual_infeasible_seed_falls_back_to_the_primal_path() {
     // max 3x + 5y over three <= rows: the all-slack basis is primal feasible
     // but badly dual infeasible (both structural reduced costs are negative),
     // so the dual cleanup must not run: the primal simplex walks from the
-    // seed.  Presolve folds the two singleton rows into the bounds x ≤ 4 and
-    // y ≤ 6, which standardise back into rows, so the reduced program has
-    // three rows and the three slacks are still columns 2..4.
+    // seed.
     let mut lp = LinearProgram::maximize();
     let x = lp.add_variable("x");
     let y = lp.add_variable("y");
@@ -119,8 +117,8 @@ fn dual_infeasible_seed_falls_back_to_the_primal_path() {
 
 #[test]
 fn primal_feasible_seed_runs_phase_2_from_the_seed() {
-    // max 3x + 5y over two two-term <= rows (no singleton, so presolve keeps
-    // both): the all-slack basis is primal feasible but dual infeasible.  The
+    // max 3x + 5y over two two-term <= rows: the all-slack basis is primal
+    // feasible but dual infeasible.  The
     // warm path must take it anyway and walk Phase 2 from it — no Phase 1,
     // no dual pivots — to the cold optimum at (3, 1).
     let mut lp = LinearProgram::maximize();
@@ -166,8 +164,8 @@ fn seed_infeasible_both_ways_falls_back_to_the_primal_path() {
 }
 
 /// `ratio_lp` plus appended rows that cut off its optimum: a singleton
-/// floor on the last variable (presolve folds it into a bound), `p0 <= p1`,
-/// and the same halfspace restated as `p1 - p0 >= 0` (presolve drops it).
+/// floor on the last variable, `p0 <= p1`, and the same halfspace restated
+/// as `p1 - p0 >= 0`.
 fn extended_ratio_lp(n: usize, alpha: f64) -> LinearProgram {
     let (mut lp, vars) = ratio_lp(n, alpha);
     lp.add_constraint(vec![(vars[n - 1], 1.0)], Relation::GreaterEq, 0.05);
@@ -184,34 +182,30 @@ fn extended_ratio_lp(n: usize, alpha: f64) -> LinearProgram {
 fn lifted_relaxation_basis_warm_starts_the_extended_program() {
     let (relaxed, _) = ratio_lp(10, 0.8);
     let lp = extended_ratio_lp(10, 0.8);
-    for presolve in [true, false] {
-        for form in [LpForm::Primal, LpForm::Dual] {
-            let options = SolveOptions::default()
-                .with_presolve(presolve)
-                .with_form(form);
-            let basis = relaxed
-                .solve_with(&options)
-                .unwrap()
-                .optimal_basis
-                .expect("the relaxation reports its basis");
-            let lifted = lift_basis(&relaxed, &basis, &lp, presolve)
-                .expect("appended inequality rows always lift");
-            let cold = lp.solve_with(&options).unwrap();
-            let warm = lp
-                .solve_with(&options.clone().with_warm_basis(Some(lifted)))
-                .unwrap();
-            assert!(
-                warm.stats.warm_started,
-                "presolve {presolve}, {form}: the lifted seed must be used"
-            );
-            assert_eq!(warm.stats.phase1_iterations, 0);
-            // In dual form the lifted seed is primal feasible and dual
-            // infeasible; it must be walked there, not deferred to the primal.
-            assert_eq!(warm.stats.form, form);
-            assert_close(warm.objective_value, cold.objective_value);
-            for (w, c) in warm.values.iter().zip(cold.values.iter()) {
-                assert_close(*w, *c);
-            }
+    for form in [LpForm::Primal, LpForm::Dual] {
+        let options = SolveOptions::default().with_form(form);
+        let basis = relaxed
+            .solve_with(&options)
+            .unwrap()
+            .optimal_basis
+            .expect("the relaxation reports its basis");
+        let lifted =
+            lift_basis(&relaxed, &basis, &lp).expect("appended inequality rows always lift");
+        let cold = lp.solve_with(&options).unwrap();
+        let warm = lp
+            .solve_with(&options.clone().with_warm_basis(Some(lifted)))
+            .unwrap();
+        assert!(
+            warm.stats.warm_started,
+            "{form}: the lifted seed must be used"
+        );
+        assert_eq!(warm.stats.phase1_iterations, 0);
+        // In dual form the lifted seed is primal feasible and dual
+        // infeasible; it must be walked there, not deferred to the primal.
+        assert_eq!(warm.stats.form, form);
+        assert_close(warm.objective_value, cold.objective_value);
+        for (w, c) in warm.values.iter().zip(cold.values.iter()) {
+            assert_close(*w, *c);
         }
     }
 }
@@ -221,21 +215,47 @@ fn lift_basis_refuses_what_it_cannot_map() {
     let (relaxed, vars) = ratio_lp(6, 0.8);
     let basis = relaxed.solve().unwrap().optimal_basis.unwrap();
     let lp = extended_ratio_lp(6, 0.8);
-    assert!(lift_basis(&relaxed, &basis, &lp, true).is_some());
+    assert!(lift_basis(&relaxed, &basis, &lp).is_some());
 
     // Wrong basis length.
-    assert!(lift_basis(&relaxed, &basis[1..], &lp, true).is_none());
+    assert!(lift_basis(&relaxed, &basis[1..], &lp).is_none());
     // Not an extension: another objective, or the relaxation's rows changed.
     let mut other_objective = lp.clone();
     other_objective.set_objective_coefficient(vars[0], 7.0);
-    assert!(lift_basis(&relaxed, &basis, &other_objective, true).is_none());
+    assert!(lift_basis(&relaxed, &basis, &other_objective).is_none());
     let (tighter, _) = ratio_lp(6, 0.7);
-    assert!(lift_basis(&tighter, &basis, &lp, true).is_none());
-    // An appended equality `p1 = p2` makes presolve alias a column the
-    // relaxation keeps basic.
-    let mut aliased = relaxed.clone();
-    aliased.add_constraint(vec![(vars[1], 1.0), (vars[2], -1.0)], Relation::Equal, 0.0);
-    assert!(lift_basis(&relaxed, &basis, &aliased, true).is_none());
+    assert!(lift_basis(&tighter, &basis, &lp).is_none());
+    // An appended equality `p1 = p2` has no slack to make basic.
+    let mut equality = relaxed.clone();
+    equality.add_constraint(vec![(vars[1], 1.0), (vars[2], -1.0)], Relation::Equal, 0.0);
+    assert!(lift_basis(&relaxed, &basis, &equality).is_none());
+    // A bound that is not a raised lower bound changes the columns: an upper
+    // bound adds a bound row, and equal bounds fix the variable away.
+    for (lower, upper) in [(0.0, 0.5), (0.1, 0.1)] {
+        let mut rebounded = relaxed.clone();
+        rebounded.set_bounds(vars[2], lower, upper);
+        assert!(lift_basis(&relaxed, &basis, &rebounded).is_none());
+    }
+}
+
+#[test]
+fn lifted_basis_warm_starts_a_program_with_raised_lower_bounds() {
+    let (relaxed, vars) = ratio_lp(10, 0.8);
+    let mut lp = relaxed.clone();
+    lp.set_bounds(vars[9], 0.05, f64::INFINITY);
+    lp.add_constraint(vec![(vars[0], 1.0), (vars[1], -1.0)], Relation::LessEq, 0.0);
+    for form in [LpForm::Primal, LpForm::Dual] {
+        let options = SolveOptions::default().with_form(form);
+        let basis = relaxed.solve_with(&options).unwrap().optimal_basis.unwrap();
+        let lifted = lift_basis(&relaxed, &basis, &lp).expect("a raised lower bound lifts");
+        let cold = lp.solve_with(&options).unwrap();
+        let warm = lp
+            .solve_with(&options.clone().with_warm_basis(Some(lifted)))
+            .unwrap();
+        assert!(warm.stats.warm_started, "{form}: {:?}", warm.stats);
+        assert_close(warm.objective_value, cold.objective_value);
+        assert!(warm.value(vars[9]) >= 0.05 - 1e-9);
+    }
 }
 
 #[test]
@@ -337,7 +357,7 @@ fn boxed_program_resolves_from_its_own_optimal_basis_warm_and_pivot_free() {
 #[test]
 fn crash_and_lift_accept_two_sided_bounds() {
     let (relaxed, vars) = boxed_ratio_lp(10, 0.8);
-    let options = SolveOptions::default().with_presolve(false);
+    let options = SolveOptions::default();
     let optimum = relaxed.solve_with(&options).unwrap();
 
     // A crash basis at the optimum is accepted and certifies it.
@@ -352,24 +372,15 @@ fn crash_and_lift_accept_two_sided_bounds() {
     let mut lp = relaxed.clone();
     lp.add_constraint(vec![(vars[0], 1.0), (vars[1], -1.0)], Relation::LessEq, 0.0);
     lp.add_constraint(vec![(vars[9], 1.0)], Relation::GreaterEq, 0.05);
-    for presolve in [true, false] {
-        for form in [LpForm::Primal, LpForm::Dual] {
-            let options = SolveOptions::default()
-                .with_presolve(presolve)
-                .with_form(form);
-            let basis = relaxed.solve_with(&options).unwrap().optimal_basis.unwrap();
-            let lifted =
-                lift_basis(&relaxed, &basis, &lp, presolve).expect("two-sided bounds lift");
-            let cold = lp.solve_with(&options).unwrap();
-            let warm = lp
-                .solve_with(&options.clone().with_warm_basis(Some(lifted)))
-                .unwrap();
-            assert!(
-                warm.stats.warm_started,
-                "presolve {presolve}, {form}: {:?}",
-                warm.stats
-            );
-            assert_close(warm.objective_value, cold.objective_value);
-        }
+    for form in [LpForm::Primal, LpForm::Dual] {
+        let options = SolveOptions::default().with_form(form);
+        let basis = relaxed.solve_with(&options).unwrap().optimal_basis.unwrap();
+        let lifted = lift_basis(&relaxed, &basis, &lp).expect("two-sided bounds lift");
+        let cold = lp.solve_with(&options).unwrap();
+        let warm = lp
+            .solve_with(&options.clone().with_warm_basis(Some(lifted)))
+            .unwrap();
+        assert!(warm.stats.warm_started, "{form}: {:?}", warm.stats);
+        assert_close(warm.objective_value, cold.objective_value);
     }
 }
