@@ -1,5 +1,6 @@
 //! Scaling probe: time one BASICDP solve per group size, printing the
-//! wall-clock, pivot counts, factorisation/update/repair counts, the total
+//! wall-clock, pivot counts, factorisation/update/repair counts, the
+//! steepest-edge updates whose cross-term BTRAN was abandoned, the total
 //! time spent factorising (the solve's delta of the
 //! `cpm_lp_refactorize_nanos` histogram), and LP dimensions.  Quicker and more informative for tuning than the statistical
 //! Criterion bench; `--full` extends the sweep to n = 128.
@@ -65,7 +66,7 @@ fn main() {
         );
     }
     println!(
-        "n | form | rows x cols | terms | solve | phase1+phase2 pivots | factors | factor time | updates | repairs | objective"
+        "n | form | rows x cols | terms | solve | phase1+phase2 pivots | factors | factor time | updates | repairs | cross terms abandoned | objective"
     );
     let rows = parallel_map(sweep, |n| {
         let problem = DesignProblem::unconstrained(n, alpha, Objective::l0());
@@ -87,7 +88,7 @@ fn main() {
                     Duration::from_nanos(factor_histogram.snapshot().diff(&factor_before).sum);
                 let stats = solution.solver_stats;
                 format!(
-                    "{n:4} | {} | {}x{} | {} | {elapsed:10.2?} | {}+{} | {} | {factor_time:9.2?} | {} | {} | {:.9}",
+                    "{n:4} | {} | {}x{} | {} | {elapsed:10.2?} | {}+{} | {} | {factor_time:9.2?} | {} | {} | {} | {:.9}",
                     stats.form,
                     lp.num_constraints(),
                     lp.num_variables(),
@@ -97,6 +98,7 @@ fn main() {
                     stats.refactorizations,
                     stats.basis_updates,
                     stats.basis_repairs,
+                    stats.cross_term_abandoned,
                     solution.objective_value,
                 )
             }

@@ -208,14 +208,22 @@ pub fn encode_record(report: &Report, out: &mut Vec<u8>) -> Result<(), WireError
 /// Decode one 20-byte record, validating every field.
 pub fn decode_record(bytes: &[u8]) -> Result<Report, WireError> {
     assert_eq!(bytes.len(), RECORD_LEN, "record slice must be RECORD_LEN");
-    let mut reader = Reader::new(bytes);
-    let key = take_spec_key(&mut reader).map_err(|error| match error {
+    let (key, output) = bytes.split_at(cpm_wire::SPEC_KEY_LEN);
+    Report::new(decode_key(key)?, decode_output(output))
+}
+
+/// Decode and validate a record's key bytes.
+fn decode_key(bytes: &[u8]) -> Result<SpecKey, WireError> {
+    take_spec_key(&mut Reader::new(bytes)).map_err(|error| match error {
         SpecKeyError::Key(error) => key_error(error),
-        // The slice is exactly RECORD_LEN, so the 16-byte key cannot truncate.
-        SpecKeyError::Decode(_) => unreachable!("RECORD_LEN slice cannot truncate a key"),
-    })?;
-    let output = u32::take(&mut reader).expect("RECORD_LEN slice carries the output");
-    Report::new(key, output)
+        // Callers pass exactly SPEC_KEY_LEN bytes, so the key cannot truncate.
+        SpecKeyError::Decode(_) => unreachable!("a SPEC_KEY_LEN slice cannot truncate a key"),
+    })
+}
+
+/// A record's trailing `u32` output.
+fn decode_output(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("a record carries a 4-byte output"))
 }
 
 /// Encode a batch of reports as one frame payload (header + records), ready to
@@ -236,7 +244,7 @@ pub fn encode_batch(reports: &[Report]) -> Result<Vec<u8>, WireError> {
 }
 
 /// Decode a frame payload into its reports, validating the header and every
-/// record.
+/// record (each distinct run of key bytes once).
 pub fn decode_batch(payload: &[u8]) -> Result<Vec<Report>, WireError> {
     if !is_report_frame(payload) {
         return Err(WireError::BadMagic);
@@ -259,9 +267,23 @@ pub fn decode_batch(payload: &[u8]) -> Result<Vec<Report>, WireError> {
             len: payload.len(),
         });
     }
+    // A frame is typically long runs of one key, so a record whose key bytes
+    // repeat the previous record's reuses that (already validated) key and
+    // checks only its output: the result and the first error are exactly
+    // those of `decode_record` on every record.
     let mut reports = Vec::with_capacity(count as usize);
-    for chunk in payload[HEADER_LEN..].chunks_exact(RECORD_LEN) {
-        reports.push(decode_record(chunk)?);
+    let mut previous: Option<(&[u8], SpecKey)> = None;
+    for record in payload[HEADER_LEN..].chunks_exact(RECORD_LEN) {
+        let (key_bytes, output) = record.split_at(cpm_wire::SPEC_KEY_LEN);
+        let key = match previous {
+            Some((bytes, key)) if bytes == key_bytes => key,
+            _ => {
+                let key = decode_key(key_bytes)?;
+                previous = Some((key_bytes, key));
+                key
+            }
+        };
+        reports.push(Report::new(key, decode_output(output))?);
     }
     Ok(reports)
 }

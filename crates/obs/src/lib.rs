@@ -28,6 +28,7 @@
 //! | `cpm_lp_pivots_total` | counter | `phase` (`primal`/`dual`) | Simplex pivots, by phase. |
 //! | `cpm_lp_refactorizations_total` | counter | — | Basis refactorizations (periodic + triggered). |
 //! | `cpm_lp_repairs_total` | counter | — | Numerical repairs that recovered. |
+//! | `cpm_lp_cross_term_abandoned_total` | counter | — | Steepest-edge weight updates whose cross-term BTRAN densified past its cap and was abandoned (its partial work wasted). |
 //! | `cpm_lp_breakdowns_total` | counter | — | Terminal numerical breakdowns (each also dumps the flight recorder). |
 //! | `cpm_lp_solve_nanos` | histogram | `form` | Wall time per LP solve. |
 //! | `cpm_lp_phase_nanos` | histogram | `phase` (`phase1`/`phase2`) | Wall time per phase of a two-phase revised-simplex walk. |

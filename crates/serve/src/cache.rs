@@ -438,8 +438,18 @@ impl DesignCache {
     /// across the [`cpm_eval::par`] worker pool.  Returns the designs in key
     /// order.  On failure the *first* key's error is reported — after the whole
     /// set has been attempted — and the keys that did design stay resident.
+    ///
+    /// The pool claims keys largest group size first (a stable order, ties
+    /// kept in list order): design cost grows steeply with `n`, so the
+    /// slowest solve starts at once instead of after the small ones, which
+    /// shortens the set's wall-clock whenever there is more than one worker.
     pub fn warm(&self, keys: &[SpecKey]) -> Result<Vec<Arc<DesignedMechanism>>, ServeError> {
-        cpm_eval::par::try_parallel_map(keys.to_vec(), |key| self.get(&key))
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by_key(|&index| std::cmp::Reverse(keys[index].n));
+        let mut designed =
+            cpm_eval::par::parallel_map(order, |index| (index, self.get(&keys[index])));
+        designed.sort_unstable_by_key(|&(index, _)| index);
+        designed.into_iter().map(|(_, design)| design).collect()
     }
 
     /// Every resident design, sorted by key so the order (and any snapshot
@@ -803,6 +813,38 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.design_solves, 3);
         assert_eq!(stats.hits, 3);
+    }
+
+    #[test]
+    fn warm_returns_designs_and_the_first_error_in_input_order() {
+        // The pool schedules the largest n first; the results must still line
+        // up with the caller's list, whatever its order.
+        let cache = DesignCache::new(16);
+        let keys: Vec<SpecKey> = [5, 12, 3, 9, 7, 12, 4].into_iter().map(gm_key).collect();
+        let designs = cache.warm(&keys).unwrap();
+        assert_eq!(designs.len(), keys.len());
+        for (key, design) in keys.iter().zip(&designs) {
+            assert_eq!(design.key(), *key);
+        }
+        // Two failing keys: the one earlier in the list is reported, even
+        // though the larger one is scheduled first.
+        let cache = DesignCache::new(16);
+        let alpha = Alpha::new(0.9).unwrap();
+        let bad = |n| {
+            SpecKey::with_objective(
+                n,
+                alpha,
+                PropertySet::empty(),
+                ObjectiveKey::L0Beyond(n + 1),
+            )
+        };
+        let keys = vec![gm_key(3), bad(2), gm_key(6), bad(8)];
+        let error = cache.warm(&keys).unwrap_err();
+        assert!(
+            matches!(error, ServeError::Design { key, .. } if key == keys[1]),
+            "{error}"
+        );
+        assert_eq!(cache.len(), 2, "the keys that designed stay resident");
     }
 
     #[test]

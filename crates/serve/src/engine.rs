@@ -1,13 +1,26 @@
-//! The batch privatization engine: group → design → shard → draw.
+//! The privatization engine: a run of inputs under one key → design → chunk → draw.
 //!
-//! [`Engine::privatize_batch`] takes a mixed batch of requests, groups them by
-//! mechanism key, resolves every distinct key through the [`DesignCache`]
-//! (cold keys fan out across the [`cpm_eval::par`] worker pool and coalesce via
-//! single flight), then shards the draws themselves across the same pool.  Each
-//! sampling shard owns a dedicated RNG stream seeded from
-//! `(engine seed, batch id, stream ordinal)`, so a batch's outputs are a pure
-//! function of its contents and seeds — reproducible regardless of how the OS
-//! schedules the workers — while distinct shards draw from decorrelated streams.
+//! The unit of work is a *run*: one [`SpecKey`] and the true counts to draw
+//! for it, which is exactly what a client's wire `privatize` op carries.
+//! [`Engine::privatize_run`] validates the inputs once, resolves the design
+//! with one [`DesignCache::peek`] (blocking on a design or an in-flight solve
+//! only when the key is not resident), and draws each `min_chunk` chunk of
+//! the run straight into the reply's output vector: a warm run allocates that
+//! vector and nothing else.
+//!
+//! [`Engine::privatize_batch`] takes a batch of [`Request`]s, which may mix
+//! keys.  It groups them into runs in first-appearance order, hands the runs
+//! to the same sampler and scatters the outputs back into request order;
+//! cold keys of a mixed batch fan out across the [`cpm_eval::par`] worker
+//! pool and coalesce via single flight.
+//!
+//! Chunks, not runs, are the unit of parallelism: every chunk owns a
+//! dedicated RNG stream seeded from `(engine seed, batch ordinal, stream
+//! ordinal)`, the streams numbered across the runs in order, so a batch's
+//! outputs are a pure function of its contents and seeds — reproducible
+//! regardless of how the OS schedules the workers, and identical whether the
+//! batch arrived as a wire op or as requests — while distinct chunks draw
+//! from decorrelated streams.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -123,6 +136,20 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
+    /// Count how one key's design was resolved.
+    fn count_lookup(&mut self, design: &DesignedMechanism, lookup: Lookup) {
+        match lookup {
+            Lookup::Hit => self.cache_hits += 1,
+            Lookup::Coalesced => self.coalesced += 1,
+            Lookup::Designed => {
+                self.cache_misses += 1;
+                if design.used_lp() {
+                    self.lp_solves += 1;
+                }
+            }
+        }
+    }
+
     /// Draws per second achieved by the sampling phase (0 when empty/instant).
     pub fn draws_per_sec(&self) -> f64 {
         let secs = self.sample_time.as_secs_f64();
@@ -135,7 +162,7 @@ impl BatchStats {
 }
 
 /// The result of privatising one batch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchOutcome {
     /// One privatised output per request, in request order.
     pub outputs: Vec<usize>,
@@ -229,26 +256,24 @@ impl Engine {
     /// and a monotone batch ordinal (two *consecutive* identical batches draw
     /// from different streams; use [`Engine::privatize_batch_seeded`] to replay).
     pub fn privatize_batch(&self, requests: &[Request]) -> Result<BatchOutcome, ServeError> {
-        let batch = self.batches.fetch_add(1, Ordering::Relaxed);
-        self.privatize_batch_seeded(requests, splitmix64(self.seed ^ splitmix64(batch)))
+        self.privatize_batch_seeded(requests, self.next_batch_seed())
     }
 
     /// Privatise a batch with an explicit stream seed: the outputs are a pure
     /// function of `(requests, batch_seed, min_chunk)` — independent of worker
     /// count and scheduling — the reproducibility contract used by the tests and
     /// by replayable deployments.
+    ///
+    /// The requests are grouped into runs by key, in first-appearance order,
+    /// and the runs go to the same sampler as [`Engine::privatize_run`].
     pub fn privatize_batch_seeded(
         &self,
         requests: &[Request],
         batch_seed: u64,
     ) -> Result<BatchOutcome, ServeError> {
         if requests.is_empty() {
-            return Ok(BatchOutcome {
-                outputs: Vec::new(),
-                stats: BatchStats::default(),
-            });
+            return Ok(BatchOutcome::default());
         }
-        let batch_span = cpm_obs::span!("engine", "privatize_batch");
         for (index, request) in requests.iter().enumerate() {
             if request.input > request.key.n {
                 return Err(ServeError::InvalidInput {
@@ -259,131 +284,222 @@ impl Engine {
             }
         }
 
-        // Group request indices by key, preserving first-appearance order so the
-        // chunk layout (and with it every RNG stream) is deterministic.
-        let mut group_of: HashMap<SpecKey, usize> = HashMap::new();
-        let mut groups: Vec<(SpecKey, Vec<u32>)> = Vec::new();
+        // Lay the requests out run by run: `order` lists the request indices
+        // key by key, so each run's inputs (and outputs) are one contiguous
+        // slice, and the scatter below puts every output back in request order.
+        let mut run_of: HashMap<SpecKey, usize> = HashMap::new();
+        let mut runs: Vec<(SpecKey, Vec<u32>)> = Vec::new();
         for (index, request) in requests.iter().enumerate() {
-            let slot = *group_of.entry(request.key).or_insert_with(|| {
-                groups.push((request.key, Vec::new()));
-                groups.len() - 1
+            let slot = *run_of.entry(request.key).or_insert_with(|| {
+                runs.push((request.key, Vec::new()));
+                runs.len() - 1
             });
-            groups[slot].1.push(index as u32);
+            runs[slot].1.push(index as u32);
         }
-
-        // Design phase: a serial peek sweep satisfies resident keys without
-        // touching the worker pool (a warm batch is pure lock-and-look); only
-        // keys that are cold — or must wait on an in-flight solve — fan out.
-        let design_start = Instant::now();
-        let mut resolved: Vec<Option<(Arc<DesignedMechanism>, Lookup)>> = groups
+        let order: Vec<u32> = runs
             .iter()
-            .map(|(key, _)| self.cache.peek(key).map(|design| (design, Lookup::Hit)))
+            .flat_map(|(_, indices)| indices.iter().copied())
             .collect();
-        let cold: Vec<(usize, SpecKey)> = resolved
+        let inputs: Vec<usize> = order
             .iter()
-            .enumerate()
-            .filter(|(_, entry)| entry.is_none())
-            .map(|(slot, _)| (slot, groups[slot].0))
+            .map(|&index| requests[index as usize].input)
             .collect();
-        if !cold.is_empty() {
-            let outcomes = cpm_eval::par::try_parallel_map(
-                cold.iter().map(|&(_, key)| key).collect(),
-                |key| self.cache.get_with_outcome(&key),
-            )?;
-            for ((slot, _), outcome) in cold.into_iter().zip(outcomes) {
-                resolved[slot] = Some(outcome);
-            }
+        let mut rest = inputs.as_slice();
+        let run_inputs: Vec<(SpecKey, &[usize])> = runs
+            .iter()
+            .map(|(key, indices)| {
+                let (head, tail) = rest.split_at(indices.len());
+                rest = tail;
+                (*key, head)
+            })
+            .collect();
+        let mut grouped = vec![0; inputs.len()];
+        let stats = self.privatize_runs(&run_inputs, &mut grouped, batch_seed)?;
+        let mut outputs = vec![0; requests.len()];
+        for (&index, drawn) in order.iter().zip(grouped) {
+            outputs[index as usize] = drawn;
         }
-        let resolved: Vec<(Arc<DesignedMechanism>, Lookup)> = resolved
-            .into_iter()
-            .map(|entry| entry.expect("every distinct key is resolved by peek or get"))
-            .collect();
-        let design_time = design_start.elapsed();
+        Ok(BatchOutcome { outputs, stats })
+    }
 
+    /// Privatise one run — every input drawn from the design for `key` — with
+    /// the next batch ordinal's streams.  This is the wire `privatize` op: it
+    /// draws exactly what [`Engine::privatize_batch`] would for the same
+    /// requests and ordinal, without building a request per input.
+    pub fn privatize_run(
+        &self,
+        key: &SpecKey,
+        inputs: &[usize],
+    ) -> Result<BatchOutcome, ServeError> {
+        self.privatize_run_seeded(key, inputs, self.next_batch_seed())
+    }
+
+    /// [`Engine::privatize_run`] with an explicit stream seed (the run form of
+    /// [`Engine::privatize_batch_seeded`]).
+    pub fn privatize_run_seeded(
+        &self,
+        key: &SpecKey,
+        inputs: &[usize],
+        batch_seed: u64,
+    ) -> Result<BatchOutcome, ServeError> {
+        if inputs.is_empty() {
+            return Ok(BatchOutcome::default());
+        }
+        if let Some(index) = inputs.iter().position(|&input| input > key.n) {
+            return Err(ServeError::InvalidInput {
+                index,
+                input: inputs[index],
+                n: key.n,
+            });
+        }
+        let mut outputs = vec![0; inputs.len()];
+        let stats = self.privatize_runs(&[(*key, inputs)], &mut outputs, batch_seed)?;
+        Ok(BatchOutcome { outputs, stats })
+    }
+
+    /// The stream seed of the next batch ordinal.
+    fn next_batch_seed(&self) -> u64 {
+        let batch = self.batches.fetch_add(1, Ordering::Relaxed);
+        splitmix64(self.seed ^ splitmix64(batch))
+    }
+
+    /// The privatize path for a batch laid out as runs of validated inputs,
+    /// drawing run after run into `outputs` (their concatenation's length):
+    /// resolve each run's design, draw, loop back, count.
+    fn privatize_runs(
+        &self,
+        runs: &[(SpecKey, &[usize])],
+        outputs: &mut [usize],
+        batch_seed: u64,
+    ) -> Result<BatchStats, ServeError> {
+        let batch_span = cpm_obs::span!("engine", "privatize_batch");
         let mut stats = BatchStats {
-            requests: requests.len(),
-            unique_keys: groups.len(),
-            design_time,
+            requests: outputs.len(),
+            unique_keys: runs.len(),
             ..BatchStats::default()
         };
-        for (design, lookup) in &resolved {
-            match lookup {
-                Lookup::Hit => stats.cache_hits += 1,
-                Lookup::Coalesced => stats.coalesced += 1,
-                Lookup::Designed => {
-                    stats.cache_misses += 1;
-                    if design.used_lp() {
-                        stats.lp_solves += 1;
-                    }
+
+        // Design phase: a resident key is one lock-and-look peek; only keys
+        // that are cold — or must wait on an in-flight solve — block, and a
+        // mixed batch fans those out across the worker pool.  A single run
+        // resolves into a stack slot, so a warm run allocates nothing here.
+        let design_start = Instant::now();
+        let single: [Run<'_>; 1];
+        let several: Vec<Run<'_>>;
+        let resolved: &[Run<'_>] = if let [(key, inputs)] = runs {
+            let (design, lookup) = match self.cache.peek(key) {
+                Some(design) => (design, Lookup::Hit),
+                None => self.cache.get_with_outcome(key)?,
+            };
+            stats.count_lookup(&design, lookup);
+            single = [Run { design, inputs }];
+            &single
+        } else {
+            let mut designs: Vec<Option<(Arc<DesignedMechanism>, Lookup)>> = runs
+                .iter()
+                .map(|(key, _)| self.cache.peek(key).map(|design| (design, Lookup::Hit)))
+                .collect();
+            let cold: Vec<usize> = (0..runs.len())
+                .filter(|&slot| designs[slot].is_none())
+                .collect();
+            if !cold.is_empty() {
+                let outcomes = cpm_eval::par::try_parallel_map(
+                    cold.iter().map(|&slot| runs[slot].0).collect(),
+                    |key| self.cache.get_with_outcome(&key),
+                )?;
+                for (slot, outcome) in cold.into_iter().zip(outcomes) {
+                    designs[slot] = Some(outcome);
                 }
             }
-        }
-
-        // Sampling phase: split each group into shards of `min_chunk` draws, one
-        // dedicated RNG stream per shard.  The chunk layout depends only on the
-        // batch contents and `min_chunk` — NOT on the worker count — so outputs
-        // are identical whether the pool has 1 thread or 64.
-        let chunk_len = self.min_chunk;
-        let mut tasks: Vec<(Arc<DesignedMechanism>, Vec<u32>, u64)> = Vec::new();
-        for ((_, indices), (design, _)) in groups.into_iter().zip(resolved) {
-            for chunk in indices.chunks(chunk_len) {
-                let stream = tasks.len() as u64;
-                tasks.push((Arc::clone(&design), chunk.to_vec(), stream));
-            }
-        }
-        stats.sample_chunks = tasks.len();
-
-        let sample_start = Instant::now();
-        let chunk_outputs = cpm_eval::par::parallel_map(tasks, |(design, indices, stream)| {
-            // Per-chunk timing is what the thread-scaling probe reads: each
-            // chunk runs on one worker, so the chunk-latency histogram is the
-            // per-thread view of the sampling phase.
-            let chunk_start = Instant::now();
-            let mut rng = StdRng::seed_from_u64(splitmix64(
-                batch_seed ^ (stream + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ));
-            let outputs: Vec<(u32, usize)> = indices
+            several = designs
                 .into_iter()
-                .map(|index| {
-                    let drawn = design
-                        .alias_sampler()
-                        .sample(requests[index as usize].input, &mut rng);
-                    (index, drawn)
+                .zip(runs)
+                .map(|(entry, &(_, inputs))| {
+                    let (design, lookup) = entry.expect("every run is resolved by peek or get");
+                    stats.count_lookup(&design, lookup);
+                    Run { design, inputs }
                 })
                 .collect();
-            cpm_obs::histogram!("cpm_engine_chunk_nanos").record_duration(chunk_start.elapsed());
-            outputs
-        });
+            &several
+        };
+        stats.design_time = design_start.elapsed();
+
+        let sample_start = Instant::now();
+        stats.sample_chunks = self.sample(resolved, outputs, batch_seed);
         stats.sample_time = sample_start.elapsed();
 
-        let mut outputs = vec![0usize; requests.len()];
-        for chunk in chunk_outputs {
-            for (index, drawn) in chunk {
-                outputs[index as usize] = drawn;
-            }
-        }
-
-        // Loopback collection: feed (key, output) runs into the collector so
+        // Loopback collection: feed each run's outputs into the collector so
         // an estimate can be served without a client-side report round trip.
         if self.collect_outputs.load(Ordering::Relaxed) {
-            let mut start = 0;
-            while start < requests.len() {
-                let key = requests[start].key;
-                let mut end = start + 1;
-                while end < requests.len() && requests[end].key == key {
-                    end += 1;
-                }
-                self.collector
-                    .ingest_batch(&key, outputs[start..end].iter().copied());
-                start = end;
+            let mut rest = &*outputs;
+            for (key, inputs) in runs {
+                let (head, tail) = rest.split_at(inputs.len());
+                self.collector.ingest_batch(key, head.iter().copied());
+                rest = tail;
             }
         }
 
         cpm_obs::counter!("cpm_engine_batches_total").inc();
         cpm_obs::counter!("cpm_engine_draws_total").add(stats.requests as u64);
         cpm_obs::histogram!("cpm_engine_batch_nanos").record(batch_span.elapsed_nanos());
-        Ok(BatchOutcome { outputs, stats })
+        Ok(stats)
     }
+
+    /// The sampling phase: split each run into chunks of `min_chunk` draws,
+    /// one dedicated RNG stream per chunk, numbered across the runs in order,
+    /// and draw every chunk straight into its slice of `outputs`.  The chunk
+    /// layout depends only on the run lengths and `min_chunk` — NOT on the
+    /// worker count — so outputs are identical whether the pool has 1 thread
+    /// or 64.  Returns the number of chunks.
+    fn sample(&self, runs: &[Run<'_>], outputs: &mut [usize], batch_seed: u64) -> usize {
+        let chunk_len = self.min_chunk;
+        let draw =
+            |design: &DesignedMechanism, inputs: &[usize], out: &mut [usize], stream: u64| {
+                // Per-chunk timing is what the thread-scaling probe reads: each
+                // chunk runs on one worker, so the chunk-latency histogram is the
+                // per-thread view of the sampling phase.
+                let chunk_start = Instant::now();
+                let mut rng = StdRng::seed_from_u64(splitmix64(
+                    batch_seed ^ (stream + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                ));
+                let sampler = design.alias_sampler();
+                for (slot, &input) in out.iter_mut().zip(inputs) {
+                    *slot = sampler.sample(input, &mut rng);
+                }
+                cpm_obs::histogram!("cpm_engine_chunk_nanos")
+                    .record_duration(chunk_start.elapsed());
+            };
+        let chunks: usize = runs
+            .iter()
+            .map(|run| run.inputs.len().div_ceil(chunk_len))
+            .sum();
+        if let ([run], 1) = (runs, chunks) {
+            // The common warm case — one run, one chunk — needs no task list.
+            draw(&run.design, run.inputs, outputs, 0);
+            return 1;
+        }
+        let mut tasks = Vec::with_capacity(chunks);
+        let mut rest = outputs;
+        for run in runs {
+            let (out, tail) = rest.split_at_mut(run.inputs.len());
+            rest = tail;
+            for (inputs, out) in run.inputs.chunks(chunk_len).zip(out.chunks_mut(chunk_len)) {
+                let stream = tasks.len() as u64;
+                tasks.push((&*run.design, inputs, out, stream));
+            }
+        }
+        cpm_eval::par::parallel_map(tasks, |(design, inputs, out, stream)| {
+            draw(design, inputs, out, stream)
+        });
+        chunks
+    }
+}
+
+/// One key's share of a batch, resolved for sampling: its design and the
+/// inputs to draw for it.
+struct Run<'a> {
+    design: Arc<DesignedMechanism>,
+    inputs: &'a [usize],
 }
 
 /// SplitMix64: decorrelate nearby seeds before they reach xoshiro's SplitMix
@@ -503,7 +619,21 @@ mod tests {
             }
             assert_eq!(engine.collector().observed(&k).unwrap(), expected);
         }
-        assert_eq!(engine.collector().stats().ingested, requests.len() as u64);
+        // One ingest call per run, not per same-key stretch in request order:
+        // the interleaved batch is two runs.
+        assert_eq!(
+            engine.collector().stats(),
+            cpm_collect::CollectorStats {
+                ingested: requests.len() as u64,
+                rejected: 0,
+                batches: 2,
+                keys: 2,
+            }
+        );
+        // A wire-shaped run is one more ingest call.
+        engine.privatize_run(&hot, &[0, 1, 2, 3, 4]).unwrap();
+        let stats = engine.collector().stats();
+        assert_eq!((stats.ingested, stats.batches), (1005, 3));
     }
 
     #[test]

@@ -37,11 +37,14 @@
 //!            └───────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Batches take the same path in bulk: [`Engine::privatize_batch`] groups
-//! requests by key, resolves every distinct key through the cache (cold LP
-//! solves run concurrently on the [`cpm_eval::par`] pool; concurrent requests
-//! for the *same* cold key coalesce onto one solve), then shards the draws
-//! across the pool with one seeded, reproducible RNG stream per shard.
+//! The wire `privatize` op is one *run* — one key and the counts to draw for
+//! it — and [`Engine::privatize_run`] serves it as one: one cache peek, then
+//! the draws land straight in the reply, one seeded, reproducible RNG stream
+//! per `min_chunk` chunk.  Mixed batches take the same path in bulk:
+//! [`Engine::privatize_batch`] groups requests into runs by key, resolves
+//! every distinct key through the cache (cold LP solves run concurrently on
+//! the [`cpm_eval::par`] pool; concurrent requests for the *same* cold key
+//! coalesce onto one solve), then hands the runs to the same sampler.
 //!
 //! ## Serving I/O: reactor + codec split
 //!
@@ -87,13 +90,16 @@
 //!   storing `Arc<DesignedMechanism>` artifacts, with [`DesignCache::warm`]
 //!   precomputation, hit/miss/solve counters, and snapshot
 //!   save/load persistence.
-//! * [`engine`] — [`Engine`]: batched privatization with per-batch
-//!   [`BatchStats`] (hits, misses, design time, sample time).
+//! * [`engine`] — [`Engine`]: run-shaped privatization (one key, many
+//!   inputs, drawn in place) with per-batch [`BatchStats`] (hits, misses,
+//!   design time, sample time); mixed-key request batches are grouped into
+//!   runs first.
 //! * [`proto`] — the transport-agnostic protocol state machine: bytes in,
 //!   response bytes out.  One dispatcher serves three frame codecs (JSON,
 //!   compact `b"CPMF"` binary, `b"CPMR"` report batches) plus a content-
 //!   negotiated `GET /metrics` HTTP mode, with per-connection report rate
-//!   limiting.
+//!   limiting.  A `privatize` op goes to [`Engine::privatize_run`] as it
+//!   arrived, one key and its inputs, without a request per input.
 //! * [`frontend`] — the blocking `Read`/`Write` adapter over [`proto`] (the
 //!   `serve_stdio` binary serves stdin/stdout) and the JSON request/response
 //!   types.
@@ -121,7 +127,7 @@
 //!   line-rate path — see [`frontend`] for the grammar);
 //! * the JSON `{"op":"report"}` fallback;
 //! * engine loopback — [`Engine::set_collecting`] (or
-//!   `CPM_COLLECT_OUTPUTS=1`) makes `privatize_batch` feed its own outputs
+//!   `CPM_COLLECT_OUTPUTS=1`) makes every privatize feed its own outputs
 //!   straight into the collector, closing the loop in one process.
 //!
 //! `{"op":"estimate"}` then inverts the designed mechanism matrix over the

@@ -59,7 +59,7 @@ use std::time::Instant;
 use cpm_core::{Alpha, ObjectiveKey, PropertySet, SpecKey};
 use cpm_wire::{put_spec_key, take_spec_key, Reader, Wire};
 
-use crate::engine::{Engine, Request};
+use crate::engine::Engine;
 use crate::frontend::{ConnectionSummary, WireRequest, WireResponse, MAX_FRAME_LEN};
 
 /// Leading bytes of a compact binary request/response frame.
@@ -535,29 +535,23 @@ pub fn dispatch_op(engine: &Engine, op: &Op) -> (WireResponse, bool) {
 
 fn dispatch_inner(engine: &Engine, op: &Op) -> (WireResponse, bool) {
     match op {
-        Op::Privatize { key, inputs } => {
-            let batch: Vec<Request> = inputs
-                .iter()
-                .map(|&input| Request::new(*key, input))
-                .collect();
-            match engine.privatize_batch(&batch) {
-                Ok(outcome) => (
-                    WireResponse {
-                        ok: true,
-                        outputs: outcome.outputs,
-                        cache_hits: outcome.stats.cache_hits,
-                        cache_misses: outcome.stats.cache_misses,
-                        design_solves: outcome.stats.cache_misses,
-                        entries: engine.cache().len() as u64,
-                        design_micros: outcome.stats.design_time.as_micros() as u64,
-                        sample_micros: outcome.stats.sample_time.as_micros() as u64,
-                        ..WireResponse::default()
-                    },
-                    false,
-                ),
-                Err(error) => (failure(error.to_string()), false),
-            }
-        }
+        Op::Privatize { key, inputs } => match engine.privatize_run(key, inputs) {
+            Ok(outcome) => (
+                WireResponse {
+                    ok: true,
+                    outputs: outcome.outputs,
+                    cache_hits: outcome.stats.cache_hits,
+                    cache_misses: outcome.stats.cache_misses,
+                    design_solves: outcome.stats.cache_misses,
+                    entries: engine.cache().len() as u64,
+                    design_micros: outcome.stats.design_time.as_micros() as u64,
+                    sample_micros: outcome.stats.sample_time.as_micros() as u64,
+                    ..WireResponse::default()
+                },
+                false,
+            ),
+            Err(error) => (failure(error.to_string()), false),
+        },
         Op::Warm { key } => match engine.warm(&[*key]) {
             Ok(()) => (
                 WireResponse {

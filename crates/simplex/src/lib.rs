@@ -130,7 +130,9 @@
 //! (see BENCHMARKS.md).  The dual simplex of a warm start prices its leaving
 //! row with dual Devex weights, a separate mechanism.  [`SolveStats`] reports
 //! factorisations, rank-one updates, repairs, Bland fallbacks and
-//! steepest-edge framework resets ([`SolveStats::steepest_edge_resets`]).
+//! steepest-edge framework resets ([`SolveStats::steepest_edge_resets`]), and
+//! the weight updates whose cross-term BTRAN was abandoned
+//! ([`SolveStats::cross_term_abandoned`]).
 //!
 //! ## Example
 //!

@@ -1566,6 +1566,7 @@ fn run_phase(
                         // floors keep the weights safe and the entering-side
                         // exactness check catches any 16x drift.
                         ws.tau.clear();
+                        state.stats.cross_term_abandoned += 1;
                     }
                 }
                 pricing.update_steepest(
