@@ -13,10 +13,11 @@
 //! years to saturate, at which point the estimate is clamped rather than
 //! corrupted.
 //!
-//! Memory is bounded against untrusted report streams on two axes: a key's
-//! group size may not exceed [`wire::REPORT_MAX_N`] (capping one counter block
-//! at ~512 KiB instead of letting a hostile `n` demand gigabytes), and the
-//! collector holds at most `max_keys` distinct accumulators
+//! Memory is bounded against untrusted report streams on two axes: a key must
+//! pass the workspace's one key rule, [`cpm_wire::check_key`] (so `n` is at
+//! most [`cpm_wire::MAX_WIRE_N`], capping one counter block at ~32 KiB instead
+//! of letting a hostile `n` demand gigabytes), and the collector holds at most
+//! `max_keys` distinct accumulators
 //! ([`DEFAULT_MAX_KEYS`] unless configured via
 //! [`ReportCollector::with_limits`]).  Since α is keyed by raw `f64` bits, a
 //! client could otherwise mint an unlimited number of distinct keys and grow
@@ -31,7 +32,7 @@ use std::sync::{Arc, Mutex};
 
 use cpm_core::SpecKey;
 
-use crate::wire::{self, Report};
+use crate::wire::Report;
 
 /// Default shard count, matching the design cache's stripe width.
 pub const DEFAULT_SHARDS: usize = 16;
@@ -42,8 +43,9 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// silently drop counts and bias every later estimate — so beyond the cap new
 /// keys are *rejected* (their reports count as rejected) rather than displacing
 /// old ones.  At the default, worst-case resident memory is
-/// `DEFAULT_MAX_KEYS × (REPORT_MAX_N + 1) × 8` bytes only if every key uses the
-/// maximal group size; realistic mixes sit orders of magnitude lower.
+/// `DEFAULT_MAX_KEYS × (MAX_WIRE_N + 1) × 8` bytes (≈ 134 MB) only if every
+/// key uses the maximal group size; realistic mixes sit orders of magnitude
+/// lower.
 pub const DEFAULT_MAX_KEYS: usize = 4096;
 
 /// Per-key counter block: one atomic counter per output index `0..=n`.
@@ -159,13 +161,11 @@ impl ReportCollector {
     /// Resolve (creating on first sight) the counter block for `key`.  One
     /// shard-lock acquisition; the returned handle counts lock-free.
     ///
-    /// `None` when the key is inadmissible: its group size exceeds
-    /// [`wire::REPORT_MAX_N`] (the counter block would be attacker-sized), or
+    /// `None` when the key is inadmissible: it breaks
+    /// [`cpm_wire::check_key`] (the counter block would be attacker-sized), or
     /// it is unseen and the collector already holds `max_keys` accumulators.
     fn accumulator(&self, key: &SpecKey) -> Option<Arc<KeyAccumulator>> {
-        if key.n == 0 || key.n > wire::REPORT_MAX_N {
-            return None;
-        }
+        cpm_wire::check_key(key).ok()?;
         let mut shard = self.shards[self.shard_of(key)]
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -201,8 +201,8 @@ impl ReportCollector {
     ///
     /// The shard lock is taken once; each report is a single relaxed atomic
     /// add.  Out-of-range outputs — and whole batches for inadmissible keys
-    /// (group size beyond [`wire::REPORT_MAX_N`], or a new key past the
-    /// `max_keys` cap) — are counted as rejected, never panicked on.
+    /// (breaking [`cpm_wire::check_key`], or a new key past the `max_keys`
+    /// cap) — are counted as rejected, never panicked on.
     pub fn ingest_batch(
         &self,
         key: &SpecKey,
@@ -481,9 +481,9 @@ mod tests {
         );
         assert!(collector.is_empty());
         assert!(collector.observed(&hostile).is_none());
-        // The bound is wire::REPORT_MAX_N exactly.
-        assert!(collector.ingest(&key(wire::REPORT_MAX_N, 0.9), 0));
-        assert!(!collector.ingest(&key(wire::REPORT_MAX_N + 1, 0.9), 0));
+        // The bound is cpm_wire::MAX_WIRE_N exactly.
+        assert!(collector.ingest(&key(cpm_wire::MAX_WIRE_N, 0.9), 0));
+        assert!(!collector.ingest(&key(cpm_wire::MAX_WIRE_N + 1, 0.9), 0));
     }
 
     #[test]

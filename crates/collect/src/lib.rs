@@ -25,7 +25,9 @@
 //!
 //! * [`wire`] — the fixed-size binary report format (20-byte records under a
 //!   versioned batch header) that rides the serve front end's length-prefixed
-//!   framing; every field validated on decode.
+//!   framing; every field validated on decode, every key against the
+//!   workspace's one key rule, [`cpm_wire::check_key`], which the
+//!   accumulator applies too.
 //! * [`accumulator`] — [`ReportCollector`]: per-key output histograms sharded
 //!   like the design cache, one shard-lock acquisition per batch and one
 //!   relaxed atomic add per report, with saturating cross-collector merge.
@@ -55,7 +57,7 @@ pub use estimator::{
     estimate, estimate_from_design, estimate_with_inverse, expected_rmse, FrequencyEstimates,
 };
 pub use snapshot::EstimateSnapshot;
-pub use wire::{Report, WireError, REPORT_MAGIC, REPORT_MAX_N, WIRE_VERSION};
+pub use wire::{Report, WireError, REPORT_MAGIC, WIRE_VERSION};
 
 /// Commonly used items, re-exported for `use cpm_collect::prelude::*`.
 pub mod prelude {

@@ -30,10 +30,12 @@
 //! * `output` — the reported output index in `0..=n`.
 //!
 //! Every field is validated on decode: a hostile or corrupt frame yields a
-//! [`WireError`], never a panic or a poisoned accumulator.  In particular the
-//! group size is bounded by [`REPORT_MAX_N`] — the accumulator allocates
-//! `n + 1` counters per key, so an unbounded `n` straight off the wire would
-//! let one 20-byte record demand gigabytes.
+//! [`WireError`], never a panic or a poisoned accumulator.  A record's key
+//! obeys the workspace's one key rule, [`cpm_wire::check_key`] (`1 ≤ n ≤`
+//! [`cpm_wire::MAX_WIRE_N`], `d ≤ n`), enforced inside the shared
+//! [`SpecKey`] codec: the accumulator allocates `n + 1` counters per key, and
+//! the server designs an `(n+1)²` matrix for it, so a frame naming a larger
+//! `n` is refused whole.
 
 use std::fmt;
 
@@ -45,18 +47,6 @@ pub const REPORT_MAGIC: [u8; 4] = *b"CPMR";
 
 /// Current frame version; bump on any layout change.
 pub const WIRE_VERSION: u16 = 1;
-
-/// Largest group size accepted from the wire (and by the accumulator).
-///
-/// The design side solves an `O(n²)` LP per mechanism, so group sizes far
-/// below this are already impractical to *serve*; the bound exists so that an
-/// untrusted report cannot make the collector allocate `n + 1` counters for an
-/// arbitrary `n` (at the cap, one key's counter block is ~512 KiB, not the
-/// ~34 GB a hostile `n = u32::MAX` record would otherwise demand).  The value
-/// is the workspace-wide [`cpm_wire::MAX_GROUP_SIZE`], enforced inside the
-/// shared [`SpecKey`] codec, so the `CPMR` and `CPMF` formats agree on it by
-/// construction.
-pub const REPORT_MAX_N: usize = cpm_wire::MAX_GROUP_SIZE;
 
 /// Bytes in the batch-frame header.
 pub const HEADER_LEN: usize = 12;
@@ -100,28 +90,10 @@ pub enum WireError {
         /// Actual payload length in bytes.
         len: usize,
     },
-    /// A record's α bits decode to a value outside `(0, 1]`.
-    InvalidAlpha(f64),
-    /// A record's property bitmask has undefined bits set.
-    InvalidProperties(u8),
-    /// A record's objective tag is unknown, or `d` is inconsistent with it.
-    InvalidObjective {
-        /// The objective tag byte.
-        tag: u8,
-        /// The accompanying distance field.
-        d: u16,
-    },
-    /// A record's group size is zero or exceeds [`REPORT_MAX_N`].
-    InvalidGroupSize,
+    /// A record's key is invalid (see [`KeyError`]).
+    Key(KeyError),
     /// A batch holds more records than the `u32` count field can declare.
     BatchTooLarge(usize),
-    /// The `L0,d` threshold exceeds the group size.
-    DistanceTooLarge {
-        /// The threshold.
-        d: usize,
-        /// The group size.
-        n: usize,
-    },
     /// A reported output exceeds the key's group size.
     OutputOutOfRange {
         /// The reported output.
@@ -147,26 +119,12 @@ impl fmt::Display for WireError {
                  (expected {})",
                 HEADER_LEN + *count as usize * RECORD_LEN
             ),
-            WireError::InvalidAlpha(value) => {
-                write!(f, "report alpha {value} is outside (0, 1]")
-            }
-            WireError::InvalidProperties(bits) => {
-                write!(f, "report property bitmask {bits:#04x} has undefined bits")
-            }
-            WireError::InvalidObjective { tag, d } => {
-                write!(f, "report objective tag {tag} with d = {d} is invalid")
-            }
-            WireError::InvalidGroupSize => {
-                write!(f, "report group size n must be in 1..={REPORT_MAX_N}")
-            }
+            WireError::Key(error) => write!(f, "report {error}"),
             WireError::BatchTooLarge(len) => {
                 write!(
                     f,
                     "batch of {len} reports exceeds the u32 record-count field"
                 )
-            }
-            WireError::DistanceTooLarge { d, n } => {
-                write!(f, "report L0,d threshold {d} exceeds group size {n}")
             }
             WireError::OutputOutOfRange { output, n } => {
                 write!(f, "report output {output} exceeds group size {n}")
@@ -177,30 +135,24 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<KeyError> for WireError {
+    fn from(error: KeyError) -> Self {
+        WireError::Key(error)
+    }
+}
+
 /// Whether a frame payload looks like a binary report frame (magic match).
 pub fn is_report_frame(payload: &[u8]) -> bool {
     payload.len() >= REPORT_MAGIC.len() && payload[..REPORT_MAGIC.len()] == REPORT_MAGIC
 }
 
-/// Translate a shared-codec key failure into this format's error surface.
-fn key_error(error: KeyError) -> WireError {
-    match error {
-        KeyError::InvalidAlpha(value) => WireError::InvalidAlpha(value),
-        KeyError::InvalidProperties(bits) => WireError::InvalidProperties(bits),
-        KeyError::InvalidObjective { tag, d } => WireError::InvalidObjective { tag, d },
-        KeyError::InvalidGroupSize => WireError::InvalidGroupSize,
-        KeyError::DistanceTooLarge { d, n } => WireError::DistanceTooLarge { d, n },
-    }
-}
-
 /// Append one record's 20 bytes to `out`: the shared [`SpecKey`] codec
 /// ([`cpm_wire::put_spec_key`]) followed by the `u32` output.
 ///
-/// Fails when the key cannot be represented or would be refused on decode:
-/// `n` outside `1..=`[`REPORT_MAX_N`], or an `L0,d` threshold beyond `u16`
-/// (both far outside any designable mechanism).
+/// Fails when the key breaks [`cpm_wire::check_key`], so every encoded record
+/// decodes.
 pub fn encode_record(report: &Report, out: &mut Vec<u8>) -> Result<(), WireError> {
-    put_spec_key(&report.key, out).map_err(key_error)?;
+    put_spec_key(&report.key, out)?;
     report.output.put(out);
     Ok(())
 }
@@ -215,7 +167,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<Report, WireError> {
 /// Decode and validate a record's key bytes.
 fn decode_key(bytes: &[u8]) -> Result<SpecKey, WireError> {
     take_spec_key(&mut Reader::new(bytes)).map_err(|error| match error {
-        SpecKeyError::Key(error) => key_error(error),
+        SpecKeyError::Key(error) => WireError::Key(error),
         // Callers pass exactly SPEC_KEY_LEN bytes, so the key cannot truncate.
         SpecKeyError::Decode(_) => unreachable!("a SPEC_KEY_LEN slice cannot truncate a key"),
     })
@@ -390,26 +342,24 @@ mod tests {
 
     #[test]
     fn oversized_group_sizes_are_refused_without_allocating() {
+        use cpm_wire::MAX_WIRE_N;
+        let refused = WireError::Key(KeyError::InvalidGroupSize);
         // A single well-formed record claiming n = u32::MAX - 1 must bounce at
         // validation, not reach an accumulator that would allocate ~34 GB.
         let mut payload = encode_batch(&[Report::new(key(8, 0.9), 0).unwrap()]).unwrap();
         payload[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
-        assert_eq!(decode_batch(&payload), Err(WireError::InvalidGroupSize));
-        // The bound is exact: REPORT_MAX_N passes, REPORT_MAX_N + 1 does not.
-        payload[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&(REPORT_MAX_N as u32).to_le_bytes());
+        assert_eq!(decode_batch(&payload), Err(refused.clone()));
+        // The bound is exact: MAX_WIRE_N passes, MAX_WIRE_N + 1 does not.
+        payload[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&(MAX_WIRE_N as u32).to_le_bytes());
         assert!(decode_batch(&payload).is_ok());
-        payload[HEADER_LEN..HEADER_LEN + 4]
-            .copy_from_slice(&(REPORT_MAX_N as u32 + 1).to_le_bytes());
-        assert_eq!(decode_batch(&payload), Err(WireError::InvalidGroupSize));
+        payload[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&(MAX_WIRE_N as u32 + 1).to_le_bytes());
+        assert_eq!(decode_batch(&payload), Err(refused.clone()));
         // Encoding refuses the same keys decoding would.
         let huge = Report {
-            key: key(REPORT_MAX_N + 1, 0.9),
+            key: key(MAX_WIRE_N + 1, 0.9),
             output: 0,
         };
-        assert_eq!(
-            encode_record(&huge, &mut Vec::new()),
-            Err(WireError::InvalidGroupSize)
-        );
+        assert_eq!(encode_record(&huge, &mut Vec::new()), Err(refused));
     }
 
     #[test]
@@ -420,28 +370,28 @@ mod tests {
         payload[HEADER_LEN + 4..HEADER_LEN + 12].copy_from_slice(&2.0f64.to_bits().to_le_bytes());
         assert!(matches!(
             decode_batch(&payload),
-            Err(WireError::InvalidAlpha(v)) if v == 2.0
+            Err(WireError::Key(KeyError::InvalidAlpha(v))) if v == 2.0
         ));
         // Undefined property bit.
         let mut payload = encode_batch(&[base]).unwrap();
         payload[HEADER_LEN + 12] = 0x80;
         assert_eq!(
             decode_batch(&payload),
-            Err(WireError::InvalidProperties(0x80))
+            Err(WireError::Key(KeyError::InvalidProperties(0x80)))
         );
         // Unknown objective tag.
         let mut payload = encode_batch(&[base]).unwrap();
         payload[HEADER_LEN + 13] = 9;
         assert!(matches!(
             decode_batch(&payload),
-            Err(WireError::InvalidObjective { tag: 9, .. })
+            Err(WireError::Key(KeyError::InvalidObjective { tag: 9, .. }))
         ));
         // Non-zero d on a non-L0,d objective.
         let mut payload = encode_batch(&[base]).unwrap();
         payload[HEADER_LEN + 14] = 1;
         assert!(matches!(
             decode_batch(&payload),
-            Err(WireError::InvalidObjective { tag: 0, d: 1 })
+            Err(WireError::Key(KeyError::InvalidObjective { tag: 0, d: 1 }))
         ));
         // Output beyond n.
         let mut payload = encode_batch(&[base]).unwrap();
@@ -453,7 +403,10 @@ mod tests {
         // Zero group size.
         let mut payload = encode_batch(&[base]).unwrap();
         payload[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&0u32.to_le_bytes());
-        assert_eq!(decode_batch(&payload), Err(WireError::InvalidGroupSize));
+        assert_eq!(
+            decode_batch(&payload),
+            Err(WireError::Key(KeyError::InvalidGroupSize))
+        );
     }
 
     #[test]

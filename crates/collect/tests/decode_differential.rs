@@ -11,6 +11,7 @@
 use cpm_collect::wire::{decode_batch, decode_record, encode_batch, HEADER_LEN, RECORD_LEN};
 use cpm_collect::{Report, WireError};
 use cpm_core::{Alpha, ObjectiveKey, Property, PropertySet, SpecKey};
+use cpm_wire::KeyError;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,9 +106,10 @@ fn same_result(
     match (left, right) {
         // NaN α makes `WireError` compare unequal to itself; the variant and
         // the bits are what must agree.
-        (Err(WireError::InvalidAlpha(a)), Err(WireError::InvalidAlpha(b))) => {
-            a.to_bits() == b.to_bits()
-        }
+        (
+            Err(WireError::Key(KeyError::InvalidAlpha(a))),
+            Err(WireError::Key(KeyError::InvalidAlpha(b))),
+        ) => a.to_bits() == b.to_bits(),
         _ => left == right,
     }
 }

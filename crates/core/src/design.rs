@@ -20,18 +20,18 @@
 //! ```
 //!
 //! * [`MechanismSpec`] is a validated builder over everything that determines a
-//!   design: `n`, `α`, the requested [`PropertySet`], an [`ObjectiveKey`], the
-//!   property-check tolerance, and optional solver overrides.  It has a
-//!   canonical serde form and projects to a bit-exact, hashable [`SpecKey`].
+//!   design: `n`, `α`, the requested [`PropertySet`], an [`ObjectiveKey`], and
+//!   the property-check tolerance.  It has a canonical serde form and
+//!   projects to a bit-exact, hashable [`SpecKey`].
 //! * [`SpecKey`] is the cache identity of a design: `(n, bit-exact α via
-//!   [`AlphaKey`], properties, objective)`.  Tolerance and solver overrides are
-//!   deliberately excluded — they tune *how* a design is computed and checked,
-//!   not *which* distribution it denotes.
+//!   [`AlphaKey`], properties, objective)`.  The tolerance is deliberately
+//!   excluded — it tunes how a design is *checked*, not *which* distribution
+//!   it denotes.
 //! * [`DesignedMechanism`] is the finished artifact: the matrix, the Figure-5
 //!   [`MechanismChoice`] provenance, the solver statistics when an LP ran, the
-//!   achieved [`PropertyReport`], the rescaled-`L0` score, and lazily-built
-//!   [`MechanismSampler`] / [`AliasSampler`] accessors.  The whole artifact
-//!   (minus the rebuildable samplers) is serde round-trippable, which is what
+//!   achieved [`PropertyReport`], the rescaled-`L0` score, and the lazily-built
+//!   [`AliasSampler`] and inverse the serving path reads.  The whole artifact
+//!   (minus those rebuildable caches) is serde round-trippable, which is what
 //!   makes warm-start snapshot files possible for the serving cache.
 
 use std::fmt;
@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use cpm_simplex::{SolveOptions, SolveStats};
+use cpm_simplex::SolveStats;
 
 use crate::alpha::{Alpha, AlphaKey};
 use crate::error::CoreError;
@@ -48,7 +48,7 @@ use crate::lp::DesignProblem;
 use crate::matrix::Mechanism;
 use crate::objective::{rescaled_l0, ObjectiveKey};
 use crate::properties::{PropertyReport, PropertySet};
-use crate::sampling::{AliasSampler, MechanismSampler};
+use crate::sampling::AliasSampler;
 use crate::selection::{self, MechanismChoice};
 
 /// Default absolute tolerance for the achieved-property report (matches the
@@ -202,13 +202,12 @@ pub struct MechanismSpec {
     properties: PropertySet,
     objective: ObjectiveKey,
     tolerance: f64,
-    solver: Option<SolveOptions>,
 }
 
 impl MechanismSpec {
     /// Start a spec for group size `n` at privacy level `alpha`, with no
-    /// requested properties, the paper's `L0` objective, the default property
-    /// tolerance, and per-problem recommended solver options.
+    /// requested properties, the paper's `L0` objective and the default
+    /// property tolerance.
     pub fn new(n: usize, alpha: Alpha) -> Self {
         MechanismSpec {
             n,
@@ -216,7 +215,6 @@ impl MechanismSpec {
             properties: PropertySet::empty(),
             objective: ObjectiveKey::L0,
             tolerance: DEFAULT_PROPERTY_TOLERANCE,
-            solver: None,
         }
     }
 
@@ -245,14 +243,6 @@ impl MechanismSpec {
     #[must_use]
     pub fn tolerance(mut self, tolerance: f64) -> Self {
         self.tolerance = tolerance;
-        self
-    }
-
-    /// Override the simplex options (default: each LP picks its own size-scaled
-    /// [`DesignProblem::recommended_options`]).
-    #[must_use]
-    pub fn solver(mut self, options: SolveOptions) -> Self {
-        self.solver = Some(options);
         self
     }
 
@@ -311,13 +301,8 @@ impl MechanismSpec {
         self.tolerance
     }
 
-    /// The solver override, if any.
-    pub fn solver_options(&self) -> Option<&SolveOptions> {
-        self.solver.as_ref()
-    }
-
-    /// The bit-exact cache key of this spec (tolerance and solver overrides are
-    /// excluded — see [`SpecKey`]).
+    /// The bit-exact cache key of this spec (the tolerance is excluded — see
+    /// [`SpecKey`]).
     pub fn key(&self) -> SpecKey {
         SpecKey::with_objective(self.n, self.alpha, self.properties, self.objective)
     }
@@ -332,8 +317,7 @@ impl MechanismSpec {
         let (choice, mechanism, solver_stats) = match self.objective {
             ObjectiveKey::L0 => {
                 let choice = selection::select_mechanism(self.properties, self.n, self.alpha);
-                let (mechanism, stats) =
-                    selection::realize_choice(choice, self.n, self.alpha, self.solver.as_ref())?;
+                let (mechanism, stats) = selection::realize_choice(choice, self.n, self.alpha)?;
                 (Some(choice), mechanism, stats)
             }
             objective => {
@@ -343,10 +327,7 @@ impl MechanismSpec {
                     objective.to_objective(),
                     self.properties.closure(),
                 );
-                let solution = match &self.solver {
-                    Some(options) => problem.solve_with(options)?,
-                    None => problem.solve()?,
-                };
+                let solution = problem.solve()?;
                 (None, solution.mechanism, Some(solution.solver_stats))
             }
         };
@@ -359,22 +340,14 @@ impl MechanismSpec {
         }
         let report = PropertyReport::evaluate(&mechanism, self.tolerance);
         let score = rescaled_l0(&mechanism);
-        // The stored spec drops a warm basis passed through the solver
-        // override, so the artifact records what was designed, not how its
-        // solve was seeded.
-        let mut stored = self.clone();
-        if let Some(solver) = &mut stored.solver {
-            solver.warm_basis = None;
-        }
         Ok(DesignedMechanism {
-            spec: stored,
+            spec: self.clone(),
             choice,
             mechanism,
             solver_stats,
             report,
             score,
             design_nanos,
-            cdf_sampler: OnceLock::new(),
             alias_sampler: OnceLock::new(),
             inverse: OnceLock::new(),
         })
@@ -388,20 +361,20 @@ impl fmt::Display for MechanismSpec {
 }
 
 impl Serialize for MechanismSpec {
-    /// Canonical form: the [`SpecKey`] fields plus `tolerance` and `solver`.
+    /// Canonical form: the [`SpecKey`] fields plus `tolerance`.
     fn to_value(&self) -> serde::Value {
         let serde::Value::Object(mut pairs) = self.key().to_value() else {
             unreachable!("SpecKey serialises to an object");
         };
         pairs.push(("tolerance".to_string(), self.tolerance.to_value()));
-        pairs.push(("solver".to_string(), self.solver.to_value()));
         serde::Value::Object(pairs)
     }
 }
 
 impl Deserialize for MechanismSpec {
     /// Validates on the way in: a malformed spec is a deserialisation error,
-    /// never a live `MechanismSpec`.
+    /// never a live `MechanismSpec`.  Specs written while a spec could carry
+    /// its own simplex options hold a `"solver"` field; it is ignored.
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let key = SpecKey::from_value(value)?;
         let pairs = serde::as_object(value, "MechanismSpec")?;
@@ -409,15 +382,9 @@ impl Deserialize for MechanismSpec {
             Some(raw) => f64::from_value(raw)?,
             None => DEFAULT_PROPERTY_TOLERANCE,
         };
-        let solver = match serde::object_get(pairs, "solver") {
-            Some(raw) => Option::<SolveOptions>::from_value(raw)?,
-            None => None,
-        };
-        let mut spec = key.spec().tolerance(tolerance);
-        if let Some(options) = solver {
-            spec = spec.solver(options);
-        }
-        spec.build()
+        key.spec()
+            .tolerance(tolerance)
+            .build()
             .map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
@@ -427,7 +394,8 @@ impl Deserialize for MechanismSpec {
 // ---------------------------------------------------------------------------
 
 /// A finished design: the matrix plus everything worth knowing about how it
-/// came to be, with lazily-built samplers for the serving hot path.
+/// came to be, with a lazily-built alias sampler and inverse for the serving
+/// hot path.
 ///
 /// Serde round trips are exact — `serialize → deserialize` reproduces the
 /// matrix bit-for-bit and the same [`SpecKey`] — which is what makes cache
@@ -441,13 +409,13 @@ pub struct DesignedMechanism {
     report: PropertyReport,
     score: f64,
     design_nanos: u64,
-    cdf_sampler: OnceLock<MechanismSampler>,
     alias_sampler: OnceLock<AliasSampler>,
     inverse: OnceLock<Result<Vec<f64>, CoreError>>,
 }
 
 impl Clone for DesignedMechanism {
-    /// Clones the design data; sampler caches start empty in the clone.
+    /// Clones the design data; the lazily-built caches start empty in the
+    /// clone.
     fn clone(&self) -> Self {
         DesignedMechanism {
             spec: self.spec.clone(),
@@ -457,7 +425,6 @@ impl Clone for DesignedMechanism {
             report: self.report.clone(),
             score: self.score,
             design_nanos: self.design_nanos,
-            cdf_sampler: OnceLock::new(),
             alias_sampler: OnceLock::new(),
             inverse: OnceLock::new(),
         }
@@ -465,8 +432,8 @@ impl Clone for DesignedMechanism {
 }
 
 impl PartialEq for DesignedMechanism {
-    /// Equality over the design data (the lazily-built samplers are caches, not
-    /// state).
+    /// Equality over the design data (the lazily-built sampler and inverse
+    /// are caches, not state).
     fn eq(&self, other: &Self) -> bool {
         self.spec == other.spec
             && self.choice == other.choice
@@ -538,12 +505,6 @@ impl DesignedMechanism {
     /// Wall-clock time the design took (closed form or LP).
     pub fn design_time(&self) -> Duration {
         Duration::from_nanos(self.design_nanos)
-    }
-
-    /// The `O(log n)`-per-draw CDF sampler, built on first use.
-    pub fn sampler(&self) -> &MechanismSampler {
-        self.cdf_sampler
-            .get_or_init(|| MechanismSampler::new(&self.mechanism))
     }
 
     /// The `O(1)`-per-draw Walker/Vose alias sampler, built on first use — the
@@ -628,7 +589,6 @@ impl Deserialize for DesignedMechanism {
             report,
             score,
             design_nanos,
-            cdf_sampler: OnceLock::new(),
             alias_sampler: OnceLock::new(),
             inverse: OnceLock::new(),
         })
@@ -730,9 +690,6 @@ mod tests {
                 assert!((mass - designed.mechanism().prob(i, j)).abs() < 1e-12);
             }
         }
-        // Both samplers resolve the same uniform identically where regions align.
-        let cdf = designed.sampler();
-        assert_eq!(cdf.dim(), designed.mechanism().dim());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cpm_simplex::{SolveOptions, SolveStats};
+use cpm_simplex::SolveStats;
 
 use crate::alpha::Alpha;
 use crate::closed_form;
@@ -105,24 +105,18 @@ pub fn select_mechanism(requested: PropertySet, n: usize, alpha: Alpha) -> Mecha
 /// Materialise one [`MechanismChoice`]: closed forms for GM/EM/UM, the
 /// LP optimum (symmetric by construction) for the two LP-defined choices.
 ///
-/// `options: None` lets each LP pick its own size-scaled
-/// [`crate::lp::DesignProblem::recommended_options`] — the right default for
-/// callers (such as a design cache) that serve arbitrary `(n, α)` pairs rather
-/// than one known problem size.  This is the single realisation routine
-/// behind [`crate::design::MechanismSpec::design`].  The second return slot
-/// holds the LP statistics when the simplex ran.
+/// Each LP solves with its own size-scaled
+/// [`crate::lp::DesignProblem::recommended_options`].  This is the single
+/// realisation routine behind [`crate::design::MechanismSpec::design`].  The
+/// second return slot holds the LP statistics when the simplex ran.
 pub(crate) fn realize_choice(
     choice: MechanismChoice,
     n: usize,
     alpha: Alpha,
-    options: Option<&SolveOptions>,
 ) -> Result<(Mechanism, Option<SolveStats>), CoreError> {
     let solve_lp = |properties: PropertySet| {
-        let problem = crate::lp::DesignProblem::constrained(n, alpha, Objective::l0(), properties);
-        let solution = match options {
-            Some(options) => problem.solve_with(options)?,
-            None => problem.solve()?,
-        };
+        let solution =
+            crate::lp::DesignProblem::constrained(n, alpha, Objective::l0(), properties).solve()?;
         Ok((solution.mechanism, Some(solution.solver_stats)))
     };
     match choice {
@@ -297,12 +291,12 @@ mod tests {
     #[test]
     fn realize_choice_reports_lp_statistics_only_for_lp_choices() {
         let alpha = a(0.9);
-        let (gm, stats) = realize_choice(MechanismChoice::Geometric, 6, alpha, None).unwrap();
+        let (gm, stats) = realize_choice(MechanismChoice::Geometric, 6, alpha).unwrap();
         assert!(stats.is_none(), "GM is closed-form, no LP solve");
         assert!(gm.satisfies_dp(alpha, 1e-9));
 
         let (wm, stats) =
-            realize_choice(MechanismChoice::WeakHonestColumnMonotoneLp, 4, alpha, None).unwrap();
+            realize_choice(MechanismChoice::WeakHonestColumnMonotoneLp, 4, alpha).unwrap();
         let stats = stats.expect("WM requires an LP solve");
         assert!(stats.pivots() > 0);
         assert!(wm.satisfies_dp(alpha, 1e-6));

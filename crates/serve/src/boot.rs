@@ -264,20 +264,11 @@ pub fn start_flusher(engine: Arc<Engine>, path: String, period: Duration) -> Flu
 /// One flush pass: estimate every collected key and write the snapshot file.
 /// Failures are logged and counted, never fatal — the flusher is an
 /// observability aid, not a correctness dependency.
-///
-/// Keys whose group size exceeds [`crate::proto::MAX_WIRE_N`] are skipped,
-/// not designed: the wire paths already refuse to ingest them, but a library
-/// caller can feed the engine's collector directly, and the flusher must not
-/// be the place where an un-designable key turns into an `(n+1)²` allocation.
 fn flush_estimates(engine: &Engine, path: &str) {
     let flush_started = std::time::Instant::now();
     let keys = engine.collector().keys();
     let mut snapshots = Vec::with_capacity(keys.len());
     for key in keys {
-        if key.n > crate::proto::MAX_WIRE_N {
-            cpm_obs::counter!("cpm_collect_flush_skipped_total").inc();
-            continue;
-        }
         let Some(observed) = engine.collector().observed(&key) else {
             continue;
         };
@@ -346,37 +337,6 @@ mod tests {
 
         let keys = parse_warm_keys("32:0.9:WH+CM; 64:0.9: ;").unwrap();
         assert_eq!(keys.len(), 2);
-    }
-
-    #[test]
-    fn flusher_skips_keys_beyond_the_serving_ceiling() {
-        let engine = Engine::with_defaults();
-        // The collector itself admits keys up to cpm_collect::REPORT_MAX_N
-        // (library callers ingest directly), but the flusher must not design
-        // them — this key would otherwise cost an (n+1)² design matrix.
-        let oversized = SpecKey::new(
-            crate::proto::MAX_WIRE_N + 1,
-            Alpha::new(0.5).unwrap(),
-            PropertySet::empty(),
-        );
-        engine
-            .collector()
-            .ingest_batch(&oversized, std::iter::once(0));
-        let good = SpecKey::new(4, Alpha::new(0.5).unwrap(), PropertySet::empty());
-        engine
-            .collector()
-            .ingest_batch(&good, (0..100).map(|i| if i < 60 { 0 } else { 4 }));
-        let path = std::env::temp_dir().join(format!(
-            "cpm-flush-skip-test-{}-{:?}.json",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        flush_estimates(&engine, &path.to_string_lossy());
-        let snapshots = cpm_collect::snapshot::read_file(&path).unwrap();
-        assert_eq!(snapshots.len(), 1, "only the designable key is flushed");
-        assert_eq!(snapshots[0].key, good);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -45,13 +45,13 @@
 //! {"op": "report", "n": 32, "alpha": 0.9, "reports": [2, 18, 1, 32]}
 //! ```
 //!
-//! → `{"ok": true, "ingested": 4, "rejected": 0}`.  Out-of-range outputs are
-//! counted in `rejected`, never fatal.  Group sizes are bounded by the one
-//! serving ceiling [`crate::proto::MAX_WIRE_N`] on every report path — JSON,
-//! `CPMF`, and `CPMR` alike (a hostile `n` must not size an allocation, here
-//! or later when the key is designed for estimation) — and the collector
-//! holds at most `cpm_collect::DEFAULT_MAX_KEYS` distinct keys; reports past
-//! either bound are rejected, not fatal.
+//! → `{"ok": true, "ingested": 4, "rejected": 0}`.  Out-of-range outputs, and
+//! reports for new keys once the collector holds
+//! `cpm_collect::DEFAULT_MAX_KEYS`, are counted in `rejected`, never fatal.
+//! Every key on every path obeys the one key rule, `cpm_wire::check_key`
+//! (`1 ≤ n ≤` [`crate::proto::MAX_WIRE_N`], `d ≤ n` for `L0,d`): a request
+//! breaking it fails soft with `ok: false` before anything is sized by `n`,
+//! and a `CPMR` frame holding such a record is refused whole.
 //!
 //! `estimate` inverts the key's designed mechanism matrix over everything the
 //! collector has accumulated for it, returning the unbiased input-frequency

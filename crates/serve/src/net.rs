@@ -796,7 +796,7 @@ mod tests {
     }
 
     #[test]
-    fn http_metrics_scrape_rides_the_reactor() {
+    fn get_metrics_scrape_rides_the_reactor() {
         cpm_obs::counter!("cpm_net_connections_total").inc();
         let engine = Arc::new(Engine::new(EngineConfig::default()));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

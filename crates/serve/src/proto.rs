@@ -57,7 +57,7 @@ use std::io;
 use std::time::Instant;
 
 use cpm_core::{Alpha, ObjectiveKey, PropertySet, SpecKey};
-use cpm_wire::{put_spec_key, take_spec_key, Reader, Wire};
+use cpm_wire::{check_key, put_spec_key, take_spec_key, Reader, Wire};
 
 use crate::engine::Engine;
 use crate::frontend::{ConnectionSummary, WireRequest, WireResponse, MAX_FRAME_LEN};
@@ -86,21 +86,9 @@ const OP_SHUTDOWN: u8 = 6;
 /// header must not grow the connection buffer forever.
 const MAX_HTTP_HEADER: usize = 8 * 1024;
 
-/// Ceiling on the group size `n` a wire request may name.  Designing a
-/// mechanism allocates an `(n+1)²` matrix, so an unauthenticated request
-/// naming an arbitrary `n` (one hostile `warm` frame with `n = u32::MAX`)
-/// would be a single-frame memory bomb.  The paper's experiments top out at
-/// `n` in the hundreds; 4096 leaves generous headroom while capping the
-/// worst-case design at ~134 MB.
-///
-/// This is also the serving tier's *report-ingestion* ceiling, on every path
-/// (the JSON `report` op, `CPMF` report frames, and `CPMR` batches): every
-/// collected key is eventually designed — by the `estimate` op or the
-/// background snapshot flusher — so the collector must never hold a key the
-/// design path would refuse.  The `CPMR` wire format itself admits group
-/// sizes up to [`cpm_collect::REPORT_MAX_N`] for library consumers; the
-/// serve tier counts records above [`MAX_WIRE_N`] as rejected.
-pub const MAX_WIRE_N: usize = 4096;
+/// The group-size ceiling every key on every wire path obeys (JSON, `CPMF`
+/// and `CPMR` alike), re-exported from the one key rule in [`cpm_wire`].
+pub use cpm_wire::MAX_WIRE_N;
 
 /// One decoded request, independent of the codec it arrived in.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,14 +166,9 @@ pub enum Codec {
     Binary,
 }
 
-/// Build the mechanism key a JSON wire request denotes.
+/// Build the mechanism key a JSON wire request denotes, refusing one that
+/// breaks [`check_key`] with the text a `CPMF` frame gets.
 pub(crate) fn parse_key(request: &WireRequest) -> Result<SpecKey, String> {
-    if request.n > MAX_WIRE_N {
-        return Err(format!(
-            "group size n={} exceeds the serving ceiling of {MAX_WIRE_N}",
-            request.n
-        ));
-    }
     let alpha = Alpha::new(request.alpha).map_err(|e| e.to_string())?;
     let properties: PropertySet = request
         .properties
@@ -193,9 +176,9 @@ pub(crate) fn parse_key(request: &WireRequest) -> Result<SpecKey, String> {
         .map_err(|e: cpm_core::CoreError| e.to_string())?;
     let objective = ObjectiveKey::parse(&request.objective)
         .ok_or_else(|| format!("unknown objective {:?}", request.objective))?;
-    Ok(SpecKey::with_objective(
-        request.n, alpha, properties, objective,
-    ))
+    let key = SpecKey::with_objective(request.n, alpha, properties, objective);
+    check_key(&key).map_err(|e| e.to_string())?;
+    Ok(key)
 }
 
 /// The request counter and latency histogram of one op label
@@ -265,19 +248,10 @@ pub fn op_from_request(request: &WireRequest) -> Result<Op, String> {
         "warm" => Ok(Op::Warm {
             key: parse_key(request)?,
         }),
-        "report" => {
-            let key = parse_key(request)?;
-            // parse_key already enforced the MAX_WIRE_N ceiling; a zero group
-            // size has no output range, so refuse it explicitly rather than
-            // letting the collector silently count every output as rejected.
-            if key.n == 0 {
-                return Err("report group size n must be at least 1".to_string());
-            }
-            Ok(Op::Report {
-                key,
-                outputs: request.reports.clone(),
-            })
-        }
+        "report" => Ok(Op::Report {
+            key: parse_key(request)?,
+            outputs: request.reports.clone(),
+        }),
         "estimate" => Ok(Op::Estimate {
             key: parse_key(request)?,
         }),
@@ -345,19 +319,6 @@ fn take_u32_seq(reader: &mut Reader<'_>) -> Result<Vec<usize>, String> {
     Ok(values.into_iter().map(|v| v as usize).collect())
 }
 
-/// Decode a spec key and apply the serving [`MAX_WIRE_N`] ceiling — binary
-/// frames get the same group-size bound as the JSON path.
-fn take_bounded_key(reader: &mut Reader<'_>) -> Result<SpecKey, String> {
-    let key = take_spec_key(reader).map_err(|e| e.to_string())?;
-    if key.n > MAX_WIRE_N {
-        return Err(format!(
-            "group size n={} exceeds the serving ceiling of {MAX_WIRE_N}",
-            key.n
-        ));
-    }
-    Ok(key)
-}
-
 /// Decode a `b"CPMF"` request frame payload into its [`Op`], validating the
 /// header, every field, and the absence of trailing bytes.
 pub fn decode_request(payload: &[u8]) -> Result<Op, String> {
@@ -383,18 +344,18 @@ pub fn decode_request(payload: &[u8]) -> Result<Op, String> {
     let mut reader = Reader::new(&payload[FRAME_HEADER_LEN..]);
     let op = match tag {
         OP_PRIVATIZE => Op::Privatize {
-            key: take_bounded_key(&mut reader)?,
+            key: take_spec_key(&mut reader).map_err(|e| e.to_string())?,
             inputs: take_u32_seq(&mut reader)?,
         },
         OP_WARM => Op::Warm {
-            key: take_bounded_key(&mut reader)?,
+            key: take_spec_key(&mut reader).map_err(|e| e.to_string())?,
         },
         OP_REPORT => Op::Report {
-            key: take_bounded_key(&mut reader)?,
+            key: take_spec_key(&mut reader).map_err(|e| e.to_string())?,
             outputs: take_u32_seq(&mut reader)?,
         },
         OP_ESTIMATE => Op::Estimate {
-            key: take_bounded_key(&mut reader)?,
+            key: take_spec_key(&mut reader).map_err(|e| e.to_string())?,
         },
         OP_STATS => Op::Stats,
         OP_METRICS => Op::Metrics,
@@ -420,8 +381,8 @@ pub fn encode_response(tag: u8, response: &WireResponse) -> Vec<u8> {
     out.push(tag);
     response.ok.put(&mut out);
     response.error.put(&mut out);
-    // Outputs fit u32 by construction: the binary codec bounds every key's
-    // group size at `cpm_wire::MAX_GROUP_SIZE`, and outputs never exceed `n`.
+    // Outputs fit u32 by construction: every key's group size is at most
+    // `MAX_WIRE_N`, and outputs never exceed `n`.
     (response.outputs.len() as u32).put(&mut out);
     for &output in &response.outputs {
         (output as u32).put(&mut out);
@@ -499,29 +460,12 @@ fn failure(message: String) -> WireResponse {
     }
 }
 
-/// Ingest decoded reports under the serving ceiling: records naming a group
-/// size beyond [`MAX_WIRE_N`] are counted as rejected without ever reaching
-/// the collector.  The `CPMR` format admits larger keys than the serve tier
-/// is willing to design, and a key that cannot be designed can never be
-/// estimated — admitting it would only hand the background flusher an
-/// attacker-sized design matrix.
-fn ingest_reports_capped(engine: &Engine, reports: &[cpm_collect::Report]) -> WireResponse {
-    let oversized = reports.iter().filter(|r| r.key.n > MAX_WIRE_N).count() as u64;
-    let summary = if oversized == 0 {
-        engine.collector().ingest_reports(reports)
-    } else {
-        cpm_obs::counter!("cpm_report_oversized_total").add(oversized);
-        let admissible: Vec<cpm_collect::Report> = reports
-            .iter()
-            .filter(|r| r.key.n <= MAX_WIRE_N)
-            .copied()
-            .collect();
-        engine.collector().ingest_reports(&admissible)
-    };
+/// The acknowledgement of one report ingest.
+fn ingested(summary: cpm_collect::IngestSummary) -> WireResponse {
     WireResponse {
         ok: true,
         ingested: summary.accepted,
-        rejected: summary.rejected + oversized,
+        rejected: summary.rejected,
         ..WireResponse::default()
     }
 }
@@ -563,21 +507,15 @@ fn dispatch_inner(engine: &Engine, op: &Op) -> (WireResponse, bool) {
             ),
             Err(error) => (failure(error.to_string()), false),
         },
-        Op::Report { key, outputs } => {
-            let summary = engine
-                .collector()
-                .ingest_batch(key, outputs.iter().copied());
-            (
-                WireResponse {
-                    ok: true,
-                    ingested: summary.accepted,
-                    rejected: summary.rejected,
-                    ..WireResponse::default()
-                },
-                false,
-            )
-        }
-        Op::ReportBatch(reports) => (ingest_reports_capped(engine, reports), false),
+        Op::Report { key, outputs } => (
+            ingested(
+                engine
+                    .collector()
+                    .ingest_batch(key, outputs.iter().copied()),
+            ),
+            false,
+        ),
+        Op::ReportBatch(reports) => (ingested(engine.collector().ingest_reports(reports)), false),
         Op::Estimate { key } => match engine.collector().observed(key) {
             Some(observed) => {
                 match engine
@@ -676,21 +614,10 @@ impl TokenBucket {
 }
 
 /// Per-connection protocol configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ProtoConfig {
     /// Reports per second one connection may submit (`None` = unlimited).
     pub report_rate: Option<f64>,
-    /// Whether the connection-level `GET ` sniff serves HTTP `/metrics`.
-    pub http_metrics: bool,
-}
-
-impl Default for ProtoConfig {
-    fn default() -> Self {
-        ProtoConfig {
-            report_rate: None,
-            http_metrics: true,
-        }
-    }
 }
 
 impl ProtoConfig {
@@ -701,10 +628,7 @@ impl ProtoConfig {
             .ok()
             .and_then(|v| v.trim().parse::<f64>().ok())
             .filter(|&rate| rate > 0.0);
-        ProtoConfig {
-            report_rate,
-            ..ProtoConfig::default()
-        }
+        ProtoConfig { report_rate }
     }
 }
 
@@ -765,7 +689,6 @@ enum Mode {
 /// The machine never blocks and owns no I/O.
 #[derive(Debug)]
 pub struct ProtoConnection {
-    config: ProtoConfig,
     mode: Mode,
     inbuf: Vec<u8>,
     consumed: usize,
@@ -780,7 +703,6 @@ impl ProtoConnection {
     /// A fresh connection in sniffing state.
     pub fn new(config: ProtoConfig) -> Self {
         ProtoConnection {
-            config,
             mode: Mode::Start,
             inbuf: Vec::new(),
             consumed: 0,
@@ -868,7 +790,7 @@ impl ProtoConnection {
                         return Ok(());
                     }
                     let head = &self.inbuf[self.consumed..self.consumed + 4];
-                    if self.config.http_metrics && head == b"GET " {
+                    if head == b"GET " {
                         self.mode = Mode::Http;
                     } else {
                         self.mode = Mode::Framed;
@@ -1006,7 +928,7 @@ impl ProtoConnection {
             match cpm_collect::wire::decode_batch(payload) {
                 Ok(reports) => match self.rate_limit(reports.len()) {
                     Some(refused) => refused,
-                    None => ingest_reports_capped(engine, &reports),
+                    None => ingested(engine.collector().ingest_reports(&reports)),
                 },
                 Err(error) => {
                     cpm_obs::counter!("cpm_net_frame_decode_errors_total").inc();
@@ -1291,27 +1213,29 @@ mod tests {
 
     #[test]
     fn cpmr_records_beyond_the_serving_ceiling_are_rejected() {
-        use cpm_collect::wire::{encode_batch, Report};
+        use cpm_collect::wire::{encode_batch, Report, HEADER_LEN, RECORD_LEN};
         let engine = Engine::with_defaults();
         let mut conn = ProtoConnection::new(ProtoConfig::default());
         let good = spec_key(8, 0.9);
-        // Valid for the CPMR wire format (<= REPORT_MAX_N), but beyond what
-        // the serve tier will ever design — it must never enter the collector.
-        let oversized = spec_key(MAX_WIRE_N + 1, 0.9);
-        let batch = encode_batch(&[
-            Report::new(good, 3).unwrap(),
-            Report::new(oversized, 0).unwrap(),
-        ])
-        .unwrap();
+        // The encoder refuses a key beyond MAX_WIRE_N, so forge the second
+        // record's n by hand: the frame is malformed and refused whole, the
+        // well-formed first record included.
+        let mut batch =
+            encode_batch(&[Report::new(good, 3).unwrap(), Report::new(good, 0).unwrap()]).unwrap();
+        let second = HEADER_LEN + RECORD_LEN;
+        batch[second..second + 4].copy_from_slice(&(MAX_WIRE_N as u32 + 1).to_le_bytes());
         conn.ingest(&engine, &frame(&batch)).unwrap();
         let frames = read_frames(conn.pending_output());
         let ack: WireResponse =
             serde_json::from_str(std::str::from_utf8(&frames[0]).unwrap()).unwrap();
-        assert!(ack.ok, "error: {}", ack.error);
-        assert_eq!(ack.ingested, 1);
-        assert_eq!(ack.rejected, 1, "the oversized key must be refused");
-        assert!(engine.collector().observed(&good).is_some());
-        assert!(engine.collector().observed(&oversized).is_none());
+        assert!(!ack.ok);
+        assert!(
+            ack.error.starts_with("malformed report frame"),
+            "{}",
+            ack.error
+        );
+        assert_eq!((ack.ingested, ack.rejected), (0, 0));
+        assert!(engine.collector().is_empty(), "nothing was ingested");
     }
 
     #[test]
@@ -1372,7 +1296,6 @@ mod tests {
         let engine = Engine::with_defaults();
         let mut conn = ProtoConnection::new(ProtoConfig {
             report_rate: Some(10.0),
-            http_metrics: true,
         });
         // First batch of 10 fits the burst; the immediate second batch does not.
         let batch = br#"{"op": "report", "n": 4, "alpha": 0.5, "reports": [0,1,2,3,4,0,1,2,3,4]}"#;

@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 use cpm_core::{Alpha, DesignedMechanism, MechanismSpec, Property, PropertySet, SpecKey};
 use cpm_serve::cache::DesignCache;
-use cpm_simplex::LpForm;
 
 fn a(v: f64) -> Alpha {
     Alpha::new(v).unwrap()
@@ -117,19 +116,18 @@ const DELETED_OPTIONS_FIXTURE: &str = r#"{"n":4,"alpha":0.9,"properties":"{RM, C
 fn specs_naming_deleted_solver_options_still_design() {
     let spec: MechanismSpec =
         serde_json::from_str(DELETED_OPTIONS_FIXTURE).expect("old solver options parse");
-    let options = spec.solver_options().expect("the solver override survives");
-    assert_eq!(options.max_iterations, 500_000);
-    assert_eq!(options.tolerance, 1e-9);
-    assert_eq!(options.warm_basis, None);
-    assert_eq!(options.form, LpForm::Auto);
-
-    // The deleted knobs are ignored, so the override is today's route and
-    // designs exactly what the spec without an override designs.
+    // The `"solver"` field is ignored: the spec is its key's spec, and designs
+    // exactly what that spec designs.
+    let plain = spec.key().spec();
+    assert_eq!(spec, plain);
     let designed = spec.design().expect("the old spec designs");
-    let plain = spec.key().spec().design().unwrap();
+    let reference = plain.design().unwrap();
     assert!(designed.requested_satisfied());
-    assert_eq!(designed.choice(), plain.choice());
-    assert_eq!(designed.mechanism().entries(), plain.mechanism().entries());
+    assert_eq!(designed.choice(), reference.choice());
+    assert_eq!(
+        designed.mechanism().entries(),
+        reference.mechanism().entries()
+    );
 }
 
 /// A snapshot written while designs carried the optimal basis of their LP

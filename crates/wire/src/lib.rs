@@ -19,8 +19,12 @@
 //!   cannot demand memory the frame does not carry.
 //! * **Total validation** — every decoded value is range-checked at the codec
 //!   layer ([`take_spec_key`] refuses bad α, undefined property bits, unknown
-//!   objective tags, oversized group sizes); decoding never panics on any
-//!   byte string.
+//!   objective tags, and keys breaking the [`check_key`] rule); decoding
+//!   never panics on any byte string.
+//! * **One key rule** — [`check_key`] is the workspace's only group-size
+//!   check: `1 ≤ n ≤`[`MAX_WIRE_N`], and `d ≤ n` for `L0,d`.  Both binary
+//!   codecs, the JSON front end and the report collector apply it, so no
+//!   serving path can hold a key another path refuses.
 //! * **Bit exactness** — α travels as its IEEE-754 bit pattern, matching
 //!   [`cpm_core::AlphaKey`]'s cache identity exactly.
 
@@ -35,10 +39,13 @@ use cpm_core::{Alpha, ObjectiveKey, PropertySet, SpecKey};
 /// (u8), objective tag (u8), `L0,d` distance (u16).
 pub const SPEC_KEY_LEN: usize = 16;
 
-/// Largest group size any binary codec accepts off the wire.  Mirrors the
-/// collect-side bound: consumers allocate `O(n)` state per key, so an
-/// unvalidated `n` would let a 16-byte record demand gigabytes.
-pub const MAX_GROUP_SIZE: usize = 1 << 16;
+/// The workspace's one group-size ceiling: the largest `n` any key may name,
+/// on every wire path and in the report collector.  Designing a mechanism
+/// allocates an `(n+1)²` matrix and collecting for it `n + 1` counters, so an
+/// unvalidated `n` would let one 16-byte key demand gigabytes.  The paper's
+/// experiments top out at `n` in the hundreds; 4096 leaves generous headroom
+/// while capping one design at ~134 MB.
+pub const MAX_WIRE_N: usize = 4096;
 
 const OBJ_L0: u8 = 0;
 const OBJ_L1: u8 = 1;
@@ -233,10 +240,9 @@ pub enum KeyError {
         /// The accompanying distance field.
         d: u16,
     },
-    /// The group size is zero or exceeds [`MAX_GROUP_SIZE`].
+    /// The group size is zero or exceeds [`MAX_WIRE_N`].
     InvalidGroupSize,
-    /// The `L0,d` threshold exceeds the group size (or, on encode, the `u16`
-    /// field).
+    /// The `L0,d` threshold exceeds the group size.
     DistanceTooLarge {
         /// The threshold.
         d: usize,
@@ -256,7 +262,7 @@ impl fmt::Display for KeyError {
                 write!(f, "key objective tag {tag} with d = {d} is invalid")
             }
             KeyError::InvalidGroupSize => {
-                write!(f, "key group size n must be in 1..={MAX_GROUP_SIZE}")
+                write!(f, "key group size n must be in 1..={MAX_WIRE_N}")
             }
             KeyError::DistanceTooLarge { d, n } => {
                 write!(f, "key L0,d threshold {d} exceeds group size {n}")
@@ -309,20 +315,27 @@ fn objective_tag(objective: ObjectiveKey) -> (u8, u16) {
     }
 }
 
-/// Append a [`SpecKey`]'s [`SPEC_KEY_LEN`] bytes to `out`.
+/// The key rule: `1 ≤ n ≤`[`MAX_WIRE_N`], and an `L0,d` threshold `d ≤ n`.
 ///
-/// Fails when the key cannot be represented or would be refused on decode:
-/// `n` outside `1..=`[`MAX_GROUP_SIZE`], or an `L0,d` threshold beyond `u16`
-/// (both far outside any designable mechanism).
-pub fn put_spec_key(key: &SpecKey, out: &mut Vec<u8>) -> Result<(), KeyError> {
-    if key.n == 0 || key.n > MAX_GROUP_SIZE {
+/// Every path that sizes state by a key's `n` applies this one check first:
+/// [`put_spec_key`] and [`take_spec_key`] (so both binary formats), the JSON
+/// front end's key parser, and the report collector.
+pub fn check_key(key: &SpecKey) -> Result<(), KeyError> {
+    if key.n == 0 || key.n > MAX_WIRE_N {
         return Err(KeyError::InvalidGroupSize);
     }
     if let ObjectiveKey::L0Beyond(d) = key.objective {
-        if d > u16::MAX as usize {
+        if d > key.n {
             return Err(KeyError::DistanceTooLarge { d, n: key.n });
         }
     }
+    Ok(())
+}
+
+/// Append a [`SpecKey`]'s [`SPEC_KEY_LEN`] bytes to `out`, refusing any key
+/// that breaks [`check_key`] (so every encoded key decodes).
+pub fn put_spec_key(key: &SpecKey, out: &mut Vec<u8>) -> Result<(), KeyError> {
+    check_key(key)?;
     let (tag, d) = objective_tag(key.objective);
     (key.n as u32).put(out);
     key.alpha.bits().put(out);
@@ -332,13 +345,10 @@ pub fn put_spec_key(key: &SpecKey, out: &mut Vec<u8>) -> Result<(), KeyError> {
     Ok(())
 }
 
-/// Decode one [`SpecKey`], validating every field: group size bound, α range,
-/// property bitmask, objective tag/distance consistency.
+/// Decode one [`SpecKey`], validating every field: α range, property
+/// bitmask, objective tag/distance consistency, and the [`check_key`] rule.
 pub fn take_spec_key(reader: &mut Reader<'_>) -> Result<SpecKey, SpecKeyError> {
     let n = u32::take(reader)? as usize;
-    if n == 0 || n > MAX_GROUP_SIZE {
-        return Err(KeyError::InvalidGroupSize.into());
-    }
     let alpha_value = f64::from_bits(u64::take(reader)?);
     let alpha = Alpha::new(alpha_value).map_err(|_| KeyError::InvalidAlpha(alpha_value))?;
     let bits = u8::take(reader)?;
@@ -349,15 +359,12 @@ pub fn take_spec_key(reader: &mut Reader<'_>) -> Result<SpecKey, SpecKeyError> {
         (OBJ_L0, 0) => ObjectiveKey::L0,
         (OBJ_L1, 0) => ObjectiveKey::L1,
         (OBJ_L2, 0) => ObjectiveKey::L2,
-        (OBJ_L0_BEYOND, d) => {
-            if d as usize > n {
-                return Err(KeyError::DistanceTooLarge { d: d as usize, n }.into());
-            }
-            ObjectiveKey::L0Beyond(d as usize)
-        }
+        (OBJ_L0_BEYOND, d) => ObjectiveKey::L0Beyond(d as usize),
         (tag, d) => return Err(KeyError::InvalidObjective { tag, d }.into()),
     };
-    Ok(SpecKey::with_objective(n, alpha, properties, objective))
+    let key = SpecKey::with_objective(n, alpha, properties, objective);
+    check_key(&key)?;
+    Ok(key)
 }
 
 #[cfg(test)]
@@ -472,18 +479,29 @@ mod tests {
         let mut good = Vec::new();
         put_spec_key(&key, &mut good).unwrap();
 
-        // Zero and oversized group sizes.
-        let mut bad = good.clone();
-        bad[0..4].copy_from_slice(&0u32.to_le_bytes());
+        // Zero and oversized group sizes; the ceiling itself is admitted.
+        for n in [0, MAX_WIRE_N as u32 + 1, u32::MAX] {
+            let mut bad = good.clone();
+            bad[0..4].copy_from_slice(&n.to_le_bytes());
+            assert_eq!(
+                take_spec_key(&mut Reader::new(&bad)),
+                Err(KeyError::InvalidGroupSize.into()),
+                "n = {n}"
+            );
+        }
+        let mut edge = good.clone();
+        edge[0..4].copy_from_slice(&(MAX_WIRE_N as u32).to_le_bytes());
         assert_eq!(
-            take_spec_key(&mut Reader::new(&bad)),
-            Err(KeyError::InvalidGroupSize.into())
+            take_spec_key(&mut Reader::new(&edge)).unwrap().n,
+            MAX_WIRE_N
         );
+        // An L0,d threshold beyond n.
         let mut bad = good.clone();
-        bad[0..4].copy_from_slice(&(MAX_GROUP_SIZE as u32 + 1).to_le_bytes());
+        bad[13] = OBJ_L0_BEYOND;
+        bad[14..16].copy_from_slice(&9u16.to_le_bytes());
         assert_eq!(
             take_spec_key(&mut Reader::new(&bad)),
-            Err(KeyError::InvalidGroupSize.into())
+            Err(KeyError::DistanceTooLarge { d: 9, n: 8 }.into())
         );
         // α out of range.
         let mut bad = good.clone();
@@ -517,15 +535,25 @@ mod tests {
             take_spec_key(&mut Reader::new(&good[..10])),
             Err(SpecKeyError::Decode(DecodeError::Truncated { .. }))
         ));
-        // Encode-side refusals.
+        // Encode-side refusals: the same rule, so every encoded key decodes.
         let huge = SpecKey::new(
-            MAX_GROUP_SIZE + 1,
+            MAX_WIRE_N + 1,
             Alpha::new(0.9).unwrap(),
             PropertySet::empty(),
         );
         assert_eq!(
             put_spec_key(&huge, &mut Vec::new()),
             Err(KeyError::InvalidGroupSize)
+        );
+        let far = SpecKey::with_objective(
+            8,
+            Alpha::new(0.9).unwrap(),
+            PropertySet::empty(),
+            ObjectiveKey::L0Beyond(1 << 20),
+        );
+        assert_eq!(
+            put_spec_key(&far, &mut Vec::new()),
+            Err(KeyError::DistanceTooLarge { d: 1 << 20, n: 8 })
         );
     }
 
