@@ -367,7 +367,12 @@ impl DesignProblem {
     /// [`LinearProgram::solve_with`].
     pub fn solve_with(&self, options: &SolveOptions) -> Result<DesignSolution, CoreError> {
         let (lp, vars) = self.build_lp()?;
-        self.solve_seeded(&lp, &vars, options)
+        let solution = self.solve_seeded(&lp, &vars, options);
+        // The design's solves shared this thread's factorisation workspace;
+        // free it now rather than keep its largest basis's size for the
+        // thread's life.
+        cpm_simplex::release_thread_workspace();
+        solution
     }
 
     /// Pick the seed for the already-built `lp` (see

@@ -176,6 +176,7 @@ mod standard;
 mod tableau;
 
 pub use error::SimplexError;
+pub use lu::release_thread_workspace;
 pub use model::{Constraint, LinearProgram, Objective, Relation, VariableId};
 pub use solution::{Solution, SolveStatus};
 pub use solver::{LpForm, SolveOptions, SolveStats};

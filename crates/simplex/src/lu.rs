@@ -41,6 +41,21 @@
 //! factorisation costs what its nonzeros cost rather than what allocating
 //! them costs.
 //!
+//! ## Storage
+//!
+//! Everything is sized by the factors' nonzeros: row, column, slot and
+//! operator indices are `u32`, every `(index, value)` list is two parallel
+//! arrays (12 bytes an entry), and a list gets spare room only where pushes
+//! land — lists are loaded with exactly their entries, except the
+//! elimination's row lists and candidate slots (see [`ROW_FILL_ROOM`] and
+//! [`QUEUE_SLOT_ROOM`]).  The lists live in [`Segments`] areas, which compact themselves
+//! instead of growing while abandoned spans outnumber the live entries, so
+//! neither the elimination's fill-in nor a run of Forrest–Tomlin updates
+//! lets the garbage outgrow the factors.  [`LuFactors::footprint_bytes`] reports what
+//! the factors and this thread's workspace hold, and
+//! [`release_thread_workspace`] hands the workspace back once a design is
+//! done with it.
+//!
 //! The result is stored as a sequence of **L operators** (unit column etas) plus
 //! sparse **U columns** ordered by a doubly-linked pivot list.  FTRAN is a
 //! forward pass through the L operators followed by a backward sparse
@@ -81,12 +96,14 @@
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::mem::size_of;
 use std::ops::Range;
 
 use crate::sparse::SparseAccumulator;
 
-/// Sentinel for "no link" in the pivot-order list.
-const NONE: usize = usize::MAX;
+/// Sentinel for "no link" in the pivot-order list and "no column" in
+/// `pivot_col_of_row`.
+const NONE: u32 = u32::MAX;
 
 /// Entries with magnitude at or below this are treated as round-off and dropped
 /// during elimination (the periodic refactorisation rebuilds from the exact
@@ -119,19 +136,28 @@ fn ensure_flags(flags: &mut Vec<bool>, n: usize) {
     }
 }
 
+/// Bytes a vector holds (its capacity, not its length).
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * size_of::<T>()
+}
+
+/// Bytes a binary heap holds.
+fn heap_bytes<T: Ord>(heap: &BinaryHeap<T>) -> usize {
+    heap.capacity() * size_of::<T>()
+}
+
 /// Push not-yet-seen L-op indices onto a min-heap (forward reach).
 fn push_ops_min(
     ops: &[u32],
-    heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
+    heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
     seen: &mut [bool],
-    touched: &mut Vec<usize>,
+    touched: &mut Vec<u32>,
 ) {
     for &k in ops {
-        let k = k as usize;
-        if !seen[k] {
-            seen[k] = true;
+        if !seen[k as usize] {
+            seen[k as usize] = true;
             touched.push(k);
-            heap.push(Reverse((k as u64, k)));
+            heap.push(Reverse((k, k)));
         }
     }
 }
@@ -139,16 +165,15 @@ fn push_ops_min(
 /// Push not-yet-seen L-op indices onto a max-heap (backward reach).
 fn push_ops_max(
     ops: &[u32],
-    heap: &mut BinaryHeap<(u64, usize)>,
+    heap: &mut BinaryHeap<(u32, u32)>,
     seen: &mut [bool],
-    touched: &mut Vec<usize>,
+    touched: &mut Vec<u32>,
 ) {
     for &k in ops {
-        let k = k as usize;
-        if !seen[k] {
-            seen[k] = true;
+        if !seen[k as usize] {
+            seen[k as usize] = true;
             touched.push(k);
-            heap.push((k as u64, k));
+            heap.push((k, k));
         }
     }
 }
@@ -160,6 +185,23 @@ pub(crate) enum LuError {
     Singular,
 }
 
+/// The `(row, value)` entries of one L operator or U column, borrowed from
+/// the two parallel arrays of their store.
+#[derive(Clone, Copy)]
+struct Entries<'a> {
+    rows: &'a [u32],
+    values: &'a [f64],
+}
+
+impl<'a> Entries<'a> {
+    fn iter(self) -> impl Iterator<Item = (usize, f64)> + 'a {
+        self.rows
+            .iter()
+            .zip(self.values)
+            .map(|(&r, &v)| (r as usize, v))
+    }
+}
+
 /// One operator of the "L side" of the factorisation, applied left-to-right in
 /// FTRAN, as borrowed from the flat store.  Column etas come from the
 /// factorisation; row etas are appended by Forrest–Tomlin updates.
@@ -168,23 +210,13 @@ enum LOp<'a> {
     /// `v[r] -= l · v[pivot_row]` for each `(r, l)` — a unit-diagonal column of L.
     Col {
         pivot_row: usize,
-        entries: &'a [(usize, f64)],
+        entries: Entries<'a>,
     },
     /// `v[pivot_row] -= m · v[r]` for each `(r, m)` — a Forrest–Tomlin row eta.
     Row {
         pivot_row: usize,
-        entries: &'a [(usize, f64)],
+        entries: Entries<'a>,
     },
-}
-
-/// Where an L operator lives in the flat store: entries
-/// `l_entries[start..end]`.
-#[derive(Clone, Copy)]
-struct LOpHeader {
-    is_row: bool,
-    pivot_row: usize,
-    start: usize,
-    end: usize,
 }
 
 /// One column of the sparse upper-triangular factor, as borrowed from the
@@ -195,7 +227,7 @@ struct LOpHeader {
 struct UCol<'a> {
     pivot_row: usize,
     pivot_value: f64,
-    entries: &'a [(usize, f64)],
+    entries: Entries<'a>,
 }
 
 /// A sparse LU factorisation of an `m × m` basis, with Forrest–Tomlin updates.
@@ -207,66 +239,80 @@ struct UCol<'a> {
 /// an update simply receives a fresh, larger stamp).
 #[derive(Default)]
 pub(crate) struct LuFactors {
-    /// The L operators in application order, their entries packed in
-    /// `l_entries`.
-    l_ops: Vec<LOpHeader>,
-    l_entries: Vec<(usize, f64)>,
+    /// The L operators in application order: operator `k` pivots on
+    /// `l_pivot_row[k]` and holds the entries `l_start[k]..l_start[k + 1]`
+    /// of `l_rows`/`l_values`.  The first `m` operators are the column etas
+    /// of the factorisation (operator `k` belongs to elimination step `k`);
+    /// every later one is a Forrest–Tomlin row eta.
+    l_pivot_row: Vec<u32>,
+    l_start: Vec<u32>,
+    l_rows: Vec<u32>,
+    l_values: Vec<f64>,
     /// Above-diagonal entries of each U column, by column id.
-    u: Segments<(usize, f64)>,
-    u_pivot_row: Vec<usize>,
+    u: Segments<f64>,
+    u_pivot_row: Vec<u32>,
     u_pivot_value: Vec<f64>,
-    order_next: Vec<usize>,
-    order_prev: Vec<usize>,
-    head: usize,
-    tail: usize,
-    ord: Vec<u64>,
-    next_ord: u64,
+    order_next: Vec<u32>,
+    order_prev: Vec<u32>,
+    head: u32,
+    tail: u32,
+    ord: Vec<u32>,
+    next_ord: u32,
     /// `row → ids of U columns holding an above-diagonal entry at that row`.
-    row_adj: Segments<usize>,
+    row_adj: Segments,
     /// `row → id of the U column pivoted on that row`.
-    pivot_col_of_row: Vec<usize>,
+    pivot_col_of_row: Vec<u32>,
     /// Forrest–Tomlin updates applied since the factorisation was built.
     updates: usize,
     /// `row → indices of L-ops that read that row in the FTRAN direction`
     /// (a `Col` op reads its pivot row, a `Row` op reads its entry rows).
     /// Each list is ascending, so the sparse solves can binary-search for
     /// "operators after the one currently firing".
-    ftran_readers: Segments<u32>,
+    ftran_readers: Segments,
     /// `row → indices of L-ops that read that row in the BTRAN direction`
     /// (transposed roles: a `Col` op reads its entry rows, a `Row` op its
     /// pivot row).  Ascending, like `ftran_readers`.
-    btran_readers: Segments<u32>,
+    btran_readers: Segments,
     /// Reusable scratch for [`LuFactors::update`] (one update per simplex
     /// pivot — allocating these per call would put two `O(m)` zero-fills on
     /// the hottest loop of the solver).
     scratch_acc: SparseAccumulator,
-    scratch_heap: BinaryHeap<Reverse<(u64, usize)>>,
-    scratch_seen: Vec<usize>,
+    scratch_heap: BinaryHeap<Reverse<(u32, u32)>>,
+    scratch_seen: Vec<u32>,
     /// Scratch for the reach-based sparse solves: per-row nonzero marks, a
     /// per-node (L-op index or U-column id) visited flag with its undo list,
     /// and the two reach heaps (min-order for forward passes, max-order for
     /// backward passes).
     row_marked: Vec<bool>,
     node_seen: Vec<bool>,
-    node_touched: Vec<usize>,
-    reach_min: BinaryHeap<Reverse<(u64, usize)>>,
-    reach_max: BinaryHeap<(u64, usize)>,
+    node_touched: Vec<u32>,
+    reach_min: BinaryHeap<Reverse<(u32, u32)>>,
+    reach_max: BinaryHeap<(u32, u32)>,
     /// Column slot → pivot row, from the last factorisation.
-    row_of_slot: Vec<usize>,
+    row_of_slot: Vec<u32>,
 }
 
-/// Variable-length lists packed into one buffer — the "sparse vector area"
-/// of glpk's `luf`.  A list that outgrows its span moves to the end of the
-/// buffer with doubled room; the stale span is simply abandoned.  The buffer
-/// is cleared, never freed, between factorisations, so once it has grown to
-/// a basis's working size a factorisation allocates nothing.
+/// Variable-length lists packed into one area — the "sparse vector area" of
+/// glpk's `luf`.  Entry `k` of the area is `(index[k], value[k])`, two
+/// parallel arrays; lists of bare indices use `V = ()`, whose array holds no
+/// memory.  A list that outgrows its span moves to the end of the area with
+/// doubled room, abandoning the old span.  When a move would grow the
+/// buffer while abandoned entries outnumber the live ones, the area first
+/// compacts in place, keeping each list's order (glpk's defragmentation),
+/// so the buffer grows only for live entries: its capacity stays within a
+/// small multiple of them.  Resetting the area keeps its buffers'
+/// capacity, so once it has grown to a basis's working size a
+/// factorisation allocates nothing.
 #[derive(Default)]
-struct Segments<T> {
+struct Segments<V = ()> {
     spans: Vec<Span>,
-    data: Vec<T>,
+    index: Vec<u32>,
+    value: Vec<V>,
+    /// Entries of the area that belong to no list's span.
+    garbage: usize,
 }
 
-/// Where one list of a [`Segments`] area lives: `data[start..start + len]`,
+/// Where one list of a [`Segments`] area lives: entries `start..start + len`,
 /// with room up to `start + cap`.
 #[derive(Clone, Copy, Default)]
 struct Span {
@@ -275,12 +321,14 @@ struct Span {
     cap: u32,
 }
 
-impl<T: Copy + Default> Segments<T> {
+impl<V: Copy + Default> Segments<V> {
     /// Empty the area and size it for `lists` empty lists without room.
     fn reset(&mut self, lists: usize) {
         self.spans.clear();
         self.spans.resize(lists, Span::default());
-        self.data.clear();
+        self.index.clear();
+        self.value.clear();
+        self.garbage = 0;
     }
 
     /// Empty the area and give each of `lists` lists a span with room for
@@ -297,21 +345,26 @@ impl<T: Copy + Default> Segments<T> {
             at += cap(i);
             span
         }));
-        self.data.clear();
-        self.data.resize(at, T::default());
+        self.index.clear();
+        self.index.resize(at, 0);
+        self.value.clear();
+        self.value.resize(at, V::default());
+        self.garbage = 0;
     }
 
     /// Fill list `i` — empty and without room, as after [`Segments::reset`] —
-    /// with `items` at the end of the buffer, plus `slack` spare entries.
-    fn fill(&mut self, i: usize, items: impl IntoIterator<Item = T>, slack: usize) {
-        let start = self.data.len();
-        self.data.extend(items);
-        let len = self.data.len() - start;
-        self.data.resize(start + len + slack, T::default());
+    /// with exactly `items`, at the end of the area.
+    fn fill(&mut self, i: usize, items: impl IntoIterator<Item = (u32, V)>) {
+        let start = self.index.len();
+        for (x, v) in items {
+            self.index.push(x);
+            self.value.push(v);
+        }
+        let len = (self.index.len() - start) as u32;
         self.spans[i] = Span {
             start: start as u32,
-            len: len as u32,
-            cap: (len + slack) as u32,
+            len,
+            cap: len,
         };
     }
 
@@ -325,20 +378,68 @@ impl<T: Copy + Default> Segments<T> {
         self.spans[i].len = len as u32;
     }
 
-    fn push(&mut self, i: usize, x: T) {
+    /// Empty list `i` for good: its room becomes garbage.
+    fn release(&mut self, i: usize) {
+        self.garbage += std::mem::take(&mut self.spans[i]).cap as usize;
+    }
+
+    fn push(&mut self, i: usize, x: u32, v: V) {
         let mut span = self.spans[i];
         if span.len == span.cap {
+            let cap = (2 * span.len as usize).max(4);
+            // Room left at the end of the buffer costs nothing, so only a
+            // move that would grow the buffer compacts first.
+            if self.index.len() + cap > self.index.capacity() && 2 * self.garbage > self.index.len()
+            {
+                self.compact();
+                span = self.spans[i];
+            }
             let (from, len) = (span.start as usize, span.len as usize);
-            let to = self.data.len();
-            let cap = (2 * len).max(4);
-            self.data.extend_from_within(from..from + len);
-            self.data.resize(to + cap, T::default());
+            let to = self.index.len();
+            self.index.extend_from_within(from..from + len);
+            self.index.resize(to + cap, 0);
+            self.value.extend_from_within(from..from + len);
+            self.value.resize(to + cap, V::default());
+            self.garbage += span.cap as usize;
             span.start = to as u32;
             span.cap = cap as u32;
         }
-        self.data[(span.start + span.len) as usize] = x;
+        let at = (span.start + span.len) as usize;
+        self.index[at] = x;
+        self.value[at] = v;
         span.len += 1;
         self.spans[i] = span;
+    }
+
+    /// Move every list, in storage order, to the front of the area with
+    /// exactly its entries as room, and drop the abandoned spans.
+    fn compact(&mut self) {
+        // `start << 32 | list`: sorting the keys themselves orders the
+        // lists by where they start.
+        let mut order: Vec<u64> = self
+            .spans
+            .iter()
+            .enumerate()
+            .filter(|(_, span)| span.cap > 0)
+            .map(|(i, span)| (span.start as u64) << 32 | i as u64)
+            .collect();
+        order.sort_unstable();
+        let mut at = 0;
+        for key in order {
+            let span = &mut self.spans[key as u32 as usize];
+            let (from, len) = (span.start as usize, span.len as usize);
+            self.index.copy_within(from..from + len, at);
+            self.value.copy_within(from..from + len, at);
+            *span = Span {
+                start: at as u32,
+                len: len as u32,
+                cap: len as u32,
+            };
+            at += len;
+        }
+        self.index.truncate(at);
+        self.value.truncate(at);
+        self.garbage = 0;
     }
 
     /// `Vec::swap_remove` on list `i`.
@@ -346,27 +447,45 @@ impl<T: Copy + Default> Segments<T> {
         let span = &mut self.spans[i];
         span.len -= 1;
         let (start, last) = (span.start as usize, (span.start + span.len) as usize);
-        self.data[start + k] = self.data[last];
+        self.index[start + k] = self.index[last];
+        self.value[start + k] = self.value[last];
     }
 
-    /// Remove the first `x` from list `i`, if present (order not kept).
-    fn remove_value(&mut self, i: usize, x: T)
-    where
-        T: PartialEq,
-    {
+    /// Remove the first entry with index `x` from list `i`, if present
+    /// (order not kept).
+    fn remove_index(&mut self, i: usize, x: u32) {
         if let Some(k) = self.list(i).iter().position(|&y| y == x) {
             self.swap_remove(i, k);
         }
     }
 
-    fn list(&self, i: usize) -> &[T] {
-        let span = self.spans[i];
-        &self.data[span.start as usize..(span.start + span.len) as usize]
+    /// The indices of list `i`.
+    fn list(&self, i: usize) -> &[u32] {
+        self.get(i).0
     }
 
-    fn list_mut(&mut self, i: usize) -> &mut [T] {
+    /// The indices and values of list `i`.
+    fn get(&self, i: usize) -> (&[u32], &[V]) {
         let span = self.spans[i];
-        &mut self.data[span.start as usize..(span.start + span.len) as usize]
+        let range = span.start as usize..(span.start + span.len) as usize;
+        (&self.index[range.clone()], &self.value[range])
+    }
+
+    fn list_mut(&mut self, i: usize) -> (&mut [u32], &mut [V]) {
+        let span = self.spans[i];
+        let range = span.start as usize..(span.start + span.len) as usize;
+        (&mut self.index[range.clone()], &mut self.value[range])
+    }
+
+    fn bytes(&self) -> usize {
+        vec_bytes(&self.spans) + vec_bytes(&self.index) + vec_bytes(&self.value)
+    }
+}
+
+impl Segments<f64> {
+    fn entries(&self, i: usize) -> Entries<'_> {
+        let (rows, values) = self.get(i);
+        Entries { rows, values }
     }
 }
 
@@ -389,9 +508,10 @@ struct CandidateQueue {
     /// Bitset of count `c` at `bits[c·words .. (c+1)·words]`.
     bits: Vec<u64>,
     /// Columns holding a slot, per count.
-    sizes: Vec<usize>,
-    /// Per column, `(count, copies)` of every slot it holds.
-    slots: Segments<(usize, usize)>,
+    sizes: Vec<u32>,
+    /// Per column, the counts it holds a slot at, each with its number of
+    /// copies as the value.
+    slots: Segments<u32>,
 }
 
 impl CandidateQueue {
@@ -399,16 +519,17 @@ impl CandidateQueue {
         self.words = columns.div_ceil(64);
         self.bits.clear();
         self.sizes.clear();
-        self.slots.reset_with_caps(columns, |_| 2);
+        self.slots.reset_with_caps(columns, |_| QUEUE_SLOT_ROOM);
     }
 
     /// Give column `j` a slot (or one more copy of it) at `count`.
     fn push(&mut self, j: usize, count: usize) {
-        if let Some(slot) = self.slots.list_mut(j).iter_mut().find(|s| s.0 == count) {
-            slot.1 += 1;
+        let (counts, copies) = self.slots.list_mut(j);
+        if let Some(k) = counts.iter().position(|&c| c as usize == count) {
+            copies[k] += 1;
             return;
         }
-        self.slots.push(j, (count, 1));
+        self.slots.push(j, count as u32, 1);
         if count >= self.sizes.len() {
             self.sizes.resize(count + 1, 0);
             self.bits.resize((count + 1) * self.words, 0);
@@ -418,12 +539,13 @@ impl CandidateQueue {
     }
 
     /// Copies of column `j`'s slot at `count`.
-    fn copies(&self, j: usize, count: usize) -> usize {
-        self.slots
-            .list(j)
+    fn copies(&self, j: usize, count: usize) -> u32 {
+        let (counts, copies) = self.slots.get(j);
+        counts
             .iter()
-            .find(|s| s.0 == count)
-            .map_or(0, |s| s.1)
+            .zip(copies)
+            .find(|&(&c, _)| c as usize == count)
+            .map_or(0, |(_, &n)| n)
     }
 
     /// Drop column `j`'s slot at `count`.
@@ -432,7 +554,7 @@ impl CandidateQueue {
             .slots
             .list(j)
             .iter()
-            .position(|s| s.0 == count)
+            .position(|&c| c as usize == count)
             .expect("column holds a slot at this count");
         self.slots.swap_remove(j, k);
         self.bits[count * self.words + j / 64] &= !(1 << (j % 64));
@@ -441,56 +563,80 @@ impl CandidateQueue {
 
     /// Drop every slot of column `j` (it was pivoted).
     fn retire(&mut self, j: usize) {
-        while let Some(&(count, _)) = self.slots.list(j).last() {
-            self.drop_slot(j, count);
+        while let Some(&count) = self.slots.list(j).last() {
+            self.drop_slot(j, count as usize);
         }
+        self.slots.release(j);
+    }
+
+    fn bytes(&self) -> usize {
+        vec_bytes(&self.bits) + vec_bytes(&self.sizes) + self.slots.bytes()
     }
 }
 
-/// Spare room given to every column and row list when a factorisation loads
-/// the basis, so the first few fill-ins land without moving the list.
-const LIST_SLACK: usize = 4;
+/// Spare room of each row list when a factorisation loads the basis.  The
+/// Schur updates' fill-in lands on a handful of rows each, so exact lists
+/// would move on almost every first fill: on the n = 96 L1 design's 9 361-row
+/// basis one slot cuts the row-list moves per factorisation from ~4 100 to
+/// ~300, and with them the compactions that moving forces.
+const ROW_FILL_ROOM: usize = 1;
+
+/// Slots each column's candidate-queue list is loaded with room for.  A
+/// column holds a slot at every count it has had since a search last passed
+/// it, so two slots of room moved ~4 800 lists per factorisation of that
+/// basis; four move ~200.
+const QUEUE_SLOT_ROOM: usize = 4;
 
 /// The working state of [`LuFactors::factor`]: the active submatrix and the
 /// pivot-search structures.  Reset, not reallocated, by every factorisation.
 #[derive(Default)]
 struct Elimination {
     /// Active entries of each basis column (rows not yet pivoted).
-    cols: Segments<(usize, f64)>,
+    cols: Segments<f64>,
     /// The columns that have held each row, in the order they gained it.
     /// Append-only: entries of pivoted columns, cancelled entries and
     /// duplicates are filtered where the list is read.
-    rows: Segments<usize>,
-    row_count: Vec<usize>,
+    rows: Segments,
+    row_count: Vec<u32>,
     assigned_row: Vec<bool>,
     pivoted_col: Vec<bool>,
     /// Singleton stacks, validated lazily on pop.
-    row_singletons: Vec<usize>,
-    col_singletons: Vec<usize>,
+    row_singletons: Vec<u32>,
+    col_singletons: Vec<u32>,
     /// Bump-search candidates by count.
     queue: CandidateQueue,
-    /// The pivot column's off-pivot entries: the L column before scaling.
-    pivot_entries: Vec<(usize, f64)>,
-    /// `row → 1 + its index in pivot_entries` during a Schur update, else 0.
-    pivot_pos: Vec<usize>,
+    /// The pivot column's off-pivot entries — the L column before scaling —
+    /// as parallel row and value arrays.
+    pivot_rows: Vec<u32>,
+    pivot_values: Vec<f64>,
+    /// `row → 1 + its index in pivot_rows` during a Schur update, else 0.
+    pivot_pos: Vec<u32>,
     /// Per pivot entry: whether the column being updated already holds it.
     pivot_hit: Vec<bool>,
     /// Eliminated entries frozen into U, `(column slot, row, value)`, in
     /// elimination order.
-    frozen: Vec<(usize, usize, f64)>,
-    /// `(pivot row, column slot, pivot value)` per elimination step.
-    steps: Vec<(usize, usize, f64)>,
-    step_of_slot: Vec<usize>,
+    frozen: Vec<(u32, u32, f64)>,
+    /// Column slot → the elimination step that pivoted it.
+    step_of_slot: Vec<u32>,
     /// Per-row or per-column tallies while the factors are assembled.
-    counts: Vec<usize>,
+    counts: Vec<u32>,
 }
 
 thread_local! {
     /// The elimination workspace of every factorisation on this thread.  A
     /// design runs its relaxation, lifted and certifying solves — each with
     /// its own factors — on one thread, so all but its first factorisation
-    /// find the workspace already sized.
+    /// find the workspace already sized; [`release_thread_workspace`] frees
+    /// it when the design is done.
     static ELIMINATION: RefCell<Elimination> = RefCell::new(Elimination::default());
+}
+
+/// Free this thread's elimination workspace.  Factorisations on a thread
+/// share one workspace so that a design's later solves reuse what its first
+/// one grew; call this when the design is done, so the thread does not keep
+/// its largest factorisation's workspace for life.
+pub fn release_thread_workspace() {
+    ELIMINATION.with_borrow_mut(|elim| *elim = Elimination::default());
 }
 
 impl Elimination {
@@ -501,7 +647,11 @@ impl Elimination {
     {
         self.cols.reset(m);
         self.queue.reset(m);
-        for v in [&mut self.row_count, &mut self.pivot_pos] {
+        for v in [
+            &mut self.row_count,
+            &mut self.pivot_pos,
+            &mut self.step_of_slot,
+        ] {
             v.clear();
             v.resize(m, 0);
         }
@@ -510,27 +660,28 @@ impl Elimination {
             v.resize(m, false);
         }
         for j in 0..m {
-            self.cols.fill(j, column(j), LIST_SLACK);
-            for &(r, _) in self.cols.list(j) {
-                self.row_count[r] += 1;
+            self.cols
+                .fill(j, column(j).into_iter().map(|(r, v)| (r as u32, v)));
+            for &r in self.cols.list(j) {
+                self.row_count[r as usize] += 1;
             }
             self.queue.push(j, self.cols.len(j));
         }
         let row_count = &self.row_count;
-        self.rows.reset_with_caps(m, |r| row_count[r] + LIST_SLACK);
+        self.rows
+            .reset_with_caps(m, |r| row_count[r] as usize + ROW_FILL_ROOM);
         for j in 0..m {
-            for &(r, _) in self.cols.list(j) {
-                self.rows.push(r, j);
+            for &r in self.cols.list(j) {
+                self.rows.push(r as usize, j as u32, ());
             }
         }
         self.row_singletons.clear();
         self.row_singletons
-            .extend((0..m).filter(|&r| self.row_count[r] == 1));
+            .extend((0..m as u32).filter(|&r| self.row_count[r as usize] == 1));
         self.col_singletons.clear();
         self.col_singletons
-            .extend((0..m).filter(|&j| self.cols.len(j) == 1));
+            .extend((0..m as u32).filter(|&j| self.cols.len(j as usize) == 1));
         self.frozen.clear();
-        self.steps.clear();
     }
 
     /// The next pivot `(row, column slot)`: a row singleton, else a column
@@ -538,22 +689,23 @@ impl Elimination {
     fn choose_pivot(&mut self, abs_pivot_tol: f64) -> Option<(usize, usize)> {
         let (assigned_row, row_count) = (&self.assigned_row, &self.row_count);
         if let Some(r) = pop_valid(&mut self.row_singletons, |&r| {
-            !assigned_row[r] && row_count[r] == 1
+            !assigned_row[r as usize] && row_count[r as usize] == 1
         }) {
             let col = self
                 .rows
-                .list(r)
+                .list(r as usize)
                 .iter()
-                .copied()
-                .find(|&j| !self.pivoted_col[j] && self.cols.list(j).iter().any(|&(rr, _)| rr == r))
+                .map(|&j| j as usize)
+                .find(|&j| !self.pivoted_col[j] && self.cols.list(j).contains(&r))
                 .expect("row_count said one active column remains");
-            return Some((r, col));
+            return Some((r as usize, col));
         }
         let (pivoted_col, cols) = (&self.pivoted_col, &self.cols);
         if let Some(j) = pop_valid(&mut self.col_singletons, |&j| {
-            !pivoted_col[j] && cols.len(j) == 1
+            !pivoted_col[j as usize] && cols.len(j as usize) == 1
         }) {
-            return Some((self.cols.list(j)[0].0, j));
+            let j = j as usize;
+            return Some((self.cols.list(j)[0] as usize, j));
         }
         self.markowitz_pivot(abs_pivot_tol)
     }
@@ -610,17 +762,20 @@ impl Elimination {
         abs_pivot_tol: f64,
         mut best: Option<(usize, usize, usize, f64)>,
     ) -> Option<(usize, usize, usize, f64)> {
-        let entries = self.cols.list(j);
-        let col_max = entries.iter().fold(0.0f64, |acc, &(_, v)| acc.max(v.abs()));
+        let entries = self.cols.entries(j);
+        let col_max = entries
+            .values
+            .iter()
+            .fold(0.0f64, |acc, &v| acc.max(v.abs()));
         if col_max < abs_pivot_tol {
             return best;
         }
         let acceptable = col_max * MARKOWITZ_THRESHOLD;
-        for &(r, v) in entries {
+        for (r, v) in entries.iter() {
             if v.abs() < acceptable || v.abs() < abs_pivot_tol {
                 continue;
             }
-            let cost = (self.row_count[r] - 1) * (c - 1);
+            let cost = (self.row_count[r] as usize - 1) * (c - 1);
             let better = match best {
                 None => true,
                 Some((_, _, best_cost, best_mag)) => {
@@ -635,16 +790,16 @@ impl Elimination {
     }
 
     /// Retire pivot `(row, col)`: move the pivot column's other entries to
-    /// `pivot_entries` and eliminate `row` from every other active column
-    /// holding it, freezing the eliminated entry as that column's U
-    /// contribution.  Returns the pivot value.
+    /// `pivot_rows`/`pivot_values` and eliminate `row` from every other
+    /// active column holding it, freezing the eliminated entry as that
+    /// column's U contribution.  Returns the pivot value.
     fn eliminate(&mut self, row: usize, col: usize, abs_pivot_tol: f64) -> Result<f64, LuError> {
         let pivot_value = self
             .cols
-            .list(col)
+            .entries(col)
             .iter()
-            .find(|&&(r, _)| r == row)
-            .map(|&(_, v)| v)
+            .find(|&(r, _)| r == row)
+            .map(|(_, v)| v)
             .expect("pivot entry must be active");
         if pivot_value.abs() < abs_pivot_tol {
             return Err(LuError::Singular);
@@ -653,39 +808,42 @@ impl Elimination {
         self.pivoted_col[col] = true;
         self.queue.retire(col);
 
-        self.pivot_entries.clear();
-        self.pivot_entries.extend(
-            self.cols
-                .list(col)
-                .iter()
-                .copied()
-                .filter(|&(r, _)| r != row),
-        );
-        for (k, &(r, _)) in self.pivot_entries.iter().enumerate() {
+        self.pivot_rows.clear();
+        self.pivot_values.clear();
+        for (r, v) in self.cols.entries(col).iter() {
+            if r != row {
+                self.pivot_rows.push(r as u32);
+                self.pivot_values.push(v);
+            }
+        }
+        self.cols.release(col);
+        for (k, &r) in self.pivot_rows.iter().enumerate() {
+            let r = r as usize;
             self.row_count[r] -= 1;
             if self.row_count[r] == 1 && !self.assigned_row[r] {
-                self.row_singletons.push(r);
+                self.row_singletons.push(r as u32);
             }
-            self.pivot_pos[r] = k + 1;
+            self.pivot_pos[r] = k as u32 + 1;
         }
-        if self.pivot_hit.len() < self.pivot_entries.len() {
-            self.pivot_hit.resize(self.pivot_entries.len(), false);
+        if self.pivot_hit.len() < self.pivot_rows.len() {
+            self.pivot_hit.resize(self.pivot_rows.len(), false);
         }
         self.row_count[row] = 0;
 
         // Nothing pushes onto `row`'s own list below (fill lands only on
         // the pivot column's rows), so indexing it stays valid while other
-        // lists move.  On `Err` the next `load` resets `pivot_pos`.
+        // lists move or the area compacts.  On `Err` the next `load` resets
+        // `pivot_pos`.
         for t in 0..self.rows.len(row) {
-            let j = self.rows.list(row)[t];
+            let j = self.rows.list(row)[t] as usize;
             if j != col && !self.pivoted_col[j] {
                 self.update_column(j, row, pivot_value)?;
             }
         }
-        for &(r, _) in &self.pivot_entries {
-            self.pivot_pos[r] = 0;
+        for &r in &self.pivot_rows {
+            self.pivot_pos[r as usize] = 0;
         }
-        self.rows.truncate(row, 0);
+        self.rows.release(row);
         Ok(pivot_value)
     }
 
@@ -694,50 +852,54 @@ impl Elimination {
     /// order, cancelled ones drop out, and fill-in is appended in pivot-entry
     /// order.
     fn update_column(&mut self, j: usize, row: usize, pivot_value: f64) -> Result<(), LuError> {
-        let Some(k) = self.cols.list(j).iter().position(|&(r, _)| r == row) else {
+        let (rows, values) = self.cols.get(j);
+        let Some(k) = rows.iter().position(|&r| r as usize == row) else {
             return Ok(()); // stale row-list entry (value cancelled earlier)
         };
-        let old_count = self.cols.len(j);
-        let u = self.cols.list(j)[k].1;
+        let (old_count, u) = (rows.len(), values[k]);
         self.cols.swap_remove(j, k);
-        self.frozen.push((j, row, u));
+        self.frozen.push((j as u32, row as u32, u));
         let factor = u / pivot_value;
 
-        let entries = self.cols.list_mut(j);
+        let (rows, values) = self.cols.list_mut(j);
+        let values = &mut values[..rows.len()];
         let mut kept = 0;
-        for read in 0..entries.len() {
-            let (r, v) = entries[read];
-            let p = self.pivot_pos[r];
+        for read in 0..rows.len() {
+            let (r, v) = (rows[read], values[read]);
+            let p = self.pivot_pos[r as usize] as usize;
             if p == 0 {
-                entries[kept] = (r, v);
+                rows[kept] = r;
+                values[kept] = v;
                 kept += 1;
                 continue;
             }
             self.pivot_hit[p - 1] = true;
-            let v = v + -factor * self.pivot_entries[p - 1].1;
+            let v = v + -factor * self.pivot_values[p - 1];
             if v.abs() > DROP_TOL {
-                entries[kept] = (r, v);
+                rows[kept] = r;
+                values[kept] = v;
                 kept += 1;
             } else {
                 // Cancellation.
+                let r = r as usize;
                 self.row_count[r] -= 1;
                 if self.row_count[r] == 1 && !self.assigned_row[r] {
-                    self.row_singletons.push(r);
+                    self.row_singletons.push(r as u32);
                 }
             }
         }
         self.cols.truncate(j, kept);
-        for p in 0..self.pivot_entries.len() {
+        for p in 0..self.pivot_rows.len() {
             if std::mem::take(&mut self.pivot_hit[p]) {
                 continue;
             }
             // Fill-in.
-            let (r, cv) = self.pivot_entries[p];
+            let (r, cv) = (self.pivot_rows[p], self.pivot_values[p]);
             let v = -factor * cv;
             if v.abs() > DROP_TOL {
-                self.cols.push(j, (r, v));
-                self.rows.push(r, j);
-                self.row_count[r] += 1;
+                self.cols.push(j, r, v);
+                self.rows.push(r as usize, j as u32, ());
+                self.row_count[r as usize] += 1;
             }
         }
 
@@ -748,11 +910,29 @@ impl Elimination {
         match count {
             0 => Err(LuError::Singular),
             1 => {
-                self.col_singletons.push(j);
+                self.col_singletons.push(j as u32);
                 Ok(())
             }
             _ => Ok(()),
         }
+    }
+
+    fn bytes(&self) -> usize {
+        self.cols.bytes()
+            + self.rows.bytes()
+            + self.queue.bytes()
+            + vec_bytes(&self.row_count)
+            + vec_bytes(&self.assigned_row)
+            + vec_bytes(&self.pivoted_col)
+            + vec_bytes(&self.row_singletons)
+            + vec_bytes(&self.col_singletons)
+            + vec_bytes(&self.pivot_rows)
+            + vec_bytes(&self.pivot_values)
+            + vec_bytes(&self.pivot_pos)
+            + vec_bytes(&self.pivot_hit)
+            + vec_bytes(&self.frozen)
+            + vec_bytes(&self.step_of_slot)
+            + vec_bytes(&self.counts)
     }
 }
 
@@ -795,89 +975,95 @@ impl LuFactors {
         I: IntoIterator<Item = (usize, f64)>,
     {
         let m = num_rows;
-        self.l_ops.clear();
-        self.l_entries.clear();
+        assert!(m < NONE as usize, "basis of {m} rows overflows u32 indices");
+        // Per-step vectors get exactly one entry per step; `l_pivot_row` and
+        // `l_start` grow past `m` only as updates append row etas.
+        for v in [&mut self.l_pivot_row, &mut self.u_pivot_row] {
+            v.clear();
+            v.reserve_exact(m);
+        }
+        self.l_start.clear();
+        self.l_start.reserve_exact(m + 1);
+        self.l_start.push(0);
+        self.l_rows.clear();
+        self.l_values.clear();
+        self.u_pivot_value.clear();
+        self.u_pivot_value.reserve_exact(m);
+        self.row_of_slot.clear();
+        self.row_of_slot.resize(m, 0);
         elim.load(m, column);
-        while elim.steps.len() < m {
+        for k in 0..m {
             let (row, col) = elim.choose_pivot(abs_pivot_tol).ok_or(LuError::Singular)?;
             let pivot_value = elim.eliminate(row, col, abs_pivot_tol)?;
-            elim.steps.push((row, col, pivot_value));
-            let start = self.l_entries.len();
-            self.l_entries.extend(
-                elim.pivot_entries
-                    .iter()
-                    .map(|&(r, v)| (r, v / pivot_value)),
-            );
-            self.l_ops.push(LOpHeader {
-                is_row: false,
-                pivot_row: row,
-                start,
-                end: self.l_entries.len(),
-            });
+            elim.step_of_slot[col] = k as u32;
+            self.row_of_slot[col] = row as u32;
+            self.u_pivot_row.push(row as u32);
+            self.u_pivot_value.push(pivot_value);
+            self.l_pivot_row.push(row as u32);
+            self.l_rows.extend_from_slice(&elim.pivot_rows);
+            self.l_values
+                .extend(elim.pivot_values.iter().map(|&v| v / pivot_value));
+            self.l_start.push(self.l_rows.len() as u32);
         }
 
         // U column `k` is the column slot pivoted at step `k`; its
         // above-diagonal entries were frozen in elimination order.
-        elim.step_of_slot.resize(m, 0);
-        self.row_of_slot.resize(m, 0);
-        self.u_pivot_row.clear();
-        self.u_pivot_value.clear();
         self.pivot_col_of_row.clear();
         self.pivot_col_of_row.resize(m, NONE);
-        for (k, &(row, slot, pivot_value)) in elim.steps.iter().enumerate() {
-            elim.step_of_slot[slot] = k;
-            self.row_of_slot[slot] = row;
-            self.u_pivot_row.push(row);
-            self.u_pivot_value.push(pivot_value);
-            self.pivot_col_of_row[row] = k;
+        for (k, &row) in self.u_pivot_row.iter().enumerate() {
+            self.pivot_col_of_row[row as usize] = k as u32;
         }
         let counts = &mut elim.counts;
         counts.clear();
         counts.resize(m, 0);
         for &(slot, _, _) in &elim.frozen {
-            counts[elim.step_of_slot[slot]] += 1;
+            counts[elim.step_of_slot[slot as usize] as usize] += 1;
         }
-        // U columns only lose entries between factorisations (a replaced
-        // column moves), so they get no slack.
-        self.u.reset_with_caps(m, |k| counts[k]);
+        // Every list below is loaded with exactly its entries; the lists an
+        // update pushes into grow by doubling when it does.
+        self.u.reset_with_caps(m, |k| counts[k] as usize);
         for &(slot, row, value) in &elim.frozen {
-            self.u.push(elim.step_of_slot[slot], (row, value));
+            self.u
+                .push(elim.step_of_slot[slot as usize] as usize, row, value);
         }
         counts.fill(0);
         for &(_, row, _) in &elim.frozen {
-            counts[row] += 1;
+            counts[row as usize] += 1;
         }
-        self.row_adj.reset_with_caps(m, |r| counts[r] + LIST_SLACK);
+        self.row_adj.reset_with_caps(m, |r| counts[r] as usize);
         for k in 0..m {
-            for &(r, _) in self.u.list(k) {
-                self.row_adj.push(r, k);
+            for &r in self.u.list(k) {
+                self.row_adj.push(r as usize, k as u32, ());
             }
         }
         counts.fill(0);
-        for &(r, _) in &self.l_entries {
-            counts[r] += 1;
+        for &r in &self.l_rows {
+            counts[r as usize] += 1;
         }
         // Every row is the pivot row of exactly one column eta.
-        self.ftran_readers.reset_with_caps(m, |_| 1 + LIST_SLACK);
+        self.ftran_readers.reset_with_caps(m, |_| 1);
         self.btran_readers
-            .reset_with_caps(m, |r| counts[r] + LIST_SLACK);
-        for (k, op) in self.l_ops.iter().enumerate() {
-            self.ftran_readers.push(op.pivot_row, k as u32);
-            for &(r, _) in &self.l_entries[op.start..op.end] {
-                self.btran_readers.push(r, k as u32);
+            .reset_with_caps(m, |r| counts[r] as usize);
+        for k in 0..m {
+            self.ftran_readers
+                .push(self.l_pivot_row[k] as usize, k as u32, ());
+            let (start, end) = (self.l_start[k] as usize, self.l_start[k + 1] as usize);
+            for &r in &self.l_rows[start..end] {
+                self.btran_readers.push(r as usize, k as u32, ());
             }
         }
+        let m32 = m as u32;
         self.order_next.clear();
         self.order_next
-            .extend((0..m).map(|k| if k + 1 < m { k + 1 } else { NONE }));
+            .extend((0..m32).map(|k| if k + 1 < m32 { k + 1 } else { NONE }));
         self.order_prev.clear();
         self.order_prev
-            .extend((0..m).map(|k| k.checked_sub(1).unwrap_or(NONE)));
+            .extend((0..m32).map(|k| k.checked_sub(1).unwrap_or(NONE)));
         self.head = if m > 0 { 0 } else { NONE };
-        self.tail = m.checked_sub(1).unwrap_or(NONE);
+        self.tail = m32.checked_sub(1).unwrap_or(NONE);
         self.ord.clear();
-        self.ord.extend(0..m as u64);
-        self.next_ord = m as u64;
+        self.ord.extend(0..m32);
+        self.next_ord = m32;
         self.updates = 0;
         if self.row_marked.len() != m {
             self.scratch_acc = SparseAccumulator::with_len(m);
@@ -890,7 +1076,7 @@ impl LuFactors {
     /// For every column slot of the last successful [`LuFactors::factor`],
     /// the pivot row it was assigned to — the caller uses this to re-key its
     /// row-indexed basis bookkeeping.
-    pub fn row_of_slot(&self) -> &[usize] {
+    pub fn row_of_slot(&self) -> &[u32] {
         &self.row_of_slot
     }
 
@@ -899,22 +1085,51 @@ impl LuFactors {
         self.updates
     }
 
+    /// Bytes held by these factors — every buffer's capacity, scratch
+    /// included — plus this thread's elimination workspace.
+    pub fn footprint_bytes(&self) -> usize {
+        let own = vec_bytes(&self.l_pivot_row)
+            + vec_bytes(&self.l_start)
+            + vec_bytes(&self.l_rows)
+            + vec_bytes(&self.l_values)
+            + self.u.bytes()
+            + vec_bytes(&self.u_pivot_row)
+            + vec_bytes(&self.u_pivot_value)
+            + vec_bytes(&self.order_next)
+            + vec_bytes(&self.order_prev)
+            + vec_bytes(&self.ord)
+            + self.row_adj.bytes()
+            + vec_bytes(&self.pivot_col_of_row)
+            + self.ftran_readers.bytes()
+            + self.btran_readers.bytes()
+            + self.scratch_acc.bytes()
+            + heap_bytes(&self.scratch_heap)
+            + vec_bytes(&self.scratch_seen)
+            + vec_bytes(&self.row_marked)
+            + vec_bytes(&self.node_seen)
+            + vec_bytes(&self.node_touched)
+            + heap_bytes(&self.reach_min)
+            + heap_bytes(&self.reach_max)
+            + vec_bytes(&self.row_of_slot);
+        own + ELIMINATION.with_borrow(Elimination::bytes)
+    }
+
     /// Apply the L-side operators: `v ← (L-ops) v`.  After this, `v` is the
     /// "spike" a Forrest–Tomlin update consumes.
     pub fn solve_l(&self, v: &mut [f64]) {
-        for op in self.lops(0..self.l_ops.len()) {
+        for op in self.lops(0..self.num_lops()) {
             match op {
                 LOp::Col { pivot_row, entries } => {
                     let t = v[pivot_row];
                     if t != 0.0 {
-                        for &(r, l) in entries {
+                        for (r, l) in entries.iter() {
                             v[r] -= l * t;
                         }
                     }
                 }
                 LOp::Row { pivot_row, entries } => {
                     let mut total = v[pivot_row];
-                    for &(r, mult) in entries {
+                    for (r, mult) in entries.iter() {
                         total -= mult * v[r];
                     }
                     v[pivot_row] = total;
@@ -927,16 +1142,16 @@ impl LuFactors {
     pub fn solve_u(&self, v: &mut [f64]) {
         let mut id = self.tail;
         while id != NONE {
-            let c = self.ucol(id);
+            let c = self.ucol(id as usize);
             let t = v[c.pivot_row];
             if t != 0.0 {
                 let t = t / c.pivot_value;
                 v[c.pivot_row] = t;
-                for &(r, val) in c.entries {
+                for (r, val) in c.entries.iter() {
                     v[r] -= val * t;
                 }
             }
-            id = self.order_prev[id];
+            id = self.order_prev[id as usize];
         }
     }
 
@@ -957,23 +1172,23 @@ impl LuFactors {
     fn btran_u_dense(&self, v: &mut [f64]) {
         let mut id = self.head;
         while id != NONE {
-            let c = self.ucol(id);
+            let c = self.ucol(id as usize);
             let mut total = v[c.pivot_row];
-            for &(r, val) in c.entries {
+            for (r, val) in c.entries.iter() {
                 total -= val * v[r];
             }
             v[c.pivot_row] = total / c.pivot_value;
-            id = self.order_next[id];
+            id = self.order_next[id as usize];
         }
     }
 
     /// BTRAN's second half: the transposed L-ops, newest first.
     fn btran_l_dense(&self, v: &mut [f64]) {
-        for op in self.lops(0..self.l_ops.len()).rev() {
+        for op in self.lops(0..self.num_lops()).rev() {
             match op {
                 LOp::Col { pivot_row, entries } => {
                     let mut t = v[pivot_row];
-                    for &(r, l) in entries {
+                    for (r, l) in entries.iter() {
                         t -= l * v[r];
                     }
                     v[pivot_row] = t;
@@ -981,7 +1196,7 @@ impl LuFactors {
                 LOp::Row { pivot_row, entries } => {
                     let t = v[pivot_row];
                     if t != 0.0 {
-                        for &(r, mult) in entries {
+                        for (r, mult) in entries.iter() {
                             v[r] -= mult * t;
                         }
                     }
@@ -1001,7 +1216,7 @@ impl LuFactors {
             self.solve_l(v);
             return false;
         }
-        ensure_flags(&mut self.node_seen, self.l_ops.len());
+        ensure_flags(&mut self.node_seen, self.l_pivot_row.len());
         let mut marked = std::mem::take(&mut self.row_marked);
         let mut seen = std::mem::take(&mut self.node_seen);
         let mut touched = std::mem::take(&mut self.node_touched);
@@ -1019,11 +1234,12 @@ impl LuFactors {
         }
         let mut abort_after = None;
         while let Some(Reverse((_, k))) = heap.pop() {
+            let k = k as usize;
             match self.lop(k) {
                 LOp::Col { pivot_row, entries } => {
                     let t = v[pivot_row];
                     if t != 0.0 {
-                        for &(r, l) in entries {
+                        for (r, l) in entries.iter() {
                             v[r] -= l * t;
                             if !marked[r] {
                                 marked[r] = true;
@@ -1038,7 +1254,7 @@ impl LuFactors {
                 LOp::Row { pivot_row, entries } => {
                     let p = pivot_row;
                     let mut total = v[p];
-                    for &(r, mult) in entries {
+                    for (r, mult) in entries.iter() {
                         total -= mult * v[r];
                     }
                     v[p] = total;
@@ -1063,7 +1279,7 @@ impl LuFactors {
             marked[r] = false;
         }
         for &k in &touched {
-            seen[k] = false;
+            seen[k as usize] = false;
         }
         touched.clear();
         heap.clear();
@@ -1077,19 +1293,19 @@ impl LuFactors {
         // Dense finish: every operator at or before `last` has either fired or
         // had all-zero inputs (the reach guarantee), so replaying the rest in
         // index order completes the solve.  The pattern is stale from here.
-        for op in self.lops(last + 1..self.l_ops.len()) {
+        for op in self.lops(last + 1..self.num_lops()) {
             match op {
                 LOp::Col { pivot_row, entries } => {
                     let t = v[pivot_row];
                     if t != 0.0 {
-                        for &(r, l) in entries {
+                        for (r, l) in entries.iter() {
                             v[r] -= l * t;
                         }
                     }
                 }
                 LOp::Row { pivot_row, entries } => {
                     let mut total = v[pivot_row];
-                    for &(r, mult) in entries {
+                    for (r, mult) in entries.iter() {
                         total -= mult * v[r];
                     }
                     v[pivot_row] = total;
@@ -1119,29 +1335,29 @@ impl LuFactors {
         }
         for &r in pattern.iter() {
             let cid = self.pivot_col_of_row[r];
-            if cid != NONE && !seen[cid] {
-                seen[cid] = true;
+            if cid != NONE && !seen[cid as usize] {
+                seen[cid as usize] = true;
                 touched.push(cid);
-                heap.push((self.ord[cid], cid));
+                heap.push((self.ord[cid as usize], cid));
             }
         }
         let mut abort_at = None;
         while let Some((_, cid)) = heap.pop() {
-            let c = self.ucol(cid);
+            let c = self.ucol(cid as usize);
             let t = v[c.pivot_row];
             if t != 0.0 {
                 let t = t / c.pivot_value;
                 v[c.pivot_row] = t;
-                for &(r, val) in c.entries {
+                for (r, val) in c.entries.iter() {
                     v[r] -= val * t;
                     if !marked[r] {
                         marked[r] = true;
                         pattern.push(r);
                         let next = self.pivot_col_of_row[r];
-                        if next != NONE && !seen[next] {
-                            seen[next] = true;
+                        if next != NONE && !seen[next as usize] {
+                            seen[next as usize] = true;
                             touched.push(next);
-                            heap.push((self.ord[next], next));
+                            heap.push((self.ord[next as usize], next));
                         }
                     }
                 }
@@ -1156,7 +1372,7 @@ impl LuFactors {
             marked[r] = false;
         }
         for &cid in &touched {
-            seen[cid] = false;
+            seen[cid as usize] = false;
         }
         touched.clear();
         heap.clear();
@@ -1170,18 +1386,18 @@ impl LuFactors {
         // Dense finish: columns later in the order than `last` have all been
         // popped (descending stamps) or were unreachable no-ops, so resuming
         // the plain backward scan from its predecessor completes the solve.
-        let mut id = self.order_prev[last];
+        let mut id = self.order_prev[last as usize];
         while id != NONE {
-            let c = self.ucol(id);
+            let c = self.ucol(id as usize);
             let t = v[c.pivot_row];
             if t != 0.0 {
                 let t = t / c.pivot_value;
                 v[c.pivot_row] = t;
-                for &(r, val) in c.entries {
+                for (r, val) in c.entries.iter() {
                     v[r] -= val * t;
                 }
             }
-            id = self.order_prev[id];
+            id = self.order_prev[id as usize];
         }
         false
     }
@@ -1223,25 +1439,25 @@ impl LuFactors {
         }
         for &r in pattern.iter() {
             let pc = self.pivot_col_of_row[r];
-            if pc != NONE && !seen[pc] {
-                seen[pc] = true;
+            if pc != NONE && !seen[pc as usize] {
+                seen[pc as usize] = true;
                 touched.push(pc);
-                heap.push(Reverse((self.ord[pc], pc)));
+                heap.push(Reverse((self.ord[pc as usize], pc)));
             }
             for &cid in self.row_adj.list(r) {
-                if !seen[cid] {
-                    seen[cid] = true;
+                if !seen[cid as usize] {
+                    seen[cid as usize] = true;
                     touched.push(cid);
-                    heap.push(Reverse((self.ord[cid], cid)));
+                    heap.push(Reverse((self.ord[cid as usize], cid)));
                 }
             }
         }
         let mut abort_at = None;
         while let Some(Reverse((_, cid))) = heap.pop() {
-            let c = self.ucol(cid);
+            let c = self.ucol(cid as usize);
             let p = c.pivot_row;
             let mut total = v[p];
-            for &(r, val) in c.entries {
+            for (r, val) in c.entries.iter() {
                 total -= val * v[r];
             }
             v[p] = total / c.pivot_value;
@@ -1249,10 +1465,10 @@ impl LuFactors {
                 marked[p] = true;
                 pattern.push(p);
                 for &next in self.row_adj.list(p) {
-                    if !seen[next] {
-                        seen[next] = true;
+                    if !seen[next as usize] {
+                        seen[next as usize] = true;
                         touched.push(next);
-                        heap.push(Reverse((self.ord[next], next)));
+                        heap.push(Reverse((self.ord[next as usize], next)));
                     }
                 }
             }
@@ -1263,7 +1479,7 @@ impl LuFactors {
             }
         }
         for &cid in &touched {
-            seen[cid] = false;
+            seen[cid as usize] = false;
         }
         touched.clear();
         if let Some(last) = abort_at {
@@ -1279,15 +1495,15 @@ impl LuFactors {
             self.node_seen = seen;
             self.node_touched = touched;
             self.reach_min = heap;
-            let mut id = self.order_next[last];
+            let mut id = self.order_next[last as usize];
             while id != NONE {
-                let c = self.ucol(id);
+                let c = self.ucol(id as usize);
                 let mut total = v[c.pivot_row];
-                for &(r, val) in c.entries {
+                for (r, val) in c.entries.iter() {
                     total -= val * v[r];
                 }
                 v[c.pivot_row] = total / c.pivot_value;
-                id = self.order_next[id];
+                id = self.order_next[id as usize];
             }
             self.btran_l_dense(v);
             return false;
@@ -1308,7 +1524,7 @@ impl LuFactors {
         self.reach_min = heap;
 
         // Pass 2: transposed L-ops, newest first (descending op index).
-        ensure_flags(&mut seen, self.l_ops.len());
+        ensure_flags(&mut seen, self.num_lops());
         let mut heap = std::mem::take(&mut self.reach_max);
         for &r in pattern.iter() {
             push_ops_max(
@@ -1320,11 +1536,12 @@ impl LuFactors {
         }
         let mut abort_after = None;
         while let Some((_, k)) = heap.pop() {
+            let k = k as usize;
             match self.lop(k) {
                 LOp::Col { pivot_row, entries } => {
                     let p = pivot_row;
                     let mut t = v[p];
-                    for &(r, l) in entries {
+                    for (r, l) in entries.iter() {
                         t -= l * v[r];
                     }
                     v[p] = t;
@@ -1339,7 +1556,7 @@ impl LuFactors {
                 LOp::Row { pivot_row, entries } => {
                     let t = v[pivot_row];
                     if t != 0.0 {
-                        for &(r, mult) in entries {
+                        for (r, mult) in entries.iter() {
                             v[r] -= mult * t;
                             if !marked[r] {
                                 marked[r] = true;
@@ -1362,7 +1579,7 @@ impl LuFactors {
             marked[r] = false;
         }
         for &k in &touched {
-            seen[k] = false;
+            seen[k as usize] = false;
         }
         touched.clear();
         heap.clear();
@@ -1380,7 +1597,7 @@ impl LuFactors {
             match op {
                 LOp::Col { pivot_row, entries } => {
                     let mut t = v[pivot_row];
-                    for &(r, l) in entries {
+                    for (r, l) in entries.iter() {
                         t -= l * v[r];
                     }
                     v[pivot_row] = t;
@@ -1388,7 +1605,7 @@ impl LuFactors {
                 LOp::Row { pivot_row, entries } => {
                     let t = v[pivot_row];
                     if t != 0.0 {
-                        for &(r, mult) in entries {
+                        for (r, mult) in entries.iter() {
                             v[r] -= mult * t;
                         }
                     }
@@ -1425,7 +1642,7 @@ impl LuFactors {
                 }
                 pattern.clear();
                 for &k in &$touched {
-                    $seen[k] = false;
+                    $seen[k as usize] = false;
                 }
                 $touched.clear();
                 $heap.clear();
@@ -1455,24 +1672,24 @@ impl LuFactors {
         }
         for &r in pattern.iter() {
             let pc = self.pivot_col_of_row[r];
-            if pc != NONE && !seen[pc] {
-                seen[pc] = true;
+            if pc != NONE && !seen[pc as usize] {
+                seen[pc as usize] = true;
                 touched.push(pc);
-                heap.push(Reverse((self.ord[pc], pc)));
+                heap.push(Reverse((self.ord[pc as usize], pc)));
             }
             for &cid in self.row_adj.list(r) {
-                if !seen[cid] {
-                    seen[cid] = true;
+                if !seen[cid as usize] {
+                    seen[cid as usize] = true;
                     touched.push(cid);
-                    heap.push(Reverse((self.ord[cid], cid)));
+                    heap.push(Reverse((self.ord[cid as usize], cid)));
                 }
             }
         }
         while let Some(Reverse((_, cid))) = heap.pop() {
-            let c = self.ucol(cid);
+            let c = self.ucol(cid as usize);
             let p = c.pivot_row;
             let mut total = v[p];
-            for &(r, val) in c.entries {
+            for (r, val) in c.entries.iter() {
                 total -= val * v[r];
             }
             v[p] = total / c.pivot_value;
@@ -1480,10 +1697,10 @@ impl LuFactors {
                 marked[p] = true;
                 pattern.push(p);
                 for &next in self.row_adj.list(p) {
-                    if !seen[next] {
-                        seen[next] = true;
+                    if !seen[next as usize] {
+                        seen[next as usize] = true;
                         touched.push(next);
-                        heap.push(Reverse((self.ord[next], next)));
+                        heap.push(Reverse((self.ord[next as usize], next)));
                     }
                 }
             }
@@ -1492,13 +1709,13 @@ impl LuFactors {
             }
         }
         for &cid in &touched {
-            seen[cid] = false;
+            seen[cid as usize] = false;
         }
         touched.clear();
         self.reach_min = heap;
 
         // Pass 2: transposed L-ops, as in `btran_sparse`.
-        ensure_flags(&mut seen, self.l_ops.len());
+        ensure_flags(&mut seen, self.num_lops());
         let mut heap = std::mem::take(&mut self.reach_max);
         for &r in pattern.iter() {
             push_ops_max(
@@ -1509,11 +1726,12 @@ impl LuFactors {
             );
         }
         while let Some((_, k)) = heap.pop() {
+            let k = k as usize;
             match self.lop(k) {
                 LOp::Col { pivot_row, entries } => {
                     let p = pivot_row;
                     let mut t = v[p];
-                    for &(r, l) in entries {
+                    for (r, l) in entries.iter() {
                         t -= l * v[r];
                     }
                     v[p] = t;
@@ -1528,7 +1746,7 @@ impl LuFactors {
                 LOp::Row { pivot_row, entries } => {
                     let t = v[pivot_row];
                     if t != 0.0 {
-                        for &(r, mult) in entries {
+                        for (r, mult) in entries.iter() {
                             v[r] -= mult * t;
                             if !marked[r] {
                                 marked[r] = true;
@@ -1549,7 +1767,7 @@ impl LuFactors {
             marked[r] = false;
         }
         for &k in &touched {
-            seen[k] = false;
+            seen[k as usize] = false;
         }
         touched.clear();
         heap.clear();
@@ -1579,6 +1797,7 @@ impl LuFactors {
     ) -> Result<(), LuError> {
         let p_id = self.pivot_col_of_row[leaving_row];
         debug_assert_ne!(p_id, NONE, "leaving row has no pivot column");
+        let p_id = p_id as usize;
 
         // Eliminate row `leaving_row` from every U column ordered after the
         // leaving column, processing in ascending order so fill generated into
@@ -1592,24 +1811,30 @@ impl LuFactors {
         heap.clear();
         seen.clear();
         for &cid in self.row_adj.list(leaving_row) {
-            debug_assert!(self.ord[cid] > self.ord[p_id]);
+            debug_assert!(self.ord[cid as usize] > self.ord[p_id]);
             let val = self
-                .u_get(cid, leaving_row)
+                .u_get(cid as usize, leaving_row)
                 .expect("row adjacency out of sync with U column");
-            acc.add(cid, val);
-            heap.push(Reverse((self.ord[cid], cid)));
+            acc.add(cid as usize, val);
+            heap.push(Reverse((self.ord[cid as usize], cid)));
         }
         self.row_adj.truncate(leaving_row, 0);
 
         // The row eta is built in place at the end of the L store.
-        let eta_start = self.l_entries.len();
+        let eta_start = self.l_rows.len();
         while let Some(Reverse((_, cid))) = heap.pop() {
             if seen.contains(&cid) {
                 continue; // duplicate heap entry
             }
             seen.push(cid);
+            let cid = cid as usize;
             let val = acc.get(cid);
-            if let Some(k) = self.u.list(cid).iter().position(|e| e.0 == leaving_row) {
+            if let Some(k) = self
+                .u
+                .list(cid)
+                .iter()
+                .position(|&r| r as usize == leaving_row)
+            {
                 self.u.swap_remove(cid, k);
             }
             if val.abs() <= DROP_TOL {
@@ -1617,16 +1842,17 @@ impl LuFactors {
             }
             let pivot_row = self.u_pivot_row[cid];
             let mult = val / self.u_pivot_value[cid];
-            self.l_entries.push((pivot_row, mult));
+            self.l_rows.push(pivot_row);
+            self.l_values.push(mult);
             // Fill from row `pivot_row` of U into row `leaving_row`.
-            for &nid in self.row_adj.list(pivot_row) {
+            for &nid in self.row_adj.list(pivot_row as usize) {
                 let u_val = self
-                    .u_get(nid, pivot_row)
+                    .u_get(nid as usize, pivot_row as usize)
                     .expect("row adjacency out of sync with U column");
-                if !acc.is_marked(nid) {
-                    heap.push(Reverse((self.ord[nid], nid)));
+                if !acc.is_marked(nid as usize) {
+                    heap.push(Reverse((self.ord[nid as usize], nid)));
                 }
-                acc.add(nid, -mult * u_val);
+                acc.add(nid as usize, -mult * u_val);
             }
         }
         self.scratch_acc = acc;
@@ -1637,21 +1863,24 @@ impl LuFactors {
         // row eta just built.
         let mut diag = spike[leaving_row];
         let mut spike_max = diag.abs();
-        for &(r, mult) in &self.l_entries[eta_start..] {
-            diag -= mult * spike[r];
+        for (&r, &mult) in self.l_rows[eta_start..]
+            .iter()
+            .zip(&self.l_values[eta_start..])
+        {
+            diag -= mult * spike[r as usize];
         }
 
         // Replace the leaving column (reusing its id) with the spike and move
         // it to the end of the pivot order.
-        for &(r, _) in self.u.list(p_id) {
-            self.row_adj.remove_value(r, p_id);
+        for &r in self.u.list(p_id) {
+            self.row_adj.remove_index(r as usize, p_id as u32);
         }
         self.u.truncate(p_id, 0);
         {
             let mut take = |r: usize, v: f64| {
                 if r != leaving_row && v.abs() > DROP_TOL {
-                    self.u.push(p_id, (r, v));
-                    self.row_adj.push(r, p_id);
+                    self.u.push(p_id, r as u32, v);
+                    self.row_adj.push(r, p_id as u32, ());
                     spike_max = spike_max.max(v.abs());
                 }
             };
@@ -1669,25 +1898,21 @@ impl LuFactors {
             }
         }
         self.u_pivot_value[p_id] = diag;
-        debug_assert_eq!(self.u_pivot_row[p_id], leaving_row);
+        debug_assert_eq!(self.u_pivot_row[p_id] as usize, leaving_row);
 
         self.unlink(p_id);
         self.link_tail(p_id);
         self.ord[p_id] = self.next_ord;
         self.next_ord += 1;
 
-        if self.l_entries.len() > eta_start {
-            let k = self.l_ops.len() as u32;
-            for &(r, _) in &self.l_entries[eta_start..] {
-                self.ftran_readers.push(r, k);
+        if self.l_rows.len() > eta_start {
+            let k = self.num_lops() as u32;
+            for &r in &self.l_rows[eta_start..] {
+                self.ftran_readers.push(r as usize, k, ());
             }
-            self.btran_readers.push(leaving_row, k);
-            self.l_ops.push(LOpHeader {
-                is_row: true,
-                pivot_row: leaving_row,
-                start: eta_start,
-                end: self.l_entries.len(),
-            });
+            self.btran_readers.push(leaving_row, k, ());
+            self.l_pivot_row.push(leaving_row as u32);
+            self.l_start.push(self.l_rows.len() as u32);
         }
         self.updates += 1;
 
@@ -1702,23 +1927,51 @@ impl LuFactors {
     /// Total stored nonzeros across the L operators (diagnostic).
     #[cfg(test)]
     fn l_nnz(&self) -> usize {
-        self.l_entries.len()
+        self.l_rows.len()
+    }
+
+    /// Total stored above-diagonal nonzeros of U (diagnostic).
+    #[cfg(test)]
+    fn u_nnz(&self) -> usize {
+        (0..self.u_pivot_row.len()).map(|k| self.u.len(k)).sum()
+    }
+
+    /// Compact every list area of the factors now, however little garbage
+    /// it holds; returns how many entries (abandoned or spare room) that
+    /// dropped.
+    #[cfg(test)]
+    fn compact_lists(&mut self) -> usize {
+        let held = |lu: &Self| {
+            lu.u.index.len()
+                + lu.row_adj.index.len()
+                + lu.ftran_readers.index.len()
+                + lu.btran_readers.index.len()
+        };
+        let before = held(self);
+        self.u.compact();
+        self.row_adj.compact();
+        self.ftran_readers.compact();
+        self.btran_readers.compact();
+        before - held(self)
+    }
+
+    /// Number of L operators.
+    fn num_lops(&self) -> usize {
+        self.l_pivot_row.len()
     }
 
     /// L operator `k`.
     fn lop(&self, k: usize) -> LOp<'_> {
-        let h = self.l_ops[k];
-        let entries = &self.l_entries[h.start..h.end];
-        if h.is_row {
-            LOp::Row {
-                pivot_row: h.pivot_row,
-                entries,
-            }
+        let (start, end) = (self.l_start[k] as usize, self.l_start[k + 1] as usize);
+        let pivot_row = self.l_pivot_row[k] as usize;
+        let entries = Entries {
+            rows: &self.l_rows[start..end],
+            values: &self.l_values[start..end],
+        };
+        if k < self.u_pivot_row.len() {
+            LOp::Col { pivot_row, entries }
         } else {
-            LOp::Col {
-                pivot_row: h.pivot_row,
-                entries,
-            }
+            LOp::Row { pivot_row, entries }
         }
     }
 
@@ -1730,27 +1983,31 @@ impl LuFactors {
     /// U column `id`.
     fn ucol(&self, id: usize) -> UCol<'_> {
         UCol {
-            pivot_row: self.u_pivot_row[id],
+            pivot_row: self.u_pivot_row[id] as usize,
             pivot_value: self.u_pivot_value[id],
-            entries: self.u.list(id),
+            entries: self.u.entries(id),
         }
     }
 
     /// Value U column `id` stores at `row`, if any (linear scan — U columns
     /// are short).
     fn u_get(&self, id: usize, row: usize) -> Option<f64> {
-        self.u.list(id).iter().find(|e| e.0 == row).map(|e| e.1)
+        self.u
+            .entries(id)
+            .iter()
+            .find(|&(r, _)| r == row)
+            .map(|(_, v)| v)
     }
 
     fn unlink(&mut self, id: usize) {
         let (prev, next) = (self.order_prev[id], self.order_next[id]);
         if prev != NONE {
-            self.order_next[prev] = next;
+            self.order_next[prev as usize] = next;
         } else {
             self.head = next;
         }
         if next != NONE {
-            self.order_prev[next] = prev;
+            self.order_prev[next as usize] = prev;
         } else {
             self.tail = prev;
         }
@@ -1760,11 +2017,11 @@ impl LuFactors {
         self.order_prev[id] = self.tail;
         self.order_next[id] = NONE;
         if self.tail != NONE {
-            self.order_next[self.tail] = id;
+            self.order_next[self.tail as usize] = id as u32;
         } else {
-            self.head = id;
+            self.head = id as u32;
         }
-        self.tail = id;
+        self.tail = id as u32;
     }
 }
 
@@ -1866,7 +2123,7 @@ mod tests {
     ) -> Result<(LuFactors, Vec<usize>), LuError> {
         let mut lu = LuFactors::default();
         lu.factor(m, |j| cols[j].iter().copied(), abs_pivot_tol)?;
-        let assignment = lu.row_of_slot().to_vec();
+        let assignment = lu.row_of_slot().iter().map(|&r| r as usize).collect();
         Ok((lu, assignment))
     }
 
@@ -2316,6 +2573,218 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A Forrest–Tomlin update of `lu` replacing the column at a random slot
+    /// by one dominated at `anchor[slot]` (the row that keeps the basis
+    /// nonsingular), its spike taken through the sparse L pass as in the
+    /// solver.  Returns the slot and the entering column.
+    fn random_update(
+        lu: &mut LuFactors,
+        assignment: &[usize],
+        anchor: &[usize],
+        rng: &mut Rng,
+    ) -> (usize, Vec<(usize, f64)>) {
+        let m = assignment.len();
+        let slot = rng.below(m);
+        let leaving_row = assignment[slot];
+        let mut entering = vec![(anchor[slot], 3.0 + rng.next_f64())];
+        for _ in 0..3 {
+            let r = rng.below(m);
+            if entering.iter().all(|&(rr, _)| rr != r) {
+                entering.push((r, rng.next_f64() - 0.5));
+            }
+        }
+        apply_update(lu, leaving_row, &entering);
+        (slot, entering)
+    }
+
+    /// Replace the column pivoted on `leaving_row` by `entering`.
+    fn apply_update(lu: &mut LuFactors, leaving_row: usize, entering: &[(usize, f64)]) {
+        let mut spike = vec![0.0; lu.row_of_slot().len()];
+        let mut pattern = Vec::new();
+        for &(r, v) in entering {
+            spike[r] = v;
+            pattern.push(r);
+        }
+        let result = if lu.solve_l_sparse(&mut spike, &mut pattern) {
+            lu.update(leaving_row, &spike, Some(&pattern))
+        } else {
+            lu.update(leaving_row, &spike, None)
+        };
+        result.expect("a column dominated at its anchor row keeps the basis nonsingular");
+    }
+
+    /// Basis columns as `(row, value)` lists, by column slot.
+    type Columns = Vec<Vec<(usize, f64)>>;
+
+    /// One solve of `v` (with its pattern, for the sparse ones) on the
+    /// factors; returns whether a sparse solve stayed sparse.
+    type Solve = fn(&mut LuFactors, &mut Vec<f64>, &mut Vec<usize>) -> bool;
+
+    /// A banded basis with its dominant rows, or a random one (whose
+    /// assigned pivot rows serve as the anchors).
+    fn basis_with_anchors(banded: bool, m: usize, rng: &mut Rng) -> (Columns, Option<Vec<usize>>) {
+        if banded {
+            let (cols, dominant) = banded_basis(m, rng);
+            (cols, Some(dominant))
+        } else {
+            (random_basis(m, m * 2, rng), None)
+        }
+    }
+
+    /// Bytes the factors plus the elimination workspace hold per unit of
+    /// `m + nnz(L) + nnz(U)`.
+    fn bytes_per_entry(lu: &LuFactors) -> f64 {
+        let m = lu.row_of_slot().len();
+        lu.footprint_bytes() as f64 / (m + lu.l_nnz() + lu.u_nnz()) as f64
+    }
+
+    /// Ceiling on [`bytes_per_entry`].  These bases measure 82–124 bytes:
+    /// every index is `u32`, every `(index, value)` list 12 bytes an entry,
+    /// and spare room and garbage stay within a small multiple of the live
+    /// entries.  With `usize` indices, `(usize, f64)` pairs and four spare
+    /// slots on every list, the n = 96 L1 design held about 297 bytes per
+    /// entry (110 now).
+    const MAX_BYTES_PER_ENTRY: f64 = 150.0;
+
+    /// The footprint is proportional to `m + nnz(L) + nnz(U)` on random and
+    /// banded bases, at the factorisation and through a run of
+    /// Forrest–Tomlin updates that grows the factors.
+    #[test]
+    fn footprint_stays_proportional_to_the_factor_nonzeros_through_updates() {
+        let mut rng = Rng(0xf007);
+        for (banded, m) in [(false, 600), (true, 545), (true, 2_000)] {
+            // Each basis starts from an empty workspace, so none inherits a
+            // larger one's.
+            release_thread_workspace();
+            let (cols, dominant) = basis_with_anchors(banded, m, &mut rng);
+            let (mut lu, assignment) = factor_columns(m, &cols, 1e-11).unwrap();
+            let anchor = dominant.as_deref().unwrap_or(&assignment);
+            let mut worst = bytes_per_entry(&lu);
+            for _ in 0..60 {
+                random_update(&mut lu, &assignment, anchor, &mut rng);
+                worst = worst.max(bytes_per_entry(&lu));
+            }
+            assert!(
+                worst <= MAX_BYTES_PER_ENTRY,
+                "banded={banded} m={m}: {worst:.1} bytes per entry > {MAX_BYTES_PER_ENTRY}"
+            );
+        }
+        release_thread_workspace();
+        assert_eq!(
+            LuFactors::default().footprint_bytes(),
+            0,
+            "a released workspace holds nothing"
+        );
+    }
+
+    /// Compaction moves list entries, never reorders them: factors whose
+    /// list areas are compacted mid-run solve bit for bit like an
+    /// uncompacted copy given the same updates, dense and sparse.
+    #[test]
+    fn compacted_factors_solve_bit_for_bit_like_an_uncompacted_copy() {
+        let mut rng = Rng(0xc0de);
+        for (banded, m) in [(false, 300), (true, 545)] {
+            let (cols, dominant) = basis_with_anchors(banded, m, &mut rng);
+            let (mut compacted, assignment) = factor_columns(m, &cols, 1e-11).unwrap();
+            let (mut plain, _) = factor_columns(m, &cols, 1e-11).unwrap();
+            let anchor = dominant.as_deref().unwrap_or(&assignment);
+            for step in 0..40 {
+                let (slot, entering) = random_update(&mut compacted, &assignment, anchor, &mut rng);
+                apply_update(&mut plain, assignment[slot], &entering);
+                if step % 10 == 9 {
+                    assert!(
+                        compacted.compact_lists() > 0,
+                        "banded={banded} step={step}: nothing to compact"
+                    );
+                }
+                let unit = rng.below(m);
+                let mut dense_rhs: Vec<f64> = (0..m).map(|_| rng.next_f64() - 0.5).collect();
+                dense_rhs[unit] += 1.0;
+                for rhs in [vec![unit], (0..m).collect::<Vec<_>>()] {
+                    let v: Vec<f64> = (0..m)
+                        .map(|r| if rhs.contains(&r) { dense_rhs[r] } else { 0.0 })
+                        .collect();
+                    let solves: [Solve; 4] = [
+                        |lu, v, _| {
+                            lu.ftran(v);
+                            false
+                        },
+                        |lu, v, _| {
+                            lu.btran(v);
+                            false
+                        },
+                        |lu, v, p| lu.ftran_sparse(v, p),
+                        |lu, v, p| lu.btran_sparse(v, p),
+                    ];
+                    for solve in solves {
+                        let (mut a, mut pa) = (v.clone(), rhs.clone());
+                        let (mut b, mut pb) = (v.clone(), rhs.clone());
+                        let sparse_a = solve(&mut compacted, &mut a, &mut pa);
+                        let sparse_b = solve(&mut plain, &mut b, &mut pb);
+                        assert_eq!(sparse_a, sparse_b, "banded={banded} step={step}");
+                        assert_eq!(pa, pb, "banded={banded} step={step}: patterns differ");
+                        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&a), bits(&b), "banded={banded} step={step}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A list area under random pushes, removals and releases keeps every
+    /// list equal to a plain `Vec` model, in order, and compacts itself
+    /// rather than grow for garbage: its capacity stays within a small
+    /// multiple of the most live entries it ever held.
+    #[test]
+    fn segments_compact_in_place_and_keep_each_list_in_order() {
+        let mut rng = Rng(0x5e9);
+        let lists = 40;
+        let mut area: Segments<f64> = Segments::default();
+        area.reset_with_caps(lists, |i| i % 3);
+        let mut model: Vec<Vec<(u32, f64)>> = vec![Vec::new(); lists];
+        let mut compactions = 0;
+        let mut most_live = 0;
+        for op in 0..20_000u32 {
+            let i = rng.below(lists);
+            match rng.below(10) {
+                0 if !model[i].is_empty() => {
+                    let k = rng.below(model[i].len());
+                    area.swap_remove(i, k);
+                    model[i].swap_remove(k);
+                }
+                1 if rng.below(8) == 0 => {
+                    area.release(i);
+                    model[i].clear();
+                }
+                _ => {
+                    let held = area.index.len();
+                    let value = rng.next_f64();
+                    area.push(i, op, value);
+                    model[i].push((op, value));
+                    if area.index.len() < held {
+                        compactions += 1;
+                    }
+                    most_live = most_live.max(area.index.len() - area.garbage);
+                    assert!(
+                        area.index.capacity() <= 8 * most_live + 8,
+                        "op {op}: capacity {} for at most {most_live} live entries",
+                        area.index.capacity()
+                    );
+                }
+            }
+        }
+        for (i, expected) in model.iter().enumerate() {
+            let (indices, values) = area.get(i);
+            let got: Vec<(u32, f64)> = indices
+                .iter()
+                .copied()
+                .zip(values.iter().copied())
+                .collect();
+            assert_eq!(&got, expected, "list {i}");
+        }
+        assert!(compactions > 0, "the area never compacted");
     }
 
     /// Bases without a single row or column singleton — the all-bump shape

@@ -61,6 +61,10 @@ const DEVEX_WEIGHT_LIMIT: f64 = 1e7;
 /// nonzeros cost, refactorising that often pays.
 const REFACTOR_FLOOR: usize = 32;
 
+/// Result density (EWMA of `nnz / m`) above which FTRAN's U pass and the
+/// pivot-row BTRAN skip the reach-based solve for the dense scan.
+const DENSE_ROUTE_DENSITY: f64 = 0.2;
+
 /// Consecutive numerical breakdowns (with no successful basis update in
 /// between) that may be repaired before the solve gives up with
 /// [`SimplexError::NumericalBreakdown`].  Isolated breakdowns over a long run
@@ -108,6 +112,15 @@ impl PatVec {
             }
         }
         self.pattern.clear();
+    }
+
+    /// Share of rows the pattern covers (1 when the pattern is stale).
+    fn density(&self) -> f64 {
+        if self.dense {
+            1.0
+        } else {
+            self.pattern.len() as f64 / self.values.len().max(1) as f64
+        }
     }
 
     /// Record a nonzero on a freshly cleared vector.
@@ -165,7 +178,12 @@ struct RevisedState<'a> {
     /// reach-based U pass when results have been filling in anyway — the
     /// bookkeeping up to the abort point is pure overhead then.
     ftran_density: f64,
+    /// EWMA of the pivot-row BTRAN result density, routing
+    /// [`RevisedState::btran_unit`] the same way.
+    btran_density: f64,
     factorizations: usize,
+    /// Largest [`LuFactors::footprint_bytes`] read at a factorisation.
+    factor_bytes: usize,
     total_updates: usize,
     /// Total repairs across the solve (reported in the stats).
     repairs: usize,
@@ -238,7 +256,9 @@ impl<'a> RevisedState<'a> {
             spike_pattern: Vec::new(),
             spike_dense: false,
             ftran_density: 0.0,
+            btran_density: 0.0,
             factorizations: 0,
+            factor_bytes: 0,
             total_updates: 0,
             repairs: 0,
             repair_streak: 0,
@@ -286,7 +306,9 @@ impl<'a> RevisedState<'a> {
             spike_pattern: Vec::new(),
             spike_dense: false,
             ftran_density: 0.0,
+            btran_density: 0.0,
             factorizations: 0,
+            factor_bytes: 0,
             total_updates: 0,
             repairs: 0,
             repair_streak: 0,
@@ -299,6 +321,13 @@ impl<'a> RevisedState<'a> {
 
     fn num_rows(&self) -> usize {
         self.sf.num_rows()
+    }
+
+    /// Peak bytes of the factors plus the elimination workspace: the
+    /// largest read at a factorisation, or now, since Forrest–Tomlin
+    /// updates grow the factors between factorisations.
+    fn factor_bytes(&self) -> usize {
+        self.factor_bytes.max(self.lu.footprint_bytes())
     }
 
     fn num_artificials(&self) -> usize {
@@ -343,7 +372,7 @@ impl<'a> RevisedState<'a> {
             }
             self.spike_pattern.extend_from_slice(&w.pattern);
             self.spike_dense = false;
-            if self.ftran_density > 0.2 {
+            if self.ftran_density > DENSE_ROUTE_DENSITY {
                 self.lu.solve_u(&mut w.values);
                 w.dense = true;
             } else {
@@ -381,13 +410,7 @@ impl<'a> RevisedState<'a> {
                 w.pattern.clear();
             }
         }
-        let m = w.values.len().max(1);
-        let density = if w.dense {
-            1.0
-        } else {
-            w.pattern.len() as f64 / m as f64
-        };
-        self.ftran_density = 0.9 * self.ftran_density + 0.1 * density;
+        self.ftran_density = 0.9 * self.ftran_density + 0.1 * w.density();
     }
 
     /// BTRAN: overwrite `y` with `y B⁻¹` (dense — used for full cost vectors).
@@ -396,11 +419,17 @@ impl<'a> RevisedState<'a> {
     }
 
     /// Sparse BTRAN of the unit vector `e_row` into `rho` — the pivot-row
-    /// transform `ρ' = e_r' B⁻¹`.
+    /// transform `ρ' = e_r' B⁻¹` — or, once recent results have been dense,
+    /// the dense BTRAN straight away, whose values are the same.
     fn btran_unit(&mut self, row: usize, rho: &mut PatVec) {
         rho.clear();
         rho.set(row, 1.0);
-        rho.dense = !self.lu.btran_sparse(&mut rho.values, &mut rho.pattern);
+        rho.dense = if self.btran_density > DENSE_ROUTE_DENSITY {
+            self.lu.btran(&mut rho.values);
+            true
+        } else {
+            !self.lu.btran_sparse(&mut rho.values, &mut rho.pattern)
+        };
         if !rho.dense {
             rho.pattern.sort_unstable(); // see ftran_column on why
         } else {
@@ -417,6 +446,7 @@ impl<'a> RevisedState<'a> {
                 rho.pattern.clear();
             }
         }
+        self.btran_density = 0.9 * self.btran_density + 0.1 * rho.density();
     }
 
     /// Bounded sparse BTRAN of an already-populated pattern vector in place
@@ -565,13 +595,14 @@ impl<'a> RevisedState<'a> {
         // The factorisation may re-key which row each basic column pivots on.
         let old_basis = self.basis.clone();
         for (slot, &new_row) in self.lu.row_of_slot().iter().enumerate() {
-            self.basis[new_row] = old_basis[slot];
+            self.basis[new_row as usize] = old_basis[slot];
         }
         self.factorizations += 1;
-        // Fresh factors are at their sparsest: let the FTRAN path try the
-        // hypersparse route again instead of staying locked dense by the
-        // tail-of-window density estimate.
+        // Fresh factors are at their sparsest: let the FTRAN and BTRAN paths
+        // try the hypersparse route again instead of staying locked dense by
+        // the tail-of-window density estimates.
         self.ftran_density = 0.0;
+        self.btran_density = 0.0;
         self.last_good_basis.clone_from(&self.basis);
         self.dirty_reduced_costs = true;
 
@@ -584,6 +615,9 @@ impl<'a> RevisedState<'a> {
             }
         }
         cpm_obs::histogram!("cpm_lp_refactorize_nanos").record_duration(refactor_started.elapsed());
+        let factor_bytes = self.lu.footprint_bytes();
+        cpm_obs::histogram!("cpm_lp_factor_bytes").record(factor_bytes as u64);
+        self.factor_bytes = self.factor_bytes.max(factor_bytes);
         Ok(())
     }
 
@@ -1074,6 +1108,7 @@ fn cold_solve(sf: &StandardForm, options: &SolveOptions) -> Result<SolvedPoint, 
     state.stats.refactorizations = basis.factorizations;
     state.stats.basis_updates = basis.total_updates;
     state.stats.basis_repairs = basis.repairs;
+    state.stats.factor_bytes = basis.factor_bytes();
     state.stats.steepest_edge_resets = pricing.resets;
     Ok(SolvedPoint {
         objective: basis.objective(&phase2_costs),
@@ -1235,6 +1270,7 @@ pub(crate) fn warm_solve(
     state.stats.refactorizations = basis.factorizations;
     state.stats.basis_updates = basis.total_updates;
     state.stats.basis_repairs = basis.repairs;
+    state.stats.factor_bytes = basis.factor_bytes();
     state.stats.steepest_edge_resets = pricing.resets;
     state.stats.warm_started = true;
     Some(SolvedPoint {

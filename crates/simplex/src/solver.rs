@@ -206,6 +206,12 @@ pub struct SolveStats {
     /// so this counts work the update threw away.
     #[serde(default)]
     pub cross_term_abandoned: usize,
+    /// Peak bytes held by the LU factors plus this thread's elimination
+    /// workspace (buffer capacities, read after every factorisation and at
+    /// the end of each solve).  Across the solves one result folds together
+    /// (see [`SolveStats::add_work`]) it is the largest of their peaks.
+    #[serde(default)]
+    pub factor_bytes: usize,
     /// Dual-simplex pivots performed by a warm-started
     /// solve before the primal cleanup confirmed optimality.  Zero for cold
     /// solves (and for warm seeds that fell back to the primal path).
@@ -235,7 +241,8 @@ impl SolveStats {
     /// Add the pivoting work of `earlier` — a solve that ran on the way to
     /// this one, such as the dual-form walk before its certification or a
     /// relaxation whose basis seeded this solve — to these counters.  What
-    /// describes the final solve (`form`, `warm_started`) stays this solve's.
+    /// describes the final solve (`form`, `warm_started`) stays this solve's,
+    /// and `factor_bytes` becomes the larger of the two peaks.
     pub fn add_work(&mut self, earlier: &SolveStats) {
         self.phase1_iterations += earlier.phase1_iterations;
         self.phase2_iterations += earlier.phase2_iterations;
@@ -247,6 +254,7 @@ impl SolveStats {
         self.basis_repairs += earlier.basis_repairs;
         self.steepest_edge_resets += earlier.steepest_edge_resets;
         self.cross_term_abandoned += earlier.cross_term_abandoned;
+        self.factor_bytes = self.factor_bytes.max(earlier.factor_bytes);
         self.dual_iterations += earlier.dual_iterations;
     }
 }
@@ -558,7 +566,7 @@ mod tests {
     /// carry no `form`, which must fill from its documented default
     /// (`Primal`), not `Default::default()` — this pins the vendored derive's
     /// `#[serde(default = "path")]` support.  Stats without
-    /// `cross_term_abandoned` load with a zero count.
+    /// `cross_term_abandoned` or `factor_bytes` load with a zero count.
     #[test]
     fn serde_defaults_for_missing_presolve_and_form_fields() {
         let options_json = serde_json::to_string(&SolveOptions::default()).unwrap();
@@ -605,6 +613,22 @@ mod tests {
             .replace("\"cross_term_abandoned\":7,", "");
         assert!(
             !older.contains("cross_term"),
+            "field removed from the fixture"
+        );
+        let stats: SolveStats = serde_json::from_str(&older).unwrap();
+        assert_eq!(stats, SolveStats::default());
+
+        // Stats written before the factor footprint was measured load with
+        // zero bytes.
+        let measured = SolveStats {
+            factor_bytes: 4_096,
+            ..SolveStats::default()
+        };
+        let older = serde_json::to_string(&measured)
+            .unwrap()
+            .replace("\"factor_bytes\":4096,", "");
+        assert!(
+            !older.contains("factor_bytes"),
             "field removed from the fixture"
         );
         let stats: SolveStats = serde_json::from_str(&older).unwrap();

@@ -291,6 +291,13 @@ impl SparseAccumulator {
         }
     }
 
+    /// Bytes this accumulator holds (its buffers' capacity).
+    pub fn bytes(&self) -> usize {
+        self.values.capacity() * std::mem::size_of::<f64>()
+            + self.marked.capacity()
+            + self.pattern.capacity() * std::mem::size_of::<usize>()
+    }
+
     /// Add `v` at index `i`, extending the pattern if `i` is untouched.
     #[inline]
     pub fn add(&mut self, i: usize, v: f64) {
