@@ -56,7 +56,9 @@ use std::collections::hash_map::{Entry, HashMap};
 
 use serde::{Deserialize, Serialize};
 
-use cpm_simplex::{Constraint, LinearProgram, Relation, SolveOptions, SolveStats, VariableId};
+use cpm_simplex::{
+    Constraint, LinearProgram, Relation, SolveOptions, SolveStats, StandardForm, VariableId,
+};
 
 use crate::alpha::Alpha;
 use crate::error::CoreError;
@@ -366,8 +368,7 @@ impl DesignProblem {
     /// [`DesignProblem::build_lp`] solved with
     /// [`LinearProgram::solve_with`].
     pub fn solve_with(&self, options: &SolveOptions) -> Result<DesignSolution, CoreError> {
-        let (lp, vars) = self.build_lp()?;
-        let solution = self.solve_seeded(&lp, &vars, options);
+        let solution = self.solve_seeded(options);
         // The design's solves shared this thread's factorisation workspace;
         // free it now rather than keep its largest basis's size for the
         // thread's life.
@@ -375,49 +376,76 @@ impl DesignProblem {
         solution
     }
 
-    /// Pick the seed for the already-built `lp` (see
-    /// [`DesignProblem::solve_with`]), solve, and count the seed's outcome.
-    fn solve_seeded(
-        &self,
-        lp: &LinearProgram,
-        vars: &[Vec<VariableId>],
-        options: &SolveOptions,
-    ) -> Result<DesignSolution, CoreError> {
-        let mut relaxation_stats = None;
-        let (seed, seed_kind) = if options.warm_basis.is_some() {
-            (None, None)
-        } else if self.properties.is_empty() {
-            let crash = self.geometric_crash_basis(lp, vars);
-            let kind = crash.is_some().then_some(CrashSeed::Geometric);
-            (crash, kind)
-        } else if self.lift_fits() {
-            // BASICDP under the same objective: the same variables and
-            // leading rows, without the property and output-DP rows.
-            let relaxation =
-                DesignProblem::unconstrained(self.n, self.alpha, self.objective.clone());
-            let (relaxed_lp, relaxed_vars) = relaxation.build_lp()?;
-            // A relaxation that fails to solve only costs the seed.
-            let lifted = relaxation
-                .solve_seeded(&relaxed_lp, &relaxed_vars, options)
-                .ok()
-                .and_then(|solution| {
-                    relaxation_stats = Some(solution.solver_stats);
-                    let basis = solution.optimal_basis?;
-                    cpm_simplex::lift_basis(&relaxed_lp, &basis, lp)
-                });
-            (lifted, Some(CrashSeed::Lift))
-        } else {
-            (None, None)
-        };
-        let mut solution = match seed {
-            Some(seed) => self.solve_built(lp, vars, &options.clone().with_warm_basis(Some(seed))),
-            None => self.solve_built(lp, vars, options),
-        }?;
-        if let Some(kind) = seed_kind {
-            kind.record(solution.solver_stats.warm_started);
+    /// Build this problem's program and standardise it once: the builder
+    /// model (kept only while seeds are built against it), its standard
+    /// form and the `ρ` variable grid.
+    fn prepare(&self) -> Result<(LinearProgram, StandardForm, Vec<Vec<VariableId>>), CoreError> {
+        let (lp, vars) = self.build_lp()?;
+        let sf = lp.standardize()?;
+        Ok((lp, sf, vars))
+    }
+
+    /// Pick the seed (see [`DesignProblem::solve_with`]), solve, and count
+    /// the seed's outcome.  Each builder model is dropped as soon as the
+    /// seeds built against it exist, so a solve holds its program once: as
+    /// its standard form.
+    fn solve_seeded(&self, options: &SolveOptions) -> Result<DesignSolution, CoreError> {
+        if options.warm_basis.is_some() || !(self.properties.is_empty() || self.lift_fits()) {
+            let (_, sf, vars) = self.prepare()?;
+            return self.solve_built(&sf, &vars, options);
         }
+        if self.properties.is_empty() {
+            let (lp, sf, vars) = self.prepare()?;
+            let crash = self.geometric_crash_basis(&lp, &sf, &vars);
+            drop(lp);
+            return self.solve_from_seed(&sf, &vars, options, crash, CrashSeed::Geometric);
+        }
+
+        // Relax then lift: BASICDP under the same objective has the same
+        // variables and leading rows, without the property and output-DP
+        // rows.  Its models stay alive until the lift has compared them.
+        let relaxation = DesignProblem::unconstrained(self.n, self.alpha, self.objective.clone());
+        // A relaxation that fails to build or solve only costs the seed.
+        let relaxed = relaxation.prepare().ok().and_then(|(lp, sf, vars)| {
+            let crash = relaxation.geometric_crash_basis(&lp, &sf, &vars);
+            let solution = relaxation
+                .solve_from_seed(&sf, &vars, options, crash, CrashSeed::Geometric)
+                .ok()?;
+            Some((lp, sf, solution.optimal_basis, solution.solver_stats))
+        });
+        let (lp, sf, vars) = self.prepare()?;
+        let lifted = relaxed
+            .as_ref()
+            .and_then(|(relaxed_lp, relaxed_sf, basis, _)| {
+                cpm_simplex::lift_basis(relaxed_lp, relaxed_sf, basis.as_deref()?, &lp, &sf)
+            });
+        let relaxation_stats = relaxed.map(|(.., stats)| stats);
+        drop(lp);
+        let mut solution = self.solve_from_seed(&sf, &vars, options, lifted, CrashSeed::Lift)?;
         if let Some(relaxation) = &relaxation_stats {
             solution.solver_stats.add_work(relaxation);
+        }
+        Ok(solution)
+    }
+
+    /// Solve `sf` from `seed` when there is one and count the seed's
+    /// outcome under `kind`.  A crash seed that could not be built is not
+    /// counted; a lift that could not be built counts as declined.
+    fn solve_from_seed(
+        &self,
+        sf: &StandardForm,
+        vars: &[Vec<VariableId>],
+        options: &SolveOptions,
+        seed: Option<Vec<usize>>,
+        kind: CrashSeed,
+    ) -> Result<DesignSolution, CoreError> {
+        let counted = seed.is_some() || matches!(kind, CrashSeed::Lift);
+        let solution = match seed {
+            Some(seed) => self.solve_built(sf, vars, &options.clone().with_warm_basis(Some(seed))),
+            None => self.solve_built(sf, vars, options),
+        }?;
+        if counted {
+            kind.record(solution.solver_stats.warm_started);
         }
         Ok(solution)
     }
@@ -434,15 +462,15 @@ impl DesignProblem {
                 || !self.properties.contains(Property::Symmetry))
     }
 
-    /// Solve the already-built `lp` (over the `vars` grid) with `options` as
-    /// given, and extract the mechanism.
+    /// Solve the already-standardised program `sf` (over the `vars` grid)
+    /// with `options` as given, and extract the mechanism.
     fn solve_built(
         &self,
-        lp: &LinearProgram,
+        sf: &StandardForm,
         vars: &[Vec<VariableId>],
         options: &SolveOptions,
     ) -> Result<DesignSolution, CoreError> {
-        let solution = lp.solve_with(options)?;
+        let solution = sf.solve_with(options)?;
         let dim = self.n + 1;
 
         // Extract the matrix, clamping tiny negative round-off and renormalising each
@@ -496,6 +524,7 @@ impl DesignProblem {
     fn geometric_crash_basis(
         &self,
         lp: &LinearProgram,
+        sf: &StandardForm,
         vars: &[Vec<VariableId>],
     ) -> Option<Vec<usize>> {
         let gm = crate::mechanisms::GeometricMechanism::new(self.n, self.alpha).ok()?;
@@ -521,7 +550,7 @@ impl DesignProblem {
                 *value = t;
             }
         }
-        cpm_simplex::crash_basis(lp, &values)
+        cpm_simplex::crash_basis(lp, sf, &values)
     }
 }
 

@@ -34,6 +34,7 @@
 //! | `cpm_lp_phase_nanos` | histogram | `phase` (`phase1`/`phase2`) | Wall time per phase of a two-phase revised-simplex walk. |
 //! | `cpm_lp_refactorize_nanos` | histogram | — | Wall time per LU factorisation of a basis. |
 //! | `cpm_lp_factor_bytes` | histogram | — | Bytes held by the LU factors plus the thread's elimination workspace, read after each factorisation. |
+//! | `cpm_lp_pivot_stage_nanos` | histogram | `stage` (`pricing`/`pivot_row_btran`/`pivot_row_pass`/`ftran`/`cross_term_btran`/`weight_update`/`ratio_test`/`ft_update`/`refactorization`) | Nanoseconds one solve spent in each pivot stage, recorded once per solve. |
 //! | `cpm_design_solves_total` | counter | `kind` (`flowchart`/`lp`) | Mechanism designs, split closed-form selection vs LP. |
 //! | `cpm_design_nanos` | histogram | — | Wall time per mechanism design. |
 //! | `cpm_cache_hits_total` | counter | — | Design-cache hits. |

@@ -411,7 +411,6 @@ impl<A: Acceptor> Reactor<A> {
         let mut pollfds: Vec<PollFd> = Vec::new();
         let mut tokens: Vec<u64> = Vec::new();
         loop {
-            self.drain_wake();
             self.pull_injected();
             if self.stop.load(Ordering::SeqCst) {
                 break;
@@ -467,6 +466,11 @@ impl<A: Acceptor> Reactor<A> {
                 }
             }
 
+            // Only a flagged wake pipe has bytes to consume; reading it
+            // otherwise costs a syscall that finds nothing.
+            if pollfds[0].readable() {
+                self.drain_wake();
+            }
             if let Some(slot) = listener_slot {
                 if pollfds[slot].readable() {
                     self.accept_ready();
@@ -681,7 +685,10 @@ impl<A: Acceptor> Reactor<A> {
     }
 }
 
-/// Read everything the socket has, feeding the state machine.
+/// Read what the socket has, feeding the state machine.  A read that
+/// returns less than the buffer has drained the socket for now, so the
+/// caller flushes straight away instead of reading again to `EAGAIN`: `poll`
+/// is level-triggered, so bytes that arrive later still wake the worker.
 fn fill<C: io::Read + io::Write>(engine: &Engine, conn: &mut Conn<C>, buf: &mut [u8]) -> Outcome {
     loop {
         match conn.stream.read(buf) {
@@ -701,6 +708,9 @@ fn fill<C: io::Read + io::Write>(engine: &Engine, conn: &mut Conn<C>, buf: &mut 
                 }
                 if conn.proto.closing() {
                     // Post-shutdown bytes are never processed; stop reading.
+                    return Outcome::Keep;
+                }
+                if n < buf.len() {
                     return Outcome::Keep;
                 }
             }

@@ -61,32 +61,41 @@
 //!
 //! ## Architecture: the standardise → solve pipeline
 //!
-//! A call to [`LinearProgram::solve`] flows through four layers:
+//! A call to [`LinearProgram::solve`] flows through four layers, and the
+//! program is held once at each: the standard form is built once and every
+//! later layer reads it.
 //!
 //! ```text
 //! LinearProgram          model.rs      named variables, bounds, constraint arena
-//!       │ standardize
+//!       │ standardize    (validates; the builder can be dropped after this)
 //!       ▼
 //! StandardForm           standard.rs   min c'z, Az = b, z ≥ 0, b ≥ 0 (two-sided
-//!       │                sparse.rs     bounds become rows); CSC matrix
-//!       │                              (SparseMatrix + RowMajor mirror + SPA utils)
+//!       │                sparse.rs     bounds become rows); u32-indexed CSC matrix
+//!       │                              (SparseMatrix + RowMajor mirror + SPA utils);
+//!       │                              crash_basis / lift_basis read it, solve_with
+//!       │                              solves it
 //!       │ LpForm::Dual (tall programs, Auto-picked by aspect ratio)
-//!       ├──────────────▶ dual.rs       dualize: rows ↔ columns, slack columns fold
-//!       │                              into y sign bounds, c ≥ 0 ⇒ all-slack start
-//!       │                              (no phase 1); solve the transpose with the
-//!       │                              same revised machinery below, then map the
+//!       ├──────────────▶ dual.rs       dualize: the dual's StandardForm straight
+//!       │                              from the primal's row-wise mirror (its CSC
+//!       │                              columns are the primal's rows), slack
+//!       │                              columns fold into y sign bounds, c ≥ 0 ⇒
+//!       │                              all-slack start (no phase 1); solve it with
+//!       │                              the same revised machinery below, map the
 //!       │                              dual basis back by complementary slackness
 //!       │                              (basic structural column ⇔ tight dual row,
-//!       │                              basic y_r ⇔ nonbasic primal slack) and
-//!       │                              certify it through the warm-start path —
-//!       │                              the recovered basis is primal-optimal and
-//!       │                              warm-start-valid (a re-solve takes 0 pivots)
+//!       │                              basic y_r ⇔ nonbasic primal slack), drop the
+//!       │                              dual, and certify the basis through the
+//!       │                              warm-start path — the recovered basis is
+//!       │                              primal-optimal and warm-start-valid (a
+//!       │                              re-solve takes 0 pivots)
 //!       ▼
 //! revised simplex        revised.rs    two-phase driver, Harris two-pass ratio
 //!       │                              test, Dantzig (phase 1) / steepest-edge
 //!       │                              (phase 2) pricing with a Bland fallback,
 //!       │                              incremental reduced costs, basis
-//!       │                              repair, dual-simplex warm starts
+//!       │                              repair, dual-simplex warm starts; times
+//!       │                              each pivot stage per solve
+//!       │                              (PIVOT_STAGES)
 //!       ▼
 //! LU basis inverse       lu.rs         Markowitz factorisation (singleton peeling
 //!                                      + threshold pivoting), Suhl–Suhl ordered
@@ -175,10 +184,14 @@ pub mod sparse;
 mod standard;
 mod tableau;
 
+#[cfg(any(test, feature = "dual-reference"))]
+#[doc(hidden)]
+pub use dual::reference as dual_reference;
 pub use error::SimplexError;
 pub use lu::release_thread_workspace;
 pub use model::{Constraint, LinearProgram, Objective, Relation, VariableId};
+pub use revised::PIVOT_STAGES;
 pub use solution::{Solution, SolveStatus};
 pub use solver::{LpForm, SolveOptions, SolveStats};
 pub use sparse::SparseMatrix;
-pub use standard::{crash_basis, lift_basis};
+pub use standard::{crash_basis, lift_basis, StandardForm};

@@ -413,29 +413,39 @@ impl<V: Copy + Default> Segments<V> {
 
     /// Move every list, in storage order, to the front of the area with
     /// exactly its entries as room, and drop the abandoned spans.
+    ///
+    /// Linear in the area: a bitmap marks the slot where each list with room
+    /// starts, and that slot holds the list's id while the scan runs (its
+    /// entry waits in the span's `cap`, which the move rewrites anyway).
+    /// Walking the set bits meets the lists in storage order, and a list
+    /// only ever moves down onto slots the scan has passed.
     fn compact(&mut self) {
-        // `start << 32 | list`: sorting the keys themselves orders the
-        // lists by where they start.
-        let mut order: Vec<u64> = self
-            .spans
-            .iter()
-            .enumerate()
-            .filter(|(_, span)| span.cap > 0)
-            .map(|(i, span)| (span.start as u64) << 32 | i as u64)
-            .collect();
-        order.sort_unstable();
+        let mut starts = vec![0u64; self.index.len().div_ceil(64)];
+        for (i, span) in self.spans.iter_mut().enumerate() {
+            if span.cap > 0 {
+                let at = span.start as usize;
+                starts[at / 64] |= 1 << (at % 64);
+                span.cap = std::mem::replace(&mut self.index[at], i as u32);
+            }
+        }
         let mut at = 0;
-        for key in order {
-            let span = &mut self.spans[key as u32 as usize];
-            let (from, len) = (span.start as usize, span.len as usize);
-            self.index.copy_within(from..from + len, at);
-            self.value.copy_within(from..from + len, at);
-            *span = Span {
-                start: at as u32,
-                len: len as u32,
-                cap: len as u32,
-            };
-            at += len;
+        for (word_at, &word) in starts.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let from = word_at * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let span = &mut self.spans[self.index[from] as usize];
+                self.index[from] = span.cap;
+                let len = span.len as usize;
+                self.index.copy_within(from..from + len, at);
+                self.value.copy_within(from..from + len, at);
+                *span = Span {
+                    start: at as u32,
+                    len: len as u32,
+                    cap: len as u32,
+                };
+                at += len;
+            }
         }
         self.index.truncate(at);
         self.value.truncate(at);

@@ -13,7 +13,7 @@
 
 use crate::error::SimplexError;
 use crate::solution::Solution;
-use crate::solver::{solve_prepared, SolveOptions};
+use crate::solver::SolveOptions;
 
 /// Identifier of a variable inside a [`LinearProgram`].
 ///
@@ -286,10 +286,12 @@ impl LinearProgram {
     }
 
     /// Solve with explicit options (iteration limit, tolerance, warm-start
-    /// basis, LP form).
+    /// basis, LP form): [`LinearProgram::standardize`], then
+    /// [`StandardForm::solve_with`](crate::StandardForm::solve_with).  A
+    /// caller that builds seeds against the standard form, or wants to drop
+    /// the builder before solving, makes the two calls itself.
     pub fn solve_with(&self, options: &SolveOptions) -> Result<Solution, SimplexError> {
-        self.validate()?;
-        solve_prepared(self, options)
+        self.standardize()?.solve_with(options)
     }
 }
 

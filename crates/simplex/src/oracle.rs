@@ -32,7 +32,7 @@ use crate::error::SimplexError;
 use crate::model::LinearProgram;
 use crate::solution::Solution;
 use crate::solver::{solve_standard, PhaseOutcome, PivotState, SolveOptions, SolvedPoint};
-use crate::standard::{standardize, StandardForm};
+use crate::standard::StandardForm;
 use crate::tableau::Tableau;
 
 /// Smallest pivot element the ratio test accepts, whatever the tolerance.
@@ -47,8 +47,7 @@ const MIN_PIVOT: f64 = 1e-7;
 /// start, so `warm_basis` and `form` are ignored.  Reports the same
 /// [`SimplexError`] classes as the production route.
 pub fn solve_dense(lp: &LinearProgram, options: &SolveOptions) -> Result<Solution, SimplexError> {
-    lp.validate()?;
-    solve_standard(&standardize(lp), |sf| pivot_dense(sf, options))
+    solve_standard(&lp.standardize()?, |sf| pivot_dense(sf, options))
 }
 
 /// The dense two-phase driver over a row-encoded standard form.

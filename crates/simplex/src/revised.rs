@@ -44,6 +44,9 @@
 //!
 //! [`SolveStats::basis_repairs`]: crate::SolveStats::basis_repairs
 
+use std::sync::OnceLock;
+use std::time::Instant;
+
 use crate::error::SimplexError;
 use crate::lu::LuFactors;
 use crate::solver::{PhaseOutcome, PivotState, SolveOptions, SolvedPoint};
@@ -70,6 +73,94 @@ const DENSE_ROUTE_DENSITY: f64 = 0.2;
 /// [`SimplexError::NumericalBreakdown`].  Isolated breakdowns over a long run
 /// each get a fresh budget.
 const MAX_REPAIRS: usize = 2;
+
+/// The stages of a pivot whose time a solve accumulates, in the order of
+/// [`PIVOT_STAGES`].
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    /// Entering-column (primal) or leaving-row (dual) selection, with the
+    /// reduced-cost recomputes and the entering candidate's verification.
+    Pricing,
+    /// The BTRAN of the pivot row's unit vector.
+    PivotRowBtran,
+    /// The row-wise pass `ρ'A` over the constraint matrix.
+    PivotRowPass,
+    /// The FTRAN of the entering column.
+    Ftran,
+    /// The steepest-edge cross term's bounded BTRAN, abandoned or not.
+    CrossTermBtran,
+    /// The reduced-cost and weight updates: steepest edge (with the cross
+    /// term's masked vector and row pass) or the dual simplex's Devex.
+    WeightUpdate,
+    /// The primal or dual ratio test.
+    RatioTest,
+    /// The basic-solution move and the Forrest–Tomlin update of the factors.
+    FtUpdate,
+    /// LU factorisations, with the basic-solution recompute after each.
+    Refactorization,
+}
+
+/// The `stage` label of each pivot stage a solve times, as recorded in the
+/// `cpm_lp_pivot_stage_nanos{stage=…}` histograms (one sample per solve:
+/// that solve's nanoseconds in the stage).
+pub const PIVOT_STAGES: [&str; 9] = [
+    "pricing",
+    "pivot_row_btran",
+    "pivot_row_pass",
+    "ftran",
+    "cross_term_btran",
+    "weight_update",
+    "ratio_test",
+    "ft_update",
+    "refactorization",
+];
+
+/// Per-solve nanoseconds in each [`Stage`], accumulated in local counters
+/// and recorded once, when the solve's state is dropped.  Stays off (no
+/// clock reads) while instrumentation is disabled; kept out of
+/// [`SolveStats`](crate::SolveStats), whose equality backs the
+/// bit-identity tests.
+struct StageClock {
+    on: bool,
+    nanos: [u64; PIVOT_STAGES.len()],
+}
+
+impl StageClock {
+    fn new() -> Self {
+        StageClock {
+            on: cpm_obs::enabled(),
+            nanos: [0; PIVOT_STAGES.len()],
+        }
+    }
+
+    #[inline]
+    fn start(&self) -> Option<Instant> {
+        self.on.then(Instant::now)
+    }
+
+    #[inline]
+    fn stop(&mut self, stage: Stage, started: Option<Instant>) {
+        if let Some(started) = started {
+            self.nanos[stage as usize] += started.elapsed().as_nanos() as u64;
+        }
+    }
+
+    fn record(&self) {
+        if !self.on {
+            return;
+        }
+        static HISTOGRAMS: OnceLock<[&cpm_obs::Histogram; PIVOT_STAGES.len()]> = OnceLock::new();
+        let histograms = HISTOGRAMS.get_or_init(|| {
+            PIVOT_STAGES.map(|stage| {
+                cpm_obs::registry()
+                    .histogram(&format!("cpm_lp_pivot_stage_nanos{{stage=\"{stage}\"}}"))
+            })
+        });
+        for (histogram, &nanos) in histograms.iter().zip(&self.nanos) {
+            histogram.record(nanos);
+        }
+    }
+}
 
 /// How entering candidates are scored outside the Bland fallback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,6 +288,14 @@ struct RevisedState<'a> {
     dirty_reduced_costs: bool,
     /// Set when a repair rolled the basis back: pricing weights must reset.
     dirty_weights: bool,
+    /// This solve's time per pivot stage.
+    clock: StageClock,
+}
+
+impl Drop for RevisedState<'_> {
+    fn drop(&mut self) {
+        self.clock.record();
+    }
 }
 
 /// The `(row, value)` entries of column `j` of `sf`'s matrix extended by its
@@ -215,7 +314,7 @@ fn column_entries<'s>(
         (&[][..], &[][..], Some(artificial_rows[j - num_core]))
     };
     rows.iter()
-        .copied()
+        .map(|&r| r as usize)
         .zip(values.iter().copied())
         .chain(unit.map(|r| (r, 1.0)))
 }
@@ -264,6 +363,7 @@ impl<'a> RevisedState<'a> {
             repair_streak: 0,
             dirty_reduced_costs: false,
             dirty_weights: false,
+            clock: StageClock::new(),
         };
         state.refactorize()?;
         Ok(state)
@@ -314,6 +414,7 @@ impl<'a> RevisedState<'a> {
             repair_streak: 0,
             dirty_reduced_costs: false,
             dirty_weights: false,
+            clock: StageClock::new(),
         };
         state.refactorize()?;
         Ok(state)
@@ -347,6 +448,7 @@ impl<'a> RevisedState<'a> {
     /// partial result after the L pass as the Forrest–Tomlin spike (with its
     /// pattern, so the update can stay sparse too).
     fn ftran_column(&mut self, j: usize, w: &mut PatVec) {
+        let started = self.clock.start();
         w.clear();
         if j < self.num_core {
             for (r, v) in self.sf.matrix.column(j) {
@@ -411,6 +513,7 @@ impl<'a> RevisedState<'a> {
             }
         }
         self.ftran_density = 0.9 * self.ftran_density + 0.1 * w.density();
+        self.clock.stop(Stage::Ftran, started);
     }
 
     /// BTRAN: overwrite `y` with `y B⁻¹` (dense — used for full cost vectors).
@@ -422,6 +525,7 @@ impl<'a> RevisedState<'a> {
     /// transform `ρ' = e_r' B⁻¹` — or, once recent results have been dense,
     /// the dense BTRAN straight away, whose values are the same.
     fn btran_unit(&mut self, row: usize, rho: &mut PatVec) {
+        let started = self.clock.start();
         rho.clear();
         rho.set(row, 1.0);
         rho.dense = if self.btran_density > DENSE_ROUTE_DENSITY {
@@ -447,6 +551,7 @@ impl<'a> RevisedState<'a> {
             }
         }
         self.btran_density = 0.9 * self.btran_density + 0.1 * rho.density();
+        self.clock.stop(Stage::PivotRowBtran, started);
     }
 
     /// Bounded sparse BTRAN of an already-populated pattern vector in place
@@ -456,16 +561,16 @@ impl<'a> RevisedState<'a> {
     /// rather than paying a dense solve for an optional quantity.
     fn btran_patvec(&mut self, v: &mut PatVec) -> bool {
         debug_assert!(!v.dense);
+        let started = self.clock.start();
         let cap = (2 * v.pattern.len()).max(128);
-        if self
+        let solved = self
             .lu
-            .btran_sparse_bounded(&mut v.values, &mut v.pattern, cap)
-        {
+            .btran_sparse_bounded(&mut v.values, &mut v.pattern, cap);
+        if solved {
             v.pattern.sort_unstable(); // see ftran_column on why
-            true
-        } else {
-            false
         }
+        self.clock.stop(Stage::CrossTermBtran, started);
+        solved
     }
 
     /// Ratio test: the row whose basic variable leaves when the FTRANed
@@ -534,6 +639,7 @@ impl<'a> RevisedState<'a> {
     /// basis books, and the LU factors (repairing on breakdown).  Returns
     /// `true` for a non-degenerate pivot.
     fn apply_pivot(&mut self, row: usize, col: usize, w: &PatVec) -> Result<bool, SimplexError> {
+        let started = self.clock.start();
         let pivot_value = w.values[row];
         debug_assert!(pivot_value.abs() > 0.0, "pivot on a zero element");
         // Step length t: how far the entering variable travels from zero
@@ -563,12 +669,14 @@ impl<'a> RevisedState<'a> {
         } else {
             Some(self.spike_pattern.as_slice())
         };
-        if self.lu.update(row, &self.spike, spike_pattern).is_err() {
+        let updated = self.lu.update(row, &self.spike, spike_pattern).is_ok();
+        self.clock.stop(Stage::FtUpdate, started);
+        if updated {
+            self.repair_streak = 0;
+        } else {
             // The update left the factors unusable; rebuild from scratch (this
             // recomputes x_B exactly from the repaired basis).
             self.repair("Forrest–Tomlin update met a singular basis", false)?;
-        } else {
-            self.repair_streak = 0;
         }
         Ok(nondegenerate)
     }
@@ -615,6 +723,10 @@ impl<'a> RevisedState<'a> {
             }
         }
         cpm_obs::histogram!("cpm_lp_refactorize_nanos").record_duration(refactor_started.elapsed());
+        self.clock.stop(
+            Stage::Refactorization,
+            self.clock.on.then_some(refactor_started),
+        );
         let factor_bytes = self.lu.footprint_bytes();
         cpm_obs::histogram!("cpm_lp_factor_bytes").record(factor_bytes as u64);
         self.factor_bytes = self.factor_bytes.max(factor_bytes);
@@ -1336,6 +1448,7 @@ fn dual_phase(
         {
             return Ok(DualOutcome::Stalled);
         }
+        let started = basis.clock.start();
         if basis.dirty_reduced_costs {
             exact_reduced_costs(basis, costs, &mut ws.y, d);
             basis.dirty_reduced_costs = false;
@@ -1356,15 +1469,19 @@ fn dual_phase(
                 }
             }
         }
+        basis.clock.stop(Stage::Pricing, started);
         let Some((row, _)) = leaving else {
             return Ok(DualOutcome::PrimalFeasible);
         };
 
         // ---- pivot row over the core columns ----------------------------
         basis.btran_unit(row, &mut ws.rho);
+        let started = basis.clock.start();
         ws.pivot_row(&basis.row_major);
+        basis.clock.stop(Stage::PivotRowPass, started);
 
         // ---- dual ratio test (two passes) -------------------------------
+        let started = basis.clock.start();
         let mut theta_bound = f64::INFINITY;
         for &j in ws.alpha.pattern() {
             if basis.in_basis[j] {
@@ -1376,6 +1493,7 @@ fn dual_phase(
             }
         }
         if theta_bound.is_infinite() {
+            basis.clock.stop(Stage::RatioTest, started);
             return Ok(DualOutcome::Stalled);
         }
         let mut entering: Option<(usize, f64)> = None;
@@ -1391,6 +1509,7 @@ fn dual_phase(
                 entering = Some((j, -a));
             }
         }
+        basis.clock.stop(Stage::RatioTest, started);
         let Some((col, _)) = entering else {
             return Ok(DualOutcome::Stalled);
         };
@@ -1413,6 +1532,7 @@ fn dual_phase(
         mismatch_retry = false;
 
         // ---- incremental dual update from the pivot row ------------------
+        let started = basis.clock.start();
         let theta_d = d[col].max(0.0) / pivot; // ≤ 0 by construction
         for &j in ws.alpha.pattern() {
             if j == col || basis.in_basis[j] {
@@ -1450,6 +1570,7 @@ fn dual_phase(
             weights.fill(1.0);
             weight_max = 1.0;
         }
+        basis.clock.stop(Stage::WeightUpdate, started);
 
         if basis.apply_pivot(row, col, &ws.w).is_err() {
             return Ok(DualOutcome::Stalled);
@@ -1504,6 +1625,7 @@ fn run_phase(
         }
 
         // ---- entering column -------------------------------------------------
+        let started = basis.clock.start();
         let entering = loop {
             if state.using_bland {
                 break price_bland(basis, costs, eps, &mut ws.y);
@@ -1521,6 +1643,7 @@ fn run_phase(
                 None => break None,
             }
         };
+        basis.clock.stop(Stage::Pricing, started);
         let Some(col) = entering else {
             // Confirm optimality on *fresh* factors: the reduced costs above
             // are exact with respect to the current factorisation, but the
@@ -1541,6 +1664,7 @@ fn run_phase(
 
         // Verify a candidate priced from drifted reduced costs against the
         // FTRANed column before pivoting on it.
+        let started = basis.clock.start();
         let mut d_actual = costs[col];
         {
             let w = &ws.w;
@@ -1548,20 +1672,27 @@ fn run_phase(
                 d_actual -= costs[basis.basis[r]] * wr;
             });
         }
+        basis.clock.stop(Stage::Pricing, started);
         if !state.using_bland && !pricing.exact && !favourable(d_actual, eps * 0.5) {
             pricing.d[col] = d_actual;
             pricing.dirty = true;
             continue;
         }
 
-        let Some(row) = basis.ratio_test(&ws.w, eps, state.using_bland) else {
+        let started = basis.clock.start();
+        let leaving_row = basis.ratio_test(&ws.w, eps, state.using_bland);
+        basis.clock.stop(Stage::RatioTest, started);
+        let Some(row) = leaving_row else {
             return Ok(PhaseOutcome::Unbounded);
         };
 
         // ---- pricing update from the pivot row (before the basis changes) ----
         if !state.using_bland {
             basis.btran_unit(row, &mut ws.rho);
+            let started = basis.clock.start();
             ws.pivot_row(&basis.row_major);
+            basis.clock.stop(Stage::PivotRowPass, started);
+            let mut started = basis.clock.start();
             let leaving = basis.basis[row];
             if matches!(pricing.rule, PricingRule::SteepestEdge) {
                 // The entering FTRAN gives the projected norm exactly, for
@@ -1594,7 +1725,9 @@ fn run_phase(
                 if ws.v.pattern.is_empty() {
                     ws.tau.clear();
                 } else {
+                    basis.clock.stop(Stage::WeightUpdate, started);
                     let have_tau = basis.btran_patvec(&mut ws.v);
+                    started = basis.clock.start();
                     if have_tau {
                         ws.tau_row(&basis.row_major);
                     } else {
@@ -1626,6 +1759,7 @@ fn run_phase(
                     &basis.in_basis,
                 );
             }
+            basis.clock.stop(Stage::WeightUpdate, started);
         } else {
             // Bland mode prices exactly each iteration; the incremental state
             // is stale once we leave it.

@@ -1,7 +1,9 @@
 //! The solve route and the options it takes.
 //!
-//! Every [`LinearProgram::solve_with`] call runs one route: standardise,
-//! then the sparse revised simplex (primal or dual form, see [`LpForm`]).
+//! Every solve runs one route: [`LinearProgram::standardize`] validates and
+//! standardises the program once, and [`StandardForm::solve_with`] runs the
+//! sparse revised simplex on it (primal or dual form, see [`LpForm`]);
+//! [`LinearProgram::solve_with`] is the two in a row.
 //! The pivoting itself lives in [`crate::revised`]: the basis inverse is a
 //! sparse LU factorisation updated in place by Forrest–Tomlin rank-one
 //! updates, so a pivot costs `O(nnz)` (see [`crate::lu`]).  Phase 1 prices
@@ -17,10 +19,11 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::SimplexError;
+#[cfg(doc)]
 use crate::model::LinearProgram;
 use crate::revised;
 use crate::solution::{Solution, SolveStatus};
-use crate::standard::{standardize, StandardForm};
+use crate::standard::StandardForm;
 
 /// Consecutive degenerate pivots tolerated before the pricing falls back to
 /// Bland's rule (and back after the next improving pivot).
@@ -334,45 +337,60 @@ pub(crate) struct SolvedPoint {
     pub basis: Option<Vec<usize>>,
 }
 
-/// Solve an already-validated program.  Called by [`LinearProgram::solve_with`].
-///
-/// This is the observability choke point for the whole solver: every solve is
-/// wrapped in a `simplex/lp_solve` span, completed stats are folded into the
-/// global metrics registry, and a [`SimplexError::NumericalBreakdown`] that
-/// *escapes* (repair budget exhausted — the recoverable ones are handled in
-/// [`crate::revised`]) dumps the flight recorder to stderr.  Setting
-/// `CPM_OBS_INJECT_BREAKDOWN=1` forces that terminal path without needing a
-/// genuinely singular basis (used by the observability integration test; keep
-/// it out of multi-test processes — it poisons every solve).
-pub(crate) fn solve_prepared(
-    lp: &LinearProgram,
-    options: &SolveOptions,
-) -> Result<Solution, SimplexError> {
-    let span = cpm_obs::span!("simplex", "lp_solve");
-    let injected = std::env::var("CPM_OBS_INJECT_BREAKDOWN")
-        .map(|v| !matches!(v.trim(), "" | "0" | "off" | "false"))
-        .unwrap_or(false);
-    let result = if injected {
-        Err(SimplexError::NumericalBreakdown {
-            context: "injected by CPM_OBS_INJECT_BREAKDOWN",
-            repairs: 0,
-        })
-    } else {
-        solve_prepared_inner(lp, options)
-    };
-    match &result {
-        Ok(solution) => record_solve_metrics(&solution.stats, span.elapsed_nanos()),
-        Err(SimplexError::NumericalBreakdown { context, repairs }) => {
-            cpm_obs::counter!("cpm_lp_breakdowns_total").inc();
-            cpm_obs::error(
-                "simplex",
-                format!("terminal numerical breakdown: {context} (after {repairs} repairs)"),
-            );
-            cpm_obs::flight::dump("solver numerical breakdown");
+impl StandardForm {
+    /// Solve with explicit options (iteration limit, tolerance, warm-start
+    /// basis, LP form), reporting values over the model's variables.
+    ///
+    /// This is the observability choke point for the whole solver: every
+    /// solve is wrapped in a `simplex/lp_solve` span, completed stats are
+    /// folded into the global metrics registry, and a
+    /// [`SimplexError::NumericalBreakdown`] that *escapes* (repair budget
+    /// exhausted — the recoverable ones are handled in the revised simplex)
+    /// dumps the flight recorder to stderr.  Setting
+    /// `CPM_OBS_INJECT_BREAKDOWN=1` forces that terminal path without needing
+    /// a genuinely singular basis (used by the observability integration
+    /// test; keep it out of multi-test processes — it poisons every solve).
+    pub fn solve_with(&self, options: &SolveOptions) -> Result<Solution, SimplexError> {
+        let span = cpm_obs::span!("simplex", "lp_solve");
+        let injected = std::env::var("CPM_OBS_INJECT_BREAKDOWN")
+            .map(|v| !matches!(v.trim(), "" | "0" | "off" | "false"))
+            .unwrap_or(false);
+        let result = if injected {
+            Err(SimplexError::NumericalBreakdown {
+                context: "injected by CPM_OBS_INJECT_BREAKDOWN",
+                repairs: 0,
+            })
+        } else {
+            self.solve_route(options)
+        };
+        match &result {
+            Ok(solution) => record_solve_metrics(&solution.stats, span.elapsed_nanos()),
+            Err(SimplexError::NumericalBreakdown { context, repairs }) => {
+                cpm_obs::counter!("cpm_lp_breakdowns_total").inc();
+                cpm_obs::error(
+                    "simplex",
+                    format!("terminal numerical breakdown: {context} (after {repairs} repairs)"),
+                );
+                cpm_obs::flight::dump("solver numerical breakdown");
+            }
+            Err(_) => {}
         }
-        Err(_) => {}
+        result
     }
-    result
+
+    fn solve_route(&self, options: &SolveOptions) -> Result<Solution, SimplexError> {
+        let form = resolve_form(options, self);
+        solve_standard(self, |sf| {
+            if form == LpForm::Dual {
+                // An ineligible or numerically unlucky dual attempt falls back to
+                // the primal path, which is always correct.
+                if let Some(point) = crate::dual::solve_via_dual(sf, options)? {
+                    return Ok(point);
+                }
+            }
+            revised::solve(sf, options)
+        })
+    }
 }
 
 /// Fold one completed solve's [`SolveStats`] into the metrics registry (see
@@ -397,23 +415,6 @@ fn record_solve_metrics(stats: &SolveStats, solve_nanos: u64) {
     if stats.warm_started {
         cpm_obs::counter!("cpm_lp_warm_started_total").inc();
     }
-}
-
-fn solve_prepared_inner(
-    lp: &LinearProgram,
-    options: &SolveOptions,
-) -> Result<Solution, SimplexError> {
-    let form = resolve_form(options, lp);
-    solve_standard(&standardize(lp), |sf| {
-        if form == LpForm::Dual {
-            // An ineligible or numerically unlucky dual attempt falls back to
-            // the primal path, which is always correct.
-            if let Some(point) = crate::dual::solve_via_dual(sf, options)? {
-                return Ok(point);
-            }
-        }
-        revised::solve(sf, options)
-    })
 }
 
 /// Run `pivot` on a standard form and turn its optimum into a [`Solution`]
@@ -448,14 +449,15 @@ pub(crate) fn solve_standard(
 /// `Auto` becomes `Dual` exactly when the program is tall enough
 /// for the half-size dual basis to pay for the dualize and certification
 /// factorisations — at least [`LpForm::AUTO_MIN_ROWS`] rows and rows ≥
-/// [`LpForm::AUTO_MIN_ASPECT`] · cols.
-fn resolve_form(options: &SolveOptions, lp: &LinearProgram) -> LpForm {
+/// [`LpForm::AUTO_MIN_ASPECT`] · cols, counted as the model wrote them
+/// (constraints, variables).
+fn resolve_form(options: &SolveOptions, sf: &StandardForm) -> LpForm {
     match options.form {
         LpForm::Primal => LpForm::Primal,
         LpForm::Dual => LpForm::Dual,
         LpForm::Auto => {
-            let rows = lp.num_constraints();
-            let cols = lp.num_variables();
+            let rows = sf.num_constraints;
+            let cols = sf.mapping.len();
             let tall = rows as f64 >= LpForm::AUTO_MIN_ASPECT * cols as f64;
             if rows >= LpForm::AUTO_MIN_ROWS && tall {
                 LpForm::Dual
@@ -494,6 +496,7 @@ mod tests {
     use super::*;
     use crate::model::{LinearProgram, Relation};
     use crate::oracle::solve_dense;
+    use crate::standard::standardize;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-7, "{a} != {b}");
@@ -534,14 +537,15 @@ mod tests {
         lp
     }
 
-    /// A synthetic program with `rows` single-term rows over `cols` columns.
-    fn program(rows: usize, cols: usize) -> LinearProgram {
+    /// The standard form of a synthetic program with `rows` single-term
+    /// rows over `cols` columns.
+    fn program(rows: usize, cols: usize) -> StandardForm {
         let mut lp = LinearProgram::minimize();
         let vars = lp.add_variables("x", cols);
         for r in 0..rows {
             lp.add_constraint([(vars[r % cols], 1.0)], Relation::GreaterEq, 0.0);
         }
-        lp
+        standardize(&lp)
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! * `row_idx[k]` is the row of the `k`-th stored entry,
 //! * `values[k]` is its coefficient.
 //!
+//! Offsets and indices are `u32`, as in the LU factors: an entry costs 12
+//! bytes, and a program with 2³² nonzeros is far beyond anything the solver
+//! could pivot on.
+//!
 //! Rows are strictly ascending within every column (the triplet constructor sorts
 //! and merges duplicates), so per-column scans are cache-friendly and
 //! [`SparseMatrix::get`] can binary-search.
@@ -28,9 +32,18 @@
 pub struct SparseMatrix {
     num_rows: usize,
     num_cols: usize,
-    col_ptr: Vec<usize>,
-    row_idx: Vec<usize>,
+    col_ptr: Vec<u32>,
+    row_idx: Vec<u32>,
     values: Vec<f64>,
+}
+
+/// Panic unless `count` fits the `u32` offsets and indices of the
+/// compressed formats.
+pub(crate) fn check_u32(count: usize, what: &str) {
+    assert!(
+        u32::try_from(count).is_ok(),
+        "{count} {what} overflow the u32 indices of a sparse matrix"
+    );
 }
 
 impl SparseMatrix {
@@ -57,8 +70,12 @@ impl SparseMatrix {
             assert!(v.is_finite(), "non-finite value at ({r}, {c})");
         }
 
+        check_u32(num_rows, "rows");
+        check_u32(num_cols, "columns");
+        check_u32(triplets.len(), "entries");
+
         // Counting sort by column.
-        let mut counts = vec![0usize; num_cols + 1];
+        let mut counts = vec![0u32; num_cols + 1];
         for &(_, c, _) in triplets {
             counts[c + 1] += 1;
         }
@@ -66,21 +83,21 @@ impl SparseMatrix {
             counts[j + 1] += counts[j];
         }
         let mut positions = counts.clone();
-        let mut row_idx = vec![0usize; triplets.len()];
+        let mut row_idx = vec![0u32; triplets.len()];
         let mut values = vec![0.0f64; triplets.len()];
         for &(r, c, v) in triplets {
-            let slot = positions[c];
+            let slot = positions[c] as usize;
             positions[c] += 1;
-            row_idx[slot] = r;
+            row_idx[slot] = r as u32;
             values[slot] = v;
         }
 
         // Sort each column by row and merge duplicates in place.
         let mut write = 0usize;
-        let mut col_ptr = vec![0usize; num_cols + 1];
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
+        let mut col_ptr = vec![0u32; num_cols + 1];
+        let mut scratch: Vec<(u32, f64)> = Vec::new();
         for j in 0..num_cols {
-            let (start, end) = (counts[j], counts[j + 1]);
+            let (start, end) = (counts[j] as usize, counts[j + 1] as usize);
             scratch.clear();
             scratch.extend(
                 row_idx[start..end]
@@ -109,7 +126,7 @@ impl SparseMatrix {
                 }
             }
             write = keep;
-            col_ptr[j + 1] = write;
+            col_ptr[j + 1] = write as u32;
         }
         row_idx.truncate(write);
         values.truncate(write);
@@ -117,6 +134,34 @@ impl SparseMatrix {
         SparseMatrix {
             num_rows,
             num_cols,
+            col_ptr,
+            row_idx,
+            values,
+        }
+    }
+
+    /// Assemble a matrix from its CSC arrays: column `j` holds entries
+    /// `col_ptr[j] .. col_ptr[j + 1]` of `row_idx`/`values`, rows strictly
+    /// ascending, no stored zeros.
+    pub(crate) fn from_csc(
+        num_rows: usize,
+        col_ptr: Vec<u32>,
+        row_idx: Vec<u32>,
+        values: Vec<f64>,
+    ) -> Self {
+        check_u32(num_rows, "rows");
+        debug_assert_eq!(col_ptr.first(), Some(&0));
+        debug_assert_eq!(col_ptr.last().map(|&end| end as usize), Some(row_idx.len()));
+        debug_assert_eq!(row_idx.len(), values.len());
+        debug_assert!(col_ptr.windows(2).all(|w| {
+            let rows = &row_idx[w[0] as usize..w[1] as usize];
+            rows.windows(2).all(|pair| pair[0] < pair[1])
+                && rows.iter().all(|&r| (r as usize) < num_rows)
+        }));
+        debug_assert!(values.iter().all(|&v| v != 0.0 && v.is_finite()));
+        SparseMatrix {
+            num_rows,
+            num_cols: col_ptr.len() - 1,
             col_ptr,
             row_idx,
             values,
@@ -144,32 +189,29 @@ impl SparseMatrix {
     /// The `(row, value)` entries of column `j`, rows ascending.
     #[inline]
     pub fn column(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let range = self.col_ptr[j]..self.col_ptr[j + 1];
-        self.row_idx[range.clone()]
-            .iter()
-            .copied()
-            .zip(self.values[range].iter().copied())
+        let (rows, values) = self.column_slices(j);
+        rows.iter().map(|&r| r as usize).zip(values.iter().copied())
     }
 
     /// Number of stored entries in column `j`.
     #[inline]
     pub fn column_nnz(&self, j: usize) -> usize {
-        self.col_ptr[j + 1] - self.col_ptr[j]
+        (self.col_ptr[j + 1] - self.col_ptr[j]) as usize
     }
 
     /// Column `j` as parallel `(rows, values)` slices, rows ascending.
     #[inline]
-    pub fn column_slices(&self, j: usize) -> (&[usize], &[f64]) {
-        let range = self.col_ptr[j]..self.col_ptr[j + 1];
+    pub fn column_slices(&self, j: usize) -> (&[u32], &[f64]) {
+        let range = self.col_ptr[j] as usize..self.col_ptr[j + 1] as usize;
         (&self.row_idx[range.clone()], &self.values[range])
     }
 
     /// The value at `(row, col)` (zero when not stored).  `O(log column_nnz)`.
     pub fn get(&self, row: usize, col: usize) -> f64 {
-        let range = self.col_ptr[col]..self.col_ptr[col + 1];
-        match self.row_idx[range.clone()].binary_search(&row) {
-            Ok(offset) => self.values[range.start + offset],
-            Err(_) => 0.0,
+        let (rows, values) = self.column_slices(col);
+        match u32::try_from(row).map(|row| rows.binary_search(&row)) {
+            Ok(Ok(offset)) => values[offset],
+            _ => 0.0,
         }
     }
 
@@ -188,11 +230,9 @@ impl SparseMatrix {
     pub fn to_dense_rows(&self) -> Vec<Vec<f64>> {
         let mut rows = vec![vec![0.0; self.num_cols]; self.num_rows];
         for (j, window) in self.col_ptr.windows(2).enumerate() {
-            let entries = self.row_idx[window[0]..window[1]]
-                .iter()
-                .zip(&self.values[window[0]..window[1]]);
-            for (&r, &v) in entries {
-                rows[r][j] = v;
+            let range = window[0] as usize..window[1] as usize;
+            for (&r, &v) in self.row_idx[range.clone()].iter().zip(&self.values[range]) {
+                rows[r as usize][j] = v;
             }
         }
         rows
@@ -214,21 +254,29 @@ impl SparseMatrix {
     /// but only `O(Σ_{r ∈ supp} row_nnz(r))` row-wise, and the LU
     /// factorisation's pivot search wants row counts.  Built once per solve.
     pub fn to_row_major(&self) -> RowMajor {
-        let mut row_ptr = vec![0usize; self.num_rows + 1];
-        for &r in &self.row_idx {
-            row_ptr[r + 1] += 1;
+        self.leading_row_major(self.num_cols)
+    }
+
+    /// The compressed sparse row mirror of the first `cols` columns: row `r`
+    /// lists the entries `(j, a_rj)` with `j < cols`, columns ascending.  A
+    /// counting-sort transpose, `O(nnz + rows)`.
+    pub(crate) fn leading_row_major(&self, cols: usize) -> RowMajor {
+        let end = self.col_ptr[cols] as usize;
+        let mut row_ptr = vec![0u32; self.num_rows + 1];
+        for &r in &self.row_idx[..end] {
+            row_ptr[r as usize + 1] += 1;
         }
         for r in 0..self.num_rows {
             row_ptr[r + 1] += row_ptr[r];
         }
         let mut cursor = row_ptr.clone();
-        let mut col_idx = vec![0usize; self.nnz()];
-        let mut values = vec![0.0f64; self.nnz()];
-        for j in 0..self.num_cols {
+        let mut col_idx = vec![0u32; end];
+        let mut values = vec![0.0f64; end];
+        for j in 0..cols {
             for (r, v) in self.column(j) {
-                let slot = cursor[r];
+                let slot = cursor[r] as usize;
                 cursor[r] += 1;
-                col_idx[slot] = j;
+                col_idx[slot] = j as u32;
                 values[slot] = v;
             }
         }
@@ -244,8 +292,8 @@ impl SparseMatrix {
 /// within each row), produced by [`SparseMatrix::to_row_major`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowMajor {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    row_ptr: Vec<u32>,
+    col_idx: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -253,17 +301,21 @@ impl RowMajor {
     /// The `(col, value)` entries of row `r`, columns ascending.
     #[inline]
     pub fn row(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let range = self.row_ptr[r]..self.row_ptr[r + 1];
-        self.col_idx[range.clone()]
-            .iter()
-            .copied()
-            .zip(self.values[range].iter().copied())
+        let (cols, values) = self.row_slices(r);
+        cols.iter().map(|&j| j as usize).zip(values.iter().copied())
+    }
+
+    /// Row `r` as parallel `(cols, values)` slices, columns ascending.
+    #[inline]
+    pub fn row_slices(&self, r: usize) -> (&[u32], &[f64]) {
+        let range = self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize;
+        (&self.col_idx[range.clone()], &self.values[range])
     }
 
     /// Number of stored entries in row `r`.
     #[inline]
     pub fn row_nnz(&self, r: usize) -> usize {
-        self.row_ptr[r + 1] - self.row_ptr[r]
+        (self.row_ptr[r + 1] - self.row_ptr[r]) as usize
     }
 }
 

@@ -22,7 +22,12 @@
 //! standardisation is `O(nnz)` in time and memory.  The dense reference solver
 //! densifies on demand; the revised simplex consumes the CSC columns
 //! directly.
+//!
+//! A program is standardised once: [`LinearProgram::standardize`] validates
+//! the model and returns the [`StandardForm`] every solve, crash basis and
+//! lifted seed then reads, so a caller that holds it can drop the builder.
 
+use crate::error::SimplexError;
 use crate::model::{LinearProgram, Objective, Relation};
 use crate::sparse::SparseMatrix;
 
@@ -39,27 +44,47 @@ pub(crate) enum VariableMapping {
     Fixed(f64),
 }
 
-/// The standard-form program handed to the simplex drivers.
+/// A validated linear program in sparse standard form, `min c'z, Az = b,
+/// z ≥ 0, b ≥ 0`: the one form every solve runs on.
+///
+/// Built by [`LinearProgram::standardize`], which validates the model and
+/// standardises it exactly once; [`StandardForm::solve_with`] solves it (as
+/// [`LinearProgram::solve_with`] does), and [`crash_basis`] and
+/// [`lift_basis`] express their seeds against it.  It holds everything a
+/// solve needs to report values over the model's variables, so a caller can
+/// drop the builder [`LinearProgram`] once its seeds are built.
 #[derive(Debug, Clone)]
-pub(crate) struct StandardForm {
+pub struct StandardForm {
     /// The constraint matrix over all columns (structural + slack/surplus), CSC.
-    pub matrix: SparseMatrix,
+    pub(crate) matrix: SparseMatrix,
     /// Right-hand sides, all non-negative.
-    pub rhs: Vec<f64>,
+    pub(crate) rhs: Vec<f64>,
     /// Minimisation costs for every column (structural + slack/surplus).
-    pub costs: Vec<f64>,
+    pub(crate) costs: Vec<f64>,
     /// Number of structural columns; columns `num_structural..num_columns()`
     /// are the slack/surplus singletons appended per inequality row (the
     /// dualize transform folds them into sign bounds on the dual variables).
-    pub num_structural: usize,
+    pub(crate) num_structural: usize,
+    /// Number of the model's constraint rows; the rows after them are the
+    /// bound rows of two-sided variable bounds.
+    pub(crate) num_constraints: usize,
     /// Per-row column index usable as the initial basic variable, if any.
-    pub basis_hint: Vec<Option<usize>>,
+    pub(crate) basis_hint: Vec<Option<usize>>,
     /// Mapping from user variables to standard-form columns.
-    pub mapping: Vec<VariableMapping>,
+    pub(crate) mapping: Vec<VariableMapping>,
     /// Constant added to the (minimisation) objective by variable shifts.
-    pub objective_constant: f64,
+    pub(crate) objective_constant: f64,
     /// Whether the user asked to maximise (the reported objective must be negated back).
-    pub maximize: bool,
+    pub(crate) maximize: bool,
+}
+
+impl LinearProgram {
+    /// Validate the model and convert it to the [`StandardForm`] its solves
+    /// run on.
+    pub fn standardize(&self) -> Result<StandardForm, SimplexError> {
+        self.validate()?;
+        Ok(standardize(self))
+    }
 }
 
 impl StandardForm {
@@ -75,12 +100,12 @@ impl StandardForm {
 
     /// Coefficient at `(row, col)` — test/diagnostic accessor.
     #[cfg(test)]
-    pub fn coeff(&self, row: usize, col: usize) -> f64 {
+    pub(crate) fn coeff(&self, row: usize, col: usize) -> f64 {
         self.matrix.get(row, col)
     }
 
     /// Recover the user-variable values from a standard-form point.
-    pub fn recover_values(&self, z: &[f64]) -> Vec<f64> {
+    pub(crate) fn recover_values(&self, z: &[f64]) -> Vec<f64> {
         self.mapping
             .iter()
             .map(|m| match *m {
@@ -93,7 +118,7 @@ impl StandardForm {
     }
 
     /// The slack or surplus column of each row (`None` on equality rows).
-    pub fn slack_of_row(&self) -> Vec<Option<usize>> {
+    pub(crate) fn slack_of_row(&self) -> Vec<Option<usize>> {
         let mut slack_of_row = vec![None; self.num_rows()];
         for col in self.num_structural..self.num_columns() {
             let mut entries = self.matrix.column(col);
@@ -108,17 +133,23 @@ impl StandardForm {
     }
 
     /// The bound row of user variable `var` — the `z ≤ upper − lower` row
-    /// standardisation writes after the `num_constraints` constraint rows for
-    /// a variable with two finite bounds — if it has one.
-    fn bound_row(&self, var: usize, num_constraints: usize) -> Option<usize> {
+    /// standardisation writes after the constraint rows for a variable with
+    /// two finite bounds — if it has one.
+    fn bound_row(&self, var: usize) -> Option<usize> {
         match self.mapping[var] {
             VariableMapping::Shifted { col, .. } => self
                 .matrix
                 .column(col)
                 .map(|(row, _)| row)
-                .find(|&row| row >= num_constraints),
+                .find(|&row| row >= self.num_constraints),
             _ => None,
         }
+    }
+
+    /// Whether this is the standard form of `lp`'s shape: its variables and
+    /// constraint rows.  Seeds are only built against a matching form.
+    fn fits(&self, lp: &LinearProgram) -> bool {
+        self.mapping.len() == lp.num_variables() && self.num_constraints == lp.num_constraints()
     }
 }
 
@@ -285,6 +316,7 @@ pub(crate) fn standardize(lp: &LinearProgram) -> StandardForm {
         rhs: rhs_vec,
         costs,
         num_structural: num_structural_columns,
+        num_constraints: lp.num_constraints(),
         basis_hint,
         mapping,
         objective_constant,
@@ -316,8 +348,10 @@ pub(crate) fn standardize(lp: &LinearProgram) -> StandardForm {
 /// artificial marker for equality rows — exactly as a cold solve treats
 /// redundant rows.
 ///
-/// The basis is expressed against the standard form of `lp`, the space
-/// [`SolveOptions::warm_basis`](crate::SolveOptions::warm_basis) lives in.
+/// The basis is expressed against `sf`, the [`StandardForm`] of `lp` (read,
+/// never rebuilt), the space
+/// [`SolveOptions::warm_basis`](crate::SolveOptions::warm_basis) lives in;
+/// `lp` supplies the rows' activities as the model writes them.
 /// On the BASICDP program, where the closed-form Geometric Mechanism is the
 /// exact `L0` optimum, the crash reduces the solve to one factorisation; under
 /// the other objectives it is a feasible start.  Property-constrained
@@ -328,15 +362,14 @@ pub(crate) fn standardize(lp: &LinearProgram) -> StandardForm {
 /// singular or infeasible both ways, and certifies optimality with the
 /// ordinary primal machinery.
 ///
-/// Returns `None` when `values` has the wrong length.
-pub fn crash_basis(lp: &LinearProgram, values: &[f64]) -> Option<Vec<usize>> {
-    if values.len() != lp.num_variables() {
+/// Returns `None` when `values` has the wrong length or `sf` does not have
+/// `lp`'s shape.
+pub fn crash_basis(lp: &LinearProgram, sf: &StandardForm, values: &[f64]) -> Option<Vec<usize>> {
+    if values.len() != lp.num_variables() || !sf.fits(lp) {
         return None;
     }
-    let sf = standardize(lp);
     let m = sf.num_rows();
     let num_core = sf.num_columns();
-    let num_constraints = lp.num_constraints();
     let slack_of_row = sf.slack_of_row();
 
     // Interior structural columns, remembered with their distance from zero
@@ -392,9 +425,7 @@ pub fn crash_basis(lp: &LinearProgram, values: &[f64]) -> Option<Vec<usize>> {
         }
     }
     for (var, mapping) in sf.mapping.iter().enumerate() {
-        if let (Some(row), VariableMapping::Shifted { offset, .. }) =
-            (sf.bound_row(var, num_constraints), mapping)
-        {
+        if let (Some(row), VariableMapping::Shifted { offset, .. }) = (sf.bound_row(var), mapping) {
             let (dist, span) = (values[var] - offset, sf.rhs[row]);
             if (span - dist).abs() > 1e-7 * span.max(dist.abs()) {
                 slots[row] = slack_of_row[row];
@@ -448,14 +479,21 @@ pub fn crash_basis(lp: &LinearProgram, values: &[f64]) -> Option<Vec<usize>> {
 /// start's dual simplex repairs.  In dual form the same seed is primal feasible and dual
 /// infeasible, and the warm start runs the primal simplex from it.
 ///
-/// Returns `None` when `lp` does not extend `relaxed`, when the basis has the
-/// wrong length, or when an appended row is an equality (it has no slack to
-/// make basic).  Like any seed, the result is a hint the solver verifies,
-/// never an answer.
+/// `relaxed_sf` and `sf` are the [`StandardForm`]s of `relaxed` and `lp`,
+/// which the lift reads instead of rebuilding; the models themselves are
+/// only compared.
+///
+/// Returns `None` when `lp` does not extend `relaxed`, when either standard
+/// form does not have its model's shape, when the basis has the wrong
+/// length, or when an appended row is an equality (it has no slack to make
+/// basic).  Like any seed, the result is a hint the solver verifies, never
+/// an answer.
 pub fn lift_basis(
     relaxed: &LinearProgram,
+    relaxed_sf: &StandardForm,
     relaxed_basis: &[usize],
     lp: &LinearProgram,
+    sf: &StandardForm,
 ) -> Option<Vec<usize>> {
     let raises_lower_bounds = relaxed.variables.len() == lp.variables.len()
         && relaxed.variables.iter().zip(&lp.variables).all(|(a, b)| {
@@ -471,10 +509,10 @@ pub fn lift_basis(
             .constraints()
             .zip(lp.constraints())
             .all(|(a, b)| a == b);
-    if !extends {
+    if !extends || !relaxed_sf.fits(relaxed) || !sf.fits(lp) {
         return None;
     }
-    let (from, to) = (standardize(relaxed), standardize(lp));
+    let (from, to) = (relaxed_sf, sf);
     if relaxed_basis.len() != from.num_rows() {
         return None;
     }

@@ -1,7 +1,7 @@
 //! Flight-recorder integration: an injected terminal solver breakdown must
 //! fail the solve *and* dump the flight recorder.
 //!
-//! `CPM_OBS_INJECT_BREAKDOWN` poisons every `solve_prepared` call in the
+//! `CPM_OBS_INJECT_BREAKDOWN` poisons every `StandardForm::solve_with` call in the
 //! process, so this lives in its own integration-test binary (one process per
 //! test file) and runs as a single `#[test]` — the other simplex test binaries
 //! never see the variable.

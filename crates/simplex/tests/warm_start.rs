@@ -27,6 +27,17 @@ fn ratio_lp(n: usize, alpha: f64) -> (LinearProgram, Vec<VariableId>) {
     (lp, vars)
 }
 
+/// [`crash_basis`] against `lp`'s own standard form.
+fn crash(lp: &LinearProgram, values: &[f64]) -> Option<Vec<usize>> {
+    crash_basis(lp, &lp.standardize().unwrap(), values)
+}
+
+/// [`lift_basis`] between the two models' own standard forms.
+fn lift(relaxed: &LinearProgram, basis: &[usize], lp: &LinearProgram) -> Option<Vec<usize>> {
+    let (relaxed_sf, sf) = (relaxed.standardize().unwrap(), lp.standardize().unwrap());
+    lift_basis(relaxed, &relaxed_sf, basis, lp, &sf)
+}
+
 fn warm_options(basis: Vec<usize>) -> SolveOptions {
     SolveOptions {
         warm_basis: Some(basis),
@@ -189,8 +200,7 @@ fn lifted_relaxation_basis_warm_starts_the_extended_program() {
             .unwrap()
             .optimal_basis
             .expect("the relaxation reports its basis");
-        let lifted =
-            lift_basis(&relaxed, &basis, &lp).expect("appended inequality rows always lift");
+        let lifted = lift(&relaxed, &basis, &lp).expect("appended inequality rows always lift");
         let cold = lp.solve_with(&options).unwrap();
         let warm = lp
             .solve_with(&options.clone().with_warm_basis(Some(lifted)))
@@ -215,26 +225,30 @@ fn lift_basis_refuses_what_it_cannot_map() {
     let (relaxed, vars) = ratio_lp(6, 0.8);
     let basis = relaxed.solve().unwrap().optimal_basis.unwrap();
     let lp = extended_ratio_lp(6, 0.8);
-    assert!(lift_basis(&relaxed, &basis, &lp).is_some());
+    assert!(lift(&relaxed, &basis, &lp).is_some());
+    // A standard form of another program's shape.
+    let (relaxed_sf, sf) = (relaxed.standardize().unwrap(), lp.standardize().unwrap());
+    assert!(lift_basis(&relaxed, &sf, &basis, &lp, &sf).is_none());
+    assert!(lift_basis(&relaxed, &relaxed_sf, &basis, &lp, &relaxed_sf).is_none());
 
     // Wrong basis length.
-    assert!(lift_basis(&relaxed, &basis[1..], &lp).is_none());
+    assert!(lift(&relaxed, &basis[1..], &lp).is_none());
     // Not an extension: another objective, or the relaxation's rows changed.
     let mut other_objective = lp.clone();
     other_objective.set_objective_coefficient(vars[0], 7.0);
-    assert!(lift_basis(&relaxed, &basis, &other_objective).is_none());
+    assert!(lift(&relaxed, &basis, &other_objective).is_none());
     let (tighter, _) = ratio_lp(6, 0.7);
-    assert!(lift_basis(&tighter, &basis, &lp).is_none());
+    assert!(lift(&tighter, &basis, &lp).is_none());
     // An appended equality `p1 = p2` has no slack to make basic.
     let mut equality = relaxed.clone();
     equality.add_constraint(vec![(vars[1], 1.0), (vars[2], -1.0)], Relation::Equal, 0.0);
-    assert!(lift_basis(&relaxed, &basis, &equality).is_none());
+    assert!(lift(&relaxed, &basis, &equality).is_none());
     // A bound that is not a raised lower bound changes the columns: an upper
     // bound adds a bound row, and equal bounds fix the variable away.
     for (lower, upper) in [(0.0, 0.5), (0.1, 0.1)] {
         let mut rebounded = relaxed.clone();
         rebounded.set_bounds(vars[2], lower, upper);
-        assert!(lift_basis(&relaxed, &basis, &rebounded).is_none());
+        assert!(lift(&relaxed, &basis, &rebounded).is_none());
     }
 }
 
@@ -247,7 +261,7 @@ fn lifted_basis_warm_starts_a_program_with_raised_lower_bounds() {
     for form in [LpForm::Primal, LpForm::Dual] {
         let options = SolveOptions::default().with_form(form);
         let basis = relaxed.solve_with(&options).unwrap().optimal_basis.unwrap();
-        let lifted = lift_basis(&relaxed, &basis, &lp).expect("a raised lower bound lifts");
+        let lifted = lift(&relaxed, &basis, &lp).expect("a raised lower bound lifts");
         let cold = lp.solve_with(&options).unwrap();
         let warm = lp
             .solve_with(&options.clone().with_warm_basis(Some(lifted)))
@@ -361,7 +375,7 @@ fn crash_and_lift_accept_two_sided_bounds() {
     let optimum = relaxed.solve_with(&options).unwrap();
 
     // A crash basis at the optimum is accepted and certifies it.
-    let crash = crash_basis(&relaxed, &optimum.values).expect("boxed programs crash");
+    let crash = crash(&relaxed, &optimum.values).expect("boxed programs crash");
     let crashed = relaxed
         .solve_with(&options.clone().with_warm_basis(Some(crash)))
         .unwrap();
@@ -375,7 +389,7 @@ fn crash_and_lift_accept_two_sided_bounds() {
     for form in [LpForm::Primal, LpForm::Dual] {
         let options = SolveOptions::default().with_form(form);
         let basis = relaxed.solve_with(&options).unwrap().optimal_basis.unwrap();
-        let lifted = lift_basis(&relaxed, &basis, &lp).expect("two-sided bounds lift");
+        let lifted = lift(&relaxed, &basis, &lp).expect("two-sided bounds lift");
         let cold = lp.solve_with(&options).unwrap();
         let warm = lp
             .solve_with(&options.clone().with_warm_basis(Some(lifted)))
