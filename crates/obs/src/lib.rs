@@ -55,10 +55,10 @@
 //! | `cpm_net_bytes_out_total` | counter | — | Response bytes written to client sockets. |
 //! | `cpm_net_idle_closed_total` | counter | — | Connections reaped by the idle timeout. |
 //! | `cpm_net_conn_errors_total` | counter | — | Connections torn down by I/O or protocol error (each dumps the flight recorder). |
-//! | `cpm_net_frame_decode_errors_total` | counter | — | Frames refused as undecodable (bad JSON, malformed `CPMF`/`CPMR`). |
-//! | `cpm_wire_requests_total` | counter | `op` | Wire requests dispatched, by op (`privatize`, `warm`, `stats`, `metrics`, ...). |
-//! | `cpm_wire_op_nanos` | histogram | `op` | Dispatch latency per wire op. |
-//! | `cpm_report_rate_limited_total` | counter | — | Reports refused by the per-connection `CPM_REPORT_RATE` token bucket. |
+//! | `cpm_net_frame_decode_errors_total` | counter | — | Frames that fail to decode, in any codec: unreadable JSON or an unknown JSON op, a malformed `CPMF` or `CPMR` frame, or a key breaking the key rule. |
+//! | `cpm_wire_requests_total` | counter | `op` | Every wire frame, counted once as it arrives, whatever its outcome. `op` is the op the frame names: `report` for a `CPMR` batch, otherwise the `CPMF` tag or the JSON `op` (`privatize`, `warm`, `stats`, `metrics`, `report`, `estimate`, `shutdown`), and `other` for a frame that cannot be read. |
+//! | `cpm_wire_op_nanos` | histogram | `op` | Time from a frame's arrival to its reply being ready (decode, rate limit and dispatch; not the encode), whatever its outcome; `op` as above. |
+//! | `cpm_report_rate_limited_total` | counter | — | Reports refused by the per-connection `CPM_REPORT_RATE` token bucket; a report is charged only once it decodes. |
 //! | `cpm_http_requests_total` | counter | — | HTTP requests served (the `GET /metrics` endpoint). |
 //! | `cpm_collect_flushes_total` | counter | — | Background estimate-snapshot flushes completed. |
 //! | `cpm_collect_flush_errors_total` | counter | — | Flush passes (or per-key estimates) that failed. |

@@ -3,11 +3,11 @@
 //! and `CPMR` report batches all share the framing).
 //!
 //! Configuration comes from the environment (`CPM_SERVE_CAPACITY`,
-//! `CPM_SERVE_SHARDS`, `CPM_SERVE_SEED`, `CPM_SERVE_MIN_CHUNK`, plus
-//! `CPM_THREADS` for the sampling pool).  Keys listed in `CPM_SERVE_WARM`
-//! (semicolon-separated `n:alpha:properties[:objective]` specs, e.g.
-//! `32:0.9:WH+CM;64:0.9:`) are designed before the first frame is read, and a
-//! `CPM_WARM_FILE` snapshot is loaded before / written after warming (see
+//! `CPM_SERVE_SEED`, `CPM_COLLECT_OUTPUTS`, plus `CPM_THREADS` for the
+//! sampling pool; see [`EngineConfig::from_env`]).  Keys listed in
+//! `CPM_SERVE_WARM` (semicolon-separated `n:alpha:properties[:objective]`
+//! specs, e.g. `32:0.9:WH+CM;64:0.9:`) are designed before the first frame
+//! is read, and a `CPM_WARM_FILE` snapshot is loaded before / written after warming (see
 //! [`cpm_serve::boot`]), so restarts pay deploy-time I/O instead of
 //! first-request LP solves.  `CPM_COLLECT_FLUSH_SECS` starts the background
 //! estimate-snapshot flusher; `CPM_REPORT_RATE` rate-limits report ingestion.

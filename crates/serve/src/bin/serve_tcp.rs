@@ -9,8 +9,8 @@
 //! reactor is sized by `CPM_NET_WORKERS` / `CPM_NET_MAX_CONNS` /
 //! `CPM_IDLE_TIMEOUT_SECS` (see [`cpm_serve::net::NetConfig`]); report
 //! ingestion is rate-limited per connection by `CPM_REPORT_RATE`; the
-//! cache/engine knobs (`CPM_SERVE_CAPACITY`, `CPM_SERVE_SHARDS`,
-//! `CPM_SERVE_SEED`, `CPM_SERVE_MIN_CHUNK`, `CPM_THREADS`) and the warm-start
+//! cache/engine knobs (`CPM_SERVE_CAPACITY`, `CPM_SERVE_SEED`,
+//! `CPM_COLLECT_OUTPUTS`, `CPM_THREADS`) and the warm-start
 //! variables (`CPM_SERVE_WARM`, `CPM_WARM_FILE`) work exactly as they do for
 //! `serve_stdio` — see [`cpm_serve::boot`].  `CPM_COLLECT_FLUSH_SECS` starts
 //! the background estimate-snapshot flusher.

@@ -58,8 +58,6 @@ impl Request {
 pub struct EngineConfig {
     /// Maximum resident designs in the cache.
     pub cache_capacity: usize,
-    /// Lock stripes in the cache.
-    pub cache_shards: usize,
     /// Base seed; every batch derives its RNG streams from this (and the batch
     /// ordinal), so two engines with the same seed replay identically.
     pub seed: u64,
@@ -76,7 +74,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             cache_capacity: 256,
-            cache_shards: DesignCache::DEFAULT_SHARDS,
             seed: 0x5EED_CAFE,
             min_chunk: 4096,
             collect_outputs: false,
@@ -86,9 +83,9 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Read overrides from the environment: `CPM_SERVE_CAPACITY`,
-    /// `CPM_SERVE_SHARDS`, `CPM_SERVE_SEED`, `CPM_SERVE_MIN_CHUNK`, and
-    /// `CPM_COLLECT_OUTPUTS` (`1`/`on`/`true` turns loopback collection on;
-    /// each optional, falling back to the defaults).
+    /// `CPM_SERVE_SEED`, and `CPM_COLLECT_OUTPUTS` (`1`/`on`/`true` turns
+    /// loopback collection on; each optional, falling back to the defaults).
+    /// `min_chunk` keeps its default.
     pub fn from_env() -> Self {
         fn env_u64(name: &str) -> Option<u64> {
             std::env::var(name).ok().and_then(|v| v.parse().ok())
@@ -98,16 +95,11 @@ impl EngineConfig {
             cache_capacity: env_u64("CPM_SERVE_CAPACITY")
                 .map(|v| v as usize)
                 .unwrap_or(defaults.cache_capacity),
-            cache_shards: env_u64("CPM_SERVE_SHARDS")
-                .map(|v| v as usize)
-                .unwrap_or(defaults.cache_shards),
             seed: env_u64("CPM_SERVE_SEED").unwrap_or(defaults.seed),
-            min_chunk: env_u64("CPM_SERVE_MIN_CHUNK")
-                .map(|v| v as usize)
-                .unwrap_or(defaults.min_chunk),
             collect_outputs: std::env::var("CPM_COLLECT_OUTPUTS")
                 .map(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "on" | "true"))
                 .unwrap_or(defaults.collect_outputs),
+            ..defaults
         }
     }
 }
@@ -187,7 +179,7 @@ impl Engine {
     /// Build an engine from a config.
     pub fn new(config: EngineConfig) -> Self {
         Engine {
-            cache: DesignCache::with_shards(config.cache_capacity, config.cache_shards),
+            cache: DesignCache::new(config.cache_capacity),
             seed: config.seed,
             min_chunk: config.min_chunk.max(1),
             batches: AtomicU64::new(0),

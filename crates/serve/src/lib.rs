@@ -64,15 +64,18 @@
 //!                        │ raw bytes in / response bytes out
 //!                        ▼                                ▼
 //!            ┌─────────────────────── crate::proto ───────────────────────┐
-//!            │  ProtoConnection: sniff ─▶ frame ─▶ decode ─▶ dispatch     │
+//!            │  ProtoConnection: sniff ─▶ frame ─▶ decode ─▶ serve step   │
 //!            │                                                            │
 //!            │  first bytes:  "GET "  ──▶ HTTP GET /metrics (one-shot)    │
-//!            │  frame payload: b"CPMF" ─▶ compact binary codec (cpm-wire) │
-//!            │                 b"CPMR" ─▶ binary report batch             │
-//!            │                 else    ─▶ JSON (WireRequest/WireResponse) │
+//!            │  frame payload, decoded once:                              │
+//!            │    b"CPMR" ─▶ Op::ReportBatch          (reply: JSON ack)   │
+//!            │    b"CPMF" ─▶ decode_request ─▶ Op     (reply: CPMF)       │
+//!            │    else    ─▶ WireRequest ─▶ op_from_request ─▶ Op (JSON)  │
 //!            │                                                            │
-//!            │  every codec ──▶ Op ──▶ dispatch_op(engine) ──▶ response   │
-//!            │  (report ops pass a per-connection token bucket first)     │
+//!            │  serve step, one for every frame:                          │
+//!            │    meter (count + time by op) ─▶ charge a decoded report   │
+//!            │    to the token bucket ─▶ dispatch (the dispatcher         │
+//!            │    dispatch_op wraps) ─▶ encode in the frame's codec       │
 //!            └────────────────────────────────────────────────────────────┘
 //!                        ▲
 //!                        │ blocking Read/Write adapter
@@ -95,11 +98,13 @@
 //!   design time, sample time); mixed-key request batches are grouped into
 //!   runs first.
 //! * [`proto`] — the transport-agnostic protocol state machine: bytes in,
-//!   response bytes out.  One dispatcher serves three frame codecs (JSON,
-//!   compact `b"CPMF"` binary, `b"CPMR"` report batches) plus a content-
-//!   negotiated `GET /metrics` HTTP mode, with per-connection report rate
-//!   limiting.  A `privatize` op goes to [`Engine::privatize_run`] as it
-//!   arrived, one key and its inputs, without a request per input.
+//!   response bytes out.  Three frame codecs (JSON, compact `b"CPMF"`
+//!   binary, `b"CPMR"` report batches) each decode a payload once into an
+//!   [`Op`]; one serve step then meters every frame by the same rule,
+//!   charges decoded reports to the per-connection token bucket, dispatches
+//!   and encodes the reply.  A content-negotiated `GET /metrics` HTTP mode
+//!   shares the port.  A `privatize` op goes to [`Engine::privatize_run`] as
+//!   it arrived, one key and its inputs, without a request per input.
 //! * [`frontend`] — the blocking `Read`/`Write` adapter over [`proto`] (the
 //!   `serve_stdio` binary serves stdin/stdout) and the JSON request/response
 //!   types.

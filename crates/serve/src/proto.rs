@@ -22,6 +22,30 @@
 //!   ([`crate::frontend::WireRequest`]).  JSON can never start with either
 //!   magic.
 //!
+//! ## One frame path
+//!
+//! Each payload is decoded once, by its codec, into an [`Op`] or the reason
+//! it cannot be read:
+//!
+//! * `b"CPMR"` → [`Op::ReportBatch`] ([`cpm_collect::wire::decode_batch`]);
+//! * `b"CPMF"` → [`decode_request`];
+//! * JSON → [`WireRequest`] → [`op_from_request`].
+//!
+//! One serve step then meters the frame, charges a decoded report op to the
+//! connection's token bucket, dispatches the op through the dispatcher that
+//! [`dispatch_op`] wraps, and encodes the reply in the codec the frame
+//! arrived in.  The metering rule holds for every codec:
+//!
+//! * every frame counts once in `cpm_wire_requests_total{op}` as it arrives,
+//!   and is timed in `cpm_wire_op_nanos{op}` whatever the outcome;
+//! * `op` is the op the frame names: `report` for `CPMR`, otherwise the
+//!   `CPMF` tag or the JSON `op`, and `other` when the frame cannot be read;
+//! * a frame that fails to decode — a key breaking [`check_key`] included —
+//!   adds 1 to `cpm_net_frame_decode_errors_total`.
+//!
+//! The seven ops are named once, in one table of name, `CPMF` tag and metric
+//! handles.
+//!
 //! ## The `b"CPMF"` compact binary frame format
 //!
 //! All integers little-endian, built from [`cpm_wire`] primitives; every
@@ -42,7 +66,8 @@
 //! every op bit-exactly against the JSON codec — a property pinned by the
 //! `proto_differential` test suite.  Responses are encoded in the codec the
 //! request arrived in; `CPMR` report batches keep their JSON acknowledgement
-//! for backward compatibility.
+//! for backward compatibility.  A response to a frame that could not be read
+//! carries the tag `0xFF`.
 //!
 //! ## Per-connection report rate limiting
 //!
@@ -51,12 +76,15 @@
 //! second, burst = one second's worth): a `report` op or `CPMR` batch whose
 //! record count exceeds the available tokens is refused with a soft failure
 //! and counted in `cpm_report_rate_limited_total` — the connection itself
-//! stays up.
+//! stays up.  A report is charged only once it decodes, so a frame refused
+//! for its key leaves the bucket untouched.
 
 use std::io;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use cpm_core::{Alpha, ObjectiveKey, PropertySet, SpecKey};
+use cpm_obs::{Counter, Histogram};
 use cpm_wire::{check_key, put_spec_key, take_spec_key, Reader, Wire};
 
 use crate::engine::Engine;
@@ -74,13 +102,65 @@ pub const FRAME_HEADER_LEN: usize = 8;
 const KIND_REQUEST: u8 = 0;
 const KIND_RESPONSE: u8 = 1;
 
-const OP_PRIVATIZE: u8 = 0;
-const OP_WARM: u8 = 1;
-const OP_STATS: u8 = 2;
-const OP_METRICS: u8 = 3;
-const OP_REPORT: u8 = 4;
-const OP_ESTIMATE: u8 = 5;
-const OP_SHUTDOWN: u8 = 6;
+/// The `CPMF` tag of a response to a frame that could not be read.
+const UNREAD_TAG: u8 = 0xFF;
+
+/// One row of [`OPS`]: an op's name and its metric handles.
+struct WireOp {
+    /// The JSON `op` and the `op` label of the op's metrics.
+    name: &'static str,
+    /// `cpm_wire_requests_total{op=...}` and `cpm_wire_op_nanos{op=...}`,
+    /// resolved in the registry when the op is first served (so a label's
+    /// series appear in the exposition only once it has been).
+    metrics: OnceLock<(&'static Counter, &'static Histogram)>,
+}
+
+impl WireOp {
+    const fn new(name: &'static str) -> Self {
+        WireOp {
+            name,
+            metrics: OnceLock::new(),
+        }
+    }
+
+    fn metrics(&self) -> (&'static Counter, &'static Histogram) {
+        *self.metrics.get_or_init(|| {
+            let registry = cpm_obs::registry();
+            (
+                registry.counter(&format!("cpm_wire_requests_total{{op=\"{}\"}}", self.name)),
+                registry.histogram(&format!("cpm_wire_op_nanos{{op=\"{}\"}}", self.name)),
+            )
+        })
+    }
+}
+
+/// The wire ops, named once.  A row's index is the op's `CPMF` tag; its name
+/// is the JSON `op` and the `op` label of its metrics.  The last row, `other`,
+/// labels every frame that names no op, so the label set stays closed and a
+/// hostile client cannot grow the registry.
+static OPS: [WireOp; 8] = [
+    WireOp::new("privatize"),
+    WireOp::new("warm"),
+    WireOp::new("stats"),
+    WireOp::new("metrics"),
+    WireOp::new("report"),
+    WireOp::new("estimate"),
+    WireOp::new("shutdown"),
+    WireOp::new("other"),
+];
+
+/// The row of [`OPS`] labelling a frame that names no op.
+const OTHER: u8 = OPS.len() as u8 - 1;
+
+/// The row of [`OPS`] a name denotes: an empty name is `privatize`, as in
+/// JSON, and an unknown one is `other`.
+fn row_of(name: &str) -> u8 {
+    let name = if name.is_empty() { "privatize" } else { name };
+    OPS[..usize::from(OTHER)]
+        .iter()
+        .position(|op| op.name == name)
+        .map_or(OTHER, |row| row as u8)
+}
 
 /// Ceiling on buffered HTTP request headers; a client trickling an unbounded
 /// header must not grow the connection buffer forever.
@@ -133,26 +213,19 @@ pub enum Op {
 impl Op {
     /// The closed metric label set (`cpm_wire_requests_total{op=...}`).
     pub fn label(&self) -> &'static str {
-        match self {
-            Op::Privatize { .. } => "privatize",
-            Op::Warm { .. } => "warm",
-            Op::Report { .. } | Op::ReportBatch(_) => "report",
-            Op::Estimate { .. } => "estimate",
-            Op::Stats => "stats",
-            Op::Metrics => "metrics",
-            Op::Shutdown => "shutdown",
-        }
+        OPS[usize::from(self.tag())].name
     }
 
-    fn binary_tag(&self) -> u8 {
+    /// The op's `CPMF` tag, which is its row of [`OPS`].
+    fn tag(&self) -> u8 {
         match self {
-            Op::Privatize { .. } => OP_PRIVATIZE,
-            Op::Warm { .. } => OP_WARM,
-            Op::Report { .. } | Op::ReportBatch(_) => OP_REPORT,
-            Op::Estimate { .. } => OP_ESTIMATE,
-            Op::Stats => OP_STATS,
-            Op::Metrics => OP_METRICS,
-            Op::Shutdown => OP_SHUTDOWN,
+            Op::Privatize { .. } => 0,
+            Op::Warm { .. } => 1,
+            Op::Stats => 2,
+            Op::Metrics => 3,
+            Op::Report { .. } | Op::ReportBatch(_) => 4,
+            Op::Estimate { .. } => 5,
+            Op::Shutdown => 6,
         }
     }
 }
@@ -181,61 +254,20 @@ pub(crate) fn parse_key(request: &WireRequest) -> Result<SpecKey, String> {
     Ok(key)
 }
 
-/// The request counter and latency histogram of one op label
-/// (`cpm_wire_requests_total{op=...}` / `cpm_wire_op_nanos{op=...}`), each
-/// resolved in the registry once per process rather than once per request.
-/// The label set is closed — [`Op::label`]'s seven names plus
-/// [`normalized_op`]'s `other`, which also absorbs any unknown label — and a
-/// label's series appear in the exposition only once it has been served.
-fn op_metrics(label: &str) -> (&'static cpm_obs::Counter, &'static cpm_obs::Histogram) {
-    macro_rules! handles {
-        ($op:literal) => {
-            (
-                cpm_obs::counter!(concat!("cpm_wire_requests_total{op=\"", $op, "\"}")),
-                cpm_obs::histogram!(concat!("cpm_wire_op_nanos{op=\"", $op, "\"}")),
-            )
-        };
+/// Meter one frame or op under the wire rule: `cpm_wire_requests_total{op}`
+/// counts it before `work` runs, so a `metrics` op's own scrape already
+/// includes it, and `cpm_wire_op_nanos{op}` records the time since `arrived`
+/// once the work is done, whatever its outcome.
+fn metered<R>(row: u8, arrived: Instant, work: impl FnOnce() -> R) -> R {
+    let metrics = cpm_obs::enabled().then(|| OPS[usize::from(row)].metrics());
+    if let Some((requests, _)) = metrics {
+        requests.inc();
     }
-    match label {
-        "privatize" => handles!("privatize"),
-        "warm" => handles!("warm"),
-        "report" => handles!("report"),
-        "estimate" => handles!("estimate"),
-        "stats" => handles!("stats"),
-        "metrics" => handles!("metrics"),
-        "shutdown" => handles!("shutdown"),
-        _ => handles!("other"),
-    }
-}
-
-/// Run one op's `work` under the wire metric discipline: the request counter
-/// fires on entry, so a `metrics` op's own scrape already includes it, and
-/// the latency histogram records once the work is done.
-fn metered_op<R>(label: &str, work: impl FnOnce() -> R) -> R {
-    if cpm_obs::enabled() {
-        op_metrics(label).0.inc();
-    }
-    let started = Instant::now();
     let outcome = work();
-    if cpm_obs::enabled() {
-        op_metrics(label).1.record_duration(started.elapsed());
+    if let Some((_, nanos)) = metrics {
+        nanos.record_duration(arrived.elapsed());
     }
     outcome
-}
-
-/// Fold a JSON wire op name into the closed label set (unknown ops become
-/// `other`) so a hostile client cannot grow the metrics registry unboundedly.
-fn normalized_op(op: &str) -> &'static str {
-    match op {
-        "" | "privatize" => "privatize",
-        "warm" => "warm",
-        "report" => "report",
-        "estimate" => "estimate",
-        "stats" => "stats",
-        "metrics" => "metrics",
-        "shutdown" => "shutdown",
-        _ => "other",
-    }
 }
 
 /// Translate a decoded JSON request into an [`Op`].
@@ -277,7 +309,7 @@ pub fn encode_request(op: &Op) -> Result<Vec<u8>, String> {
     out.extend_from_slice(&FRAME_MAGIC);
     FRAME_VERSION.put(&mut out);
     out.push(KIND_REQUEST);
-    out.push(op.binary_tag());
+    out.push(op.tag());
     match op {
         Op::Privatize { key, inputs } => {
             put_spec_key(key, &mut out).map_err(|e| e.to_string())?;
@@ -322,6 +354,40 @@ fn take_u32_seq(reader: &mut Reader<'_>) -> Result<Vec<usize>, String> {
 /// Decode a `b"CPMF"` request frame payload into its [`Op`], validating the
 /// header, every field, and the absence of trailing bytes.
 pub fn decode_request(payload: &[u8]) -> Result<Op, String> {
+    let tag = request_tag(payload)?;
+    let mut reader = Reader::new(&payload[FRAME_HEADER_LEN..]);
+    let key = |reader: &mut Reader<'_>| take_spec_key(reader).map_err(|e| e.to_string());
+    let op = match OPS.get(usize::from(tag)).map(|op| op.name) {
+        Some("privatize") => Op::Privatize {
+            key: key(&mut reader)?,
+            inputs: take_u32_seq(&mut reader)?,
+        },
+        Some("warm") => Op::Warm {
+            key: key(&mut reader)?,
+        },
+        Some("report") => Op::Report {
+            key: key(&mut reader)?,
+            outputs: take_u32_seq(&mut reader)?,
+        },
+        Some("estimate") => Op::Estimate {
+            key: key(&mut reader)?,
+        },
+        Some("stats") => Op::Stats,
+        Some("metrics") => Op::Metrics,
+        Some("shutdown") => Op::Shutdown,
+        _ => return Err(format!("unknown binary op tag {tag}")),
+    };
+    if !reader.is_empty() {
+        return Err(format!(
+            "binary frame carries {} trailing byte(s) after its body",
+            reader.remaining()
+        ));
+    }
+    Ok(op)
+}
+
+/// Check a `b"CPMF"` request frame's header and return the op tag it carries.
+fn request_tag(payload: &[u8]) -> Result<u8, String> {
     if !is_binary_frame(payload) {
         return Err("payload does not start with the CPMF frame magic".to_string());
     }
@@ -340,35 +406,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Op, String> {
     if payload[6] != KIND_REQUEST {
         return Err(format!("frame kind {} is not a request", payload[6]));
     }
-    let tag = payload[7];
-    let mut reader = Reader::new(&payload[FRAME_HEADER_LEN..]);
-    let op = match tag {
-        OP_PRIVATIZE => Op::Privatize {
-            key: take_spec_key(&mut reader).map_err(|e| e.to_string())?,
-            inputs: take_u32_seq(&mut reader)?,
-        },
-        OP_WARM => Op::Warm {
-            key: take_spec_key(&mut reader).map_err(|e| e.to_string())?,
-        },
-        OP_REPORT => Op::Report {
-            key: take_spec_key(&mut reader).map_err(|e| e.to_string())?,
-            outputs: take_u32_seq(&mut reader)?,
-        },
-        OP_ESTIMATE => Op::Estimate {
-            key: take_spec_key(&mut reader).map_err(|e| e.to_string())?,
-        },
-        OP_STATS => Op::Stats,
-        OP_METRICS => Op::Metrics,
-        OP_SHUTDOWN => Op::Shutdown,
-        other => return Err(format!("unknown binary op tag {other}")),
-    };
-    if !reader.is_empty() {
-        return Err(format!(
-            "binary frame carries {} trailing byte(s) after its body",
-            reader.remaining()
-        ));
-    }
-    Ok(op)
+    Ok(payload[7])
 }
 
 /// Encode a response as a `b"CPMF"` response frame payload, mirroring
@@ -470,13 +508,44 @@ fn ingested(summary: cpm_collect::IngestSummary) -> WireResponse {
     }
 }
 
-/// Process one decoded [`Op`] against the engine, with the standard metric
-/// discipline (request counter on entry, latency histogram after the work).
-/// Returns the response and whether the connection should close.
+/// Process one decoded [`Op`] against the engine, metered by the wire rule
+/// (request counter on entry, latency histogram after the work).  Returns
+/// the response and whether the connection should close.
 pub fn dispatch_op(engine: &Engine, op: &Op) -> (WireResponse, bool) {
-    metered_op(op.label(), || dispatch_inner(engine, op))
+    metered(op.tag(), Instant::now(), || dispatch_inner(engine, op))
 }
 
+/// Decode one frame payload once: the codec its reply goes out in, and its
+/// [`Op`] — or the row of [`OPS`] the frame names and why it cannot be read.
+fn decode_frame(payload: &[u8]) -> (Codec, Result<Op, (u8, String)>) {
+    if cpm_collect::wire::is_report_frame(payload) {
+        // CPMR batches keep their JSON acknowledgement.
+        let op = cpm_collect::wire::decode_batch(payload)
+            .map(Op::ReportBatch)
+            .map_err(|e| (row_of("report"), format!("malformed report frame: {e}")));
+        (Codec::Json, op)
+    } else if is_binary_frame(payload) {
+        let op = decode_request(payload).map_err(|message| {
+            let row = request_tag(payload).map_or(OTHER, |tag| tag.min(OTHER));
+            (row, format!("malformed binary frame: {message}"))
+        });
+        (Codec::Binary, op)
+    } else {
+        let op = match std::str::from_utf8(payload)
+            .map_err(|e| e.to_string())
+            .and_then(|text| serde_json::from_str::<WireRequest>(text).map_err(|e| e.to_string()))
+        {
+            Ok(request) => {
+                op_from_request(&request).map_err(|message| (row_of(&request.op), message))
+            }
+            Err(message) => Err((OTHER, format!("malformed request: {message}"))),
+        };
+        (Codec::Json, op)
+    }
+}
+
+/// The one dispatcher, unmetered: every served frame and every
+/// [`dispatch_op`] call reaches the engine through it.
 fn dispatch_inner(engine: &Engine, op: &Op) -> (WireResponse, bool) {
     match op {
         Op::Privatize { key, inputs } => match engine.privatize_run(key, inputs) {
@@ -847,111 +916,46 @@ impl ProtoConnection {
         }
     }
 
+    /// The serve step every frame takes: decode it once, meter it, charge a
+    /// decoded report to the token bucket, dispatch it, and write the reply
+    /// in the codec it arrived in.
     fn process_frame(&mut self, engine: &Engine, payload: &[u8]) {
         self.summary.frames += 1;
-        let (codec, tag, response, close) = if cpm_collect::wire::is_report_frame(payload) {
-            // CPMR batches keep their JSON acknowledgement (pinned from PR 9).
-            (
-                Codec::Json,
-                OP_REPORT,
-                self.process_report_frame(engine, payload),
-                false,
-            )
-        } else if is_binary_frame(payload) {
-            match decode_request(payload) {
-                Ok(op) => {
-                    let tag = op.binary_tag();
-                    let (response, close) = match self.rate_limit_op(&op) {
-                        Some(refused) => (refused, false),
-                        None => dispatch_op(engine, &op),
-                    };
-                    (Codec::Binary, tag, response, close)
-                }
-                Err(message) => {
-                    cpm_obs::counter!("cpm_net_frame_decode_errors_total").inc();
-                    (
-                        Codec::Binary,
-                        0xFF,
-                        failure(format!("malformed binary frame: {message}")),
-                        false,
-                    )
-                }
-            }
-        } else {
-            match std::str::from_utf8(payload)
-                .map_err(|e| e.to_string())
-                .and_then(|text| {
-                    serde_json::from_str::<WireRequest>(text).map_err(|e| e.to_string())
-                }) {
-                Ok(request) => {
-                    let refused = if normalized_op(&request.op) == "report" {
-                        self.rate_limit(request.reports.len())
-                    } else {
-                        None
-                    };
-                    // Op translation is inside the timed work: a malformed
-                    // key costs wire time too.
-                    let (response, close) = match refused {
-                        Some(refused) => (refused, false),
-                        None => metered_op(normalized_op(&request.op), || {
-                            match op_from_request(&request) {
-                                Ok(op) => dispatch_inner(engine, &op),
-                                Err(message) => (failure(message), false),
-                            }
-                        }),
-                    };
-                    (Codec::Json, 0, response, close)
-                }
-                Err(message) => {
-                    cpm_obs::counter!("cpm_net_frame_decode_errors_total").inc();
-                    (
-                        Codec::Json,
-                        0,
-                        failure(format!("malformed request: {message}")),
-                        false,
-                    )
-                }
-            }
+        let arrived = Instant::now();
+        let (codec, decoded) = decode_frame(payload);
+        let (row, reply_tag) = match &decoded {
+            Ok(op) => (op.tag(), op.tag()),
+            Err((row, _)) => (*row, UNREAD_TAG),
         };
+        let (response, close) = metered(row, arrived, || match decoded {
+            Ok(op) => match self.charge(&op, arrived) {
+                Some(refused) => (refused, false),
+                None => dispatch_inner(engine, &op),
+            },
+            Err((_, message)) => {
+                cpm_obs::counter!("cpm_net_frame_decode_errors_total").inc();
+                (failure(message), false)
+            }
+        });
         self.summary.draws += response.outputs.len() as u64;
-        self.write_response(codec, tag, &response);
+        self.write_response(codec, reply_tag, &response);
         if close {
             self.closing = true;
         }
     }
 
-    /// Decode and ingest one binary `b"CPMR"` report frame, mirroring the
-    /// JSON `report` op's metric discipline (counted on entry, even when the
-    /// batch turns out malformed — preserved from the pre-reactor front end).
-    fn process_report_frame(&mut self, engine: &Engine, payload: &[u8]) -> WireResponse {
-        metered_op("report", || {
-            match cpm_collect::wire::decode_batch(payload) {
-                Ok(reports) => match self.rate_limit(reports.len()) {
-                    Some(refused) => refused,
-                    None => ingested(engine.collector().ingest_reports(&reports)),
-                },
-                Err(error) => {
-                    cpm_obs::counter!("cpm_net_frame_decode_errors_total").inc();
-                    failure(format!("malformed report frame: {error}"))
-                }
-            }
-        })
-    }
-
-    fn rate_limit_op(&mut self, op: &Op) -> Option<WireResponse> {
-        match op {
-            Op::Report { outputs, .. } => self.rate_limit(outputs.len()),
-            Op::ReportBatch(reports) => self.rate_limit(reports.len()),
-            _ => None,
-        }
-    }
-
-    /// Apply the per-connection report token bucket to a batch of `count`
-    /// reports; `Some(response)` refuses the batch without dispatching it.
-    fn rate_limit(&mut self, count: usize) -> Option<WireResponse> {
+    /// Charge a decoded report op, arrived at `now`, to the per-connection
+    /// token bucket, one token a report and at least one a frame;
+    /// `Some(response)` refuses it undispatched.  Every other op passes free.
+    fn charge(&mut self, op: &Op, now: Instant) -> Option<WireResponse> {
+        let count = match op {
+            Op::Report { outputs, .. } => outputs.len(),
+            Op::ReportBatch(reports) => reports.len(),
+            _ => return None,
+        };
         let limiter = self.limiter.as_mut()?;
         let cost = (count as f64).max(1.0);
-        if limiter.admit(cost, Instant::now()) {
+        if limiter.admit(cost, now) {
             return None;
         }
         cpm_obs::counter!("cpm_report_rate_limited_total").add(cost as u64);
@@ -1043,16 +1047,17 @@ mod tests {
             "other",
         ];
         for label in labels {
-            assert_eq!(normalized_op(label), label);
-            let (requests, nanos) = op_metrics(label);
+            let op = &OPS[usize::from(row_of(label))];
+            assert_eq!(op.name, label);
+            let (requests, nanos) = op.metrics();
             let named_requests =
                 registry.counter(&format!("cpm_wire_requests_total{{op=\"{label}\"}}"));
             let named_nanos = registry.histogram(&format!("cpm_wire_op_nanos{{op=\"{label}\"}}"));
             assert!(std::ptr::eq(requests, named_requests), "{label}");
             assert!(std::ptr::eq(nanos, named_nanos), "{label}");
         }
-        let (unknown, _) = op_metrics("no-such-op");
-        assert!(std::ptr::eq(unknown, op_metrics("other").0));
+        assert_eq!(row_of("no-such-op"), OTHER);
+        assert_eq!(row_of(""), row_of("privatize"));
     }
 
     #[test]
@@ -1104,9 +1109,9 @@ mod tests {
             estimates: vec![1.5, -0.25],
             variances: vec![0.125],
         };
-        let payload = encode_response(OP_PRIVATIZE, &response);
+        let payload = encode_response(Op::Stats.tag(), &response);
         let (tag, decoded) = decode_response(&payload).unwrap();
-        assert_eq!(tag, OP_PRIVATIZE);
+        assert_eq!(tag, Op::Stats.tag());
         assert_eq!(format!("{decoded:?}"), format!("{response:?}"));
     }
 

@@ -3,11 +3,14 @@
 //! A warm privatize op should allocate its reply's outputs and nothing else,
 //! and a steady-state `CPMR` report frame should allocate its decoded report
 //! vector and nothing else: every further allocation is per-op overhead that
-//! the sampling itself does not need.  This binary installs a counting global
-//! allocator (its own test binary, so no other test shares it), warms every
-//! lazily initialised piece — the design, its alias sampler, the metric
-//! handles, the collector's accumulator — and then counts the allocations the
-//! measured call makes on the calling thread.
+//! the sampling itself does not need.  Whole frames fed through
+//! [`ProtoConnection::ingest`] add the frame path's own allocations (the
+//! payload copy, the decoded op, the encoded reply) on top, each under a
+//! budget of its own.  This binary installs a counting global allocator (its
+//! own test binary, so no other test shares it), warms every lazily
+//! initialised piece — the design, its alias sampler, the metric handles, the
+//! collector's accumulator, the connection's buffers — and then counts the
+//! allocations the measured call makes on the calling thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,8 +19,8 @@ use cpm_collect::wire::{decode_batch, encode_batch};
 use cpm_collect::Report;
 use cpm_core::{Alpha, PropertySet};
 use cpm_serve::engine::Engine;
-use cpm_serve::proto::{dispatch_op, Op};
-use cpm_serve::SpecKey;
+use cpm_serve::proto::{decode_response, dispatch_op, encode_request, Op};
+use cpm_serve::{ProtoConfig, ProtoConnection, SpecKey, WireResponse};
 
 struct Counting;
 
@@ -118,5 +121,86 @@ fn a_steady_state_report_frame_allocates_only_its_reports() {
         allocations <= 1,
         "a steady-state 256-record report frame made {allocations} allocations; \
          the budget is 1 (the decoded reports)"
+    );
+}
+
+/// Length-prefix one frame payload.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// Feed one whole frame through `conn` three times to warm it, then once
+/// more counting allocations; returns that reply's payload and the count.
+/// Replies are drained outside the counted call, as a transport would.
+fn frame_allocations(
+    engine: &Engine,
+    conn: &mut ProtoConnection,
+    bytes: &[u8],
+) -> (Vec<u8>, usize) {
+    let mut reply = Vec::new();
+    let mut counted = 0;
+    for _ in 0..4 {
+        let (result, allocations) = allocations_of(|| conn.ingest(engine, bytes));
+        result.expect("a well-formed frame");
+        counted = allocations;
+        let pending = conn.pending_output();
+        reply = pending[4..].to_vec();
+        let written = pending.len();
+        conn.advance_output(written);
+    }
+    (reply, counted)
+}
+
+#[test]
+fn warm_cpmf_privatize_frames_stay_within_budget() {
+    let engine = Engine::with_defaults();
+    let mut conn = ProtoConnection::new(ProtoConfig::default());
+    let key = gm(32);
+    for (len, budget) in [(1, 6), (16, 7), (256, 9)] {
+        let op = Op::Privatize {
+            key,
+            inputs: (0..len).map(|i| i % (key.n + 1)).collect(),
+        };
+        let bytes = frame(&encode_request(&op).unwrap());
+        let (reply, allocations) = frame_allocations(&engine, &mut conn, &bytes);
+        let (_, response) = decode_response(&reply).unwrap();
+        assert!(response.ok, "{}", response.error);
+        assert_eq!(response.outputs.len(), len);
+        assert!(
+            allocations <= budget,
+            "a warm batch-{len} CPMF privatize frame made {allocations} allocations; \
+             the budget is {budget}"
+        );
+    }
+}
+
+#[test]
+fn a_warm_cpmr_frame_and_a_cpmf_estimate_stay_within_budget() {
+    let engine = Engine::with_defaults();
+    let mut conn = ProtoConnection::new(ProtoConfig::default());
+    let key = gm(32);
+    let reports: Vec<Report> = (0..256)
+        .map(|i| Report::new(key, (i % 33) as u32).unwrap())
+        .collect();
+    let batch = frame(&encode_batch(&reports).unwrap());
+    let (reply, allocations) = frame_allocations(&engine, &mut conn, &batch);
+    let ack: WireResponse = serde_json::from_str(std::str::from_utf8(&reply).unwrap()).unwrap();
+    assert!(ack.ok && ack.ingested == 256, "{}", ack.error);
+    // About 30 of these are the JSON acknowledgement.
+    assert!(
+        allocations <= 33,
+        "a steady-state 256-record CPMR frame made {allocations} allocations; the budget is 33"
+    );
+
+    let estimate = frame(&encode_request(&Op::Estimate { key }).unwrap());
+    let (reply, allocations) = frame_allocations(&engine, &mut conn, &estimate);
+    let (_, response) = decode_response(&reply).unwrap();
+    assert!(response.ok, "{}", response.error);
+    assert_eq!(response.estimates.len(), key.n + 1);
+    assert!(
+        allocations <= 10,
+        "a warm CPMF estimate frame made {allocations} allocations; the budget is 10"
     );
 }

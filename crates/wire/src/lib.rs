@@ -14,9 +14,10 @@
 //!
 //! ## Guarantees
 //!
-//! * **No hostile allocation** — a declared element count is checked against
-//!   the remaining payload before a `Vec` is reserved, so a forged length
-//!   cannot demand memory the frame does not carry.
+//! * **No hostile allocation** — a declared element count times the
+//!   element's smallest encoding ([`Wire::MIN_LEN`]) is checked against the
+//!   remaining payload before a `Vec` is reserved, so a forged length cannot
+//!   demand memory the frame does not carry.
 //! * **Total validation** — every decoded value is range-checked at the codec
 //!   layer ([`take_spec_key`] refuses bad α, undefined property bits, unknown
 //!   objective tags, and keys breaking the [`check_key`] rule); decoding
@@ -62,11 +63,13 @@ pub enum DecodeError {
         /// Bytes actually remaining.
         have: usize,
     },
-    /// A declared element count exceeds the bytes remaining in the payload.
+    /// A declared element count exceeds what the bytes remaining in the
+    /// payload can hold.
     LengthOverrun {
         /// Declared element count.
         declared: usize,
-        /// Bytes remaining (each element needs at least one).
+        /// Bytes remaining (each element needs at least its
+        /// [`Wire::MIN_LEN`]).
         have: usize,
     },
     /// A decoded string is not valid UTF-8.
@@ -134,6 +137,10 @@ impl<'a> Reader<'a> {
 /// The hand-rolled serde trait: append yourself to a byte buffer, or read
 /// yourself off a [`Reader`].  Implementations must round-trip bit-exactly.
 pub trait Wire: Sized {
+    /// The fewest bytes one value encodes to.  A sequence's declared count
+    /// is checked against the remaining payload at this many bytes per
+    /// element before anything is reserved.
+    const MIN_LEN: usize = 1;
     /// Append this value's encoding to `out`.
     fn put(&self, out: &mut Vec<u8>);
     /// Decode one value, advancing the reader past it.
@@ -143,6 +150,7 @@ pub trait Wire: Sized {
 macro_rules! wire_int {
     ($($ty:ty),*) => {$(
         impl Wire for $ty {
+            const MIN_LEN: usize = std::mem::size_of::<$ty>();
             fn put(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
@@ -167,6 +175,7 @@ impl Wire for bool {
 /// `f64` travels as its IEEE-754 bit pattern — NaNs, signed zeros, and
 /// subnormals all round-trip bit-exactly.
 impl Wire for f64 {
+    const MIN_LEN: usize = u64::MIN_LEN;
     fn put(&self, out: &mut Vec<u8>) {
         self.to_bits().put(out);
     }
@@ -176,9 +185,10 @@ impl Wire for f64 {
 }
 
 /// Sequences carry a `u32` element count, validated against the remaining
-/// payload (every element encodes to at least one byte) before any
-/// allocation.
+/// payload (every element encodes to at least [`Wire::MIN_LEN`] bytes) before
+/// any allocation.
 impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 4;
     fn put(&self, out: &mut Vec<u8>) {
         debug_assert!(
             self.len() <= u32::MAX as usize,
@@ -191,7 +201,7 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn take(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let count = u32::take(reader)? as usize;
-        if count > reader.remaining() {
+        if count.saturating_mul(T::MIN_LEN) > reader.remaining() {
             return Err(DecodeError::LengthOverrun {
                 declared: count,
                 have: reader.remaining(),
@@ -207,6 +217,7 @@ impl<T: Wire> Wire for Vec<T> {
 
 /// Strings are a `u32` byte length plus UTF-8 bytes.
 impl Wire for String {
+    const MIN_LEN: usize = 4;
     fn put(&self, out: &mut Vec<u8>) {
         debug_assert!(self.len() <= u32::MAX as usize, "string exceeds u32 length");
         (self.len() as u32).put(out);
@@ -435,6 +446,30 @@ mod tests {
                 have: 1
             })
         );
+    }
+
+    /// A count within one byte per element is still forged when each element
+    /// needs more: 1 000 declared over 1 000 bytes would reserve 4 KB of
+    /// `u32`, 8 KB of `f64` or 24 KB of `String`, and then run out.
+    #[test]
+    fn forged_counts_are_checked_at_each_elements_smallest_encoding() {
+        fn take_forged<T: Wire>(bytes: usize) -> Result<usize, DecodeError> {
+            let mut payload = Vec::new();
+            1_000u32.put(&mut payload);
+            payload.resize(4 + bytes, 0);
+            Vec::<T>::take(&mut Reader::new(&payload)).map(|items| items.len())
+        }
+        let overrun = Err(DecodeError::LengthOverrun {
+            declared: 1_000,
+            have: 1_000,
+        });
+        assert_eq!(take_forged::<u32>(1_000), overrun);
+        assert_eq!(take_forged::<f64>(1_000), overrun);
+        assert_eq!(take_forged::<String>(1_000), overrun);
+        // Exactly enough bytes for the smallest encodings decodes.
+        assert_eq!(take_forged::<u32>(4_000), Ok(1_000));
+        assert_eq!(take_forged::<f64>(8_000), Ok(1_000));
+        assert_eq!(take_forged::<String>(4_000), Ok(1_000));
     }
 
     #[test]
