@@ -1,6 +1,7 @@
 //! Scaling probe: time one BASICDP solve per group size, printing the
 //! wall-clock, pivot counts, factorisation/update/repair counts, the
-//! steepest-edge updates whose cross-term BTRAN was abandoned, the peak
+//! steepest-edge framework resets (the health signal of the weight update,
+//! which carries no cross term), the peak
 //! bytes of the LU factors plus their elimination workspace
 //! (`SolveStats::factor_bytes`), the total
 //! time spent factorising (the solve's delta of the
@@ -115,7 +116,7 @@ fn main() {
         );
     }
     println!(
-        "n | form | rows x cols | terms | solve | phase1+phase2 pivots | factors | factor time | updates | repairs | cross terms abandoned | factor bytes | objective"
+        "n | form | rows x cols | terms | solve | phase1+phase2 pivots | factors | factor time | updates | repairs | steepest-edge resets | factor bytes | objective"
     );
     let rows = parallel_map(sweep, |n| {
         let problem = DesignProblem::constrained(n, alpha, Objective::l0(), properties);
@@ -148,7 +149,7 @@ fn main() {
                     stats.refactorizations,
                     stats.basis_updates,
                     stats.basis_repairs,
-                    stats.cross_term_abandoned,
+                    stats.steepest_edge_resets,
                     stats.factor_bytes,
                     solution.objective_value,
                 ) + "\n"

@@ -28,13 +28,12 @@
 //! | `cpm_lp_pivots_total` | counter | `phase` (`primal`/`dual`) | Simplex pivots, by phase. |
 //! | `cpm_lp_refactorizations_total` | counter | — | Basis refactorizations (periodic + triggered). |
 //! | `cpm_lp_repairs_total` | counter | — | Numerical repairs that recovered. |
-//! | `cpm_lp_cross_term_abandoned_total` | counter | — | Steepest-edge weight updates whose cross-term BTRAN densified past its cap and was abandoned (its partial work wasted). |
 //! | `cpm_lp_breakdowns_total` | counter | — | Terminal numerical breakdowns (each also dumps the flight recorder). |
 //! | `cpm_lp_solve_nanos` | histogram | `form` | Wall time per LP solve. |
 //! | `cpm_lp_phase_nanos` | histogram | `phase` (`phase1`/`phase2`) | Wall time per phase of a two-phase revised-simplex walk. |
 //! | `cpm_lp_refactorize_nanos` | histogram | — | Wall time per LU factorisation of a basis. |
 //! | `cpm_lp_factor_bytes` | histogram | — | Bytes held by the LU factors plus the thread's elimination workspace, read after each factorisation. |
-//! | `cpm_lp_pivot_stage_nanos` | histogram | `stage` (`pricing`/`pivot_row_btran`/`pivot_row_pass`/`ftran`/`cross_term_btran`/`weight_update`/`ratio_test`/`ft_update`/`refactorization`) | Nanoseconds one solve spent in each pivot stage, recorded once per solve. |
+//! | `cpm_lp_pivot_stage_nanos` | histogram | `stage` (`pricing`/`pivot_row_btran`/`pivot_row_pass`/`ftran`/`weight_update`/`ratio_test`/`ft_update`/`refactorization`) | Nanoseconds one solve spent in each pivot stage, recorded once per solve. |
 //! | `cpm_design_solves_total` | counter | `kind` (`flowchart`/`lp`) | Mechanism designs, split closed-form selection vs LP. |
 //! | `cpm_design_nanos` | histogram | — | Wall time per mechanism design. |
 //! | `cpm_cache_hits_total` | counter | — | Design-cache hits. |

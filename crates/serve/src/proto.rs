@@ -85,7 +85,7 @@ use std::time::Instant;
 
 use cpm_core::{Alpha, ObjectiveKey, PropertySet, SpecKey};
 use cpm_obs::{Counter, Histogram};
-use cpm_wire::{check_key, put_spec_key, take_spec_key, Reader, Wire};
+use cpm_wire::{check_key, put_spec_key, take_seq, take_spec_key, Reader, Wire};
 
 use crate::engine::Engine;
 use crate::frontend::{ConnectionSummary, WireRequest, WireResponse, MAX_FRAME_LEN};
@@ -347,8 +347,7 @@ fn put_u32_seq(values: &[usize], out: &mut Vec<u8>) -> Result<(), String> {
 }
 
 fn take_u32_seq(reader: &mut Reader<'_>) -> Result<Vec<usize>, String> {
-    let values: Vec<u32> = Vec::take(reader).map_err(|e| e.to_string())?;
-    Ok(values.into_iter().map(|v| v as usize).collect())
+    take_seq(reader, |value: u32| value as usize).map_err(|e| e.to_string())
 }
 
 /// Decode a `b"CPMF"` request frame payload into its [`Op`], validating the
@@ -409,10 +408,19 @@ fn request_tag(payload: &[u8]) -> Result<u8, String> {
     Ok(payload[7])
 }
 
+/// Bytes of a `b"CPMF"` response frame whose strings and sequences are all
+/// empty: the header, `ok`, nine `u64` counters and five `u32` lengths.
+const RESPONSE_FIXED_LEN: usize = FRAME_HEADER_LEN + 1 + 9 * 8 + 5 * 4;
+
 /// Encode a response as a `b"CPMF"` response frame payload, mirroring
-/// [`WireResponse`] field-for-field.
+/// [`WireResponse`] field-for-field, into one buffer of its exact size.
 pub fn encode_response(tag: u8, response: &WireResponse) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 64 + response.metrics.len());
+    let len = RESPONSE_FIXED_LEN
+        + response.error.len()
+        + 4 * response.outputs.len()
+        + response.metrics.len()
+        + 8 * (response.estimates.len() + response.variances.len());
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&FRAME_MAGIC);
     FRAME_VERSION.put(&mut out);
     out.push(KIND_RESPONSE);
@@ -437,6 +445,7 @@ pub fn encode_response(tag: u8, response: &WireResponse) -> Vec<u8> {
     response.reports.put(&mut out);
     response.estimates.put(&mut out);
     response.variances.put(&mut out);
+    debug_assert_eq!(out.len(), len, "RESPONSE_FIXED_LEN is out of date");
     out
 }
 
@@ -462,10 +471,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(u8, WireResponse), String> {
         Ok(WireResponse {
             ok: bool::take(&mut reader)?,
             error: String::take(&mut reader)?,
-            outputs: Vec::<u32>::take(&mut reader)?
-                .into_iter()
-                .map(|v| v as usize)
-                .collect(),
+            outputs: take_seq(&mut reader, |value: u32| value as usize)?,
             cache_hits: u64::take(&mut reader)?,
             cache_misses: u64::take(&mut reader)?,
             design_solves: u64::take(&mut reader)?,
@@ -879,13 +885,13 @@ impl ProtoConnection {
                     if available < 4 + len {
                         return Ok(());
                     }
-                    // Split the borrow: the frame is copied out so the
-                    // dispatcher can append to outbuf freely.  Frames are
-                    // bounded by MAX_FRAME_LEN, so the copy is bounded too.
-                    let payload: Vec<u8> = self.inbuf[at + 4..at + 4 + len].to_vec();
+                    // Decode in place: the decoded op owns its data, so the
+                    // input can be drained before the serve step runs.
+                    let arrived = Instant::now();
+                    let (codec, decoded) = decode_frame(&self.inbuf[at + 4..at + 4 + len]);
                     self.consumed += 4 + len;
                     self.drain_consumed();
-                    self.process_frame(engine, &payload);
+                    self.process_frame(engine, arrived, codec, decoded);
                 }
                 Mode::Http => {
                     let buffered = &self.inbuf[self.consumed..];
@@ -916,13 +922,17 @@ impl ProtoConnection {
         }
     }
 
-    /// The serve step every frame takes: decode it once, meter it, charge a
-    /// decoded report to the token bucket, dispatch it, and write the reply
-    /// in the codec it arrived in.
-    fn process_frame(&mut self, engine: &Engine, payload: &[u8]) {
+    /// The serve step every frame takes once [`decode_frame`] has read it
+    /// (at `arrived`): meter it, charge a decoded report to the token bucket,
+    /// dispatch it, and write the reply in the codec it arrived in.
+    fn process_frame(
+        &mut self,
+        engine: &Engine,
+        arrived: Instant,
+        codec: Codec,
+        decoded: Result<Op, (u8, String)>,
+    ) {
         self.summary.frames += 1;
-        let arrived = Instant::now();
-        let (codec, decoded) = decode_frame(payload);
         let (row, reply_tag) = match &decoded {
             Ok(op) => (op.tag(), op.tag()),
             Err((row, _)) => (*row, UNREAD_TAG),
@@ -1031,6 +1041,26 @@ mod tests {
             at += 4 + len;
         }
         frames
+    }
+
+    /// `take_u32_seq` decodes straight into `usize`s but keeps the sequence
+    /// codec's forged-count check: a count the remaining bytes cannot hold
+    /// at four bytes an input is refused before anything is reserved.
+    #[test]
+    fn a_forged_input_count_is_refused_before_reserving() {
+        let op = Op::Privatize {
+            key: spec_key(8, 0.9),
+            inputs: vec![1, 2],
+        };
+        let mut payload = encode_request(&op).unwrap();
+        let count_at = payload.len() - 2 * 4 - 4;
+        payload[count_at..count_at + 4].copy_from_slice(&3u32.to_le_bytes());
+        assert_eq!(
+            decode_request(&payload).unwrap_err(),
+            "declared count 3 exceeds the 8 bytes remaining"
+        );
+        payload[count_at..count_at + 4].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(decode_request(&payload).unwrap(), op);
     }
 
     #[test]

@@ -63,6 +63,7 @@
 //! caller falls back to the cold primal path.
 
 use crate::error::SimplexError;
+use crate::lu::NONE;
 use crate::revised;
 use crate::solver::{LpForm, SolveOptions, SolvedPoint};
 use crate::sparse::{check_u32, SparseMatrix};
@@ -156,7 +157,11 @@ pub(crate) fn dualize(primal: &StandardForm) -> Dualized {
         let flip = b < 0.0;
         row_sign.push(if flip { -1.0 } else { 1.0 });
         rhs.push(if flip { -b } else { b });
-        basis_hint.push((!flip).then_some(num_structural + j));
+        basis_hint.push(if flip {
+            NONE
+        } else {
+            (num_structural + j) as u32
+        });
     }
 
     // The dual's columns are the primal's rows: `y_r`'s column holds
@@ -173,6 +178,7 @@ pub(crate) fn dualize(primal: &StandardForm) -> Dualized {
         .sum::<usize>()
         + ns;
     check_u32(nnz, "entries");
+    check_u32(num_structural + ns, "columns");
     let mut col_ptr = Vec::with_capacity(num_structural + ns + 1);
     let mut row_idx = Vec::with_capacity(nnz);
     let mut values = Vec::with_capacity(nnz);
@@ -731,7 +737,7 @@ mod tests {
             );
             let dual = dualize(&primal);
             equalities += primal.slack_of_row().iter().filter(|s| s.is_none()).count();
-            flipped += dual.sf.basis_hint.iter().filter(|h| h.is_none()).count();
+            flipped += dual.sf.basis_hint.iter().filter(|&&h| h == NONE).count();
             split += dual
                 .sf
                 .mapping

@@ -137,11 +137,15 @@
 //! 700 pivots at n = 16 (Devex 924, Dantzig 1 459) and 3 529 at n = 32
 //! (5 670 / 7 162), and on the L1/L2 designs every rule walks the same pivots
 //! (see BENCHMARKS.md).  The dual simplex of a warm start prices its leaving
-//! row with dual Devex weights, a separate mechanism.  [`SolveStats`] reports
-//! factorisations, rank-one updates, repairs, Bland fallbacks and
-//! steepest-edge framework resets ([`SolveStats::steepest_edge_resets`]), and
-//! the weight updates whose cross-term BTRAN was abandoned
-//! ([`SolveStats::cross_term_abandoned`]).
+//! row with dual Devex weights, a separate mechanism.  The steepest-edge
+//! weights are updated from the pivot row and the entering FTRAN alone: the
+//! update drops the cross term `τ = (B⁻ᵀw̃)ᵀA`, whose extra BTRAN per pivot
+//! densified on most served pivots and did not lower their pivot count (see
+//! BENCHMARKS.md).  Weight floors, the entering column's exact-norm check and
+//! the re-anchor at every refactorisation keep the weights safe.
+//! [`SolveStats`] reports factorisations, rank-one updates, repairs, Bland
+//! fallbacks and steepest-edge framework resets
+//! ([`SolveStats::steepest_edge_resets`], the τ-less update's health signal).
 //!
 //! ## Example
 //!

@@ -101,9 +101,10 @@ use std::ops::Range;
 
 use crate::sparse::SparseAccumulator;
 
-/// Sentinel for "no link" in the pivot-order list and "no column" in
-/// `pivot_col_of_row`.
-const NONE: u32 = u32::MAX;
+/// Sentinel for "no index" in the `u32` index arrays: "no link" in the
+/// pivot-order list, "no column" in `pivot_col_of_row`, and "no basis hint"
+/// in [`StandardForm`](crate::standard::StandardForm).
+pub(crate) const NONE: u32 = u32::MAX;
 
 /// Entries with magnitude at or below this are treated as round-off and dropped
 /// during elimination (the periodic refactorisation rebuilds from the exact
@@ -1623,169 +1624,6 @@ impl LuFactors {
             }
         }
         false
-    }
-
-    /// Sparse BTRAN that **gives up** instead of densifying: when either
-    /// pass's nonzero pattern outgrows the hypersparse threshold, the vector
-    /// is zeroed back out and `false` is returned.  For callers where the
-    /// result is optional (the steepest-edge cross term), abandoning is far
-    /// cheaper than the dense finish [`LuFactors::btran_sparse`] would pay.
-    /// `cap` bounds the result pattern: the solve abandons as soon as more
-    /// than `cap` nonzero rows exist.  A tight cap matters — the reach
-    /// exploration itself is the cost, so a failed attempt must fail fast.
-    pub fn btran_sparse_bounded(
-        &mut self,
-        v: &mut [f64],
-        pattern: &mut Vec<usize>,
-        cap: usize,
-    ) -> bool {
-        let m = v.len();
-        let cap = cap.min(m / SPARSE_RHS_FRACTION);
-        // Every row this routine writes is recorded in `pattern` (inputs are
-        // pre-marked; fills are pushed when first marked), so zeroing over the
-        // pattern restores a clean vector on abandonment.
-        macro_rules! abandon {
-            ($marked:ident, $seen:ident, $touched:ident, $heap:ident, $heap_slot:ident) => {{
-                for &r in pattern.iter() {
-                    $marked[r] = false;
-                    v[r] = 0.0;
-                }
-                pattern.clear();
-                for &k in &$touched {
-                    $seen[k as usize] = false;
-                }
-                $touched.clear();
-                $heap.clear();
-                self.row_marked = $marked;
-                self.node_seen = $seen;
-                self.node_touched = $touched;
-                self.$heap_slot = $heap;
-                return false;
-            }};
-        }
-        if pattern.len() > cap {
-            for &r in pattern.iter() {
-                v[r] = 0.0;
-            }
-            pattern.clear();
-            return false;
-        }
-
-        // Pass 1: Uᵀ reach, as in `btran_sparse`.
-        ensure_flags(&mut self.node_seen, self.u_pivot_row.len());
-        let mut marked = std::mem::take(&mut self.row_marked);
-        let mut seen = std::mem::take(&mut self.node_seen);
-        let mut touched = std::mem::take(&mut self.node_touched);
-        let mut heap = std::mem::take(&mut self.reach_min);
-        for &r in pattern.iter() {
-            marked[r] = true;
-        }
-        for &r in pattern.iter() {
-            let pc = self.pivot_col_of_row[r];
-            if pc != NONE && !seen[pc as usize] {
-                seen[pc as usize] = true;
-                touched.push(pc);
-                heap.push(Reverse((self.ord[pc as usize], pc)));
-            }
-            for &cid in self.row_adj.list(r) {
-                if !seen[cid as usize] {
-                    seen[cid as usize] = true;
-                    touched.push(cid);
-                    heap.push(Reverse((self.ord[cid as usize], cid)));
-                }
-            }
-        }
-        while let Some(Reverse((_, cid))) = heap.pop() {
-            let c = self.ucol(cid as usize);
-            let p = c.pivot_row;
-            let mut total = v[p];
-            for (r, val) in c.entries.iter() {
-                total -= val * v[r];
-            }
-            v[p] = total / c.pivot_value;
-            if !marked[p] {
-                marked[p] = true;
-                pattern.push(p);
-                for &next in self.row_adj.list(p) {
-                    if !seen[next as usize] {
-                        seen[next as usize] = true;
-                        touched.push(next);
-                        heap.push(Reverse((self.ord[next as usize], next)));
-                    }
-                }
-            }
-            if pattern.len() > cap {
-                abandon!(marked, seen, touched, heap, reach_min);
-            }
-        }
-        for &cid in &touched {
-            seen[cid as usize] = false;
-        }
-        touched.clear();
-        self.reach_min = heap;
-
-        // Pass 2: transposed L-ops, as in `btran_sparse`.
-        ensure_flags(&mut seen, self.num_lops());
-        let mut heap = std::mem::take(&mut self.reach_max);
-        for &r in pattern.iter() {
-            push_ops_max(
-                self.btran_readers.list(r),
-                &mut heap,
-                &mut seen,
-                &mut touched,
-            );
-        }
-        while let Some((_, k)) = heap.pop() {
-            let k = k as usize;
-            match self.lop(k) {
-                LOp::Col { pivot_row, entries } => {
-                    let p = pivot_row;
-                    let mut t = v[p];
-                    for (r, l) in entries.iter() {
-                        t -= l * v[r];
-                    }
-                    v[p] = t;
-                    if !marked[p] {
-                        marked[p] = true;
-                        pattern.push(p);
-                        let readers = self.btran_readers.list(p);
-                        let upto = readers.partition_point(|&x| (x as usize) < k);
-                        push_ops_max(&readers[..upto], &mut heap, &mut seen, &mut touched);
-                    }
-                }
-                LOp::Row { pivot_row, entries } => {
-                    let t = v[pivot_row];
-                    if t != 0.0 {
-                        for (r, mult) in entries.iter() {
-                            v[r] -= mult * t;
-                            if !marked[r] {
-                                marked[r] = true;
-                                pattern.push(r);
-                                let readers = self.btran_readers.list(r);
-                                let upto = readers.partition_point(|&x| (x as usize) < k);
-                                push_ops_max(&readers[..upto], &mut heap, &mut seen, &mut touched);
-                            }
-                        }
-                    }
-                }
-            }
-            if pattern.len() > cap {
-                abandon!(marked, seen, touched, heap, reach_max);
-            }
-        }
-        for &r in pattern.iter() {
-            marked[r] = false;
-        }
-        for &k in &touched {
-            seen[k as usize] = false;
-        }
-        touched.clear();
-        heap.clear();
-        self.row_marked = marked;
-        self.node_seen = seen;
-        self.node_touched = touched;
-        self.reach_max = heap;
-        true
     }
 
     /// Forrest–Tomlin update: the basis column pivoted on `leaving_row` is

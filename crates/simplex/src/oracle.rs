@@ -57,7 +57,7 @@ fn pivot_dense(sf: &StandardForm, options: &SolveOptions) -> Result<SolvedPoint,
     // Densify the CSC matrix and append artificial columns for rows without a
     // basic slack.
     let num_core_columns = sf.num_columns();
-    let num_artificials = sf.basis_hint.iter().filter(|h| h.is_none()).count();
+    let num_artificials = (0..sf.num_rows()).filter(|&r| sf.hint(r).is_none()).count();
     let total_columns = num_core_columns + num_artificials;
 
     let mut rows = sf.matrix.to_dense_rows();
@@ -67,9 +67,9 @@ fn pivot_dense(sf: &StandardForm, options: &SolveOptions) -> Result<SolvedPoint,
     // Insert artificial basics in row order so that `basis[r]` lines up with row `r`.
     let mut basis = vec![usize::MAX; sf.num_rows()];
     let mut artificial_index = 0;
-    for (r, hint) in sf.basis_hint.iter().enumerate() {
-        match hint {
-            Some(col) => basis[r] = *col,
+    for r in 0..sf.num_rows() {
+        match sf.hint(r) {
+            Some(col) => basis[r] = col,
             None => {
                 let col = num_core_columns + artificial_index;
                 rows[r][col] = 1.0;

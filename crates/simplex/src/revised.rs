@@ -31,7 +31,8 @@
 //! reduced cost (Dantzig): on the artificial-sum objective that drives the
 //! artificials out in near-minimal pivots.  Phase 2 scores candidates by
 //! projected steepest edge, `d_j² / γ_j`, with the reference weights `γ`
-//! updated from the same pivot row (one more BTRAN for the cross term) and
+//! updated from the same pivot row and the entering FTRAN (no further solve:
+//! the update drops the cross term `τ`, see `Pricing::update_steepest`) and
 //! re-anchored at every refactorisation.  `d` is recomputed exactly at every
 //! refactorisation and before optimality is declared.
 //!
@@ -87,10 +88,8 @@ enum Stage {
     PivotRowPass,
     /// The FTRAN of the entering column.
     Ftran,
-    /// The steepest-edge cross term's bounded BTRAN, abandoned or not.
-    CrossTermBtran,
-    /// The reduced-cost and weight updates: steepest edge (with the cross
-    /// term's masked vector and row pass) or the dual simplex's Devex.
+    /// The reduced-cost and weight updates: steepest edge or the dual
+    /// simplex's Devex.
     WeightUpdate,
     /// The primal or dual ratio test.
     RatioTest,
@@ -103,12 +102,11 @@ enum Stage {
 /// The `stage` label of each pivot stage a solve times, as recorded in the
 /// `cpm_lp_pivot_stage_nanos{stage=…}` histograms (one sample per solve:
 /// that solve's nanoseconds in the stage).
-pub const PIVOT_STAGES: [&str; 9] = [
+pub const PIVOT_STAGES: [&str; 8] = [
     "pricing",
     "pivot_row_btran",
     "pivot_row_pass",
     "ftran",
-    "cross_term_btran",
     "weight_update",
     "ratio_test",
     "ft_update",
@@ -324,16 +322,14 @@ impl<'a> RevisedState<'a> {
         let num_rows = sf.num_rows();
         let num_core = sf.num_columns();
         let mut artificial_rows = Vec::new();
-        let mut basis = vec![usize::MAX; num_rows];
-        for (r, hint) in sf.basis_hint.iter().enumerate() {
-            match hint {
-                Some(col) => basis[r] = *col,
-                None => {
-                    basis[r] = num_core + artificial_rows.len();
+        let basis: Vec<usize> = (0..num_rows)
+            .map(|r| {
+                sf.hint(r).unwrap_or_else(|| {
                     artificial_rows.push(r);
-                }
-            }
-        }
+                    num_core + artificial_rows.len() - 1
+                })
+            })
+            .collect();
         let mut in_basis = vec![false; num_core + artificial_rows.len()];
         for &col in &basis {
             in_basis[col] = true;
@@ -552,25 +548,6 @@ impl<'a> RevisedState<'a> {
         }
         self.btran_density = 0.9 * self.btran_density + 0.1 * rho.density();
         self.clock.stop(Stage::PivotRowBtran, started);
-    }
-
-    /// Bounded sparse BTRAN of an already-populated pattern vector in place
-    /// (used for the masked steepest-edge reference vector `w̃`).  Returns
-    /// `false` — with `v` zeroed back out — when the solve abandoned because
-    /// the result densified; the caller treats the cross term as unavailable
-    /// rather than paying a dense solve for an optional quantity.
-    fn btran_patvec(&mut self, v: &mut PatVec) -> bool {
-        debug_assert!(!v.dense);
-        let started = self.clock.start();
-        let cap = (2 * v.pattern.len()).max(128);
-        let solved = self
-            .lu
-            .btran_sparse_bounded(&mut v.values, &mut v.pattern, cap);
-        if solved {
-            v.pattern.sort_unstable(); // see ftran_column on why
-        }
-        self.clock.stop(Stage::CrossTermBtran, started);
-        solved
     }
 
     /// Ratio test: the row whose basic variable leaves when the FTRANed
@@ -999,17 +976,21 @@ impl Pricing {
     ///
     /// where `γ_q` is the **exact** norm of the entering column (recomputed
     /// from its FTRAN) and `τ_j = a_j' B⁻ᵀ w̃` with `w̃` the entering FTRAN
-    /// masked to reference rows other than `r`.  The leaving column's new
-    /// representation is `e_r − (w − e_r)/α_rq`, which collapses to
-    /// `γ_l' = γ_q / α_rq²` in the reference norm.  Every weight is clamped
-    /// from below by the exactly-known row-`r` component so drift can only
-    /// make columns *more* attractive to the verification step, never
-    /// invisible to it.
+    /// masked to reference rows other than `r`.  The update drops `τ`: it
+    /// would cost one more BTRAN and row pass per pivot, and on the served
+    /// programs that BTRAN densified on most pivots anyway.  What keeps the
+    /// τ-less weights safe is that every weight is clamped from below by the
+    /// exactly-known row-`r` component, so drift can only make columns *more*
+    /// attractive to the verification step, never invisible to it; that the
+    /// entering column's stored weight is checked against its exact norm
+    /// (a 16x gap re-anchors the framework); and that every refactorisation
+    /// re-anchors it anyway.  The leaving column's new representation is
+    /// `e_r − (w − e_r)/α_rq`, which collapses to `γ_l' = γ_q / α_rq²` in the
+    /// reference norm.
     #[allow(clippy::too_many_arguments)]
     fn update_steepest(
         &mut self,
         alpha: &SparseAccumulator,
-        tau: &SparseAccumulator,
         alpha_rq: f64,
         gamma_q: f64,
         entering: usize,
@@ -1031,7 +1012,7 @@ impl Pricing {
             self.d[j] -= theta_d * a;
             self.consider_candidate(j);
             let ratio = a / alpha_rq;
-            let mut g = self.weights[j] - 2.0 * ratio * tau.get(j) + ratio * ratio * gamma_q;
+            let mut g = self.weights[j] + ratio * ratio * gamma_q;
             if leaving_in_ref {
                 g -= 2.0 * a * a;
             }
@@ -1068,10 +1049,6 @@ struct Workspace {
     w: PatVec,
     rho: PatVec,
     alpha: SparseAccumulator,
-    /// Steepest-edge scratch: the masked reference vector `w̃` (then `B⁻ᵀ w̃`).
-    v: PatVec,
-    /// Steepest-edge scratch: the row `τ = (B⁻ᵀ w̃)' A` over the core columns.
-    tau: SparseAccumulator,
 }
 
 impl Workspace {
@@ -1081,8 +1058,6 @@ impl Workspace {
             w: PatVec::new(num_rows),
             rho: PatVec::new(num_rows),
             alpha: SparseAccumulator::with_len(num_core),
-            v: PatVec::new(num_rows),
-            tau: SparseAccumulator::with_len(num_core),
         }
     }
 
@@ -1095,19 +1070,6 @@ impl Workspace {
         for_nz!(rho, r, rho_r, {
             for (j, v) in row_major.row(r) {
                 alpha.add(j, v * rho_r);
-            }
-        });
-    }
-
-    /// Compute `τ = v' A` over the core columns into `tau` from the BTRANed
-    /// masked reference vector in `v` (the steepest-edge cross term).
-    fn tau_row(&mut self, row_major: &RowMajor) {
-        self.tau.clear();
-        let v = &self.v;
-        let tau = &mut self.tau;
-        for_nz!(v, r, v_r, {
-            for (j, a) in row_major.row(r) {
-                tau.add(j, a * v_r);
             }
         });
     }
@@ -1607,9 +1569,8 @@ fn run_phase(
             }
             // Steepest edge re-initialises exactly at each refactorisation:
             // re-anchoring `F` to the current nonbasic set makes every weight
-            // exactly one, and a young framework keeps the masked reference
-            // vector w̃ small, which is what keeps the per-pivot cross-term
-            // BTRAN on the sparse path.
+            // exactly one, which bounds how far the τ-less weight updates
+            // can drift.
             pricing.ref_stale = true;
         }
         if basis.dirty_reduced_costs {
@@ -1692,7 +1653,7 @@ fn run_phase(
             let started = basis.clock.start();
             ws.pivot_row(&basis.row_major);
             basis.clock.stop(Stage::PivotRowPass, started);
-            let mut started = basis.clock.start();
+            let started = basis.clock.start();
             let leaving = basis.basis[row];
             if matches!(pricing.rule, PricingRule::SteepestEdge) {
                 // The entering FTRAN gives the projected norm exactly, for
@@ -1708,39 +1669,8 @@ fn run_phase(
                     exact
                 };
                 let leaving_in_ref = leaving < pricing.in_ref.len() && pricing.in_ref[leaving];
-                // Build w̃ — the entering FTRAN masked to reference rows other
-                // than the pivot row — then τ = (B⁻ᵀ w̃)' A for the cross term.
-                ws.v.clear();
-                {
-                    let (w, v) = (&ws.w, &mut ws.v);
-                    for_nz!(w, i, wi, {
-                        if i != row {
-                            let c = basis.basis[i];
-                            if c < pricing.in_ref.len() && pricing.in_ref[c] {
-                                v.set(i, wi);
-                            }
-                        }
-                    });
-                }
-                if ws.v.pattern.is_empty() {
-                    ws.tau.clear();
-                } else {
-                    basis.clock.stop(Stage::WeightUpdate, started);
-                    let have_tau = basis.btran_patvec(&mut ws.v);
-                    started = basis.clock.start();
-                    if have_tau {
-                        ws.tau_row(&basis.row_major);
-                    } else {
-                        // Abandoned BTRAN: update without the cross term; the
-                        // floors keep the weights safe and the entering-side
-                        // exactness check catches any 16x drift.
-                        ws.tau.clear();
-                        state.stats.cross_term_abandoned += 1;
-                    }
-                }
                 pricing.update_steepest(
                     &ws.alpha,
-                    &ws.tau,
                     ws.w.values[row],
                     gamma_q,
                     col,

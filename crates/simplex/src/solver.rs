@@ -203,12 +203,6 @@ pub struct SolveStats {
     /// weight disagreed with the exact projected norm of its FTRANed column.
     #[serde(default)]
     pub steepest_edge_resets: usize,
-    /// How many steepest-edge weight updates went without their cross term
-    /// because the sparse BTRAN computing it densified past its cap and was
-    /// abandoned.  Each abandoned attempt still paid for the partial solve,
-    /// so this counts work the update threw away.
-    #[serde(default)]
-    pub cross_term_abandoned: usize,
     /// Peak bytes held by the LU factors plus this thread's elimination
     /// workspace (buffer capacities, read after every factorisation and at
     /// the end of each solve).  Across the solves one result folds together
@@ -256,7 +250,6 @@ impl SolveStats {
         self.basis_updates += earlier.basis_updates;
         self.basis_repairs += earlier.basis_repairs;
         self.steepest_edge_resets += earlier.steepest_edge_resets;
-        self.cross_term_abandoned += earlier.cross_term_abandoned;
         self.factor_bytes = self.factor_bytes.max(earlier.factor_bytes);
         self.dual_iterations += earlier.dual_iterations;
     }
@@ -411,7 +404,6 @@ fn record_solve_metrics(stats: &SolveStats, solve_nanos: u64) {
     cpm_obs::counter!("cpm_lp_pivots_total{phase=\"dual\"}").add(stats.dual_iterations as u64);
     cpm_obs::counter!("cpm_lp_refactorizations_total").add(stats.refactorizations as u64);
     cpm_obs::counter!("cpm_lp_repairs_total").add(stats.basis_repairs as u64);
-    cpm_obs::counter!("cpm_lp_cross_term_abandoned_total").add(stats.cross_term_abandoned as u64);
     if stats.warm_started {
         cpm_obs::counter!("cpm_lp_warm_started_total").inc();
     }
@@ -569,8 +561,9 @@ mod tests {
     /// pass carry its retired fields, which must be ignored; pre-dual stats
     /// carry no `form`, which must fill from its documented default
     /// (`Primal`), not `Default::default()` — this pins the vendored derive's
-    /// `#[serde(default = "path")]` support.  Stats without
-    /// `cross_term_abandoned` or `factor_bytes` load with a zero count.
+    /// `#[serde(default = "path")]` support.  Stats that still carry the
+    /// retired `cross_term_abandoned` count load too, and stats without
+    /// `factor_bytes` load with zero bytes.
     #[test]
     fn serde_defaults_for_missing_presolve_and_form_fields() {
         let options_json = serde_json::to_string(&SolveOptions::default()).unwrap();
@@ -606,20 +599,13 @@ mod tests {
             "a pre-dual snapshot's solve ran on the primal"
         );
 
-        // Stats written before the abandoned cross terms were counted load
-        // with a zero count.
-        let counted = SolveStats {
-            cross_term_abandoned: 7,
-            ..SolveStats::default()
-        };
-        let older = serde_json::to_string(&counted)
+        // Stats written while the steepest-edge update still had its cross
+        // term carry the retired count, which must be ignored.
+        let retired_stats = serde_json::to_string(&SolveStats::default())
             .unwrap()
-            .replace("\"cross_term_abandoned\":7,", "");
-        assert!(
-            !older.contains("cross_term"),
-            "field removed from the fixture"
-        );
-        let stats: SolveStats = serde_json::from_str(&older).unwrap();
+            .replace('{', "{\"cross_term_abandoned\":7,");
+        assert!(retired_stats.contains("\"cross_term_abandoned\":7"));
+        let stats: SolveStats = serde_json::from_str(&retired_stats).unwrap();
         assert_eq!(stats, SolveStats::default());
 
         // Stats written before the factor footprint was measured load with

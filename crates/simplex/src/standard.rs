@@ -28,6 +28,7 @@
 //! lifted seed then reads, so a caller that holds it can drop the builder.
 
 use crate::error::SimplexError;
+use crate::lu::NONE;
 use crate::model::{LinearProgram, Objective, Relation};
 use crate::sparse::SparseMatrix;
 
@@ -68,8 +69,10 @@ pub struct StandardForm {
     /// Number of the model's constraint rows; the rows after them are the
     /// bound rows of two-sided variable bounds.
     pub(crate) num_constraints: usize,
-    /// Per-row column index usable as the initial basic variable, if any.
-    pub(crate) basis_hint: Vec<Option<usize>>,
+    /// Per-row column index usable as the initial basic variable, or
+    /// [`NONE`]: a `u32` like the matrix's own indices (4 bytes a row, where
+    /// an `Option<usize>` takes 16); read through [`StandardForm::hint`].
+    pub(crate) basis_hint: Vec<u32>,
     /// Mapping from user variables to standard-form columns.
     pub(crate) mapping: Vec<VariableMapping>,
     /// Constant added to the (minimisation) objective by variable shifts.
@@ -96,6 +99,12 @@ impl StandardForm {
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.rhs.len()
+    }
+
+    /// The column usable as row `row`'s initial basic variable, if any.
+    pub(crate) fn hint(&self, row: usize) -> Option<usize> {
+        let col = self.basis_hint[row];
+        (col != NONE).then_some(col as usize)
     }
 
     /// Coefficient at `(row, col)` — test/diagnostic accessor.
@@ -226,7 +235,7 @@ pub(crate) fn standardize(lp: &LinearProgram) -> StandardForm {
                         mut rhs: f64,
                         triplets: &mut Vec<(usize, usize, f64)>,
                         rhs_vec: &mut Vec<f64>,
-                        basis_hint: &mut Vec<Option<usize>>| {
+                        basis_hint: &mut Vec<u32>| {
         let row = rhs_vec.len();
         let slack = match relation {
             Relation::LessEq => {
@@ -259,7 +268,11 @@ pub(crate) fn standardize(lp: &LinearProgram) -> StandardForm {
             }
             triplets.push((row, col, row_sign * value));
         }
-        let hint = slack.filter(|_| slack_value > 0.0);
+        // Column indices fit `u32`: `SparseMatrix::from_triplets` below
+        // refuses more columns than that.
+        let hint = slack
+            .filter(|_| slack_value > 0.0)
+            .map_or(NONE, |col| col as u32);
         rhs_vec.push(rhs);
         basis_hint.push(hint);
     };
@@ -562,7 +575,7 @@ mod tests {
         let sf = standardize(&lp);
         assert_eq!(sf.num_rows(), 1);
         assert_eq!(sf.num_columns(), 2);
-        assert_eq!(sf.basis_hint[0], Some(1));
+        assert_eq!(sf.hint(0), Some(1));
         assert_eq!(sf.rhs[0], 4.0);
     }
 
@@ -575,7 +588,7 @@ mod tests {
         let y = lp.add_variable("y");
         lp.add_constraint(vec![(x, 1.0), (y, -1.0)], Relation::GreaterEq, 0.0);
         let sf = standardize(&lp);
-        assert_eq!(sf.basis_hint[0], Some(2));
+        assert_eq!(sf.hint(0), Some(2));
         // Row was flipped: -x + y + s = 0.
         assert_eq!(sf.coeff(0, 0), -1.0);
         assert_eq!(sf.coeff(0, 1), 1.0);
@@ -588,7 +601,7 @@ mod tests {
         let x = lp.add_variable("x");
         lp.add_constraint(vec![(x, 1.0)], Relation::GreaterEq, 3.0);
         let sf = standardize(&lp);
-        assert_eq!(sf.basis_hint[0], None);
+        assert_eq!(sf.hint(0), None);
         assert_eq!(sf.coeff(0, 1), -1.0);
     }
 
@@ -599,7 +612,7 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0)], Relation::Equal, 1.0);
         let sf = standardize(&lp);
         assert_eq!(sf.num_columns(), 1);
-        assert_eq!(sf.basis_hint[0], None);
+        assert_eq!(sf.hint(0), None);
     }
 
     #[test]
@@ -666,7 +679,7 @@ mod tests {
         let sf = standardize(&lp);
         assert_eq!(sf.num_rows(), 1);
         assert_eq!(sf.rhs[0], 3.0);
-        assert_eq!(sf.basis_hint[0], Some(1));
+        assert_eq!(sf.hint(0), Some(1));
     }
 
     #[test]

@@ -200,19 +200,30 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
     fn take(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let count = u32::take(reader)? as usize;
-        if count.saturating_mul(T::MIN_LEN) > reader.remaining() {
-            return Err(DecodeError::LengthOverrun {
-                declared: count,
-                have: reader.remaining(),
-            });
-        }
-        let mut items = Vec::with_capacity(count);
-        for _ in 0..count {
-            items.push(T::take(reader)?);
-        }
-        Ok(items)
+        take_seq(reader, |item: T| item)
     }
+}
+
+/// Decode a `Vec<T>` encoding straight into a `Vec<U>`, converting each
+/// element as it is read: one allocation, reserved only after the declared
+/// count passes the same check as `Vec::<T>::take` (at least
+/// [`Wire::MIN_LEN`] bytes an element must remain).
+pub fn take_seq<T: Wire, U>(
+    reader: &mut Reader<'_>,
+    convert: impl Fn(T) -> U,
+) -> Result<Vec<U>, DecodeError> {
+    let count = u32::take(reader)? as usize;
+    if count.saturating_mul(T::MIN_LEN) > reader.remaining() {
+        return Err(DecodeError::LengthOverrun {
+            declared: count,
+            have: reader.remaining(),
+        });
+    }
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        items.push(convert(T::take(reader)?));
+    }
+    Ok(items)
 }
 
 /// Strings are a `u32` byte length plus UTF-8 bytes.
