@@ -13,9 +13,10 @@
 //! key's actual row, and says why in its description.
 //!
 //! A second test pins the route of the designs no seed fits: every property
-//! set with F (64 of them) under the L1 and L2 objectives at α = 0.9 and
-//! n ∈ {12, 16}.  They are reachable over the wire and walk the cold
-//! two-phase primal route, which the perfbench keys above never take.
+//! set with F (64 of them) under the L1 and L2 objectives at α = 0.9,
+//! n ∈ {12, 16}, and at α = 0.99, n ∈ {10, 12}.  They are reachable over the
+//! wire and walk the cold two-phase primal route, which the perfbench keys
+//! above never take.
 //!
 //! `#[ignore]`d so the ordinary (debug) `cargo test` stays fast; CI runs
 //! both explicitly with
@@ -126,9 +127,16 @@ fn perfbench_lp_keys_keep_their_trajectories() {
     );
 }
 
-/// `(n, summed pivots)` of the 64 F sets × {L1, L2} at α = 0.9 (an F set has
-/// no relaxation to seed it, so these are the cold walks alone).
-const F_SET_PIVOTS: [(usize, usize); 2] = [(12, 25_694), (16, 36_350)];
+/// `(n, α, summed pivots)` of the 64 F sets × {L1, L2} (an F set has no
+/// relaxation to seed it, so these are the cold walks alone).  At α = 0.99
+/// the cold route has stalled on the full program's degenerate bases (see
+/// `lift_differential`'s `COLD_ROUTE_CYCLES`).
+const F_SET_PIVOTS: [(usize, f64, usize); 4] = [
+    (12, 0.9, 25_694),
+    (16, 0.9, 36_350),
+    (10, 0.99, 17_808),
+    (12, 0.99, 28_002),
+];
 
 #[test]
 #[ignore = "release-mode golden test; run explicitly (see CI workflow)"]
@@ -139,7 +147,7 @@ fn f_sets_keep_their_cold_route() {
         .collect();
     let mut actual = Vec::new();
     let mut failures = Vec::new();
-    for (n, _) in F_SET_PIVOTS {
+    for (n, alpha, _) in F_SET_PIVOTS {
         let mut pivots = 0;
         for subset in 0..1u32 << others.len() {
             let properties: PropertySet = others
@@ -151,7 +159,7 @@ fn f_sets_keep_their_cold_route() {
                 .collect();
             for objective in [ObjectiveKey::L1, ObjectiveKey::L2] {
                 let key =
-                    SpecKey::with_objective(n, Alpha::new(0.9).unwrap(), properties, objective);
+                    SpecKey::with_objective(n, Alpha::new(alpha).unwrap(), properties, objective);
                 match key.spec().design() {
                     Ok(designed) => {
                         pivots += designed
@@ -163,7 +171,7 @@ fn f_sets_keep_their_cold_route() {
                 }
             }
         }
-        actual.push((n, pivots));
+        actual.push((n, alpha, pivots));
     }
     assert!(
         failures.is_empty(),

@@ -8,12 +8,11 @@
 //! in forced dual form, where the lifted seed is primal feasible but dual
 //! infeasible.
 //!
-//! The cold route on the full program has a known defect the lifted orbit
-//! route does not share: on one case at α = 0.99, n = 10 it pivots until the
-//! budget runs out (50 000 pivots as well as 5 000).  That case is listed in [`COLD_ROUTE_CYCLES`];
-//! everywhere else all three routes must agree.  Designs no seed fits (the F
-//! sets) run that cold route too, and [`COLD_ROUTE_STALLS`] pins two of them
-//! that fail.  A fix to the cold route empties both lists.
+//! The cold route on the full program must reach the dense oracle's optimum
+//! on every case of the grid; a case whose cold solve runs out of pivots
+//! belongs in [`COLD_ROUTE_CYCLES`], which is empty.  Designs no seed fits
+//! (the F sets) run that cold route too, and [`COLD_ROUTE_STALLS`] pins two
+//! of them that fail.  A fix to the cold route empties that list too.
 
 use cpm_core::prelude::*;
 use cpm_core::properties::{Property, PropertySet};
@@ -34,12 +33,15 @@ const COLD_PIVOT_BUDGET: usize = 5_000;
 /// before they solved over orbits).  The orbit program, lifted, solves it in
 /// primal form in ~0.5 s (2-vCPU VM).
 ///
-/// Which cases stall depends on the route's details, not only on the
-/// program: L1 `{RM}` and L0 `{RM}` at the same point also stall when the
-/// solver refactorises every 64 updates instead of every 32, and L0 `{RH}`
-/// stalls instead of L2 `{RM}` when the steepest-edge weight update carries
-/// its cross term.
-const COLD_ROUTE_CYCLES: [(&str, &str, usize, f64); 1] = [("L2", "RM", 10, 0.99)];
+/// The grid's cold solves at α = 0.99, n = 10 walk highly degenerate
+/// bases; some meet a singular basis and roll back to the last
+/// factorisation.  Only the rollback's bar on the column that caused it
+/// keeps the walk from replaying the same pivots into the same singular
+/// basis until the budget runs out (L0 `{RH}` and L2 `{RM}` do without it).
+/// Which cases stall depends on where the factors are rebuilt, not only on
+/// the program: L0 `{RH}` and L0 `{RM}` stall when the solver refactorises
+/// every 64 updates instead of every 32.
+const COLD_ROUTE_CYCLES: [(&str, &str, usize, f64); 0] = [];
 
 /// Pivot budget of the [`COLD_ROUTE_STALLS`] solves: ~4x the 540 pivots
 /// the most expensive F set that does solve at their `(n, α)` needs under

@@ -408,45 +408,41 @@ fn request_tag(payload: &[u8]) -> Result<u8, String> {
     Ok(payload[7])
 }
 
-/// Bytes of a `b"CPMF"` response frame whose strings and sequences are all
-/// empty: the header, `ok`, nine `u64` counters and five `u32` lengths.
-const RESPONSE_FIXED_LEN: usize = FRAME_HEADER_LEN + 1 + 9 * 8 + 5 * 4;
-
 /// Encode a response as a `b"CPMF"` response frame payload, mirroring
-/// [`WireResponse`] field-for-field, into one buffer of its exact size.
+/// [`WireResponse`] field-for-field.
 pub fn encode_response(tag: u8, response: &WireResponse) -> Vec<u8> {
-    let len = RESPONSE_FIXED_LEN
-        + response.error.len()
-        + 4 * response.outputs.len()
-        + response.metrics.len()
-        + 8 * (response.estimates.len() + response.variances.len());
-    let mut out = Vec::with_capacity(len);
+    let mut out = Vec::new();
+    encode_response_into(tag, response, &mut out);
+    out
+}
+
+/// [`encode_response`], appended to `out`: a connection encodes its replies
+/// straight into its output buffer.
+fn encode_response_into(tag: u8, response: &WireResponse, out: &mut Vec<u8>) {
     out.extend_from_slice(&FRAME_MAGIC);
-    FRAME_VERSION.put(&mut out);
+    FRAME_VERSION.put(out);
     out.push(KIND_RESPONSE);
     out.push(tag);
-    response.ok.put(&mut out);
-    response.error.put(&mut out);
+    response.ok.put(out);
+    response.error.put(out);
     // Outputs fit u32 by construction: every key's group size is at most
     // `MAX_WIRE_N`, and outputs never exceed `n`.
-    (response.outputs.len() as u32).put(&mut out);
+    (response.outputs.len() as u32).put(out);
     for &output in &response.outputs {
-        (output as u32).put(&mut out);
+        (output as u32).put(out);
     }
-    response.cache_hits.put(&mut out);
-    response.cache_misses.put(&mut out);
-    response.design_solves.put(&mut out);
-    response.entries.put(&mut out);
-    response.design_micros.put(&mut out);
-    response.sample_micros.put(&mut out);
-    response.metrics.put(&mut out);
-    response.ingested.put(&mut out);
-    response.rejected.put(&mut out);
-    response.reports.put(&mut out);
-    response.estimates.put(&mut out);
-    response.variances.put(&mut out);
-    debug_assert_eq!(out.len(), len, "RESPONSE_FIXED_LEN is out of date");
-    out
+    response.cache_hits.put(out);
+    response.cache_misses.put(out);
+    response.design_solves.put(out);
+    response.entries.put(out);
+    response.design_micros.put(out);
+    response.sample_micros.put(out);
+    response.metrics.put(out);
+    response.ingested.put(out);
+    response.rejected.put(out);
+    response.reports.put(out);
+    response.estimates.put(out);
+    response.variances.put(out);
 }
 
 /// Decode a `b"CPMF"` response frame payload into `(op tag, response)` —
@@ -974,17 +970,22 @@ impl ProtoConnection {
         )))
     }
 
+    /// Append one length-prefixed reply to `outbuf`.  The payload is written
+    /// behind a placeholder prefix, which is patched once its length is known.
     fn write_response(&mut self, codec: Codec, tag: u8, response: &WireResponse) {
-        let payload = match codec {
-            Codec::Json => serde_json::to_string(response)
-                .expect("WireResponse always serializes")
-                .into_bytes(),
-            Codec::Binary => encode_response(tag, response),
-        };
-        debug_assert!(payload.len() <= MAX_FRAME_LEN, "response exceeds frame cap");
-        self.outbuf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.outbuf.extend_from_slice(&payload);
+        let start = self.outbuf.len();
+        self.outbuf.extend_from_slice(&[0; 4]);
+        match codec {
+            Codec::Json => self.outbuf.extend_from_slice(
+                serde_json::to_string(response)
+                    .expect("WireResponse always serializes")
+                    .as_bytes(),
+            ),
+            Codec::Binary => encode_response_into(tag, response, &mut self.outbuf),
+        }
+        let len = self.outbuf.len() - start - 4;
+        debug_assert!(len <= MAX_FRAME_LEN, "response exceeds frame cap");
+        self.outbuf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
     }
 
     fn process_http(&mut self, header: &[u8]) {

@@ -41,7 +41,12 @@
 //! A numerical breakdown during an update or a factorisation no longer aborts
 //! the solve: the driver refactorises from scratch, falling back to the last
 //! good basis if the current one is singular, up to [`MAX_REPAIRS`] times in a
-//! row ([`SolveStats::basis_repairs`] reports how often this fired).
+//! row ([`SolveStats::basis_repairs`] reports how often this fired).  A
+//! rollback bars the column whose pivot caused it from entering until the
+//! next improving pivot: pricing is deterministic, so without the bar a walk
+//! stuck on degenerate pivots replays them from the rolled-back basis into
+//! the same singular one, round after round, until the pivot budget runs
+//! out.
 //!
 //! [`SolveStats::basis_repairs`]: crate::SolveStats::basis_repairs
 
@@ -286,6 +291,10 @@ struct RevisedState<'a> {
     dirty_reduced_costs: bool,
     /// Set when a repair rolled the basis back: pricing weights must reset.
     dirty_weights: bool,
+    /// Columns barred from entering: each entered on a pivot whose update
+    /// ended in a rollback.  Cleared by the next improving pivot, at the
+    /// start of each phase, and when nothing else prices favourably.
+    banned: Vec<usize>,
     /// This solve's time per pivot stage.
     clock: StageClock,
 }
@@ -359,6 +368,7 @@ impl<'a> RevisedState<'a> {
             repair_streak: 0,
             dirty_reduced_costs: false,
             dirty_weights: false,
+            banned: Vec::new(),
             clock: StageClock::new(),
         };
         state.refactorize()?;
@@ -410,6 +420,7 @@ impl<'a> RevisedState<'a> {
             repair_streak: 0,
             dirty_reduced_costs: false,
             dirty_weights: false,
+            banned: Vec::new(),
             clock: StageClock::new(),
         };
         state.refactorize()?;
@@ -614,7 +625,7 @@ impl<'a> RevisedState<'a> {
     /// already FTRANed entering column `w` (whose L-stage spike is still saved
     /// from [`RevisedState::ftran_column`]).  Updates the basic solution, the
     /// basis books, and the LU factors (repairing on breakdown).  Returns
-    /// `true` for a non-degenerate pivot.
+    /// `true` for a non-degenerate pivot that the repair did not roll back.
     fn apply_pivot(&mut self, row: usize, col: usize, w: &PatVec) -> Result<bool, SimplexError> {
         let started = self.clock.start();
         let pivot_value = w.values[row];
@@ -654,6 +665,11 @@ impl<'a> RevisedState<'a> {
             // The update left the factors unusable; rebuild from scratch (this
             // recomputes x_B exactly from the repaired basis).
             self.repair("Forrest–Tomlin update met a singular basis", false)?;
+            if !self.in_basis[col] {
+                // The repair rolled back past this pivot: it made no progress.
+                self.banned.push(col);
+                return Ok(false);
+            }
         }
         Ok(nondegenerate)
     }
@@ -899,7 +915,7 @@ impl Pricing {
     /// candidate prices favourably.  Scans the candidate list, evicting
     /// entries that went basic or stopped pricing favourably (they re-join
     /// through [`Pricing::consider_candidate`] if an update revives them).
-    fn select(&mut self, eps: f64, in_basis: &[bool]) -> Option<usize> {
+    fn select(&mut self, eps: f64, in_basis: &[bool], banned: &[usize]) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         let mut k = 0;
         while k < self.list.len() {
@@ -910,7 +926,7 @@ impl Pricing {
                 continue;
             }
             let d = self.d[j];
-            if favourable(d, eps) {
+            if favourable(d, eps) && !banned.contains(&j) {
                 let score = match self.rule {
                     PricingRule::Dantzig => d.abs(),
                     PricingRule::SteepestEdge => d * d / self.weights[j],
@@ -1553,6 +1569,7 @@ fn run_phase(
     ws: &mut Workspace,
 ) -> Result<PhaseOutcome, SimplexError> {
     let eps = options.tolerance;
+    basis.banned.clear();
     loop {
         if state.iterations_left == 0 {
             return Err(SimplexError::IterationLimit {
@@ -1594,7 +1611,7 @@ fn run_phase(
             if pricing.dirty {
                 pricing.recompute(basis, costs, &mut ws.y);
             }
-            match pricing.select(eps, &basis.in_basis) {
+            match pricing.select(eps, &basis.in_basis, &basis.banned) {
                 Some(j) => break Some(j),
                 None if !pricing.exact => {
                     // The incremental reduced costs may have drifted; prove
@@ -1616,6 +1633,12 @@ fn run_phase(
                 if basis.refactorize().is_err() {
                     basis.repair("optimality confirmation refactorisation", true)?;
                 }
+                continue;
+            }
+            if !basis.banned.is_empty() {
+                // Only barred columns may still price favourably: lift the
+                // bar rather than declare an optimum they would refute.
+                basis.banned.clear();
                 continue;
             }
             return Ok(PhaseOutcome::Optimal);
@@ -1698,20 +1721,27 @@ fn run_phase(
 
         let nondegenerate = basis.apply_pivot(row, col, &ws.w)?;
         state.record_pivot(nondegenerate);
+        if nondegenerate {
+            basis.banned.clear();
+        }
     }
 }
 
 /// Bland's rule pricing: the smallest-index nonbasic column with a negative
 /// exact reduced cost (recomputed every iteration, as the termination
-/// guarantee requires).  Artificial columns are never allowed to enter — the
-/// scan stops at the core columns (they start basic and only ever leave).
+/// guarantee requires), skipping barred columns.  Artificial columns are
+/// never allowed to enter — the scan stops at the core columns (they start
+/// basic and only ever leave).
 fn price_bland(basis: &RevisedState<'_>, costs: &[f64], eps: f64, y: &mut [f64]) -> Option<usize> {
     for (r, slot) in y.iter_mut().enumerate() {
         *slot = costs[basis.basis[r]];
     }
     basis.btran(y);
-    (0..basis.num_core)
-        .find(|&j| !basis.in_basis[j] && favourable(costs[j] - basis.column_dot(j, y), eps))
+    (0..basis.num_core).find(|&j| {
+        !basis.in_basis[j]
+            && !basis.banned.contains(&j)
+            && favourable(costs[j] - basis.column_dot(j, y), eps)
+    })
 }
 
 /// After Phase 1, pivot any artificial variables that are still basic (at value
