@@ -132,8 +132,8 @@ impl Serialize for AlphaKey {
     /// Serialises as the α value itself.  The vendored JSON layer prints `f64`s
     /// with shortest round-trippable formatting, so the bit pattern survives a
     /// serialise → parse cycle exactly — the same contract the key itself makes.
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Number(self.alpha().value())
+    fn serialize(&self, writer: &mut serde::Writer<'_>) -> Result<(), serde::Error> {
+        writer.number(self.alpha().value())
     }
 }
 

@@ -135,19 +135,26 @@ impl Serialize for SpecKey {
     /// Canonical form: `{"n": …, "alpha": …, "properties": "{WH, CM}",
     /// "objective": "L0"}` — α bit-exact through the shortest-round-trip float
     /// formatting, properties and objective in the paper's notation.
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("n".to_string(), self.n.to_value()),
-            ("alpha".to_string(), self.alpha.to_value()),
-            (
-                "properties".to_string(),
-                self.properties.to_string().to_value(),
-            ),
-            (
-                "objective".to_string(),
-                self.objective.to_string().to_value(),
-            ),
-        ])
+    fn serialize(&self, writer: &mut serde::Writer<'_>) -> Result<(), serde::Error> {
+        writer.begin_object();
+        self.write_fields(writer)?;
+        writer.end_object();
+        Ok(())
+    }
+}
+
+impl SpecKey {
+    /// The key's members, written into an open object.
+    fn write_fields(&self, writer: &mut serde::Writer<'_>) -> Result<(), serde::Error> {
+        writer.field("n");
+        self.n.serialize(writer)?;
+        writer.field("alpha");
+        self.alpha.serialize(writer)?;
+        writer.field("properties");
+        writer.string(&self.properties.to_string());
+        writer.field("objective");
+        writer.string(&self.objective.to_string());
+        Ok(())
     }
 }
 
@@ -362,12 +369,13 @@ impl fmt::Display for MechanismSpec {
 
 impl Serialize for MechanismSpec {
     /// Canonical form: the [`SpecKey`] fields plus `tolerance`.
-    fn to_value(&self) -> serde::Value {
-        let serde::Value::Object(mut pairs) = self.key().to_value() else {
-            unreachable!("SpecKey serialises to an object");
-        };
-        pairs.push(("tolerance".to_string(), self.tolerance.to_value()));
-        serde::Value::Object(pairs)
+    fn serialize(&self, writer: &mut serde::Writer<'_>) -> Result<(), serde::Error> {
+        writer.begin_object();
+        self.key().write_fields(writer)?;
+        writer.field("tolerance");
+        writer.number(self.tolerance)?;
+        writer.end_object();
+        Ok(())
     }
 }
 
@@ -540,16 +548,24 @@ impl fmt::Display for DesignedMechanism {
 }
 
 impl Serialize for DesignedMechanism {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("spec".to_string(), self.spec.to_value()),
-            ("choice".to_string(), self.choice.to_value()),
-            ("mechanism".to_string(), self.mechanism.to_value()),
-            ("solver_stats".to_string(), self.solver_stats.to_value()),
-            ("report".to_string(), self.report.to_value()),
-            ("score".to_string(), self.score.to_value()),
-            ("design_nanos".to_string(), self.design_nanos.to_value()),
-        ])
+    fn serialize(&self, writer: &mut serde::Writer<'_>) -> Result<(), serde::Error> {
+        writer.begin_object();
+        writer.field("spec");
+        self.spec.serialize(writer)?;
+        writer.field("choice");
+        self.choice.serialize(writer)?;
+        writer.field("mechanism");
+        self.mechanism.serialize(writer)?;
+        writer.field("solver_stats");
+        self.solver_stats.serialize(writer)?;
+        writer.field("report");
+        self.report.serialize(writer)?;
+        writer.field("score");
+        writer.number(self.score)?;
+        writer.field("design_nanos");
+        self.design_nanos.serialize(writer)?;
+        writer.end_object();
+        Ok(())
     }
 }
 

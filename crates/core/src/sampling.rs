@@ -196,6 +196,7 @@ impl AliasSampler {
     }
 
     /// Draw one output for the true count `input` — `O(1)`.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, input: usize, rng: &mut R) -> usize {
         self.sample_from_uniform(input, rng.gen())
     }
@@ -205,16 +206,22 @@ impl AliasSampler {
     /// `u * dim` is split into an integer bucket and a fractional acceptance test;
     /// the two parts of a single uniform are independent, so one `f64` per draw
     /// suffices (the same budget as [`MechanismSampler::sample_from_uniform`]).
+    ///
+    /// The draw is branch-free: both the bucket's threshold and its alias are
+    /// loaded, and the acceptance test picks one with a conditional move.
+    /// Acceptance is a data-dependent coin flip, so a branch on it would be
+    /// mispredicted on a large share of draws; a plain mask is not enough,
+    /// since the compiler turns it back into that branch.
+    #[inline]
     pub fn sample_from_uniform(&self, input: usize, u: f64) -> usize {
         let scaled = u * self.dim as f64;
-        let bucket = (scaled as usize).min(self.dim - 1);
-        let fraction = scaled - bucket as f64;
+        // Outputs are `u32`s in the alias table, so the bucket fits one; the
+        // `u32` ⇄ `f64` conversions are single instructions, `usize`'s not.
+        let bucket = (scaled as u32 as usize).min(self.dim - 1);
+        let fraction = scaled - bucket as u32 as f64;
         let at = input * self.dim + bucket;
-        if fraction < self.prob[at] {
-            bucket
-        } else {
-            self.alias[at] as usize
-        }
+        let (threshold, alias) = (self.prob[at], self.alias[at] as usize);
+        std::hint::select_unpredictable(fraction < threshold, bucket, alias)
     }
 
     /// Privatise a slice of true counts, drawing one output per count.
@@ -475,6 +482,82 @@ mod tests {
         let em = ExplicitFairMechanism::new(6, a(0.5)).unwrap();
         assert_eq!(MechanismSampler::new(em.matrix()).dim(), 7);
         assert_eq!(AliasSampler::new(em.matrix()).dim(), 7);
+    }
+
+    /// The alias draw as it was written before it went branch-free: the
+    /// reference [`AliasSampler::sample_from_uniform`] must match.
+    fn branchy_draw(sampler: &AliasSampler, input: usize, u: f64) -> usize {
+        let scaled = u * sampler.dim as f64;
+        let bucket = (scaled as usize).min(sampler.dim - 1);
+        let fraction = scaled - bucket as f64;
+        let at = input * sampler.dim + bucket;
+        if fraction < sampler.prob[at] {
+            bucket
+        } else {
+            sampler.alias[at] as usize
+        }
+    }
+
+    /// Uniforms at every bucket boundary of `sampler`: each bucket's first
+    /// `u` and the one just below it, and the acceptance threshold of every
+    /// input's bucket with the `u` just below and just above it.
+    fn boundary_uniforms(sampler: &AliasSampler) -> Vec<f64> {
+        let dim = sampler.dim as f64;
+        let mut uniforms = Vec::new();
+        for bucket in 0..sampler.dim {
+            let start = bucket as f64 / dim;
+            uniforms.extend([start.next_down(), start]);
+            for input in 0..sampler.dim {
+                let threshold = (bucket as f64 + sampler.prob[input * sampler.dim + bucket]) / dim;
+                uniforms.extend([threshold.next_down(), threshold, threshold.next_up()]);
+            }
+        }
+        // u → 1.
+        let mut below_one = 1.0f64;
+        for _ in 0..4 {
+            below_one = below_one.next_down();
+            uniforms.push(below_one);
+        }
+        uniforms.retain(|u| (0.0..1.0).contains(u));
+        uniforms
+    }
+
+    #[test]
+    fn branch_free_alias_draws_match_the_branchy_reference() {
+        use crate::design::MechanismSpec;
+        use crate::properties::{Property, PropertySet};
+
+        let designs = [
+            ("GM", PropertySet::empty()),
+            ("EM", PropertySet::empty().with(Property::Fairness)),
+            (
+                "WM",
+                PropertySet::empty().with(Property::ColumnMonotonicity),
+            ),
+        ];
+        for n in [1, 8, 32, 128] {
+            for (name, properties) in designs {
+                let designed = MechanismSpec::new(n, a(0.9))
+                    .properties(properties)
+                    .build()
+                    .unwrap()
+                    .design()
+                    .unwrap();
+                let sampler = designed.alias_sampler();
+                let mut uniforms = boundary_uniforms(sampler);
+                let mut rng = StdRng::seed_from_u64(n as u64);
+                uniforms.extend((0..4096).map(|_| rng.gen::<f64>()));
+                for input in 0..sampler.dim {
+                    for &u in &uniforms {
+                        assert_eq!(
+                            sampler.sample_from_uniform(input, u),
+                            branchy_draw(sampler, input, u),
+                            "{name} n = {n}, input {input}, u = {u:e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

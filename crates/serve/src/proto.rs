@@ -976,11 +976,8 @@ impl ProtoConnection {
         let start = self.outbuf.len();
         self.outbuf.extend_from_slice(&[0; 4]);
         match codec {
-            Codec::Json => self.outbuf.extend_from_slice(
-                serde_json::to_string(response)
-                    .expect("WireResponse always serializes")
-                    .as_bytes(),
-            ),
+            Codec::Json => serde_json::to_writer(&mut self.outbuf, response)
+                .expect("WireResponse always serializes"),
             Codec::Binary => encode_response_into(tag, response, &mut self.outbuf),
         }
         let len = self.outbuf.len() - start - 4;
