@@ -194,23 +194,22 @@ pub struct DesignCache {
     design_nanos: AtomicU64,
 }
 
-impl DesignCache {
-    /// Default number of lock stripes.
-    pub const DEFAULT_SHARDS: usize = 16;
+/// Lock stripes of a [`DesignCache`].
+const SHARDS: usize = 16;
 
-    /// A cache bounded by `capacity` designs across [`Self::DEFAULT_SHARDS`]
-    /// lock stripes.  The bound is enforced per stripe as
-    /// `ceil(capacity / shards)` (at least 1), so the exact resident maximum is
-    /// what [`DesignCache::capacity`] reports — up to `shards − 1` above the
-    /// request when it does not divide evenly.
+impl DesignCache {
+    /// A cache bounded by `capacity` designs across its lock stripes.  The
+    /// bound is enforced per stripe as `ceil(capacity / stripes)` (at least
+    /// 1), so the exact resident maximum is what [`DesignCache::capacity`]
+    /// reports — up to `stripes − 1` above the request when it does not
+    /// divide evenly.
     pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, Self::DEFAULT_SHARDS)
+        Self::striped(capacity, SHARDS)
     }
 
-    /// A cache with an explicit stripe count (rounded up to at least 1).  The
-    /// capacity is split evenly across stripes, each keeping at least one
-    /// entry; see [`DesignCache::new`] for the exact rounding of the bound.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
+    /// [`DesignCache::new`] over `shards` stripes (at least 1); the tests
+    /// use one stripe, where the bound is an exact LRU.
+    fn striped(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         let per_shard_capacity = capacity.div_ceil(shards).max(1);
         DesignCache {
@@ -768,7 +767,7 @@ mod tests {
     #[test]
     fn lru_eviction_keeps_the_most_recent_keys() {
         // One stripe so the LRU order is global and observable.
-        let cache = DesignCache::with_shards(2, 1);
+        let cache = DesignCache::striped(2, 1);
         let keys: Vec<SpecKey> = (2..6).map(gm_key).collect();
         for key in &keys {
             cache.get(key).unwrap();
@@ -907,13 +906,13 @@ mod tests {
     fn oversized_snapshots_report_only_what_fits_and_never_evict() {
         // Warm 5 designs into a roomy cache, snapshot them, then load into a
         // single-stripe cache of capacity 2 that already holds one live entry.
-        let source = DesignCache::with_shards(16, 1);
+        let source = DesignCache::striped(16, 1);
         let keys: Vec<SpecKey> = (2..7).map(gm_key).collect();
         source.warm(&keys).unwrap();
         let mut buffer = Vec::new();
         assert_eq!(source.save_snapshot(&mut buffer).unwrap(), 5);
 
-        let small = DesignCache::with_shards(2, 1);
+        let small = DesignCache::striped(2, 1);
         let live = gm_key(10);
         small.get(&live).unwrap();
         let inserted = small.load_snapshot(&mut &buffer[..]).unwrap();
@@ -932,20 +931,20 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         // A roomy cache writes 4 designs.
-        let source = DesignCache::with_shards(16, 1);
+        let source = DesignCache::striped(16, 1);
         let keys: Vec<SpecKey> = (2..6).map(gm_key).collect();
         source.warm(&keys).unwrap();
         assert_eq!(source.save_snapshot_file(&path).unwrap(), 4);
 
         // A capacity-2 cache loads what fits, designs a fresh key, and saves
         // with merging: the designs that never fit must survive on disk.
-        let small = DesignCache::with_shards(2, 1);
+        let small = DesignCache::striped(2, 1);
         assert_eq!(small.load_snapshot_file(&path).unwrap(), 2);
         small.get(&gm_key(9)).unwrap(); // evicts one resident entry
         let merged = small.save_snapshot_file_merging(&path).unwrap();
         assert_eq!(merged, 5, "4 originals + 1 fresh design");
 
-        let check = DesignCache::with_shards(16, 1);
+        let check = DesignCache::striped(16, 1);
         assert_eq!(check.load_snapshot_file(&path).unwrap(), 5);
         let _ = std::fs::remove_file(&path);
     }
@@ -974,7 +973,7 @@ mod tests {
         // same `shard="i"` labels concurrently, so this asserts the family
         // exists after traffic (exact per-stripe values are covered by the
         // spawned-server smoke tests, where the process is ours alone).
-        let cache = DesignCache::with_shards(8, 2);
+        let cache = DesignCache::striped(8, 2);
         let keys: Vec<SpecKey> = (2..6).map(gm_key).collect();
         for key in &keys {
             cache.get(key).unwrap();
@@ -999,7 +998,7 @@ mod tests {
             walked
         }
         // One stripe, so the capacity bound (and every eviction) is global.
-        let cache = DesignCache::with_shards(4, 1);
+        let cache = DesignCache::striped(4, 1);
         let keys: Vec<SpecKey> = (2..6).map(gm_key).collect();
         cache.warm(&keys).unwrap();
         assert_eq!(agree(&cache, "warm"), 4);
@@ -1011,7 +1010,7 @@ mod tests {
 
         let mut buffer = Vec::new();
         cache.save_snapshot(&mut buffer).unwrap();
-        let small = DesignCache::with_shards(2, 1);
+        let small = DesignCache::striped(2, 1);
         small.get(&gm_key(10)).unwrap();
         assert_eq!(small.load_snapshot(&mut &buffer[..]).unwrap(), 1);
         assert_eq!(agree(&small, "partial snapshot load"), 2);

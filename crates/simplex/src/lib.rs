@@ -89,19 +89,26 @@
 //!       │                              primal-optimal and warm-start-valid (a
 //!       │                              re-solve takes 0 pivots)
 //!       ▼
-//! revised simplex        revised.rs    two-phase driver, Harris two-pass ratio
-//!       │                              test, Dantzig (phase 1) / steepest-edge
+//! revised simplex        revised.rs    two-phase driver (one state, built from
+//!       │                              a cold or warm seed basis; one solve
+//!       │                              epilogue), Harris two-pass ratio test,
+//!       │                              Dantzig (phase 1) / steepest-edge
 //!       │                              (phase 2) pricing with a Bland fallback,
 //!       │                              incremental reduced costs, basis
 //!       │                              repair, dual-simplex warm starts; times
 //!       │                              each pivot stage per solve
-//!       │                              (PIVOT_STAGES)
+//!       │                              (PIVOT_STAGES); no routing state
 //!       ▼
 //! LU basis inverse       lu.rs         Markowitz factorisation (singleton peeling
-//!                                      + threshold pivoting), Suhl–Suhl ordered
-//!                                      sparse triangular FTRAN/BTRAN with
-//!                                      dense-result pattern harvest,
-//!                                      Forrest–Tomlin updates
+//!                                      + threshold pivoting), Forrest–Tomlin
+//!                                      updates; the entering-column FTRAN and
+//!                                      the unit-row BTRAN, each routed here:
+//!                                      Suhl–Suhl ordered reach that resumes
+//!                                      the one dense scan of each triangular
+//!                                      pass, density EWMAs reset per
+//!                                      factorisation, sorted or harvested
+//!                                      result patterns; the FTRAN keeps the
+//!                                      spike the update reads
 //! ```
 //!
 //! The solver takes the program as written: it has no presolve.  The design

@@ -64,7 +64,7 @@
 //! ## Forrest–Tomlin update
 //!
 //! When column `q` enters the basis in pivot row `p`, the spike `v = L⁻¹ a_q`
-//! replaces U's column for row `p`, and that column is moved to the **end** of
+//! (kept by the entering column's FTRAN, see below) replaces U's column for row `p`, and that column is moved to the **end** of
 //! the pivot order.  The move leaves a single non-triangular row — row `p`,
 //! whose remaining entries in later columns are eliminated by row operations
 //! recorded as one **row eta** appended to the L side.  Crucially the row
@@ -76,22 +76,51 @@
 //!
 //! ## Suhl–Suhl hypersparse solves
 //!
-//! The plain [`LuFactors::ftran`]/[`LuFactors::btran`] pair visits **every**
+//! The dense [`LuFactors::ftran`]/[`LuFactors::btran`] pair visits **every**
 //! stored operator — `O(nnz(L) + nnz(U))` per solve even when the right-hand
 //! side is a unit vector and the result has a handful of nonzeros.  On the
-//! mechanism LPs (tens of thousands of rows, entering columns with ≤ `n + 2`
-//! entries) that dense scan dominates per-pivot cost.  The `*_sparse` variants
-//! ([`LuFactors::ftran_sparse`], [`LuFactors::btran_sparse`]) instead compute
-//! the result's nonzero **pattern** while they solve, in the style of
-//! Gilbert–Peierls reachability as ordered by Suhl & Suhl: each row keeps the
-//! list of operators that *read* it ([`LuFactors::ftran_readers`] /
+//! mechanism LPs (thousands of rows, entering columns with ≤ `n + 2`
+//! entries) that dense scan would dominate per-pivot cost.  The simplex's two
+//! per-pivot solves, [`LuFactors::ftran_column`] (the entering column) and
+//! [`LuFactors::btran_unit`] (the pivot row), instead compute the result's
+//! nonzero **pattern** while they solve, in the style of Gilbert–Peierls
+//! reachability as ordered by Suhl & Suhl: each row keeps the list of
+//! operators that *read* it ([`LuFactors::ftran_readers`] /
 //! [`LuFactors::btran_readers`] for the L side, `row_adj` /
-//! `pivot_col_of_row` for the U side), and a solve visits exactly the
-//! operators reachable from the input pattern, in elimination order, via a
-//! binary heap keyed by operator index (L) or pivot-order stamp (U).  Work is
-//! proportional to the reach, not to the factor size.  Inputs already denser
-//! than [`SPARSE_RHS_FRACTION`] fall back to the dense scan, which is faster
-//! at that point.
+//! `pivot_col_of_row` for the U side), and a reach pass ([`Reach::run`])
+//! fires exactly the operators reachable from the input pattern, in
+//! elimination order, via a binary heap keyed by operator index (L) or
+//! pivot-order stamp (U).  Work is proportional to the reach, not to the
+//! factor size.
+//!
+//! Each triangular pass (L, U, `Uᵀ`, `Lᵀ`) exists once as a dense scan that
+//! starts from a resume point — an operator index or a U column — and each
+//! step of it once (`LOp::ftran`, `UCol::btran`, …), shared by the scan and
+//! the reach.  A reach pass whose input holds more than
+//! `m / `[`SPARSE_RHS_FRACTION`] rows runs the scan from the start; one whose
+//! result fills past that mid-solve (Suhl's switch) resumes the scan after
+//! the last node it fired, since every earlier node has fired or had only
+//! zero inputs.  Both routes therefore compute the same values, equal under
+//! `==` (an operator the reach skips can leave a zero of the other sign).
+//!
+//! ## Routing and the spike
+//!
+//! This module owns every routing decision; the revised simplex asks for a
+//! solve and receives its values and pattern in a [`PatVec`].  Each of the
+//! two routed solves keeps a [`Route`], an EWMA of its results' density
+//! reset by every factorisation: above [`DENSE_ROUTE_DENSITY`], the FTRAN's U
+//! pass and the whole unit BTRAN take the dense scans straight away.  A
+//! result that ended in a scan gets its pattern harvested from its values
+//! when at most `m / `[`HARVEST_FRACTION`] rows are nonzero, and an exact
+//! pattern is sorted ([`PatVec::settle`]), so every consumer walks the same
+//! rows in the same order whichever route ran.
+//!
+//! [`LuFactors::ftran_column`] keeps its L-pass result as the Forrest–Tomlin
+//! spike, in the order the L pass first touched its rows, and
+//! [`LuFactors::update`] reads it there.  The order in which the spike's
+//! entries land in U's new column sets the accumulation order of later
+//! solves, so it is part of the pivot trajectory: sorting it, which would
+//! let the L pass take the dense route too, moves pinned trajectories.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -115,17 +144,27 @@ const DROP_TOL: f64 = 1e-12;
 /// least this fraction of the largest magnitude in its column.
 const MARKOWITZ_THRESHOLD: f64 = 0.1;
 
-/// A sparse solve is attempted only when the input pattern holds at most
-/// `m / SPARSE_RHS_FRACTION` nonzeros; denser inputs take the plain dense
-/// scan, whose straight-line passes beat heap-ordered reach at that density.
+/// A pass runs by reach only while its pattern holds at most
+/// `m / SPARSE_RHS_FRACTION` rows: denser inputs take the dense scan from the
+/// start, and a pass whose result fills past it switches to the scan
+/// mid-solve (Suhl's switch), since straight-line passes beat heap-ordered
+/// reach at that density.
 const SPARSE_RHS_FRACTION: usize = 8;
+
+/// Result density (EWMA of `nnz / m`, see [`Route`]) above which FTRAN's U
+/// pass and the unit-row BTRAN skip the reach for the dense scan.
+const DENSE_ROUTE_DENSITY: f64 = 0.2;
+
+/// A result that ended in a dense scan keeps a pattern harvested from its
+/// values when at most `m / HARVEST_FRACTION` of them are nonzero.
+const HARVEST_FRACTION: usize = 4;
 
 /// Bound on how many candidate columns one bump-pivot search examines after
 /// the ascending-count stopping rule fails to close the search early.
 const MARKOWITZ_CANDIDATES: usize = 8;
 
-/// `true` when a right-hand side with `nnz` nonzeros out of `m` rows is worth
-/// the reach-based solve.
+/// `true` when a pattern with `nnz` nonzeros out of `m` rows is worth the
+/// reach.
 fn pattern_is_sparse(nnz: usize, m: usize) -> bool {
     nnz * SPARSE_RHS_FRACTION <= m
 }
@@ -147,35 +186,211 @@ fn heap_bytes<T: Ord>(heap: &BinaryHeap<T>) -> usize {
     heap.capacity() * size_of::<T>()
 }
 
-/// Push not-yet-seen L-op indices onto a min-heap (forward reach).
-fn push_ops_min(
-    ops: &[u32],
-    heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
-    seen: &mut [bool],
-    touched: &mut Vec<u32>,
-) {
-    for &k in ops {
-        if !seen[k as usize] {
-            seen[k as usize] = true;
-            touched.push(k);
-            heap.push(Reverse((k, k)));
+/// A dense vector paired with its nonzero pattern, as the routed solves
+/// ([`LuFactors::ftran_column`], [`LuFactors::btran_unit`]) produce it.
+/// `dense` marks a vector whose pattern is stale — the solve ended in a
+/// dense scan and the result was too full to harvest — so consumers walk the
+/// whole vector instead of the pattern.
+#[derive(Clone, Default)]
+pub(crate) struct PatVec {
+    pub(crate) values: Vec<f64>,
+    pattern: Vec<usize>,
+    dense: bool,
+}
+
+impl PatVec {
+    pub(crate) fn new(len: usize) -> Self {
+        PatVec {
+            values: vec![0.0; len],
+            ..PatVec::default()
         }
+    }
+
+    /// Visit the nonzeros as `(index, value)`, walking the pattern when it
+    /// is valid and the whole vector otherwise.
+    #[inline]
+    pub(crate) fn for_each_nz(&self, mut f: impl FnMut(usize, f64)) {
+        if self.dense {
+            for (r, &v) in self.values.iter().enumerate() {
+                if v != 0.0 {
+                    f(r, v);
+                }
+            }
+        } else {
+            for &r in &self.pattern {
+                let v = self.values[r];
+                if v != 0.0 {
+                    f(r, v);
+                }
+            }
+        }
+    }
+
+    /// Zero the vector, using the pattern when it is trustworthy.
+    fn clear(&mut self) {
+        if self.dense {
+            self.values.fill(0.0);
+            self.dense = false;
+        } else {
+            for &r in &self.pattern {
+                self.values[r] = 0.0;
+            }
+        }
+        self.pattern.clear();
+    }
+
+    /// Record a nonzero on a freshly cleared vector.
+    fn set(&mut self, r: usize, v: f64) {
+        self.values[r] = v;
+        self.pattern.push(r);
+    }
+
+    /// Share of rows the pattern covers (1 when the pattern is stale).
+    fn density(&self) -> f64 {
+        if self.dense {
+            1.0
+        } else {
+            self.pattern.len() as f64 / self.values.len().max(1) as f64
+        }
+    }
+
+    /// Put the pattern in ascending row order after a solve: sort it when
+    /// the solve tracked it exactly, else harvest it from the values (even
+    /// solves that densified mid-pass usually end mostly zero on these LPs),
+    /// or mark the vector dense when too many are nonzero.  Ascending order
+    /// keeps every pattern consumer (ratio-test tie-breaks, FP
+    /// accumulation) bitwise identical to a walk of the whole vector, so the
+    /// pivot trajectory does not depend on the route a solve took.
+    fn settle(&mut self, exact: bool) {
+        if exact {
+            self.pattern.sort_unstable();
+            return;
+        }
+        self.pattern.clear();
+        for (r, &v) in self.values.iter().enumerate() {
+            if v != 0.0 {
+                self.pattern.push(r);
+            }
+        }
+        self.dense = self.pattern.len() * HARVEST_FRACTION > self.values.len();
+        if self.dense {
+            self.pattern.clear();
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        vec_bytes(&self.values) + vec_bytes(&self.pattern)
     }
 }
 
-/// Push not-yet-seen L-op indices onto a max-heap (backward reach).
-fn push_ops_max(
-    ops: &[u32],
-    heap: &mut BinaryHeap<(u32, u32)>,
-    seen: &mut [bool],
-    touched: &mut Vec<u32>,
-) {
-    for &k in ops {
-        if !seen[k as usize] {
-            seen[k as usize] = true;
-            touched.push(k);
-            heap.push((k, k));
+/// The route of one kind of routed solve: an EWMA of its results' density
+/// (`nnz / m`, 1 for a dense result), reset by every factorisation, since
+/// fresh factors are at their sparsest.
+#[derive(Clone, Copy, Default)]
+struct Route(f64);
+
+impl Route {
+    /// Recent results were dense: a reach would only do bookkeeping before
+    /// switching to the scan anyway.
+    fn dense(self) -> bool {
+        self.0 > DENSE_ROUTE_DENSITY
+    }
+
+    fn track(&mut self, result: &PatVec) {
+        self.0 = 0.9 * self.0 + 0.1 * result.density();
+    }
+}
+
+/// Scratch of the reach passes: the pattern's rows marked, the nodes (L
+/// operators or U columns) queued with their undo list, and the queue,
+/// ordered by a key that each pass derives from the node's place in the
+/// elimination order (complemented for passes that run it backwards).
+#[derive(Default)]
+struct Reach {
+    marked: Vec<bool>,
+    seen: Vec<bool>,
+    touched: Vec<u32>,
+    queue: BinaryHeap<Reverse<(u32, u32)>>,
+}
+
+/// How a reach pass ended.
+enum Stop {
+    /// Every reachable node fired; the pattern lists the result's nonzeros.
+    Done,
+    /// The input pattern was too dense: nothing fired.
+    Dense,
+    /// The result filled past the threshold once this node fired.
+    After(usize),
+}
+
+impl Reach {
+    /// One reach pass over `nodes` nodes on an `m`-row vector whose nonzero
+    /// rows `pattern` lists: `seed` queues the nodes that read a pattern
+    /// row, then nodes fire in key order — `fire` applies one, marking
+    /// ([`Reach::mark`]) the rows it writes and queueing their readers —
+    /// until none is left or the pattern is no longer sparse.
+    fn run(
+        &mut self,
+        pattern: &mut Vec<usize>,
+        m: usize,
+        nodes: usize,
+        mut seed: impl FnMut(&mut Self, usize),
+        mut fire: impl FnMut(&mut Self, usize, &mut Vec<usize>),
+    ) -> Stop {
+        if !pattern_is_sparse(pattern.len(), m) {
+            return Stop::Dense;
         }
+        ensure_flags(&mut self.marked, m);
+        ensure_flags(&mut self.seen, nodes);
+        for &r in pattern.iter() {
+            self.marked[r] = true;
+        }
+        for &r in pattern.iter() {
+            seed(self, r);
+        }
+        let mut stop = Stop::Done;
+        while let Some(Reverse((_, node))) = self.queue.pop() {
+            fire(self, node as usize, pattern);
+            if !pattern_is_sparse(pattern.len(), m) {
+                stop = Stop::After(node as usize);
+                break;
+            }
+        }
+        for &r in pattern.iter() {
+            self.marked[r] = false;
+        }
+        for &node in &self.touched {
+            self.seen[node as usize] = false;
+        }
+        self.touched.clear();
+        self.queue.clear();
+        stop
+    }
+
+    /// Queue `node` at `key` unless it was queued already.
+    fn queue(&mut self, node: u32, key: u32) {
+        if !self.seen[node as usize] {
+            self.seen[node as usize] = true;
+            self.touched.push(node);
+            self.queue.push(Reverse((key, node)));
+        }
+    }
+
+    /// Add row `r` to the pattern; `false` when it was there already.
+    fn mark(&mut self, r: usize, pattern: &mut Vec<usize>) -> bool {
+        let new = !self.marked[r];
+        if new {
+            self.marked[r] = true;
+            pattern.push(r);
+        }
+        new
+    }
+
+    fn bytes(&self) -> usize {
+        vec_bytes(&self.marked)
+            + vec_bytes(&self.seen)
+            + vec_bytes(&self.touched)
+            + heap_bytes(&self.queue)
     }
 }
 
@@ -231,6 +446,87 @@ struct UCol<'a> {
     entries: Entries<'a>,
 }
 
+// Each step of a triangular pass is written once, here: the dense scans call
+// it with a no-op `wrote`, and the reach passes with one that grows the
+// pattern, called for every row the step may make nonzero.
+
+impl LOp<'_> {
+    /// Apply the operator in FTRAN's direction.
+    #[inline]
+    fn ftran(self, v: &mut [f64], mut wrote: impl FnMut(usize)) {
+        match self {
+            LOp::Col { pivot_row, entries } => {
+                let t = v[pivot_row];
+                if t != 0.0 {
+                    for (r, l) in entries.iter() {
+                        v[r] -= l * t;
+                        wrote(r);
+                    }
+                }
+            }
+            LOp::Row { pivot_row, entries } => {
+                let mut total = v[pivot_row];
+                for (r, mult) in entries.iter() {
+                    total -= mult * v[r];
+                }
+                v[pivot_row] = total;
+                wrote(pivot_row);
+            }
+        }
+    }
+
+    /// Apply the transposed operator, BTRAN's direction.
+    #[inline]
+    fn btran(self, v: &mut [f64], mut wrote: impl FnMut(usize)) {
+        match self {
+            LOp::Col { pivot_row, entries } => {
+                let mut t = v[pivot_row];
+                for (r, l) in entries.iter() {
+                    t -= l * v[r];
+                }
+                v[pivot_row] = t;
+                wrote(pivot_row);
+            }
+            LOp::Row { pivot_row, entries } => {
+                let t = v[pivot_row];
+                if t != 0.0 {
+                    for (r, mult) in entries.iter() {
+                        v[r] -= mult * t;
+                        wrote(r);
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl UCol<'_> {
+    /// One step of FTRAN's backward substitution `v ← U⁻¹ v`.
+    #[inline]
+    fn ftran(self, v: &mut [f64], mut wrote: impl FnMut(usize)) {
+        let t = v[self.pivot_row];
+        if t != 0.0 {
+            let t = t / self.pivot_value;
+            v[self.pivot_row] = t;
+            for (r, val) in self.entries.iter() {
+                v[r] -= val * t;
+                wrote(r);
+            }
+        }
+    }
+
+    /// One step of BTRAN's forward substitution `v ← U⁻ᵀ v`.
+    #[inline]
+    fn btran(self, v: &mut [f64], mut wrote: impl FnMut(usize)) {
+        let mut total = v[self.pivot_row];
+        for (r, val) in self.entries.iter() {
+            total -= val * v[r];
+        }
+        v[self.pivot_row] = total / self.pivot_value;
+        wrote(self.pivot_row);
+    }
+}
+
 /// A sparse LU factorisation of an `m × m` basis, with Forrest–Tomlin updates.
 ///
 /// `B⁻¹ = U⁻¹ · (L-ops)` where the L-ops are applied in sequence.  U columns
@@ -280,15 +576,16 @@ pub(crate) struct LuFactors {
     scratch_acc: SparseAccumulator,
     scratch_heap: BinaryHeap<Reverse<(u32, u32)>>,
     scratch_seen: Vec<u32>,
-    /// Scratch for the reach-based sparse solves: per-row nonzero marks, a
-    /// per-node (L-op index or U-column id) visited flag with its undo list,
-    /// and the two reach heaps (min-order for forward passes, max-order for
-    /// backward passes).
-    row_marked: Vec<bool>,
-    node_seen: Vec<bool>,
-    node_touched: Vec<u32>,
-    reach_min: BinaryHeap<Reverse<(u32, u32)>>,
-    reach_max: BinaryHeap<(u32, u32)>,
+    /// Scratch of the reach passes.
+    reach: RefCell<Reach>,
+    /// The L-pass result of the last [`LuFactors::ftran_column`]: the spike
+    /// the next [`LuFactors::update`] consumes, its pattern in first-touch
+    /// order.
+    spike: PatVec,
+    /// The routes of [`LuFactors::ftran_column`]'s U pass and of
+    /// [`LuFactors::btran_unit`].
+    ftran_route: Route,
+    btran_route: Route,
     /// Column slot → pivot row, from the last factorisation.
     row_of_slot: Vec<u32>,
 }
@@ -1076,11 +1373,12 @@ impl LuFactors {
         self.ord.extend(0..m32);
         self.next_ord = m32;
         self.updates = 0;
-        if self.row_marked.len() != m {
+        if self.spike.values.len() != m {
             self.scratch_acc = SparseAccumulator::with_len(m);
-            self.row_marked = vec![false; m];
+            self.spike = PatVec::new(m);
         }
-        ensure_flags(&mut self.node_seen, m);
+        self.ftran_route = Route::default();
+        self.btran_route = Route::default();
         Ok(())
     }
 
@@ -1116,533 +1414,272 @@ impl LuFactors {
             + self.scratch_acc.bytes()
             + heap_bytes(&self.scratch_heap)
             + vec_bytes(&self.scratch_seen)
-            + vec_bytes(&self.row_marked)
-            + vec_bytes(&self.node_seen)
-            + vec_bytes(&self.node_touched)
-            + heap_bytes(&self.reach_min)
-            + heap_bytes(&self.reach_max)
+            + self.reach.borrow().bytes()
+            + self.spike.bytes()
             + vec_bytes(&self.row_of_slot);
         own + ELIMINATION.with_borrow(Elimination::bytes)
     }
 
-    /// Apply the L-side operators: `v ← (L-ops) v`.  After this, `v` is the
-    /// "spike" a Forrest–Tomlin update consumes.
-    pub fn solve_l(&self, v: &mut [f64]) {
-        for op in self.lops(0..self.num_lops()) {
-            match op {
-                LOp::Col { pivot_row, entries } => {
-                    let t = v[pivot_row];
-                    if t != 0.0 {
-                        for (r, l) in entries.iter() {
-                            v[r] -= l * t;
-                        }
-                    }
-                }
-                LOp::Row { pivot_row, entries } => {
-                    let mut total = v[pivot_row];
-                    for (r, mult) in entries.iter() {
-                        total -= mult * v[r];
-                    }
-                    v[pivot_row] = total;
-                }
+    /// FTRAN: `v ← B⁻¹ v`, by the dense scans.
+    pub fn ftran(&self, v: &mut [f64]) {
+        self.solve_l(v, 0);
+        self.solve_u(v, self.tail);
+    }
+
+    /// BTRAN: `v ← (B⁻¹)ᵀ v` (equivalently `v' B⁻¹` for a row vector), by
+    /// the dense scans.
+    pub fn btran(&self, v: &mut [f64]) {
+        self.btran_u_dense(v, self.head);
+        self.btran_l_dense(v, self.num_lops());
+    }
+
+    /// FTRAN of an entering column: `w ← B⁻¹ a` for the column `a` given
+    /// as `(row, value)` entries with distinct rows, with `w`'s pattern
+    /// tracked.  The partial result after the L pass, in the order that
+    /// pass first touched its rows, is kept as the spike the next
+    /// [`LuFactors::update`] consumes.
+    ///
+    /// The L pass runs by reach whenever the column is sparse; the U pass
+    /// does too unless the L pass ended dense or recent results have been
+    /// dense (see [`Route`]).  Either way the values are those of the dense
+    /// scans, and [`PatVec::settle`] leaves the pattern in ascending order.
+    pub fn ftran_column(&mut self, column: impl IntoIterator<Item = (usize, f64)>, w: &mut PatVec) {
+        w.clear();
+        for (r, value) in column {
+            w.set(r, value);
+        }
+        let l_exact = self.solve_l_reach(&mut w.values, &mut w.pattern);
+        self.spike.clear();
+        if l_exact {
+            for &r in &w.pattern {
+                self.spike.set(r, w.values[r]);
             }
+        } else {
+            self.spike.values.copy_from_slice(&w.values);
+            self.spike.dense = true;
+        }
+        let exact = if !l_exact || self.ftran_route.dense() {
+            self.solve_u(&mut w.values, self.tail);
+            false
+        } else {
+            self.solve_u_reach(&mut w.values, &mut w.pattern)
+        };
+        w.settle(exact);
+        self.ftran_route.track(w);
+    }
+
+    /// BTRAN of the unit vector `e_row` into `rho` — the pivot-row transform
+    /// `ρ' = e_r' B⁻¹` — by reach, or by the dense scans straight away once
+    /// recent results have been dense (see [`Route`]).  The values are the
+    /// same either way.
+    pub fn btran_unit(&mut self, row: usize, rho: &mut PatVec) {
+        rho.clear();
+        rho.set(row, 1.0);
+        let exact = if self.btran_route.dense() {
+            self.btran(&mut rho.values);
+            false
+        } else {
+            self.btran_reach(&mut rho.values, &mut rho.pattern)
+        };
+        rho.settle(exact);
+        self.btran_route.track(rho);
+    }
+
+    /// FTRAN's L pass over the operators `from..`: `v ← (L-ops) v`.
+    fn solve_l(&self, v: &mut [f64], from: usize) {
+        for op in self.lops(from..self.num_lops()) {
+            op.ftran(v, |_| {});
         }
     }
 
-    /// Backward sparse triangular solve: `v ← U⁻¹ v`.
-    pub fn solve_u(&self, v: &mut [f64]) {
-        let mut id = self.tail;
+    /// FTRAN's U pass, the backward substitution `v ← U⁻¹ v`, over U column
+    /// `from` and every column before it in the pivot order.
+    fn solve_u(&self, v: &mut [f64], from: u32) {
+        let mut id = from;
         while id != NONE {
-            let c = self.ucol(id as usize);
-            let t = v[c.pivot_row];
-            if t != 0.0 {
-                let t = t / c.pivot_value;
-                v[c.pivot_row] = t;
-                for (r, val) in c.entries.iter() {
-                    v[r] -= val * t;
-                }
-            }
+            self.ucol(id as usize).ftran(v, |_| {});
             id = self.order_prev[id as usize];
         }
     }
 
-    /// FTRAN: `v ← B⁻¹ v`.
-    pub fn ftran(&self, v: &mut [f64]) {
-        self.solve_l(v);
-        self.solve_u(v);
-    }
-
-    /// BTRAN: `v ← (B⁻¹)ᵀ v` (equivalently `v' B⁻¹` for a row vector).
-    pub fn btran(&self, v: &mut [f64]) {
-        self.btran_u_dense(v);
-        self.btran_l_dense(v);
-    }
-
-    /// BTRAN's first half: `Uᵀ` is lower triangular in pivot order, so this is
-    /// a forward substitution over every U column.
-    fn btran_u_dense(&self, v: &mut [f64]) {
-        let mut id = self.head;
+    /// BTRAN's first half: `Uᵀ` is lower triangular in pivot order, so this
+    /// is a forward substitution, over U column `from` and every column
+    /// after it.
+    fn btran_u_dense(&self, v: &mut [f64], from: u32) {
+        let mut id = from;
         while id != NONE {
-            let c = self.ucol(id as usize);
-            let mut total = v[c.pivot_row];
-            for (r, val) in c.entries.iter() {
-                total -= val * v[r];
-            }
-            v[c.pivot_row] = total / c.pivot_value;
+            self.ucol(id as usize).btran(v, |_| {});
             id = self.order_next[id as usize];
         }
     }
 
-    /// BTRAN's second half: the transposed L-ops, newest first.
-    fn btran_l_dense(&self, v: &mut [f64]) {
-        for op in self.lops(0..self.num_lops()).rev() {
-            match op {
-                LOp::Col { pivot_row, entries } => {
-                    let mut t = v[pivot_row];
-                    for (r, l) in entries.iter() {
-                        t -= l * v[r];
-                    }
-                    v[pivot_row] = t;
-                }
-                LOp::Row { pivot_row, entries } => {
-                    let t = v[pivot_row];
-                    if t != 0.0 {
-                        for (r, mult) in entries.iter() {
-                            v[r] -= mult * t;
-                        }
-                    }
-                }
-            }
+    /// BTRAN's second half: the transposed L operators `..end`, newest
+    /// first.
+    fn btran_l_dense(&self, v: &mut [f64], end: usize) {
+        for op in self.lops(0..end).rev() {
+            op.btran(v, |_| {});
         }
     }
 
-    /// Sparse L-side forward pass (Suhl–Suhl ordered reach).  `pattern` must
-    /// list the nonzero rows of `v` exactly, without duplicates; on return it
-    /// lists the nonzero rows of the result.  Returns `false` when the input
-    /// was too dense and the plain [`LuFactors::solve_l`] ran instead — the
-    /// pattern is then stale and must be treated as dense by the caller.
-    pub fn solve_l_sparse(&mut self, v: &mut [f64], pattern: &mut Vec<usize>) -> bool {
-        let m = v.len();
-        if !pattern_is_sparse(pattern.len(), m) {
-            self.solve_l(v);
-            return false;
-        }
-        ensure_flags(&mut self.node_seen, self.l_pivot_row.len());
-        let mut marked = std::mem::take(&mut self.row_marked);
-        let mut seen = std::mem::take(&mut self.node_seen);
-        let mut touched = std::mem::take(&mut self.node_touched);
-        let mut heap = std::mem::take(&mut self.reach_min);
-        for &r in pattern.iter() {
-            marked[r] = true;
-        }
-        for &r in pattern.iter() {
-            push_ops_min(
-                self.ftran_readers.list(r),
-                &mut heap,
-                &mut seen,
-                &mut touched,
-            );
-        }
-        let mut abort_after = None;
-        while let Some(Reverse((_, k))) = heap.pop() {
-            let k = k as usize;
-            match self.lop(k) {
-                LOp::Col { pivot_row, entries } => {
-                    let t = v[pivot_row];
-                    if t != 0.0 {
-                        for (r, l) in entries.iter() {
-                            v[r] -= l * t;
-                            if !marked[r] {
-                                marked[r] = true;
-                                pattern.push(r);
-                                let readers = self.ftran_readers.list(r);
-                                let from = readers.partition_point(|&x| (x as usize) <= k);
-                                push_ops_min(&readers[from..], &mut heap, &mut seen, &mut touched);
-                            }
+    /// FTRAN's L pass by reach: fires, in index order, only the operators
+    /// that read a row of the pattern, and resumes [`LuFactors::solve_l`]
+    /// after the last one fired if Suhl's switch stops it.  `pattern` must
+    /// list the nonzero rows of `v` exactly, without duplicates; returns
+    /// whether it lists those of the result, which it does unless the pass
+    /// ended in the dense scan.
+    fn solve_l_reach(&self, v: &mut [f64], pattern: &mut Vec<usize>) -> bool {
+        let (m, readers) = (v.len(), &self.ftran_readers);
+        let stop = self.reach.borrow_mut().run(
+            pattern,
+            m,
+            self.num_lops(),
+            |reach, r| {
+                for &k in readers.list(r) {
+                    reach.queue(k, k);
+                }
+            },
+            |reach, k, pattern| {
+                self.lop(k).ftran(v, |r| {
+                    if reach.mark(r, pattern) {
+                        let later = readers.list(r);
+                        for &next in &later[later.partition_point(|&x| x as usize <= k)..] {
+                            reach.queue(next, next);
                         }
                     }
-                }
-                LOp::Row { pivot_row, entries } => {
-                    let p = pivot_row;
-                    let mut total = v[p];
-                    for (r, mult) in entries.iter() {
-                        total -= mult * v[r];
-                    }
-                    v[p] = total;
-                    if !marked[p] {
-                        marked[p] = true;
-                        pattern.push(p);
-                        let readers = self.ftran_readers.list(p);
-                        let from = readers.partition_point(|&x| (x as usize) <= k);
-                        push_ops_min(&readers[from..], &mut heap, &mut seen, &mut touched);
-                    }
-                }
-            }
-            // Suhl's switch: once the result has filled in past the sparse
-            // threshold, heap-ordered reach loses to the straight-line scan —
-            // stop tracking and finish the remaining operators densely.
-            if !pattern_is_sparse(pattern.len(), m) {
-                abort_after = Some(k);
-                break;
-            }
-        }
-        for &r in pattern.iter() {
-            marked[r] = false;
-        }
-        for &k in &touched {
-            seen[k as usize] = false;
-        }
-        touched.clear();
-        heap.clear();
-        self.row_marked = marked;
-        self.node_seen = seen;
-        self.node_touched = touched;
-        self.reach_min = heap;
-        let Some(last) = abort_after else {
-            return true;
-        };
-        // Dense finish: every operator at or before `last` has either fired or
-        // had all-zero inputs (the reach guarantee), so replaying the rest in
-        // index order completes the solve.  The pattern is stale from here.
-        for op in self.lops(last + 1..self.num_lops()) {
-            match op {
-                LOp::Col { pivot_row, entries } => {
-                    let t = v[pivot_row];
-                    if t != 0.0 {
-                        for (r, l) in entries.iter() {
-                            v[r] -= l * t;
-                        }
-                    }
-                }
-                LOp::Row { pivot_row, entries } => {
-                    let mut total = v[pivot_row];
-                    for (r, mult) in entries.iter() {
-                        total -= mult * v[r];
-                    }
-                    v[pivot_row] = total;
-                }
-            }
+                })
+            },
+        );
+        match stop {
+            Stop::Done => return true,
+            Stop::Dense => self.solve_l(v, 0),
+            Stop::After(k) => self.solve_l(v, k + 1),
         }
         false
     }
 
-    /// Sparse backward substitution with U, visiting only the U columns
-    /// reachable from the input pattern (descending pivot-order stamps).
-    /// Same pattern contract and fallback semantics as
-    /// [`LuFactors::solve_l_sparse`].
-    pub fn solve_u_sparse(&mut self, v: &mut [f64], pattern: &mut Vec<usize>) -> bool {
+    /// FTRAN's U pass by reach, in descending pivot order, resuming
+    /// [`LuFactors::solve_u`]; the contract of
+    /// [`LuFactors::solve_l_reach`].
+    fn solve_u_reach(&self, v: &mut [f64], pattern: &mut Vec<usize>) -> bool {
         let m = v.len();
-        if !pattern_is_sparse(pattern.len(), m) {
-            self.solve_u(v);
-            return false;
-        }
-        ensure_flags(&mut self.node_seen, self.u_pivot_row.len());
-        let mut marked = std::mem::take(&mut self.row_marked);
-        let mut seen = std::mem::take(&mut self.node_seen);
-        let mut touched = std::mem::take(&mut self.node_touched);
-        let mut heap = std::mem::take(&mut self.reach_max);
-        for &r in pattern.iter() {
-            marked[r] = true;
-        }
-        for &r in pattern.iter() {
+        let queue_pivot_col = |reach: &mut Reach, r: usize| {
             let cid = self.pivot_col_of_row[r];
-            if cid != NONE && !seen[cid as usize] {
-                seen[cid as usize] = true;
-                touched.push(cid);
-                heap.push((self.ord[cid as usize], cid));
+            if cid != NONE {
+                reach.queue(cid, !self.ord[cid as usize]);
             }
-        }
-        let mut abort_at = None;
-        while let Some((_, cid)) = heap.pop() {
-            let c = self.ucol(cid as usize);
-            let t = v[c.pivot_row];
-            if t != 0.0 {
-                let t = t / c.pivot_value;
-                v[c.pivot_row] = t;
-                for (r, val) in c.entries.iter() {
-                    v[r] -= val * t;
-                    if !marked[r] {
-                        marked[r] = true;
-                        pattern.push(r);
-                        let next = self.pivot_col_of_row[r];
-                        if next != NONE && !seen[next as usize] {
-                            seen[next as usize] = true;
-                            touched.push(next);
-                            heap.push((self.ord[next as usize], next));
-                        }
-                    }
-                }
-            }
-            // Suhl's switch (see the L pass): finish densely once filled in.
-            if !pattern_is_sparse(pattern.len(), m) {
-                abort_at = Some(cid);
-                break;
-            }
-        }
-        for &r in pattern.iter() {
-            marked[r] = false;
-        }
-        for &cid in &touched {
-            seen[cid as usize] = false;
-        }
-        touched.clear();
-        heap.clear();
-        self.row_marked = marked;
-        self.node_seen = seen;
-        self.node_touched = touched;
-        self.reach_max = heap;
-        let Some(last) = abort_at else {
-            return true;
         };
-        // Dense finish: columns later in the order than `last` have all been
-        // popped (descending stamps) or were unreachable no-ops, so resuming
-        // the plain backward scan from its predecessor completes the solve.
-        let mut id = self.order_prev[last as usize];
-        while id != NONE {
-            let c = self.ucol(id as usize);
-            let t = v[c.pivot_row];
-            if t != 0.0 {
-                let t = t / c.pivot_value;
-                v[c.pivot_row] = t;
-                for (r, val) in c.entries.iter() {
-                    v[r] -= val * t;
-                }
-            }
-            id = self.order_prev[id as usize];
+        let stop = self.reach.borrow_mut().run(
+            pattern,
+            m,
+            self.u_pivot_row.len(),
+            queue_pivot_col,
+            |reach, cid, pattern| {
+                self.ucol(cid).ftran(v, |r| {
+                    if reach.mark(r, pattern) {
+                        queue_pivot_col(reach, r);
+                    }
+                })
+            },
+        );
+        match stop {
+            Stop::Done => return true,
+            Stop::Dense => self.solve_u(v, self.tail),
+            Stop::After(cid) => self.solve_u(v, self.order_prev[cid]),
         }
         false
     }
 
-    /// Sparse FTRAN: `v ← B⁻¹ v` with pattern tracking.  Returns `false` when
-    /// either triangular pass fell back to the dense scans (the pattern is
-    /// then stale).  The solver composes [`LuFactors::solve_l_sparse`] and
-    /// [`LuFactors::solve_u_sparse`] directly so it can capture the spike
-    /// between the passes; this is the plain composition for everyone else
-    /// (currently the differential tests).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn ftran_sparse(&mut self, v: &mut [f64], pattern: &mut Vec<usize>) -> bool {
-        if !self.solve_l_sparse(v, pattern) {
-            self.solve_u(v);
-            return false;
+    /// BTRAN by reach while the pattern stays sparse: the `Uᵀ` pass, then
+    /// the transposed L pass, each resuming its dense scan where Suhl's
+    /// switch stops it; the contract of [`LuFactors::solve_l_reach`].
+    fn btran_reach(&self, v: &mut [f64], pattern: &mut Vec<usize>) -> bool {
+        if self.btran_u_reach(v, pattern) {
+            return self.btran_l_reach(v, pattern);
         }
-        self.solve_u_sparse(v, pattern)
+        self.btran_l_dense(v, self.num_lops());
+        false
     }
 
-    /// Sparse BTRAN: `v ← (B⁻¹)ᵀ v` with pattern tracking.  Returns `false`
-    /// when it fell back to the dense scans (the pattern is then stale).
-    pub fn btran_sparse(&mut self, v: &mut [f64], pattern: &mut Vec<usize>) -> bool {
+    /// BTRAN's `Uᵀ` pass by reach, in ascending pivot order, resuming
+    /// [`LuFactors::btran_u_dense`].  A column fires when its own pivot row
+    /// is nonzero (the diagonal scaling) or any of its above-diagonal entry
+    /// rows is (`row_adj`).
+    fn btran_u_reach(&self, v: &mut [f64], pattern: &mut Vec<usize>) -> bool {
         let m = v.len();
-        if !pattern_is_sparse(pattern.len(), m) {
-            self.btran(v);
-            return false;
-        }
-
-        // Pass 1: Uᵀ forward substitution in ascending pivot order.  A column
-        // fires when its own pivot row is nonzero (the diagonal scaling) or
-        // any of its above-diagonal entry rows is (`row_adj`).
-        ensure_flags(&mut self.node_seen, self.u_pivot_row.len());
-        let mut marked = std::mem::take(&mut self.row_marked);
-        let mut seen = std::mem::take(&mut self.node_seen);
-        let mut touched = std::mem::take(&mut self.node_touched);
-        let mut heap = std::mem::take(&mut self.reach_min);
-        for &r in pattern.iter() {
-            marked[r] = true;
-        }
-        for &r in pattern.iter() {
-            let pc = self.pivot_col_of_row[r];
-            if pc != NONE && !seen[pc as usize] {
-                seen[pc as usize] = true;
-                touched.push(pc);
-                heap.push(Reverse((self.ord[pc as usize], pc)));
-            }
-            for &cid in self.row_adj.list(r) {
-                if !seen[cid as usize] {
-                    seen[cid as usize] = true;
-                    touched.push(cid);
-                    heap.push(Reverse((self.ord[cid as usize], cid)));
+        let queue = |reach: &mut Reach, cid: u32| reach.queue(cid, self.ord[cid as usize]);
+        let stop = self.reach.borrow_mut().run(
+            pattern,
+            m,
+            self.u_pivot_row.len(),
+            |reach, r| {
+                let pc = self.pivot_col_of_row[r];
+                if pc != NONE {
+                    queue(reach, pc);
                 }
-            }
-        }
-        let mut abort_at = None;
-        while let Some(Reverse((_, cid))) = heap.pop() {
-            let c = self.ucol(cid as usize);
-            let p = c.pivot_row;
-            let mut total = v[p];
-            for (r, val) in c.entries.iter() {
-                total -= val * v[r];
-            }
-            v[p] = total / c.pivot_value;
-            if !marked[p] {
-                marked[p] = true;
-                pattern.push(p);
-                for &next in self.row_adj.list(p) {
-                    if !seen[next as usize] {
-                        seen[next as usize] = true;
-                        touched.push(next);
-                        heap.push(Reverse((self.ord[next as usize], next)));
-                    }
+                for &cid in self.row_adj.list(r) {
+                    queue(reach, cid);
                 }
-            }
-            // Suhl's switch (see the L pass): finish densely once filled in.
-            if !pattern_is_sparse(pattern.len(), m) {
-                abort_at = Some(cid);
-                break;
-            }
-        }
-        for &cid in &touched {
-            seen[cid as usize] = false;
-        }
-        touched.clear();
-        if let Some(last) = abort_at {
-            // Columns earlier in the order than `last` have all been popped
-            // (ascending stamps) or were unreachable no-ops; resume the plain
-            // forward scan from its successor, then finish with the dense
-            // transposed-L pass.
-            heap.clear();
-            for &r in pattern.iter() {
-                marked[r] = false;
-            }
-            self.row_marked = marked;
-            self.node_seen = seen;
-            self.node_touched = touched;
-            self.reach_min = heap;
-            let mut id = self.order_next[last as usize];
-            while id != NONE {
-                let c = self.ucol(id as usize);
-                let mut total = v[c.pivot_row];
-                for (r, val) in c.entries.iter() {
-                    total -= val * v[r];
-                }
-                v[c.pivot_row] = total / c.pivot_value;
-                id = self.order_next[id as usize];
-            }
-            self.btran_l_dense(v);
-            return false;
-        }
-
-        // If the U pass filled the vector up, finish with the dense L pass.
-        if !pattern_is_sparse(pattern.len(), m) {
-            for &r in pattern.iter() {
-                marked[r] = false;
-            }
-            self.row_marked = marked;
-            self.node_seen = seen;
-            self.node_touched = touched;
-            self.reach_min = heap;
-            self.btran_l_dense(v);
-            return false;
-        }
-        self.reach_min = heap;
-
-        // Pass 2: transposed L-ops, newest first (descending op index).
-        ensure_flags(&mut seen, self.num_lops());
-        let mut heap = std::mem::take(&mut self.reach_max);
-        for &r in pattern.iter() {
-            push_ops_max(
-                self.btran_readers.list(r),
-                &mut heap,
-                &mut seen,
-                &mut touched,
-            );
-        }
-        let mut abort_after = None;
-        while let Some((_, k)) = heap.pop() {
-            let k = k as usize;
-            match self.lop(k) {
-                LOp::Col { pivot_row, entries } => {
-                    let p = pivot_row;
-                    let mut t = v[p];
-                    for (r, l) in entries.iter() {
-                        t -= l * v[r];
-                    }
-                    v[p] = t;
-                    if !marked[p] {
-                        marked[p] = true;
-                        pattern.push(p);
-                        let readers = self.btran_readers.list(p);
-                        let upto = readers.partition_point(|&x| (x as usize) < k);
-                        push_ops_max(&readers[..upto], &mut heap, &mut seen, &mut touched);
-                    }
-                }
-                LOp::Row { pivot_row, entries } => {
-                    let t = v[pivot_row];
-                    if t != 0.0 {
-                        for (r, mult) in entries.iter() {
-                            v[r] -= mult * t;
-                            if !marked[r] {
-                                marked[r] = true;
-                                pattern.push(r);
-                                let readers = self.btran_readers.list(r);
-                                let upto = readers.partition_point(|&x| (x as usize) < k);
-                                push_ops_max(&readers[..upto], &mut heap, &mut seen, &mut touched);
-                            }
+            },
+            |reach, cid, pattern| {
+                self.ucol(cid).btran(v, |p| {
+                    if reach.mark(p, pattern) {
+                        for &next in self.row_adj.list(p) {
+                            queue(reach, next);
                         }
                     }
+                })
+            },
+        );
+        match stop {
+            Stop::Done => return true,
+            Stop::Dense => self.btran_u_dense(v, self.head),
+            Stop::After(cid) => self.btran_u_dense(v, self.order_next[cid]),
+        }
+        false
+    }
+
+    /// BTRAN's transposed L pass by reach, newest operator first, resuming
+    /// [`LuFactors::btran_l_dense`] before the last one fired.
+    fn btran_l_reach(&self, v: &mut [f64], pattern: &mut Vec<usize>) -> bool {
+        let (m, readers) = (v.len(), &self.btran_readers);
+        let stop = self.reach.borrow_mut().run(
+            pattern,
+            m,
+            self.num_lops(),
+            |reach, r| {
+                for &k in readers.list(r) {
+                    reach.queue(k, !k);
                 }
-            }
-            // Suhl's switch (see the L pass): finish densely once filled in.
-            if !pattern_is_sparse(pattern.len(), m) {
-                abort_after = Some(k);
-                break;
-            }
-        }
-        for &r in pattern.iter() {
-            marked[r] = false;
-        }
-        for &k in &touched {
-            seen[k as usize] = false;
-        }
-        touched.clear();
-        heap.clear();
-        self.row_marked = marked;
-        self.node_seen = seen;
-        self.node_touched = touched;
-        self.reach_max = heap;
-        let Some(last) = abort_after else {
-            return true;
-        };
-        // Dense finish: operators newer than `last` have all been popped
-        // (descending indices) or were no-ops; replay the older ones
-        // newest-first with the plain transposed scan.
-        for op in self.lops(0..last).rev() {
-            match op {
-                LOp::Col { pivot_row, entries } => {
-                    let mut t = v[pivot_row];
-                    for (r, l) in entries.iter() {
-                        t -= l * v[r];
-                    }
-                    v[pivot_row] = t;
-                }
-                LOp::Row { pivot_row, entries } => {
-                    let t = v[pivot_row];
-                    if t != 0.0 {
-                        for (r, mult) in entries.iter() {
-                            v[r] -= mult * t;
+            },
+            |reach, k, pattern| {
+                self.lop(k).btran(v, |r| {
+                    if reach.mark(r, pattern) {
+                        let earlier = readers.list(r);
+                        for &next in &earlier[..earlier.partition_point(|&x| (x as usize) < k)] {
+                            reach.queue(next, !next);
                         }
                     }
-                }
-            }
+                })
+            },
+        );
+        match stop {
+            Stop::Done => return true,
+            Stop::Dense => self.btran_l_dense(v, self.num_lops()),
+            Stop::After(k) => self.btran_l_dense(v, k),
         }
         false
     }
 
     /// Forrest–Tomlin update: the basis column pivoted on `leaving_row` is
-    /// replaced by the entering column whose **partial FTRAN** (through
-    /// [`LuFactors::solve_l`] only) is `spike`.
-    ///
-    /// `spike_pattern`, when given, must list the nonzero rows of `spike`
-    /// without duplicates (a superset with exact zeros is fine) — the update
-    /// then touches only those rows instead of scanning all of `spike`.
+    /// replaced by the entering column of the last
+    /// [`LuFactors::ftran_column`], whose spike (that FTRAN's L-pass
+    /// result) the factors kept.  Where the spike's pattern is exact, the
+    /// update touches only those rows instead of scanning all of it.
     ///
     /// On `Err(Singular)` the factors are left in an inconsistent state and the
     /// caller **must** refactorise from scratch before using them again — this
     /// is the trigger of the basis-repair path.
-    pub fn update(
-        &mut self,
-        leaving_row: usize,
-        spike: &[f64],
-        spike_pattern: Option<&[usize]>,
-    ) -> Result<(), LuError> {
+    pub fn update(&mut self, leaving_row: usize) -> Result<(), LuError> {
         let p_id = self.pivot_col_of_row[leaving_row];
         debug_assert_ne!(p_id, NONE, "leaving row has no pivot column");
         let p_id = p_id as usize;
@@ -1709,6 +1746,7 @@ impl LuFactors {
 
         // New diagonal: the spike entry at the leaving row, transformed by the
         // row eta just built.
+        let spike = &self.spike.values;
         let mut diag = spike[leaving_row];
         let mut spike_max = diag.abs();
         for (&r, &mult) in self.l_rows[eta_start..]
@@ -1724,27 +1762,14 @@ impl LuFactors {
             self.row_adj.remove_index(r as usize, p_id as u32);
         }
         self.u.truncate(p_id, 0);
-        {
-            let mut take = |r: usize, v: f64| {
-                if r != leaving_row && v.abs() > DROP_TOL {
-                    self.u.push(p_id, r as u32, v);
-                    self.row_adj.push(r, p_id as u32, ());
-                    spike_max = spike_max.max(v.abs());
-                }
-            };
-            match spike_pattern {
-                Some(pattern) => {
-                    for &r in pattern {
-                        take(r, spike[r]);
-                    }
-                }
-                None => {
-                    for (r, &v) in spike.iter().enumerate() {
-                        take(r, v);
-                    }
-                }
+        let (u, row_adj) = (&mut self.u, &mut self.row_adj);
+        self.spike.for_each_nz(|r, v| {
+            if r != leaving_row && v.abs() > DROP_TOL {
+                u.push(p_id, r as u32, v);
+                row_adj.push(r, p_id as u32, ());
+                spike_max = spike_max.max(v.abs());
             }
-        }
+        });
         self.u_pivot_value[p_id] = diag;
         debug_assert_eq!(self.u_pivot_row[p_id] as usize, leaving_row);
 
@@ -2111,13 +2136,9 @@ mod tests {
                     }
                 }
 
-                // Spike = L⁻¹ a_q, then update.
-                let mut spike = vec![0.0; m];
-                for &(r, v) in &entering {
-                    spike[r] = v;
-                }
-                lu.solve_l(&mut spike);
-                lu.update(leaving_row, &spike, None)
+                // The entering FTRAN keeps the spike L⁻¹ a_q; then update.
+                lu.ftran_column(entering.iter().copied(), &mut PatVec::new(m));
+                lu.update(leaving_row)
                     .unwrap_or_else(|_| panic!("m={m} step={step}: update declared singular"));
 
                 // The updated factors must agree with factoring the modified
@@ -2176,17 +2197,38 @@ mod tests {
         // the new basis is singular and the update must say so.
         let cols: Vec<Vec<(usize, f64)>> = (0..3).map(|j| vec![(j, 1.0)]).collect();
         let (mut lu, _) = factor_columns(3, &cols, 1e-11).unwrap();
-        let mut spike = vec![0.0, 1.0, 0.0];
-        lu.solve_l(&mut spike);
-        assert_eq!(lu.update(0, &spike, None).err(), Some(LuError::Singular));
+        lu.ftran_column([(1, 1.0)], &mut PatVec::new(3));
+        assert_eq!(lu.update(0).err(), Some(LuError::Singular));
+    }
+
+    /// FTRAN by reach while the pattern stays sparse: the entering-column
+    /// route without its spike and its density routing.  Returns whether
+    /// `pattern` lists the result's nonzeros.
+    fn ftran_reach(lu: &LuFactors, v: &mut [f64], pattern: &mut Vec<usize>) -> bool {
+        if lu.solve_l_reach(v, pattern) {
+            return lu.solve_u_reach(v, pattern);
+        }
+        lu.solve_u(v, lu.tail);
+        false
+    }
+
+    /// A pattern reported exact must cover every nonzero of the result.
+    fn assert_covers(pattern: &[usize], result: &[f64], what: &str) {
+        for (r, &x) in result.iter().enumerate() {
+            if x != 0.0 {
+                assert!(pattern.contains(&r), "{what} pattern missed row {r}");
+            }
+        }
     }
 
     #[test]
     fn sparse_solves_match_dense_solves_before_and_after_updates() {
-        // The reach-based FTRAN/BTRAN must agree with the dense scans on
-        // arbitrary sparse right-hand sides, and the returned pattern must
-        // cover every nonzero of the result.  Exercised across FT updates so
-        // the incrementally maintained reader lists are covered too.
+        // The reach-based FTRAN/BTRAN must agree exactly with the dense scans
+        // on arbitrary sparse right-hand sides (`==`, which equates ±0: an
+        // operator the reach skips can leave a zero of the other sign), and
+        // a pattern they report exact must cover every nonzero of the
+        // result.  Exercised across FT updates so the incrementally
+        // maintained reader lists are covered too.
         let mut rng = Rng(0x90ad);
         let mut sparse_hits = 0usize;
         for m in [9usize, 24, 64, 120] {
@@ -2206,49 +2248,32 @@ mod tests {
 
                 let mut dense_f = v.clone();
                 lu.ftran(&mut dense_f);
-                let mut sparse_f = v.clone();
-                let mut pat_f = pattern.clone();
-                if lu.ftran_sparse(&mut sparse_f, &mut pat_f) {
+                let (mut sparse_f, mut pat_f) = (v.clone(), pattern.clone());
+                if ftran_reach(&lu, &mut sparse_f, &mut pat_f) {
                     sparse_hits += 1;
-                    for (r, &x) in dense_f.iter().enumerate() {
-                        if x.abs() > 1e-12 {
-                            assert!(pat_f.contains(&r), "ftran pattern missed row {r}");
-                        }
-                    }
+                    assert_covers(&pat_f, &dense_f, "ftran");
                 }
-                assert_vec_close(&sparse_f, &dense_f, 1e-9);
+                assert_eq!(sparse_f, dense_f, "m={m} step={step}: ftran");
 
                 let mut dense_b = v.clone();
                 lu.btran(&mut dense_b);
-                let mut sparse_b = v.clone();
-                let mut pat_b = pattern.clone();
-                if lu.btran_sparse(&mut sparse_b, &mut pat_b) {
+                let (mut sparse_b, mut pat_b) = (v.clone(), pattern.clone());
+                if lu.btran_reach(&mut sparse_b, &mut pat_b) {
                     sparse_hits += 1;
-                    for (r, &x) in dense_b.iter().enumerate() {
-                        if x.abs() > 1e-12 {
-                            assert!(pat_b.contains(&r), "btran pattern missed row {r}");
-                        }
-                    }
+                    assert_covers(&pat_b, &dense_b, "btran");
                 }
-                assert_vec_close(&sparse_b, &dense_b, 1e-9);
+                assert_eq!(sparse_b, dense_b, "m={m} step={step}: btran");
 
-                // Apply a Forrest–Tomlin update through the sparse spike path.
+                // A Forrest–Tomlin update through the entering FTRAN.
                 let leaving_row = rng.below(m);
-                let mut spike = vec![0.0; m];
-                let mut spike_pat = vec![leaving_row];
-                spike[leaving_row] = 3.0 + rng.next_f64();
+                let mut entering = vec![(leaving_row, 3.0 + rng.next_f64())];
                 for _ in 0..3 {
                     let r = rng.below(m);
-                    if spike[r] == 0.0 {
-                        spike[r] = rng.next_f64() - 0.5;
-                        spike_pat.push(r);
+                    if entering.iter().all(|&(rr, _)| rr != r) {
+                        entering.push((r, rng.next_f64() - 0.5));
                     }
                 }
-                if lu.solve_l_sparse(&mut spike, &mut spike_pat) {
-                    lu.update(leaving_row, &spike, Some(&spike_pat)).unwrap();
-                } else {
-                    lu.update(leaving_row, &spike, None).unwrap();
-                }
+                apply_update(&mut lu, leaving_row, &entering);
             }
         }
         assert!(
@@ -2272,33 +2297,25 @@ mod tests {
                 col
             })
             .collect();
-        let (mut lu, _) = factor_columns(m, &columns, 1e-11).unwrap();
+        let (lu, _) = factor_columns(m, &columns, 1e-11).unwrap();
         for seed_row in [0usize, 100, 511] {
             let mut v = vec![0.0; m];
             v[seed_row] = 1.0;
             let mut dense_f = v.clone();
             lu.ftran(&mut dense_f);
             let mut pat = vec![seed_row];
-            assert!(lu.ftran_sparse(&mut v, &mut pat), "ftran fell back dense");
-            assert_vec_close(&v, &dense_f, 1e-9);
-            for (r, &x) in dense_f.iter().enumerate() {
-                if x.abs() > 1e-12 {
-                    assert!(pat.contains(&r), "ftran pattern missed row {r}");
-                }
-            }
+            assert!(ftran_reach(&lu, &mut v, &mut pat), "ftran fell back dense");
+            assert_eq!(v, dense_f);
+            assert_covers(&pat, &dense_f, "ftran");
 
             let mut v = vec![0.0; m];
             v[seed_row] = 1.0;
             let mut dense_b = v.clone();
             lu.btran(&mut dense_b);
             let mut pat = vec![seed_row];
-            assert!(lu.btran_sparse(&mut v, &mut pat), "btran fell back dense");
-            assert_vec_close(&v, &dense_b, 1e-9);
-            for (r, &x) in dense_b.iter().enumerate() {
-                if x.abs() > 1e-12 {
-                    assert!(pat.contains(&r), "btran pattern missed row {r}");
-                }
-            }
+            assert!(lu.btran_reach(&mut v, &mut pat), "btran fell back dense");
+            assert_eq!(v, dense_b);
+            assert_covers(&pat, &dense_b, "btran");
         }
     }
 
@@ -2307,17 +2324,91 @@ mod tests {
         let mut rng = Rng(0xD0_17);
         let m = 16;
         let cols = random_basis(m, m * 3, &mut rng);
-        let (mut lu, _) = factor_columns(m, &cols, 1e-11).unwrap();
+        let (lu, _) = factor_columns(m, &cols, 1e-11).unwrap();
         let v0: Vec<f64> = (0..m).map(|_| rng.next_f64() + 0.1).collect();
         let mut pattern: Vec<usize> = (0..m).collect();
         let mut v = v0.clone();
         assert!(
-            !lu.ftran_sparse(&mut v, &mut pattern),
+            !ftran_reach(&lu, &mut v, &mut pattern),
             "dense RHS must fall back"
         );
         let mut expect = v0.clone();
         lu.ftran(&mut expect);
-        assert_vec_close(&v, &expect, 1e-12);
+        assert_eq!(v, expect);
+    }
+
+    /// A reach pass and the dense scan it stands for.
+    type Pass = (
+        fn(&LuFactors, &mut [f64], &mut Vec<usize>) -> bool,
+        fn(&LuFactors, &mut [f64]),
+    );
+
+    /// Each of the four reach passes, fed a sparse vector on its own, agrees
+    /// exactly (`==`) with its dense scan, whether it completes or switches
+    /// to the scan mid-solve; over random and banded bases of 24 to 512 rows
+    /// and Forrest–Tomlin updates, the switch fires on every pass.
+    #[test]
+    fn every_reach_pass_resumes_its_dense_scan_exactly_after_switching() {
+        let passes: [Pass; 4] = [
+            (|lu, v, p| lu.solve_l_reach(v, p), |lu, v| lu.solve_l(v, 0)),
+            (
+                |lu, v, p| lu.solve_u_reach(v, p),
+                |lu, v| lu.solve_u(v, lu.tail),
+            ),
+            (
+                |lu, v, p| lu.btran_u_reach(v, p),
+                |lu, v| lu.btran_u_dense(v, lu.head),
+            ),
+            (
+                |lu, v, p| lu.btran_l_reach(v, p),
+                |lu, v| lu.btran_l_dense(v, lu.num_lops()),
+            ),
+        ];
+        let mut rng = Rng(0x5_317c);
+        let (mut switched, mut completed) = ([0usize; 4], [0usize; 4]);
+        for (banded, m) in [
+            (false, 24),
+            (true, 64),
+            (false, 128),
+            (true, 256),
+            (false, 512),
+        ] {
+            let (cols, dominant) = basis_with_anchors(banded, m, &mut rng);
+            let (mut lu, assignment) = factor_columns(m, &cols, 1e-11).unwrap();
+            let anchor = dominant.unwrap_or_else(|| assignment.clone());
+            for step in 0..24 {
+                if step % 4 == 3 {
+                    random_update(&mut lu, &assignment, &anchor, &mut rng);
+                }
+                let first = rng.below(m);
+                let mut rhs = vec![first];
+                if step % 2 == 1 {
+                    rhs.push((first + 1 + rng.below(m - 1)) % m);
+                }
+                assert!(pattern_is_sparse(rhs.len(), m));
+                let mut v = vec![0.0; m];
+                for &r in &rhs {
+                    v[r] = rng.next_f64() + 0.5;
+                }
+                for (pass, (reach, scan)) in passes.iter().enumerate() {
+                    let (mut by_reach, mut pattern) = (v.clone(), rhs.clone());
+                    let exact = reach(&lu, &mut by_reach, &mut pattern);
+                    let mut by_scan = v.clone();
+                    scan(&lu, &mut by_scan);
+                    assert_eq!(by_reach, by_scan, "pass {pass}, m={m}, step={step}");
+                    if exact {
+                        assert_covers(&pattern, &by_scan, "reach");
+                        completed[pass] += 1;
+                    } else {
+                        switched[pass] += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            switched.iter().all(|&n| n > 0) && completed.iter().all(|&n| n > 0),
+            "L, U, Uᵀ, Lᵀ passes: {switched:?} switched mid-solve, {completed:?} completed"
+        );
     }
 
     #[test]
@@ -2332,21 +2423,22 @@ mod tests {
         for _ in 0..10 {
             let before: usize = (0..m).map(|k| lu.u.len(k)).sum();
             let leaving_row = rng.below(m);
-            let mut spike = vec![0.0; m];
-            spike[leaving_row] = 5.0;
+            let mut entering = vec![(leaving_row, 5.0)];
             for _ in 0..3 {
                 let r = rng.below(m);
-                if spike[r] == 0.0 {
-                    spike[r] = rng.next_f64() - 0.5;
+                if entering.iter().all(|&(rr, _)| rr != r) {
+                    entering.push((r, rng.next_f64() - 0.5));
                 }
             }
-            lu.solve_l(&mut spike);
-            let spike_nnz = spike
+            lu.ftran_column(entering, &mut PatVec::new(m));
+            let spike_nnz = lu
+                .spike
+                .values
                 .iter()
                 .enumerate()
                 .filter(|&(r, v)| r != leaving_row && v.abs() > 1e-12)
                 .count();
-            lu.update(leaving_row, &spike, None).unwrap();
+            lu.update(leaving_row).unwrap();
             let after: usize = (0..m).map(|k| lu.u.len(k)).sum();
             assert!(
                 after <= before + spike_nnz,
@@ -2357,11 +2449,11 @@ mod tests {
 
     /// The factors of `cols` (with slot → pivot-row `assignment`) must solve
     /// `B x = b` and `Bᵀ y = c` — dense FTRAN/BTRAN checked by their
-    /// residuals against the matrix, the reach-based sparse solves against
+    /// residuals against the matrix, the reach-based solves exactly against
     /// the dense ones on a unit and a two-entry right-hand side — and, for
     /// small `m`, agree with the dense Gaussian-elimination oracle.
     fn check_against_oracle(
-        lu: &mut LuFactors,
+        lu: &LuFactors,
         cols: &[Vec<(usize, f64)>],
         assignment: &[usize],
         rng: &mut Rng,
@@ -2403,30 +2495,22 @@ mod tests {
             lu.ftran(&mut dense_f);
             lu.btran(&mut dense_b);
             let (mut sparse_f, mut pattern_f) = (v.clone(), rhs.clone());
-            let f_stayed_sparse = lu.ftran_sparse(&mut sparse_f, &mut pattern_f);
-            assert_vec_close(&sparse_f, &dense_f, 1e-9);
-            let (mut sparse_b, mut pattern_b) = (v.clone(), rhs.clone());
-            let b_stayed_sparse = lu.btran_sparse(&mut sparse_b, &mut pattern_b);
-            assert_vec_close(&sparse_b, &dense_b, 1e-9);
-            for (stayed_sparse, pattern, dense) in [
-                (f_stayed_sparse, &pattern_f, &dense_f),
-                (b_stayed_sparse, &pattern_b, &dense_b),
-            ] {
-                if stayed_sparse {
-                    for (r, &value) in dense.iter().enumerate() {
-                        if value.abs() > 1e-12 {
-                            assert!(pattern.contains(&r), "pattern missed row {r}");
-                        }
-                    }
-                }
+            if ftran_reach(lu, &mut sparse_f, &mut pattern_f) {
+                assert_covers(&pattern_f, &dense_f, "ftran");
             }
+            assert_eq!(sparse_f, dense_f);
+            let (mut sparse_b, mut pattern_b) = (v.clone(), rhs.clone());
+            if lu.btran_reach(&mut sparse_b, &mut pattern_b) {
+                assert_covers(&pattern_b, &dense_b, "btran");
+            }
+            assert_eq!(sparse_b, dense_b);
         }
     }
 
     /// A Forrest–Tomlin update of `lu` replacing the column at a random slot
     /// by one dominated at `anchor[slot]` (the row that keeps the basis
-    /// nonsingular), its spike taken through the sparse L pass as in the
-    /// solver.  Returns the slot and the entering column.
+    /// nonsingular), its spike kept by the entering FTRAN as in the solver.
+    /// Returns the slot and the entering column.
     fn random_update(
         lu: &mut LuFactors,
         assignment: &[usize],
@@ -2449,26 +2533,18 @@ mod tests {
 
     /// Replace the column pivoted on `leaving_row` by `entering`.
     fn apply_update(lu: &mut LuFactors, leaving_row: usize, entering: &[(usize, f64)]) {
-        let mut spike = vec![0.0; lu.row_of_slot().len()];
-        let mut pattern = Vec::new();
-        for &(r, v) in entering {
-            spike[r] = v;
-            pattern.push(r);
-        }
-        let result = if lu.solve_l_sparse(&mut spike, &mut pattern) {
-            lu.update(leaving_row, &spike, Some(&pattern))
-        } else {
-            lu.update(leaving_row, &spike, None)
-        };
-        result.expect("a column dominated at its anchor row keeps the basis nonsingular");
+        let mut w = PatVec::new(lu.row_of_slot().len());
+        lu.ftran_column(entering.iter().copied(), &mut w);
+        lu.update(leaving_row)
+            .expect("a column dominated at its anchor row keeps the basis nonsingular");
     }
 
     /// Basis columns as `(row, value)` lists, by column slot.
     type Columns = Vec<Vec<(usize, f64)>>;
 
-    /// One solve of `v` (with its pattern, for the sparse ones) on the
-    /// factors; returns whether a sparse solve stayed sparse.
-    type Solve = fn(&mut LuFactors, &mut Vec<f64>, &mut Vec<usize>) -> bool;
+    /// One solve of `v` (with its pattern, for the reach ones) on the
+    /// factors; returns whether a reach solve kept its pattern exact.
+    type Solve = fn(&LuFactors, &mut [f64], &mut Vec<usize>) -> bool;
 
     /// A banded basis with its dominant rows, or a random one (whose
     /// assigned pivot rows serve as the anchors).
@@ -2563,14 +2639,14 @@ mod tests {
                             lu.btran(v);
                             false
                         },
-                        |lu, v, p| lu.ftran_sparse(v, p),
-                        |lu, v, p| lu.btran_sparse(v, p),
+                        ftran_reach,
+                        |lu, v, p| lu.btran_reach(v, p),
                     ];
                     for solve in solves {
                         let (mut a, mut pa) = (v.clone(), rhs.clone());
                         let (mut b, mut pb) = (v.clone(), rhs.clone());
-                        let sparse_a = solve(&mut compacted, &mut a, &mut pa);
-                        let sparse_b = solve(&mut plain, &mut b, &mut pb);
+                        let sparse_a = solve(&compacted, &mut a, &mut pa);
+                        let sparse_b = solve(&plain, &mut b, &mut pb);
                         assert_eq!(sparse_a, sparse_b, "banded={banded} step={step}");
                         assert_eq!(pa, pb, "banded={banded} step={step}: patterns differ");
                         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -2657,12 +2733,12 @@ mod tests {
             let mut sorted = assignment.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, (0..m).collect::<Vec<_>>());
-            check_against_oracle(&mut lu, &cols, &assignment, &mut rng);
+            check_against_oracle(&lu, &cols, &assignment, &mut rng);
 
-            for step in 0..12 {
+            for _ in 0..12 {
                 // Replace a column by one dominated at the same row, so the
-                // basis stays nonsingular; the spike goes through the sparse
-                // L pass as in the solver.
+                // basis stays nonsingular; the spike is kept by the entering
+                // FTRAN as in the solver.
                 let slot = rng.below(m);
                 let mut entering = vec![(dominant[slot], 3.0 + rng.next_f64())];
                 for _ in 0..2 {
@@ -2671,21 +2747,9 @@ mod tests {
                         entering.push((r, rng.next_f64() - 0.5));
                     }
                 }
-                let mut spike = vec![0.0; m];
-                let mut pattern = Vec::new();
-                for &(r, v) in &entering {
-                    spike[r] = v;
-                    pattern.push(r);
-                }
-                let leaving_row = assignment[slot];
-                let result = if lu.solve_l_sparse(&mut spike, &mut pattern) {
-                    lu.update(leaving_row, &spike, Some(&pattern))
-                } else {
-                    lu.update(leaving_row, &spike, None)
-                };
-                result.unwrap_or_else(|_| panic!("m={m} step={step}: update declared singular"));
+                apply_update(&mut lu, assignment[slot], &entering);
                 cols[slot] = entering;
-                check_against_oracle(&mut lu, &cols, &assignment, &mut rng);
+                check_against_oracle(&lu, &cols, &assignment, &mut rng);
             }
             assert_eq!(lu.updates(), 12);
         }

@@ -15,12 +15,24 @@
 //! factors instead of appending a product-form eta: U only ever *loses* stored
 //! entries between factorisations, so FTRAN/BTRAN stay flat over long runs —
 //! the property the old eta file lacked.  Every [`REFACTOR_FLOOR`] updates
-//! (stretched to `rows / 32` on tall programs) the factors are rebuilt from
-//! the exact basis columns, which also bounds numerical drift.
+//! (stretched to `rows / 32` on tall programs, see
+//! [`RevisedState::refactor_due`]) the factors are rebuilt from the exact
+//! basis columns, which also bounds numerical drift.
 //!
-//! * **FTRAN** (`B⁻¹ a`) is a forward pass through the L operators followed by
-//!   a backward sparse triangular solve with U.
-//! * **BTRAN** (`y' B⁻¹`) is the transposed pair in reverse.
+//! A pivot asks the factors for two solves whose results carry their
+//! nonzero pattern: the entering column's FTRAN (`B⁻¹ a_q`) and the pivot
+//! row's unit BTRAN (`e_r' B⁻¹`).  Exact reduced costs take a dense BTRAN of
+//! the basic costs.  [`crate::lu`] decides how each solve runs (by reach or
+//! by the dense scan) and keeps the FTRAN's spike for the pivot's update, so
+//! this module holds no routing state: a solve is one call, timed as its
+//! pivot stage.
+//!
+//! ## One state, one answer
+//!
+//! A [`RevisedState`] has one constructor, which takes a seed basis: a warm
+//! start's, or the cold start's [`cold_seed`] (each row's slack hint, else an
+//! artificial).  The cold two-phase path and the warm dual-then-primal path
+//! both end in [`RevisedState::solved_point`].
 //!
 //! ## Pricing: Dantzig, then projected steepest edge
 //!
@@ -54,8 +66,8 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::error::SimplexError;
-use crate::lu::LuFactors;
-use crate::solver::{PhaseOutcome, PivotState, SolveOptions, SolvedPoint};
+use crate::lu::{LuFactors, PatVec};
+use crate::solver::{PhaseOutcome, PivotState, SolveOptions, SolveStats, SolvedPoint};
 use crate::sparse::{RowMajor, SparseAccumulator};
 use crate::standard::StandardForm;
 
@@ -69,10 +81,6 @@ const DEVEX_WEIGHT_LIMIT: f64 = 1e7;
 /// pivot-row BTRAN sparse, and since the factorisation costs about what its
 /// nonzeros cost, refactorising that often pays.
 const REFACTOR_FLOOR: usize = 32;
-
-/// Result density (EWMA of `nnz / m`) above which FTRAN's U pass and the
-/// pivot-row BTRAN skip the reach-based solve for the dense scan.
-const DENSE_ROUTE_DENSITY: f64 = 0.2;
 
 /// Consecutive numerical breakdowns (with no successful basis update in
 /// between) that may be repaired before the solve gives up with
@@ -121,7 +129,7 @@ pub const PIVOT_STAGES: [&str; 8] = [
 /// Per-solve nanoseconds in each [`Stage`], accumulated in local counters
 /// and recorded once, when the solve's state is dropped.  Stays off (no
 /// clock reads) while instrumentation is disabled; kept out of
-/// [`SolveStats`](crate::SolveStats), whose equality backs the
+/// [`SolveStats`], whose equality backs the
 /// bit-identity tests.
 struct StageClock {
     on: bool,
@@ -175,72 +183,6 @@ enum PricingRule {
     SteepestEdge,
 }
 
-/// A dense vector paired with its nonzero pattern, as produced by the
-/// hypersparse LU solves.  `dense` marks a vector whose pattern is stale —
-/// a sparse solve fell back to the dense scan — so consumers must walk the
-/// whole vector instead of the pattern.
-#[derive(Clone)]
-struct PatVec {
-    values: Vec<f64>,
-    pattern: Vec<usize>,
-    dense: bool,
-}
-
-impl PatVec {
-    fn new(len: usize) -> Self {
-        PatVec {
-            values: vec![0.0; len],
-            pattern: Vec::new(),
-            dense: false,
-        }
-    }
-
-    /// Zero the vector, using the pattern when it is trustworthy.
-    fn clear(&mut self) {
-        if self.dense {
-            self.values.fill(0.0);
-            self.dense = false;
-        } else {
-            for &r in &self.pattern {
-                self.values[r] = 0.0;
-            }
-        }
-        self.pattern.clear();
-    }
-
-    /// Share of rows the pattern covers (1 when the pattern is stale).
-    fn density(&self) -> f64 {
-        if self.dense {
-            1.0
-        } else {
-            self.pattern.len() as f64 / self.values.len().max(1) as f64
-        }
-    }
-
-    /// Record a nonzero on a freshly cleared vector.
-    fn set(&mut self, r: usize, v: f64) {
-        self.values[r] = v;
-        self.pattern.push(r);
-    }
-}
-
-/// Iterate the nonzeros of a [`PatVec`] as `(index, value)` pairs, walking the
-/// pattern when it is valid and the whole vector otherwise.
-macro_rules! for_nz {
-    ($pv:expr, $r:ident, $v:ident, $body:block) => {
-        if $pv.dense {
-            for ($r, &$v) in $pv.values.iter().enumerate() {
-                if $v != 0.0 $body
-            }
-        } else {
-            for &$r in $pv.pattern.iter() {
-                let $v = $pv.values[$r];
-                if $v != 0.0 $body
-            }
-        }
-    };
-}
-
 /// The revised-simplex working state: basis bookkeeping, the LU factors, and
 /// the current basic solution.
 struct RevisedState<'a> {
@@ -262,19 +204,6 @@ struct RevisedState<'a> {
     /// Basis snapshot taken at the last successful factorisation — the
     /// fallback point of the repair path.
     last_good_basis: Vec<usize>,
-    /// Partial FTRAN (through the L operators only) of the last entering
-    /// column — the spike consumed by the Forrest–Tomlin update — with its
-    /// nonzero pattern (`spike_dense` marks a stale pattern, as in [`PatVec`]).
-    spike: Vec<f64>,
-    spike_pattern: Vec<usize>,
-    spike_dense: bool,
-    /// EWMA of the FTRAN result density (`nnz / m`), used to skip the
-    /// reach-based U pass when results have been filling in anyway — the
-    /// bookkeeping up to the abort point is pure overhead then.
-    ftran_density: f64,
-    /// EWMA of the pivot-row BTRAN result density, routing
-    /// [`RevisedState::btran_unit`] the same way.
-    btran_density: f64,
     factorizations: usize,
     /// Largest [`LuFactors::footprint_bytes`] read at a factorisation.
     factor_bytes: usize,
@@ -326,17 +255,33 @@ fn column_entries<'s>(
         .chain(unit.map(|r| (r, 1.0)))
 }
 
+/// The cold start's seed: each row's basis hint, or an artificial (any
+/// entry `>= num_columns`) where the form gives none.
+fn cold_seed(sf: &StandardForm) -> Vec<usize> {
+    (0..sf.num_rows())
+        .map(|r| sf.hint(r).unwrap_or(sf.num_columns()))
+        .collect()
+}
+
 impl<'a> RevisedState<'a> {
-    fn new(sf: &'a StandardForm) -> Result<Self, SimplexError> {
-        let num_rows = sf.num_rows();
+    /// A state seeded from a basis (already validated: one entry per row,
+    /// core entries distinct) — [`cold_seed`] or a warm start's.  Seed
+    /// entries `>= num_core` mark rows kept basic through an artificial
+    /// variable (a cold start's unhinted rows, or a warm donor's redundant
+    /// constraints); each such row receives a fresh artificial column here.
+    /// Fails when the seeded basis is numerically singular.
+    fn new(sf: &'a StandardForm, seed: &[usize]) -> Result<Self, SimplexError> {
         let num_core = sf.num_columns();
         let mut artificial_rows = Vec::new();
-        let basis: Vec<usize> = (0..num_rows)
-            .map(|r| {
-                sf.hint(r).unwrap_or_else(|| {
-                    artificial_rows.push(r);
-                    num_core + artificial_rows.len() - 1
-                })
+        let basis: Vec<usize> = seed
+            .iter()
+            .enumerate()
+            .map(|(r, &col)| {
+                if col < num_core {
+                    return col;
+                }
+                artificial_rows.push(r);
+                num_core + artificial_rows.len() - 1
             })
             .collect();
         let mut in_basis = vec![false; num_core + artificial_rows.len()];
@@ -349,70 +294,11 @@ impl<'a> RevisedState<'a> {
             artificial_rows,
             basis: basis.clone(),
             in_basis,
-            // Empty until the initial factorisation below (the initial basis
-            // is all slacks/artificials, i.e. the identity, so that cannot
-            // fail for want of pivots).
+            // Empty until the initial factorisation below.
             lu: LuFactors::default(),
             row_major: sf.matrix.to_row_major(),
             xb: sf.rhs.clone(),
             last_good_basis: basis,
-            spike: vec![0.0; num_rows],
-            spike_pattern: Vec::new(),
-            spike_dense: false,
-            ftran_density: 0.0,
-            btran_density: 0.0,
-            factorizations: 0,
-            factor_bytes: 0,
-            total_updates: 0,
-            repairs: 0,
-            repair_streak: 0,
-            dirty_reduced_costs: false,
-            dirty_weights: false,
-            banned: Vec::new(),
-            clock: StageClock::new(),
-        };
-        state.refactorize()?;
-        Ok(state)
-    }
-
-    /// A state seeded from an explicit (already validated: right length, core
-    /// entries distinct) basis — the warm-start entry point.  Seed entries
-    /// `>= num_core` mark rows the donor solve kept basic through an
-    /// artificial variable (redundant constraints); each such row receives a
-    /// fresh artificial column here.  Fails when the seeded basis is
-    /// numerically singular.
-    fn with_basis(sf: &'a StandardForm, seed: &[usize]) -> Result<Self, SimplexError> {
-        let num_rows = sf.num_rows();
-        let num_core = sf.num_columns();
-        let mut artificial_rows = Vec::new();
-        let mut basis = Vec::with_capacity(num_rows);
-        for (r, &col) in seed.iter().enumerate() {
-            if col < num_core {
-                basis.push(col);
-            } else {
-                basis.push(num_core + artificial_rows.len());
-                artificial_rows.push(r);
-            }
-        }
-        let mut in_basis = vec![false; num_core + artificial_rows.len()];
-        for &col in &basis {
-            in_basis[col] = true;
-        }
-        let mut state = RevisedState {
-            sf,
-            num_core,
-            artificial_rows,
-            basis: basis.clone(),
-            in_basis,
-            lu: LuFactors::default(),
-            row_major: sf.matrix.to_row_major(),
-            xb: sf.rhs.clone(),
-            last_good_basis: basis,
-            spike: vec![0.0; num_rows],
-            spike_pattern: Vec::new(),
-            spike_dense: false,
-            ftran_density: 0.0,
-            btran_density: 0.0,
             factorizations: 0,
             factor_bytes: 0,
             total_updates: 0,
@@ -451,114 +337,27 @@ impl<'a> RevisedState<'a> {
         }
     }
 
-    /// FTRAN the entering column `j` into `w` (`w = B⁻¹ a_j`), saving the
-    /// partial result after the L pass as the Forrest–Tomlin spike (with its
-    /// pattern, so the update can stay sparse too).
+    /// FTRAN the entering column `j` into `w` (`w = B⁻¹ a_j`); the factors
+    /// keep the spike the pivot's update consumes.
     fn ftran_column(&mut self, j: usize, w: &mut PatVec) {
         let started = self.clock.start();
-        w.clear();
-        if j < self.num_core {
-            for (r, v) in self.sf.matrix.column(j) {
-                w.set(r, v);
-            }
-        } else {
-            w.set(self.artificial_rows[j - self.num_core], 1.0);
-        }
-        let l_sparse = self.lu.solve_l_sparse(&mut w.values, &mut w.pattern);
-
-        // Save the spike before the U pass.
-        if self.spike_dense {
-            self.spike.fill(0.0);
-        } else {
-            for &r in &self.spike_pattern {
-                self.spike[r] = 0.0;
-            }
-        }
-        self.spike_pattern.clear();
-        if l_sparse {
-            for &r in &w.pattern {
-                self.spike[r] = w.values[r];
-            }
-            self.spike_pattern.extend_from_slice(&w.pattern);
-            self.spike_dense = false;
-            if self.ftran_density > DENSE_ROUTE_DENSITY {
-                self.lu.solve_u(&mut w.values);
-                w.dense = true;
-            } else {
-                w.dense = !self.lu.solve_u_sparse(&mut w.values, &mut w.pattern);
-            }
-            if !w.dense {
-                // Ascending row order keeps every pattern consumer (ratio-test
-                // tie-breaks, FP accumulation) bitwise identical to the dense
-                // scans, so the pivot trajectory is independent of which path
-                // each solve took.
-                w.pattern.sort_unstable();
-            }
-        } else {
-            self.spike.copy_from_slice(&w.values);
-            self.spike_dense = true;
-            self.lu.solve_u(&mut w.values);
-            w.dense = true;
-        }
-        if w.dense {
-            // Harvest the nonzero pattern from the dense result: even solves
-            // that densified *during elimination* usually end mostly zero on
-            // these LPs, and every downstream consumer (ratio test, basic-
-            // solution update, steepest-edge masking) iterates the pattern.
-            // The ascending harvest order matches the dense scan order, so
-            // trajectories are bitwise unchanged.
-            w.pattern.clear();
-            for (r, &v) in w.values.iter().enumerate() {
-                if v != 0.0 {
-                    w.pattern.push(r);
-                }
-            }
-            if w.pattern.len() * 4 <= w.values.len() {
-                w.dense = false;
-            } else {
-                w.pattern.clear();
-            }
-        }
-        self.ftran_density = 0.9 * self.ftran_density + 0.1 * w.density();
+        self.lu
+            .ftran_column(column_entries(self.sf, &self.artificial_rows, j), w);
         self.clock.stop(Stage::Ftran, started);
     }
 
-    /// BTRAN: overwrite `y` with `y B⁻¹` (dense — used for full cost vectors).
-    fn btran(&self, y: &mut [f64]) {
-        self.lu.btran(y);
-    }
-
-    /// Sparse BTRAN of the unit vector `e_row` into `rho` — the pivot-row
-    /// transform `ρ' = e_r' B⁻¹` — or, once recent results have been dense,
-    /// the dense BTRAN straight away, whose values are the same.
+    /// The pivot-row transform `ρ' = e_r' B⁻¹` into `rho`.
     fn btran_unit(&mut self, row: usize, rho: &mut PatVec) {
         let started = self.clock.start();
-        rho.clear();
-        rho.set(row, 1.0);
-        rho.dense = if self.btran_density > DENSE_ROUTE_DENSITY {
-            self.lu.btran(&mut rho.values);
-            true
-        } else {
-            !self.lu.btran_sparse(&mut rho.values, &mut rho.pattern)
-        };
-        if !rho.dense {
-            rho.pattern.sort_unstable(); // see ftran_column on why
-        } else {
-            // Same dense-result pattern harvest as `ftran_column`.
-            rho.pattern.clear();
-            for (r, &v) in rho.values.iter().enumerate() {
-                if v != 0.0 {
-                    rho.pattern.push(r);
-                }
-            }
-            if rho.pattern.len() * 4 <= rho.values.len() {
-                rho.dense = false;
-            } else {
-                rho.pattern.clear();
-            }
-        }
-        self.btran_density = 0.9 * self.btran_density + 0.1 * rho.density();
+        self.lu.btran_unit(row, rho);
         self.clock.stop(Stage::PivotRowBtran, started);
+    }
+
+    /// Whether the factors have taken their share of Forrest–Tomlin
+    /// updates: [`REFACTOR_FLOOR`], stretched to `rows / 32` on programs
+    /// taller than 1 024 rows.
+    fn refactor_due(&self) -> bool {
+        self.lu.updates() >= REFACTOR_FLOOR.max(self.num_rows() / 32)
     }
 
     /// Ratio test: the row whose basic variable leaves when the FTRANed
@@ -582,7 +381,7 @@ impl<'a> RevisedState<'a> {
     fn ratio_test(&self, w: &PatVec, eps: f64, use_bland: bool) -> Option<usize> {
         if use_bland {
             let mut best: Option<(usize, f64)> = None;
-            for_nz!(w, r, wr, {
+            w.for_each_nz(|r, wr| {
                 if wr > eps {
                     let ratio = self.xb[r] / wr;
                     let better = best.is_none_or(|(best_row, best_ratio)| {
@@ -598,7 +397,7 @@ impl<'a> RevisedState<'a> {
         }
         let feas_tol = eps.max(1e-10);
         let mut theta_bound = f64::INFINITY;
-        for_nz!(w, r, wr, {
+        w.for_each_nz(|r, wr| {
             if wr > eps {
                 theta_bound = theta_bound.min((self.xb[r] + feas_tol) / wr);
             }
@@ -607,7 +406,7 @@ impl<'a> RevisedState<'a> {
             return None;
         }
         let mut best: Option<(usize, f64)> = None;
-        for_nz!(w, r, wr, {
+        w.for_each_nz(|r, wr| {
             if wr > eps
                 && self.xb[r] / wr <= theta_bound
                 && best.is_none_or(|(_, best_wr)| wr > best_wr)
@@ -637,7 +436,7 @@ impl<'a> RevisedState<'a> {
 
         // Update the basic solution: the entering variable moves by t, every
         // other basic variable retreats along the column.
-        for_nz!(w, r, wr, {
+        w.for_each_nz(|r, wr| {
             if r != row {
                 self.xb[r] -= wr * t;
                 if self.xb[r] < 0.0 && self.xb[r] > -1e-11 {
@@ -652,12 +451,7 @@ impl<'a> RevisedState<'a> {
         self.basis[row] = col;
         self.total_updates += 1;
 
-        let spike_pattern = if self.spike_dense {
-            None
-        } else {
-            Some(self.spike_pattern.as_slice())
-        };
-        let updated = self.lu.update(row, &self.spike, spike_pattern).is_ok();
+        let updated = self.lu.update(row).is_ok();
         self.clock.stop(Stage::FtUpdate, started);
         if updated {
             self.repair_streak = 0;
@@ -699,11 +493,6 @@ impl<'a> RevisedState<'a> {
             self.basis[new_row as usize] = old_basis[slot];
         }
         self.factorizations += 1;
-        // Fresh factors are at their sparsest: let the FTRAN and BTRAN paths
-        // try the hypersparse route again instead of staying locked dense by
-        // the tail-of-window density estimates.
-        self.ftran_density = 0.0;
-        self.btran_density = 0.0;
         self.last_good_basis.clone_from(&self.basis);
         self.dirty_reduced_costs = true;
 
@@ -786,6 +575,29 @@ impl<'a> RevisedState<'a> {
             .map(|(&col, &value)| costs[col] * value)
             .sum()
     }
+
+    /// The solve's answer at the current basis: its point and objective
+    /// under `costs`, and `stats` completed with this state's counters and
+    /// the phase's steepest-edge `resets`.
+    fn solved_point(&mut self, costs: &[f64], mut stats: SolveStats, resets: usize) -> SolvedPoint {
+        let mut z = vec![0.0; self.num_core];
+        for (r, &col) in self.basis.iter().enumerate() {
+            if col < self.num_core {
+                z[col] = self.xb[r];
+            }
+        }
+        stats.refactorizations = self.factorizations;
+        stats.basis_updates = self.total_updates;
+        stats.basis_repairs = self.repairs;
+        stats.factor_bytes = self.factor_bytes();
+        stats.steepest_edge_resets = resets;
+        SolvedPoint {
+            objective: self.objective(costs),
+            z,
+            stats,
+            basis: Some(std::mem::take(&mut self.basis)),
+        }
+    }
 }
 
 /// Entering-column pricing state shared across a phase: reduced costs over the
@@ -867,7 +679,7 @@ impl Pricing {
     /// FTRANed representation `w = B⁻¹ a_q`.
     fn exact_gamma(&self, w: &PatVec, basis_cols: &[usize], entering: usize) -> f64 {
         let mut g = if self.in_ref[entering] { 1.0 } else { 0.0 };
-        for_nz!(w, i, wi, {
+        w.for_each_nz(|i, wi| {
             let c = basis_cols[i];
             if c < self.in_ref.len() && self.in_ref[c] {
                 g += wi * wi;
@@ -891,7 +703,7 @@ impl Pricing {
         for (r, slot) in y.iter_mut().enumerate() {
             *slot = costs[basis.basis[r]];
         }
-        basis.btran(y);
+        basis.lu.btran(y);
         for &j in &self.list {
             self.in_list[j] = false;
         }
@@ -1083,7 +895,7 @@ impl Workspace {
         self.alpha.clear();
         let rho = &self.rho;
         let alpha = &mut self.alpha;
-        for_nz!(rho, r, rho_r, {
+        rho.for_each_nz(|r, rho_r| {
             for (j, v) in row_major.row(r) {
                 alpha.add(j, v * rho_r);
             }
@@ -1118,7 +930,7 @@ fn cold_solve(sf: &StandardForm, options: &SolveOptions) -> Result<SolvedPoint, 
     let num_rows = sf.num_rows();
     let num_core = sf.num_columns();
 
-    let mut basis = RevisedState::new(sf)?;
+    let mut basis = RevisedState::new(sf, &cold_seed(sf))?;
     let total_columns = num_core + basis.num_artificials();
 
     let mut state = PivotState::new(options);
@@ -1189,23 +1001,7 @@ fn cold_solve(sf: &StandardForm, options: &SolveOptions) -> Result<SolvedPoint, 
         return Err(SimplexError::Unbounded);
     }
 
-    let mut z = vec![0.0; num_core];
-    for (r, &col) in basis.basis.iter().enumerate() {
-        if col < num_core {
-            z[col] = basis.xb[r];
-        }
-    }
-    state.stats.refactorizations = basis.factorizations;
-    state.stats.basis_updates = basis.total_updates;
-    state.stats.basis_repairs = basis.repairs;
-    state.stats.factor_bytes = basis.factor_bytes();
-    state.stats.steepest_edge_resets = pricing.resets;
-    Ok(SolvedPoint {
-        objective: basis.objective(&phase2_costs),
-        z,
-        stats: state.stats,
-        basis: Some(basis.basis.clone()),
-    })
+    Ok(basis.solved_point(&phase2_costs, state.stats, pricing.resets))
 }
 
 // ---------------------------------------------------------------------------
@@ -1229,7 +1025,7 @@ fn exact_reduced_costs(basis: &RevisedState<'_>, costs: &[f64], y: &mut [f64], d
     for (r, slot) in y.iter_mut().enumerate() {
         *slot = costs[basis.basis[r]];
     }
-    basis.btran(y);
+    basis.lu.btran(y);
     for (j, dj) in d.iter_mut().enumerate() {
         *dj = if basis.in_basis[j] {
             0.0
@@ -1257,7 +1053,7 @@ pub(crate) fn warm_solve(
     // Shape check: one column per row, core entries distinct.  Entries beyond
     // the core columns mark rows the donor kept basic through an artificial
     // (redundant constraints) — those need no distinctness, each receives a
-    // fresh artificial in `with_basis`.
+    // fresh artificial in `RevisedState::new`.
     if seed.len() != num_rows || num_rows == 0 {
         return None;
     }
@@ -1272,7 +1068,7 @@ pub(crate) fn warm_solve(
     }
 
     let _warm_span = cpm_obs::span!("simplex", "warm_solve");
-    let mut basis = RevisedState::with_basis(sf, seed).ok()?;
+    let mut basis = RevisedState::new(sf, seed).ok()?;
     let mut state = PivotState::new(options);
     state.stats.artificial_variables = basis.num_artificials();
     let mut ws = Workspace::new(num_rows, num_core);
@@ -1351,24 +1147,8 @@ pub(crate) fn warm_solve(
         }
     }
 
-    let mut z = vec![0.0; num_core];
-    for (r, &col) in basis.basis.iter().enumerate() {
-        if col < num_core {
-            z[col] = basis.xb[r];
-        }
-    }
-    state.stats.refactorizations = basis.factorizations;
-    state.stats.basis_updates = basis.total_updates;
-    state.stats.basis_repairs = basis.repairs;
-    state.stats.factor_bytes = basis.factor_bytes();
-    state.stats.steepest_edge_resets = pricing.resets;
     state.stats.warm_started = true;
-    Some(SolvedPoint {
-        objective: basis.objective(costs),
-        z,
-        stats: state.stats,
-        basis: Some(basis.basis.clone()),
-    })
+    Some(basis.solved_point(costs, state.stats, pricing.resets))
 }
 
 /// Run dual-simplex pivots until the basic solution is primal feasible.
@@ -1417,8 +1197,7 @@ fn dual_phase(
         if pivots >= budget || state.iterations_left == 0 {
             return Ok(DualOutcome::Stalled);
         }
-        let interval = REFACTOR_FLOOR.max(basis.num_rows() / 32);
-        if basis.lu.updates() >= interval
+        if basis.refactor_due()
             && basis.refactorize().is_err()
             && basis
                 .repair("dual-phase periodic refactorisation", true)
@@ -1531,7 +1310,7 @@ fn dual_phase(
         let gamma_r = weights[row].max(1.0);
         {
             let w = &ws.w;
-            for_nz!(w, i, wi, {
+            w.for_each_nz(|i, wi| {
                 if i != row {
                     let ratio = wi / pivot;
                     let candidate = ratio * ratio * gamma_r;
@@ -1576,11 +1355,7 @@ fn run_phase(
                 limit: options.max_iterations,
             });
         }
-        // Refactorise every REFACTOR_FLOOR (32) updates, stretched to rows/32
-        // on programs taller than 1 024 rows; see REFACTOR_FLOOR for how the
-        // cadence was measured.
-        let interval = REFACTOR_FLOOR.max(basis.num_rows() / 32);
-        if basis.lu.updates() >= interval {
+        if basis.refactor_due() {
             if basis.refactorize().is_err() {
                 basis.repair("periodic refactorisation", true)?;
             }
@@ -1652,7 +1427,7 @@ fn run_phase(
         let mut d_actual = costs[col];
         {
             let w = &ws.w;
-            for_nz!(w, r, wr, {
+            w.for_each_nz(|r, wr| {
                 d_actual -= costs[basis.basis[r]] * wr;
             });
         }
@@ -1736,7 +1511,7 @@ fn price_bland(basis: &RevisedState<'_>, costs: &[f64], eps: f64, y: &mut [f64])
     for (r, slot) in y.iter_mut().enumerate() {
         *slot = costs[basis.basis[r]];
     }
-    basis.btran(y);
+    basis.lu.btran(y);
     (0..basis.num_core).find(|&j| {
         !basis.in_basis[j]
             && !basis.banned.contains(&j)
@@ -1801,7 +1576,7 @@ mod tests {
         lp.add_constraint(vec![(x, 2.0), (y, 1.0)], Relation::Equal, 4.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Equal, 1.0);
         let sf = standardize(&lp);
-        let mut state = RevisedState::new(&sf).unwrap();
+        let mut state = RevisedState::new(&sf, &cold_seed(&sf)).unwrap();
 
         let mut w = PatVec::new(2);
         state.ftran_column(0, &mut w);
@@ -1819,7 +1594,7 @@ mod tests {
 
         // y' B^{-1} for y = [1, 0] is the first row of B^{-1}.
         let mut row = vec![1.0, 0.0];
-        state.btran(&mut row);
+        state.lu.btran(&mut row);
         assert!((row[0] - 0.5).abs() < 1e-12);
         assert!((row[1] - (-0.5)).abs() < 1e-12);
     }
@@ -1838,7 +1613,7 @@ mod tests {
         let sf = standardize(&lp);
         let options = SolveOptions::default();
         let mut state = PivotState::new(&options);
-        let mut basis = RevisedState::new(&sf).unwrap();
+        let mut basis = RevisedState::new(&sf, &cold_seed(&sf)).unwrap();
         let mut ws = Workspace::new(sf.num_rows(), sf.num_columns());
         let mut pricing = Pricing::new(sf.num_columns(), PricingRule::Dantzig);
 
@@ -1885,7 +1660,7 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0)], Relation::LessEq, 3.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::LessEq, 4.0);
         let sf = standardize(&lp);
-        let mut basis = RevisedState::new(&sf).unwrap();
+        let mut basis = RevisedState::new(&sf, &cold_seed(&sf)).unwrap();
         let good = {
             let mut sorted = basis.basis.clone();
             sorted.sort_unstable();
